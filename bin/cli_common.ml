@@ -2,7 +2,7 @@
 
    Every subcommand that runs a system is configured the same way: the
    flags below build one Reconfig.Scenario.t (topology, seed, channel
-   model, fault plan, sink paths), and the subcommand hands it to
+   model, sink paths), and the subcommand hands it to
    Stack.of_scenario / Stack_loop.of_scenario. Adding a knob means adding
    it here once, not in five argument lists. *)
 
@@ -52,15 +52,21 @@ let trace_out_arg =
         ~doc:"Write the run's event trace to $(docv) as JSON Lines.")
 
 (* The scenario every run-flavoured subcommand shares. The fault plan rides
-   separately ({!plan_term}) because only some subcommands accept one. *)
-let scenario_term ?(name = "scenario") () =
-  let build n seed loss jobs metrics_out metrics_jsonl trace_out =
-    Scenario.make ~name ~seed ~loss ~jobs ?metrics_out ?metrics_jsonl
-      ?trace_out ~nodes:n ()
+   separately ({!plan_term}) because only some subcommands accept one.
+   Values Scenario.make rejects (no members, loss outside [0,1]) are usage
+   errors, not crashes. *)
+let scenario_term =
+  let build n seed loss metrics_out metrics_jsonl trace_out =
+    match
+      Scenario.make ~seed ~loss ?metrics_out ?metrics_jsonl ?trace_out ~nodes:n ()
+    with
+    | sc -> `Ok sc
+    | exception Invalid_argument msg -> `Error (true, msg)
   in
   Term.(
-    const build $ n_arg $ seed_arg $ loss_arg $ jobs_arg $ metrics_out_arg
-    $ metrics_jsonl_arg $ trace_out_arg)
+    ret
+      (const build $ n_arg $ seed_arg $ loss_arg $ metrics_out_arg
+     $ metrics_jsonl_arg $ trace_out_arg))
 
 let plan_term =
   let plan_file =

@@ -206,7 +206,7 @@ let scenario_cmd =
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a named scenario and narrate the outcome.")
-    Term.(const run $ kind $ Cli_common.scenario_term ~name:"scenario" ())
+    Term.(const run $ kind $ Cli_common.scenario_term)
 
 (* ------------------------------------------------------------------ *)
 (* faults                                                               *)
@@ -262,7 +262,6 @@ let faults_cmd =
       | Some p -> p
       | None -> demo_plan (Scenario.nodes sc) sc.Scenario.sc_seed
     in
-    let sc = Scenario.with_plan sc (Some plan) in
     Format.printf "%a@." Faults.Fault_plan.pp plan;
     match runtime with
     | `Sim ->
@@ -291,7 +290,7 @@ let faults_cmd =
           report stabilization.")
     Term.(
       const run
-      $ Cli_common.scenario_term ~name:"faults" ()
+      $ Cli_common.scenario_term
       $ Cli_common.plan_term $ runtime)
 
 (* ------------------------------------------------------------------ *)
@@ -323,7 +322,7 @@ let trace_cmd =
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Dump the protocol event trace of a transient-fault recovery.")
-    Term.(const run $ Cli_common.scenario_term ~name:"trace" () $ json_arg)
+    Term.(const run $ Cli_common.scenario_term $ json_arg)
 
 let () =
   let info =

@@ -245,6 +245,7 @@ let required_prom =
     "join_handshake_seconds_bucket";
     "counter_op_seconds_bucket";
     "vs_view_change_seconds_bucket";
+    "stack_sent_total{kind=\"sa\"}";
   ]
 
 let required_jsonl =
@@ -254,6 +255,7 @@ let required_jsonl =
     "\"name\":\"recsa.conflicts\"";
     "\"name\":\"join.handshake_seconds\"";
     "\"name\":\"counter.op_seconds\"";
+    "\"name\":\"stack.sent\"";
   ]
 
 (* ------------------------------------------------------------------ *)

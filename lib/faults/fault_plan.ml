@@ -1,8 +1,12 @@
 open Sim
 
-type link_profile = { fp_drop : float; fp_dup : float; fp_flip : float }
+type link_profile = Engine.link_profile = {
+  lp_drop : float;
+  lp_dup : float;
+  lp_flip : float;
+}
 
-let lossy p = { fp_drop = p; fp_dup = 0.0; fp_flip = 0.0 }
+let lossy p = { lp_drop = p; lp_dup = 0.0; lp_flip = 0.0 }
 let dead = lossy 1.0
 
 type target = All | Pids of Pid.t list | Sample of int
@@ -95,7 +99,7 @@ let pp fmt t =
         Format.fprintf fmt " %a" pp_target tg
       | Degrade_links { src; dst; profile } ->
         Format.fprintf fmt " %a->%a drop=%g dup=%g flip=%g" pp_target src pp_target
-          dst profile.fp_drop profile.fp_dup profile.fp_flip
+          dst profile.lp_drop profile.lp_dup profile.lp_flip
       | Restore_links { src; dst } ->
         Format.fprintf fmt " %a->%a" pp_target src pp_target dst
       | Partition { group; heal_after } ->
@@ -140,11 +144,11 @@ let to_json t =
         Buffer.add_string b ",\"dst\":";
         buf_target b dst;
         Buffer.add_string b ",\"drop\":";
-        buf_float b profile.fp_drop;
+        buf_float b profile.lp_drop;
         Buffer.add_string b ",\"dup\":";
-        buf_float b profile.fp_dup;
+        buf_float b profile.lp_dup;
         Buffer.add_string b ",\"flip\":";
-        buf_float b profile.fp_flip
+        buf_float b profile.lp_flip
       | Restore_links { src; dst } ->
         Buffer.add_string b ",\"src\":";
         buf_target b src;
@@ -389,9 +393,9 @@ let decode (j : json) : t =
                 dst = as_target "dst" (field o "dst");
                 profile =
                   {
-                    fp_drop = as_prob "drop" (field o "drop");
-                    fp_dup = as_prob "dup" (field o "dup");
-                    fp_flip = as_prob "flip" (field o "flip");
+                    lp_drop = as_prob "drop" (field o "drop");
+                    lp_dup = as_prob "dup" (field o "dup");
+                    lp_flip = as_prob "flip" (field o "flip");
                   };
               }
           | "restore_links" ->

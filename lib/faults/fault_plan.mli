@@ -22,18 +22,19 @@ open Sim
     model while installed. [flip] is the probability that a delivered
     packet is mangled ("bit-flipped" — the runtime rewrites it into a stale
     protocol packet, since a typed message has no bit representation to
-    flip). *)
-type link_profile = {
-  fp_drop : float;  (** per-delivery loss probability *)
-  fp_dup : float;  (** per-send duplication probability *)
-  fp_flip : float;  (** per-delivery mangling probability *)
+    flip). The runtimes' own profile type, re-exported, so a plan's profile
+    is installed as is. *)
+type link_profile = Engine.link_profile = {
+  lp_drop : float;  (** per-delivery loss probability *)
+  lp_dup : float;  (** per-send duplication probability *)
+  lp_flip : float;  (** per-delivery mangling probability *)
 }
 
 val lossy : float -> link_profile
 (** [lossy p] — a profile that only drops, with probability [p]. *)
 
 val dead : link_profile
-(** Drops everything: [fp_drop = 1.0]. *)
+(** Drops everything: [lp_drop = 1.0]. *)
 
 (** Victim selection, resolved against the live set when the event fires:
     [All] live nodes, an explicit pid list, or [Sample k] live nodes drawn

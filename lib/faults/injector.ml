@@ -21,8 +21,6 @@ type t = {
   rng : Rng.t;
   mutable pending : Fault_plan.entry list;  (* sorted by round *)
   mutable heals : int list;  (* scheduled partition heals, sorted *)
-  mutable injected : int;
-  mutable skipped : int;
 }
 
 let declare_metrics tele =
@@ -37,13 +35,9 @@ let create ~plan ~ops =
     rng = Rng.create plan.Fault_plan.seed;
     pending = plan.Fault_plan.entries;
     heals = [];
-    injected = 0;
-    skipped = 0;
   }
 
 let finished t = t.pending = [] && t.heals = []
-let injected t = t.injected
-let skipped t = t.skipped
 
 let pid_list_to_string pids =
   String.concat "," (List.map Pid.to_string pids)
@@ -61,12 +55,10 @@ let resolve t target =
     List.filteri (fun i _ -> i < k) shuffled |> List.sort Pid.compare
 
 let note t kind detail =
-  t.injected <- t.injected + 1;
   Telemetry.inc t.ops.o_telemetry ~labels:[ ("kind", kind) ] "fault.injected";
   t.ops.o_emit ~tag:("fault." ^ kind) ~detail
 
 let skip t kind =
-  t.skipped <- t.skipped + 1;
   Telemetry.inc t.ops.o_telemetry ~labels:[ ("kind", "skipped") ] "fault.injected";
   t.ops.o_emit ~tag:"fault.skipped" ~detail:kind
 
@@ -105,8 +97,8 @@ let apply t (e : Fault_plan.entry) =
         (directed_pairs srcs dsts);
       note t kind
         (Printf.sprintf "%s->%s drop=%g dup=%g flip=%g" (pid_list_to_string srcs)
-           (pid_list_to_string dsts) profile.Fault_plan.fp_drop
-           profile.Fault_plan.fp_dup profile.Fault_plan.fp_flip))
+           (pid_list_to_string dsts) profile.Fault_plan.lp_drop
+           profile.Fault_plan.lp_dup profile.Fault_plan.lp_flip))
   | Fault_plan.Restore_links { src; dst } -> (
     match t.ops.o_set_link_profile with
     | None -> skip t kind
@@ -156,3 +148,11 @@ let step t =
     | _ -> ()
   in
   heals ()
+
+let run ~plan ~ops ~round =
+  let t = create ~plan ~ops in
+  step t;
+  while not (finished t) do
+    round ();
+    step t
+  done

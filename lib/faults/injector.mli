@@ -36,26 +36,16 @@ type ops = {
   o_emit : tag:string -> detail:string -> unit;  (** trace stamping *)
 }
 
-type t
-
-val create : plan:Fault_plan.t -> ops:ops -> t
-(** The injector starts with every plan entry pending and an RNG seeded
-    from [plan.seed]. {!declare_metrics} is applied to [ops.o_telemetry]
-    so the [fault.injected] schema is stable even for plans that never
-    fire. *)
-
-val step : t -> unit
-(** Apply every pending entry (and scheduled partition heal) whose round
-    has been reached, in plan order. Call once per round boundary. *)
-
-val finished : t -> bool
-(** No pending entries and no scheduled heals remain. *)
-
-val injected : t -> int
-(** Number of events applied so far (scheduled heals included). *)
-
-val skipped : t -> int
-(** Events dropped because the runtime lacked the capability. *)
+val run : plan:Fault_plan.t -> ops:ops -> round:(unit -> unit) -> unit
+(** [run ~plan ~ops ~round] drives [plan] to completion, the plan loop of
+    every runtime's [run_plan]: at each round boundary it applies every
+    pending entry (and scheduled partition heal) whose round has been
+    reached, in plan order, then calls [round ()] to advance the runtime
+    one round, until no entry and no heal remains. Interpretation
+    randomness comes from an RNG seeded with [plan.seed].
+    {!declare_metrics} is applied to [ops.o_telemetry] first, so the
+    [fault.injected] schema is stable even for plans that never fire;
+    applied and skipped events are counted there. *)
 
 val declare_metrics : Telemetry.t -> unit
 (** Pre-register [fault.injected{kind}] for every {!Fault_plan.kinds}

@@ -909,13 +909,13 @@ let e15_message_overhead ?(jobs = 1) p =
   let cell n =
     let seed = match p.seeds with s :: _ -> s | [] -> 1 in
     let sys = warm_system ~seed n in
-    let m = Engine.metrics (Stack.engine sys) in
-    let before kind = Metrics.get m ("sent." ^ kind) in
-    let sa0 = before "sa" and ma0 = before "ma" and hb0 = before "heartbeat" in
+    let tele = Engine.telemetry (Stack.engine sys) in
+    let sent kind = Telemetry.counter_value tele ~labels:[ ("kind", kind) ] "stack.sent" in
+    let sa0 = sent "sa" and ma0 = sent "ma" and hb0 = sent "heartbeat" in
     let rounds = 50 in
     Stack.run_rounds sys rounds;
     let per_round v0 kind =
-      float_of_int (Metrics.get m ("sent." ^ kind) - v0) /. float_of_int rounds
+      float_of_int (sent kind - v0) /. float_of_int rounds
     in
     [
       Table.cell_int n;

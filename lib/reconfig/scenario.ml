@@ -1,7 +1,6 @@
 open Sim
 
 type t = {
-  sc_name : string;
   sc_members : Pid.t list;
   sc_seed : int;
   sc_capacity : int;
@@ -9,8 +8,6 @@ type t = {
   sc_theta : int;
   sc_n_bound : int;
   sc_quorum : (module Quorum.SYSTEM);
-  sc_plan : Faults.Fault_plan.t option;
-  sc_jobs : int option;
   sc_metrics_out : string option;
   sc_metrics_jsonl : string option;
   sc_trace_out : string option;
@@ -18,9 +15,9 @@ type t = {
 
 let default_members n = List.init n (fun i -> i + 1)
 
-let make ?(name = "scenario") ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.02)
-    ?(theta = 4) ?n_bound ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ?plan
-    ?jobs ?metrics_out ?metrics_jsonl ?trace_out ?nodes () =
+let make ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4) ?n_bound
+    ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ?metrics_out ?metrics_jsonl
+    ?trace_out ?nodes () =
   let members =
     match (members, nodes) with
     | Some l, _ -> l
@@ -28,10 +25,12 @@ let make ?(name = "scenario") ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.0
     | None, None -> invalid_arg "Scenario.make: pass ~nodes or ~members"
   in
   if members = [] then invalid_arg "Scenario.make: empty member list";
+  (* written so that NaN fails too *)
+  if not (loss >= 0.0 && loss <= 1.0) then
+    invalid_arg "Scenario.make: loss must be in [0,1]";
   let n_bound = match n_bound with Some b -> b | None -> 2 * List.length members in
   if n_bound <= 0 then invalid_arg "Scenario.make: n_bound must be positive";
   {
-    sc_name = name;
     sc_members = members;
     sc_seed = seed;
     sc_capacity = capacity;
@@ -39,38 +38,13 @@ let make ?(name = "scenario") ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.0
     sc_theta = theta;
     sc_n_bound = n_bound;
     sc_quorum = quorum;
-    sc_plan = plan;
-    sc_jobs = jobs;
     sc_metrics_out = metrics_out;
     sc_metrics_jsonl = metrics_jsonl;
     sc_trace_out = trace_out;
   }
 
 let nodes t = List.length t.sc_members
-let with_name t name = { t with sc_name = name }
-
-let with_members t members =
-  if members = [] then invalid_arg "Scenario.with_members: empty member list";
-  { t with sc_members = members }
-
-let with_nodes t n =
-  let t = with_members t (default_members n) in
-  { t with sc_n_bound = max t.sc_n_bound (2 * n) }
-
-let with_seed t seed = { t with sc_seed = seed }
-let with_loss t loss = { t with sc_loss = loss }
 
 let with_n_bound t n_bound =
   if n_bound <= 0 then invalid_arg "Scenario.with_n_bound: must be positive";
   { t with sc_n_bound = n_bound }
-
-let with_quorum t quorum = { t with sc_quorum = quorum }
-let with_plan t plan = { t with sc_plan = plan }
-let with_jobs t jobs = { t with sc_jobs = jobs }
-
-let pp fmt t =
-  Format.fprintf fmt "%s: n=%d seed=%d cap=%d loss=%g theta=%d N=%d%s" t.sc_name
-    (nodes t) t.sc_seed t.sc_capacity t.sc_loss t.sc_theta t.sc_n_bound
-    (match t.sc_plan with
-    | Some p -> Printf.sprintf " plan(%d events)" (List.length p.Faults.Fault_plan.entries)
-    | None -> "")

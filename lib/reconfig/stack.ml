@@ -27,7 +27,6 @@ type scheme_view = {
   v_emit : string -> string -> unit;
   v_now : float;
   v_rng : Rng.t;
-  v_metrics : Metrics.t;
   v_telemetry : Telemetry.t;
 }
 
@@ -290,7 +289,6 @@ let snap_instance ~capacity n ~self ~peer =
 
 module Core (R : Runtime.S) = struct
   let send_counted ctx kind dst m =
-    Metrics.incr (R.metrics ctx) ("sent." ^ kind);
     Telemetry.inc (R.telemetry ctx) ~labels:[ ("kind", kind) ] "stack.sent";
     R.send ctx dst m
 
@@ -306,7 +304,6 @@ module Core (R : Runtime.S) = struct
       v_emit = R.emit ctx;
       v_now = R.now ctx;
       v_rng = R.rng ctx;
-      v_metrics = R.metrics ctx;
       v_telemetry = R.telemetry ctx;
     }
 
@@ -545,12 +542,6 @@ let of_scenario ~hooks (sc : Scenario.t) =
          if Rng.bool rng then Heartbeat else stale_sa rng (Engine.pids eng)));
   { eng; hooks; directory }
 
-let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4)
-    ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~n_bound ~hooks ~members () =
-  of_scenario ~hooks
-    (Scenario.make ~members ~seed ~capacity ~loss ~theta ~n_bound ~quorum
-       ~nodes:(List.length members) ())
-
 let engine t = t.eng
 
 let add_joiner t p =
@@ -590,9 +581,7 @@ let estab t p set = Recsa.estab (node t p).sa ~trusted:(trusted_of t p) set
 
 (* --- transient-fault injection --- *)
 
-let corrupt_node t p ~rng =
-  let pool = Engine.pids t.eng in
-  let n = node t p in
+let corrupt_state ~hooks ~pool ~rng n =
   Recsa.corrupt n.sa ~config:(random_config rng pool)
     ~prp:(random_notification rng pool) ~all:(Rng.bool rng)
     ~allseen:(random_pid_set rng pool) ();
@@ -600,7 +589,10 @@ let corrupt_node t p ~rng =
   let random_flags () = List.map (fun q -> (q, Rng.bool rng)) pool in
   Recma.corrupt n.ma ~no_maj:(random_flags ()) ~need_reconf:(random_flags ());
   Join.corrupt n.join ~rng ~pool;
-  n.app <- t.hooks.plugin.p_corrupt rng n.app
+  n.app <- hooks.plugin.p_corrupt rng n.app
+
+let corrupt_node t p ~rng =
+  corrupt_state ~hooks:t.hooks ~pool:(Engine.pids t.eng) ~rng (node t p)
 
 let corrupt_link t ~src ~dst ~rng =
   let pool = Engine.pids t.eng in
@@ -620,13 +612,6 @@ let corrupt_everything t ~rng =
 
 (* --- fault plans: the injector capabilities of the simulator runtime --- *)
 
-let to_engine_profile p =
-  {
-    Engine.lp_drop = p.Faults.Fault_plan.fp_drop;
-    lp_dup = p.Faults.Fault_plan.fp_dup;
-    lp_flip = p.Faults.Fault_plan.fp_flip;
-  }
-
 let fault_ops t =
   {
     Faults.Injector.o_live = (fun () -> Engine.live_pids t.eng);
@@ -636,10 +621,7 @@ let fault_ops t =
     o_join = (fun p -> add_joiner t p);
     o_corrupt_node = (fun rng p -> corrupt_node t p ~rng);
     o_corrupt_link = Some (fun rng ~src ~dst -> corrupt_link t ~src ~dst ~rng);
-    o_set_link_profile =
-      Some
-        (fun ~src ~dst profile ->
-          Engine.set_link_profile t.eng ~src ~dst (Option.map to_engine_profile profile));
+    o_set_link_profile = Some (Engine.set_link_profile t.eng);
     o_partition = (fun group -> Engine.partition t.eng group);
     o_heal =
       (fun () ->
@@ -652,10 +634,5 @@ let fault_ops t =
   }
 
 let run_plan t ~plan ~max_rounds =
-  let inj = Faults.Injector.create ~plan ~ops:(fault_ops t) in
-  Faults.Injector.step inj;
-  while not (Faults.Injector.finished inj) do
-    run_rounds t 1;
-    Faults.Injector.step inj
-  done;
+  Faults.Injector.run ~plan ~ops:(fault_ops t) ~round:(fun () -> run_rounds t 1);
   run_until_quiescent t ~max_rounds

@@ -43,7 +43,7 @@ type 'app node_state = {
 
 (** Read-only view of the scheme handed to the application plugin — the
     [getConfig()] / [noReco()] interfaces of Figure 1, enriched with the
-    executing runtime's clock, randomness and metrics. *)
+    executing runtime's clock, randomness and telemetry. *)
 type scheme_view = {
   v_self : Pid.t;
   v_trusted : Pid.Set.t;
@@ -51,7 +51,6 @@ type scheme_view = {
   v_emit : string -> string -> unit;  (** trace emission *)
   v_now : float;  (** the runtime's current time *)
   v_rng : Rng.t;  (** the runtime's random source *)
-  v_metrics : Metrics.t;  (** shared metrics registry *)
   v_telemetry : Telemetry.t;  (** shared telemetry registry *)
 }
 
@@ -194,7 +193,7 @@ val snap_nonce : self:Pid.t -> peer:Pid.t -> int
     emits (conflict counters per stale type, reset/install counters, the
     replacement/recovery/join/counter-op/view-change histograms), so
     exports list a stable schema even before any event fires. Called by
-    the system constructors ([create] here and [Stack_loop.create]). *)
+    the system constructors ({!of_scenario} and [Stack_loop.of_scenario]). *)
 val declare_metrics : Telemetry.t -> unit
 
 (** [note_event tele ~self ~now (tag, detail)] folds one scheme trace
@@ -242,23 +241,8 @@ val of_scenario : hooks:('app, 'msg) hooks -> Scenario.t -> ('app, 'msg) t
     other processors enter later via [add_joiner] or a plan's [Join]
     events. [sc_quorum] generalizes recMA's collapse / prediction tests
     and the joining admission test to any intersecting quorum system — the
-    generalization the paper claims in Related Work. The scenario's fault
-    plan is {e not} applied here; pass it to {!run_plan}. *)
-
-val create :
-  ?seed:int ->
-  ?capacity:int ->
-  ?loss:float ->
-  ?theta:int ->
-  ?quorum:(module Quorum.SYSTEM) ->
-  n_bound:int ->
-  hooks:('app, 'msg) hooks ->
-  members:Pid.t list ->
-  unit ->
-  ('app, 'msg) t
-  [@@ocaml.deprecated "use Stack.of_scenario with a Scenario.t"]
-(** @deprecated Compatibility shim over {!of_scenario} (one release);
-    equivalent to [of_scenario ~hooks (Scenario.make ~members ...)]. *)
+    generalization the paper claims in Related Work. A fault plan is
+    applied by {!run_plan}. *)
 
 val engine : ('app, 'msg) t -> ('app node_state, ('app, 'msg) message) Engine.t
 
@@ -308,16 +292,15 @@ val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
 
 (** {2 Transient faults} *)
 
-(** Garbage generators shared by both runtimes' injectors: a random
-    subset of [pool], a random configuration over it, and a random
-    reconfiguration notification. *)
+(** [corrupt_state ~hooks ~pool ~rng n] writes pseudo-random garbage,
+    drawn over the processors in [pool], into one node's recSA, recMA and
+    join state and (through [hooks.plugin.p_corrupt]) its application
+    state. The one node-state corruptor of every runtime. *)
+val corrupt_state :
+  hooks:('app, 'msg) hooks -> pool:Pid.t list -> rng:Rng.t -> 'app node_state -> unit
 
-val random_pid_set : Rng.t -> Pid.t list -> Pid.Set.t
-val random_config : Rng.t -> Pid.t list -> Config_value.t
-val random_notification : Rng.t -> Pid.t list -> Notification.t
-
-(** [corrupt_node t p ~rng] writes pseudo-random garbage into [p]'s recSA
-    and recMA state. *)
+(** [corrupt_node t p ~rng] — {!corrupt_state} on [p], over every pid the
+    engine has seen. *)
 val corrupt_node : ('app, 'msg) t -> Pid.t -> rng:Rng.t -> unit
 
 (** [corrupt_everything t ~rng] corrupts every live node and fills every

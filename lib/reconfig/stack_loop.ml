@@ -22,13 +22,6 @@ let of_scenario ?clock ~hooks (sc : Scenario.t) =
   Faults.Injector.declare_metrics (Loop.telemetry loop);
   { loop; hooks; directory }
 
-let create ?(seed = 42) ?(capacity = 8) ?(theta = 4)
-    ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ?clock ~n_bound ~hooks
-    ~members () =
-  of_scenario ?clock ~hooks
-    (Scenario.make ~members ~seed ~capacity ~theta ~n_bound ~quorum
-       ~nodes:(List.length members) ())
-
 let loop t = t.loop
 
 let add_joiner t p =
@@ -57,7 +50,6 @@ let crash t p = Loop.crash t.loop p
 (* --- fault plans: the loop's (partial) injector capabilities --- *)
 
 let fault_ops t =
-  let hooks = t.hooks in
   {
     Faults.Injector.o_live = (fun () -> Loop.live_pids t.loop);
     o_pids = (fun () -> Loop.pids t.loop);
@@ -66,32 +58,11 @@ let fault_ops t =
     o_join = (fun p -> add_joiner t p);
     o_corrupt_node =
       (fun rng p ->
-        let pool = Loop.pids t.loop in
-        let n = node t p in
-        Recsa.corrupt n.Stack.sa ~config:(Stack.random_config rng pool)
-          ~prp:(Stack.random_notification rng pool) ~all:(Rng.bool rng)
-          ~allseen:(Stack.random_pid_set rng pool) ();
-        Recsa.clear_peers n.Stack.sa;
-        let random_flags () = List.map (fun q -> (q, Rng.bool rng)) pool in
-        Recma.corrupt n.Stack.ma ~no_maj:(random_flags ())
-          ~need_reconf:(random_flags ());
-        Join.corrupt n.Stack.join ~rng ~pool;
-        n.Stack.app <- hooks.Stack.plugin.Stack.p_corrupt rng n.Stack.app);
+        Stack.corrupt_state ~hooks:t.hooks ~pool:(Loop.pids t.loop) ~rng (node t p));
     (* mailboxes hold typed values a transient fault cannot fabricate, and
        per-link profiles are installed on the loop runtime itself *)
     o_corrupt_link = None;
-    o_set_link_profile =
-      Some
-        (fun ~src ~dst profile ->
-          Loop.set_link_profile t.loop ~src ~dst
-            (Option.map
-               (fun p ->
-                 {
-                   Engine.lp_drop = p.Faults.Fault_plan.fp_drop;
-                   lp_dup = p.Faults.Fault_plan.fp_dup;
-                   lp_flip = p.Faults.Fault_plan.fp_flip;
-                 })
-               profile));
+    o_set_link_profile = Some (Loop.set_link_profile t.loop);
     o_partition = (fun group -> Loop.partition t.loop group);
     o_heal =
       (fun () ->
@@ -104,10 +75,5 @@ let fault_ops t =
   }
 
 let run_plan t ~plan ~max_rounds =
-  let inj = Faults.Injector.create ~plan ~ops:(fault_ops t) in
-  Faults.Injector.step inj;
-  while not (Faults.Injector.finished inj) do
-    run_rounds t 1;
-    Faults.Injector.step inj
-  done;
+  Faults.Injector.run ~plan ~ops:(fault_ops t) ~round:(fun () -> run_rounds t 1);
   run_until_quiescent t ~max_rounds

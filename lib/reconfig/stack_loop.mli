@@ -18,26 +18,11 @@ val of_scenario :
   Scenario.t ->
   ('app, 'msg) t
 (** Build a loop-backed stack from a {!Scenario.t}. The scenario's
-    simulator-only channel knobs ([sc_loss]) are ignored; its fault plan is
-    {e not} applied here — pass it to {!run_plan}. [clock] is forwarded to
+    simulator-only channel knobs ([sc_loss]) are ignored; a fault plan is
+    applied by {!run_plan}. [clock] is forwarded to
     {!Runtime.Loop.create}. *)
 
-val create :
-  ?seed:int ->
-  ?capacity:int ->
-  ?theta:int ->
-  ?quorum:(module Quorum.SYSTEM) ->
-  ?clock:(unit -> float) ->
-  n_bound:int ->
-  hooks:('app, 'msg) Stack.hooks ->
-  members:Pid.t list ->
-  unit ->
-  ('app, 'msg) t
-  [@@ocaml.deprecated "use Stack_loop.of_scenario with a Scenario.t"]
-(** @deprecated Compatibility shim over {!of_scenario} (one release);
-    equivalent to [of_scenario ~hooks (Scenario.make ~members ...)]. *)
-
-(** The underlying loop runtime (for trace/metrics/round access). *)
+(** The underlying loop runtime (for trace/telemetry/round access). *)
 val loop :
   ('app, 'msg) t -> ('app Stack.node_state, ('app, 'msg) Stack.message) Runtime.Loop.t
 

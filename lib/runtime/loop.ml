@@ -6,7 +6,6 @@ type 'm ctx = {
   c_rng : Rng.t;
   mutable c_out : (Pid.t * 'm) list; (* reversed *)
   c_trace : Trace.t;
-  c_metrics : Metrics.t;
   c_telemetry : Telemetry.t;
 }
 
@@ -21,7 +20,6 @@ module Ctx = struct
   let emit c tag detail =
     Trace.record c.c_trace ~time:c.c_now ~node:c.c_self ~tag detail
 
-  let metrics c = c.c_metrics
   let telemetry c = c.c_telemetry
 end
 
@@ -37,7 +35,6 @@ type ('s, 'm) t = {
   clock : unit -> float;
   nodes : (Pid.t, ('s, 'm) node) Hashtbl.t;
   l_trace : Trace.t;
-  l_metrics : Metrics.t;
   l_telemetry : Telemetry.t;
   mutable l_rounds : int;
   (* adversarial link state (fault plans): a blocked directed link drops
@@ -67,7 +64,6 @@ let create ?(seed = 42) ?clock ~driver ~pids () =
       clock;
       nodes = Hashtbl.create 16;
       l_trace = Trace.create ();
-      l_metrics = Metrics.create ();
       l_telemetry = Telemetry.create ();
       l_rounds = 0;
       l_blocked = Hashtbl.create 16;
@@ -84,7 +80,6 @@ let create ?(seed = 42) ?clock ~driver ~pids () =
 
 let now t = t.clock ()
 let trace t = t.l_trace
-let metrics t = t.l_metrics
 let telemetry t = t.l_telemetry
 
 let pids t =
@@ -155,7 +150,6 @@ let make_ctx t p =
     c_rng = t.l_rng;
     c_out = [];
     c_trace = t.l_trace;
-    c_metrics = t.l_metrics;
     c_telemetry = t.l_telemetry;
   }
 

@@ -38,7 +38,6 @@ val create :
 
 val now : ('s, 'm) t -> float
 val trace : ('s, 'm) t -> Trace.t
-val metrics : ('s, 'm) t -> Metrics.t
 val telemetry : ('s, 'm) t -> Telemetry.t
 val pids : ('s, 'm) t -> Pid.t list
 val live_pids : ('s, 'm) t -> Pid.t list

@@ -8,7 +8,6 @@ module type S = sig
   val rng : 'm ctx -> Rng.t
   val send : 'm ctx -> Pid.t -> 'm -> unit
   val emit : 'm ctx -> string -> string -> unit
-  val metrics : 'm ctx -> Metrics.t
   val telemetry : 'm ctx -> Telemetry.t
 end
 
@@ -26,7 +25,6 @@ module Sim_engine = struct
   let rng = Engine.rng_of_ctx
   let send = Engine.send
   let emit = Engine.emit
-  let metrics = Engine.metrics_of_ctx
   let telemetry = Engine.telemetry_of_ctx
 end
 

@@ -43,9 +43,6 @@ module type S = sig
   (** [emit ctx tag detail] records a trace event attributed to the
       stepping node. *)
 
-  val metrics : 'm ctx -> Metrics.t
-  (** Shared metrics registry for protocol-level accounting. *)
-
   val telemetry : 'm ctx -> Telemetry.t
   (** Shared telemetry registry: labeled counters and gauges, bounded
       histograms, and phase spans ({!Telemetry}). Like [now], times fed to

@@ -8,7 +8,6 @@ type 'm ctx = {
   ctx_rng : Rng.t;
   mutable ctx_outbox : (Pid.t * 'm) list; (* reversed *)
   ctx_trace : Trace.t;
-  ctx_metrics : Metrics.t;
   ctx_telemetry : Telemetry.t;
 }
 
@@ -20,7 +19,6 @@ let send c dst msg = c.ctx_outbox <- (dst, msg) :: c.ctx_outbox
 let emit c tag detail =
   Trace.record c.ctx_trace ~time:c.ctx_time ~node:c.ctx_self ~tag detail
 
-let metrics_of_ctx c = c.ctx_metrics
 let telemetry_of_ctx c = c.ctx_telemetry
 
 type ('s, 'm) behavior = {
@@ -111,7 +109,6 @@ type ('s, 'm) t = {
   mutable cached_live : Pid.t list option;
   scratch : 'm ctx;
   e_trace : Trace.t;
-  e_metrics : Metrics.t;
   e_telemetry : Telemetry.t;
 }
 
@@ -221,7 +218,6 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder =
     ~pids () =
   let e_rng = Rng.create seed in
   let e_trace = Trace.create () in
-  let e_metrics = Metrics.create () in
   let e_telemetry = Telemetry.create () in
   let t =
     {
@@ -260,11 +256,9 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder =
           ctx_rng = e_rng;
           ctx_outbox = [];
           ctx_trace = e_trace;
-          ctx_metrics = e_metrics;
           ctx_telemetry = e_telemetry;
         };
       e_trace;
-      e_metrics;
       e_telemetry;
     }
   in
@@ -283,7 +277,6 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder =
 let time t = t.e_time
 let rng t = t.e_rng
 let trace t = t.e_trace
-let metrics t = t.e_metrics
 let telemetry t = t.e_telemetry
 
 let fold_nodes t f acc =

@@ -34,10 +34,6 @@ val send : 'm ctx -> Pid.t -> 'm -> unit
     node. *)
 val emit : 'm ctx -> string -> string -> unit
 
-(** [metrics_of_ctx ctx] — the engine's metrics, for protocol-level
-    accounting (e.g. messages sent per layer). *)
-val metrics_of_ctx : 'm ctx -> Metrics.t
-
 (** [telemetry_of_ctx ctx] — the engine's telemetry registry (labeled
     counters, histograms, phase spans). *)
 val telemetry_of_ctx : 'm ctx -> Telemetry.t
@@ -74,7 +70,6 @@ val create :
 val time : ('s, 'm) t -> float
 val rng : ('s, 'm) t -> Rng.t
 val trace : ('s, 'm) t -> Trace.t
-val metrics : ('s, 'm) t -> Metrics.t
 val telemetry : ('s, 'm) t -> Telemetry.t
 val pids : ('s, 'm) t -> Pid.t list
 val live_pids : ('s, 'm) t -> Pid.t list

@@ -24,7 +24,7 @@ let kitchen_sink_plan =
            {
              src = Fp.Pids [ 1; 2 ];
              dst = Fp.All;
-             profile = { Fp.fp_drop = 0.25; fp_dup = 0.5; fp_flip = 0.125 };
+             profile = { Fp.lp_drop = 0.25; lp_dup = 0.5; lp_flip = 0.125 };
            });
       Fp.at 9 (Fp.Restore_links { src = Fp.Pids [ 1; 2 ]; dst = Fp.All });
       Fp.at 10 (Fp.Partition { group = Fp.Sample 3; heal_after = 4 });
@@ -252,6 +252,42 @@ let test_loop_plan () =
   Alcotest.(check int) "channel corruption skipped" 1 (total "skipped");
   Alcotest.(check int) "partition applied" 1 (total "partition")
 
+let test_loop_service_corrupt () =
+  (* the loop's Corrupt_nodes goes through the same node-state corruptor
+     as the simulator's, so a real service's [p_corrupt] must run on every
+     victim, and the counter service must recover and serve again *)
+  let n = 4 in
+  let corrupted = ref 0 in
+  let base =
+    Counters.Counter_service.hooks ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30)
+  in
+  let hooks =
+    {
+      base with
+      Stack.plugin =
+        {
+          base.Stack.plugin with
+          Stack.p_corrupt =
+            (fun rng st ->
+              incr corrupted;
+              base.Stack.plugin.Stack.p_corrupt rng st);
+        };
+    }
+  in
+  let sys =
+    Stack_loop.of_scenario ~hooks
+      (Scenario.make ~seed:21 ~n_bound:16 ~members:(members n) ())
+  in
+  let plan = Fp.make ~seed:3 [ Fp.at 20 (Fp.Corrupt_nodes Fp.All) ] in
+  Alcotest.(check bool) "loop recovers from service corruption" true
+    (Stack_loop.run_plan sys ~plan ~max_rounds:1500 <> None);
+  Alcotest.(check int) "p_corrupt ran on every victim" n !corrupted;
+  let app p = (Stack_loop.node sys p).Stack.app in
+  Counters.Counter_service.request_increment (app 1);
+  Alcotest.(check bool) "increment completes after corruption" true
+    (Runtime.Loop.run_until (Stack_loop.loop sys) ~max_rounds:1500 (fun _ ->
+         Counters.Counter_service.results (app 1) <> []))
+
 let suites =
   [
     ( "faults.plan",
@@ -277,5 +313,9 @@ let suites =
           test_dead_links_block_recovery;
       ] );
     ( "faults.loop",
-      [ Alcotest.test_case "loop interprets plan" `Quick test_loop_plan ] );
+      [
+        Alcotest.test_case "loop interprets plan" `Quick test_loop_plan;
+        Alcotest.test_case "loop service corruption recovers" `Quick
+          test_loop_service_corrupt;
+      ] );
   ]

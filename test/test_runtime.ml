@@ -45,7 +45,6 @@ let dummy_view ?(self = 1) () =
     v_emit = (fun _ _ -> ());
     v_now = 0.0;
     v_rng = Rng.create 1;
-    v_metrics = Metrics.create ();
     v_telemetry = Telemetry.create ();
   }
 
@@ -288,6 +287,31 @@ let test_loop_stack_joiner () =
   Alcotest.(check bool) "joiner converges to trusting the members" true
     (Pid.Set.subset (set [ 1; 2; 3 ]) (Stack_loop.trusted_of lp 9))
 
+(* ------------------------------------------------------------------ *)
+(* Scenario validation                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_scenario_rejects_empty_members () =
+  let empty = Invalid_argument "Scenario.make: empty member list" in
+  Alcotest.check_raises "nodes 0" empty (fun () -> ignore (Scenario.make ~nodes:0 ()));
+  Alcotest.check_raises "members []" empty (fun () ->
+      ignore (Scenario.make ~members:[] ()))
+
+let test_scenario_rejects_bad_loss () =
+  let bad = Invalid_argument "Scenario.make: loss must be in [0,1]" in
+  List.iter
+    (fun loss ->
+      Alcotest.check_raises (Printf.sprintf "loss %g" loss) bad (fun () ->
+          ignore (Scenario.make ~nodes:3 ~loss ())))
+    [ 1.5; -0.1; Float.nan ];
+  List.iter
+    (fun loss ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "loss %g accepted" loss)
+        loss
+        (Scenario.make ~nodes:3 ~loss ()).Scenario.sc_loss)
+    [ 0.0; 1.0 ]
+
 let suites =
   [
     ( "runtime.nonce",
@@ -313,5 +337,12 @@ let suites =
       [
         Alcotest.test_case "stack on both runtimes" `Quick test_stack_on_both_runtimes;
         Alcotest.test_case "loop joiner" `Quick test_loop_stack_joiner;
+      ] );
+    ( "runtime.scenario",
+      [
+        Alcotest.test_case "rejects empty members" `Quick
+          test_scenario_rejects_empty_members;
+        Alcotest.test_case "rejects loss outside [0,1]" `Quick
+          test_scenario_rejects_bad_loss;
       ] );
   ]

@@ -1,5 +1,5 @@
 (* Tests for the simulation kernel: pids, rng, heap, channel, trace,
-   metrics, engine. *)
+   engine. *)
 
 open Sim
 
@@ -111,7 +111,7 @@ let test_channel_corrupt_and_clear () =
   Channel.clear ch;
   Alcotest.(check bool) "cleared" true (Channel.is_empty ch)
 
-(* --- Trace and metrics --- *)
+(* --- Trace --- *)
 
 let test_trace_tags () =
   let tr = Trace.create () in
@@ -125,18 +125,6 @@ let test_trace_tags () =
     Alcotest.(check string) "order" "x" e1.Trace.detail;
     Alcotest.(check string) "order" "z" e2.Trace.detail
   | _ -> Alcotest.fail "expected two entries"
-
-let test_metrics () =
-  let m = Metrics.create () in
-  Metrics.incr m "c";
-  Metrics.add m "c" 4;
-  Alcotest.(check int) "counter" 5 (Metrics.get m "c");
-  Alcotest.(check int) "absent counter" 0 (Metrics.get m "absent");
-  List.iter (Metrics.observe m "s") [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check (option (float 0.001))) "mean" (Some 2.5) (Metrics.mean m "s");
-  Alcotest.(check (option (float 0.001))) "min" (Some 1.0) (Metrics.min_sample m "s");
-  Alcotest.(check (option (float 0.001))) "max" (Some 4.0) (Metrics.max_sample m "s");
-  Alcotest.(check (option (float 0.001))) "median" (Some 2.0) (Metrics.percentile m "s" 0.5)
 
 (* --- Engine --- *)
 
@@ -248,18 +236,6 @@ let test_trace_truncation () =
   match List.rev entries with
   | last :: _ -> Alcotest.(check string) "newest kept" "100" last.Trace.detail
   | [] -> Alcotest.fail "trace empty"
-
-let test_metrics_edges () =
-  let m = Metrics.create () in
-  Alcotest.(check (option (float 0.1))) "mean of empty" None (Metrics.mean m "x");
-  Alcotest.(check (option (float 0.1))) "percentile of empty" None
-    (Metrics.percentile m "x" 0.5);
-  Metrics.observe m "x" 5.0;
-  Alcotest.(check (option (float 0.001))) "single-sample percentile" (Some 5.0)
-    (Metrics.percentile m "x" 0.99);
-  Alcotest.(check int) "sample count" 1 (Metrics.sample_count m "x");
-  Metrics.clear m;
-  Alcotest.(check int) "cleared" 0 (Metrics.sample_count m "x")
 
 let test_engine_determinism () =
   let run () =
@@ -522,8 +498,6 @@ let suites =
       [
         Alcotest.test_case "tags" `Quick test_trace_tags;
         Alcotest.test_case "truncation" `Quick test_trace_truncation;
-        Alcotest.test_case "metrics" `Quick test_metrics;
-        Alcotest.test_case "metrics edges" `Quick test_metrics_edges;
       ] );
     ( "sim.engine",
       [

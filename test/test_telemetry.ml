@@ -1,7 +1,6 @@
 (* Tests for the telemetry layer: histogram bucket geometry and quantile
    accuracy, span bookkeeping (nesting, orphans, unmatched ends), the
-   trace ring's exact-at-limit eviction, Metrics.percentile edge cases,
-   and exporter format/determinism. *)
+   trace ring's exact-at-limit eviction, and exporter format/determinism. *)
 
 open Sim
 module H = Telemetry.Histogram
@@ -220,35 +219,6 @@ let test_trace_ring () =
   Alcotest.(check int) "under limit" 7 (Trace.length tr2)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics.percentile edge cases                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_metrics_percentile_edges () =
-  let m = Metrics.create () in
-  Alcotest.(check (option (float 0.0))) "empty series" None
-    (Metrics.percentile m "s" 0.5);
-  Metrics.observe m "s" 42.0;
-  List.iter
-    (fun p ->
-      Alcotest.(check (option feq))
-        (Printf.sprintf "single sample p=%g" p)
-        (Some 42.0) (Metrics.percentile m "s" p))
-    [ 0.0; 0.5; 1.0 ];
-  List.iter (Metrics.observe m "s") [ 10.0; 20.0; 30.0 ];
-  (* series is now {10,20,30,42} *)
-  Alcotest.(check (option feq)) "p=0 is the minimum" (Some 10.0)
-    (Metrics.percentile m "s" 0.0);
-  Alcotest.(check (option feq)) "p=1 is the maximum" (Some 42.0)
-    (Metrics.percentile m "s" 1.0);
-  Alcotest.(check (option feq)) "p=0.5 nearest-rank" (Some 20.0)
-    (Metrics.percentile m "s" 0.5);
-  (* interleaved observe/percentile: the sorted cache must invalidate *)
-  Metrics.observe m "s" 5.0;
-  Alcotest.(check (option feq)) "after new min" (Some 5.0)
-    (Metrics.percentile m "s" 0.0);
-  Alcotest.(check int) "count tracks" 5 (Metrics.sample_count m "s")
-
-(* ------------------------------------------------------------------ *)
 (* exporters                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -348,8 +318,6 @@ let suites =
         Alcotest.test_case "span basic" `Quick test_span_basic;
         Alcotest.test_case "span mismatches" `Quick test_span_mismatches;
         Alcotest.test_case "trace ring eviction" `Quick test_trace_ring;
-        Alcotest.test_case "metrics percentile edges" `Quick
-          test_metrics_percentile_edges;
         Alcotest.test_case "prometheus export" `Quick test_prometheus_export;
         Alcotest.test_case "jsonl export" `Quick test_jsonl_export;
         Alcotest.test_case "json helpers" `Quick test_json_helpers;

@@ -97,14 +97,6 @@ let plan_term =
   in
   Term.(ret (const build $ plan_file $ plan_json))
 
-(* One trace entry as a JSON object (one line of JSONL output). *)
-let entry_json e =
-  Printf.sprintf "{\"time\":%s,\"node\":%s,\"tag\":\"%s\",\"detail\":\"%s\"}"
-    (Telemetry.Export.json_float e.Sim.Trace.time)
-    (match e.Sim.Trace.node with Some p -> string_of_int p | None -> "null")
-    (Telemetry.Export.json_escape e.Sim.Trace.tag)
-    (Telemetry.Export.json_escape e.Sim.Trace.detail)
-
 (* Write the run's telemetry/trace to whichever sinks the scenario names.
    All three renderings are deterministic for a fixed seed: the registry
    never reads wall clocks and exports are sorted. *)
@@ -125,5 +117,5 @@ let export ~tele ~trace (sc : Scenario.t) =
       Telemetry.Export.metrics_jsonl buf tele);
   dump sc.Scenario.sc_trace_out (fun buf ->
       Sim.Trace.iter trace (fun e ->
-          Buffer.add_string buf (entry_json e);
+          Buffer.add_string buf (Sim.Trace.entry_json e);
           Buffer.add_char buf '\n'))

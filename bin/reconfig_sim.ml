@@ -312,7 +312,7 @@ let trace_cmd =
     Stack.corrupt_everything sys ~rng:(Rng.create (sc.Scenario.sc_seed + 1));
     ignore (Stack.run_until_quiescent sys ~max_rounds:1000);
     let trace = Engine.trace (Stack.engine sys) in
-    if json then Trace.iter trace (fun e -> print_endline (Cli_common.entry_json e))
+    if json then Trace.iter trace (fun e -> print_endline (Trace.entry_json e))
     else begin
       Trace.iter trace (fun e ->
           if e.Trace.tag <> "join" then Format.printf "%a@." Trace.pp_entry e);

@@ -2,10 +2,12 @@
 
    Runs a short transient-fault recovery in-process, renders the
    resulting registry in both export formats (plus the event trace as
-   JSONL), validates each with a hand-rolled parser, checks that the
-   metric families the scheme promises are present, and confirms that
-   two identical-seed runs yield byte-identical exports. Exits nonzero
-   on any failure, so `dune build @telemetry-smoke` is a CI gate. *)
+   JSONL), validates each (JSONL lines with the shared reader
+   [Telemetry.Json], Prometheus text with a hand-rolled line checker),
+   checks that the metric families the scheme promises are present, and
+   confirms that two identical-seed runs yield byte-identical exports.
+   Exits nonzero on any failure, so `dune build @telemetry-smoke` is a
+   CI gate. *)
 
 open Sim
 open Reconfig
@@ -33,13 +35,6 @@ let run_scenario () =
   ignore (Stack.run_until_quiescent sys ~max_rounds:500);
   sys
 
-let entry_json e =
-  Printf.sprintf "{\"time\":%s,\"node\":%s,\"tag\":\"%s\",\"detail\":\"%s\"}"
-    (Telemetry.Export.json_float e.Trace.time)
-    (match e.Trace.node with Some p -> string_of_int p | None -> "null")
-    (Telemetry.Export.json_escape e.Trace.tag)
-    (Telemetry.Export.json_escape e.Trace.detail)
-
 let render sys =
   let tele = Engine.telemetry (Stack.engine sys) in
   let prom = Buffer.create 4096 in
@@ -50,118 +45,13 @@ let render sys =
   Trace.iter
     (Engine.trace (Stack.engine sys))
     (fun e ->
-      Buffer.add_string tr (entry_json e);
+      Buffer.add_string tr (Trace.entry_json e);
       Buffer.add_char tr '\n');
   (Buffer.contents prom, Buffer.contents ml, Buffer.contents tr)
 
 (* ------------------------------------------------------------------ *)
-(* hand-rolled JSON validator                                           *)
+(* JSONL validation: every line one JSON object                         *)
 (* ------------------------------------------------------------------ *)
-
-exception Bad_json of string
-
-let validate_json line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos >= n then '\255' else line.[!pos] in
-  let adv () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let bad msg =
-    raise (Bad_json (Printf.sprintf "%s at offset %d in: %s" msg !pos line))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> obj ()
-    | '[' -> arr ()
-    | '"' -> str ()
-    | 't' -> lit "true"
-    | 'f' -> lit "false"
-    | 'n' -> lit "null"
-    | '-' | '0' .. '9' -> number ()
-    | _ -> bad "expected a value"
-  and lit s =
-    String.iter
-      (fun c ->
-        if peek () <> c then bad "bad literal";
-        adv ())
-      s
-  and number () =
-    let start = !pos in
-    if peek () = '-' then adv ();
-    while
-      match peek () with
-      | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
-      | _ -> false
-    do
-      adv ()
-    done;
-    match float_of_string_opt (String.sub line start (!pos - start)) with
-    | Some _ -> ()
-    | None -> bad "bad number"
-  and str () =
-    if peek () <> '"' then bad "expected a string";
-    adv ();
-    let rec go () =
-      match peek () with
-      | '"' -> adv ()
-      | '\\' ->
-        adv ();
-        adv ();
-        go ()
-      | '\255' -> bad "unterminated string"
-      | _ ->
-        adv ();
-        go ()
-    in
-    go ()
-  and obj () =
-    adv ();
-    skip_ws ();
-    if peek () = '}' then adv ()
-    else
-      let rec members () =
-        skip_ws ();
-        str ();
-        skip_ws ();
-        if peek () <> ':' then bad "expected ':'";
-        adv ();
-        value ();
-        skip_ws ();
-        match peek () with
-        | ',' ->
-          adv ();
-          members ()
-        | '}' -> adv ()
-        | _ -> bad "expected ',' or '}'"
-      in
-      members ()
-  and arr () =
-    adv ();
-    skip_ws ();
-    if peek () = ']' then adv ()
-    else
-      let rec elems () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | ',' ->
-          adv ();
-          elems ()
-        | ']' -> adv ()
-        | _ -> bad "expected ',' or ']'"
-      in
-      elems ()
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then bad "trailing garbage"
 
 let validate_jsonl ~what text =
   let count = ref 0 in
@@ -169,8 +59,10 @@ let validate_jsonl ~what text =
     (fun line ->
       if line <> "" then begin
         incr count;
-        try validate_json line
-        with Bad_json msg -> fail "%s: %s" what msg
+        match Telemetry.Json.parse line with
+        | Ok (Telemetry.Json.Obj _) -> ()
+        | Ok _ -> fail "%s: not a JSON object: %s" what line
+        | Error msg -> fail "%s: %s in: %s" what msg line
       end)
     (String.split_on_char '\n' text);
   if !count = 0 then fail "%s: empty output" what;
@@ -188,7 +80,7 @@ let validate_prometheus text =
       else if line.[0] = '#' then begin
         match String.split_on_char ' ' line with
         | "#" :: "TYPE" :: _name :: [ kind ] ->
-          if not (List.mem kind [ "counter"; "gauge"; "histogram" ]) then
+          if not (List.mem kind [ "counter"; "histogram" ]) then
             fail "prometheus: unknown TYPE kind: %s" line
         | "#" :: "HELP" :: _ -> ()
         | _ -> fail "prometheus: malformed comment: %s" line

@@ -46,7 +46,6 @@ let corrupt t p ~epoch ~config =
   n.config <- config
 
 let config_of t p = (Engine.state t.eng p).config
-let epoch_of t p = (Engine.state t.eng p).epoch
 
 let healthy t =
   let live = Pid.set_of_list (Engine.live_pids t.eng) in

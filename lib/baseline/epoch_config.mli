@@ -35,7 +35,6 @@ val reconfigure : t -> Pid.t -> Pid.Set.t -> unit
 val corrupt : t -> Pid.t -> epoch:int -> config:Pid.Set.t -> unit
 
 val config_of : t -> Pid.t -> Pid.Set.t
-val epoch_of : t -> Pid.t -> int
 
 (** [healthy t] — every live node agrees on a configuration whose members
     are all live (the serviceability condition recSA restores and this

@@ -46,7 +46,6 @@ let request_read st = st.want_read <- true
 let results st = List.rev st.results_rev
 let read_results st = List.rev st.read_results_rev
 let aborts st = st.abort_count
-let phase_of st = st.phase
 
 let local_max st =
   Option.bind st.algo (fun a ->
@@ -381,21 +380,3 @@ let hooks ~in_transit_bound ~exhaust_bound =
     pass_query = (fun ~self:_ ~joiner:_ -> true);
     plugin = plugin ~in_transit_bound ~exhaust_bound;
   }
-
-let declare_metrics tele =
-  Telemetry.declare_counter tele "counter.aborts";
-  List.iter
-    (fun op ->
-      Telemetry.declare_histogram tele ~labels:[ ("op", op) ] "counter.op_seconds")
-    [ "increment"; "read" ]
-
-module Service = struct
-  type nonrec state = state
-  type nonrec msg = msg
-
-  let name = "counter"
-  let plugin = plugin ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30)
-  let hooks = hooks ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30)
-  let corrupt = corrupt
-  let declare_metrics = declare_metrics
-end

@@ -9,13 +9,6 @@
     with Abort and the operation returns ⊥ (here: is aborted and retried
     by the driver while the request flag stays up). *)
 
-open Sim
-
-type phase =
-  | Idle
-  | Reading of { rid : int; conf : Pid.Set.t; read_only : bool }
-  | Writing of { rid : int; conf : Pid.Set.t; cnt : Counter.t }
-
 type state
 
 type msg =
@@ -26,7 +19,9 @@ type msg =
   | Write_ack of { rid : int }
   | Abort of { rid : int }
 
-(** [plugin ~in_transit_bound ~exhaust_bound] — the Stack plugin. *)
+(** [plugin ~in_transit_bound ~exhaust_bound] — the Stack plugin. Its
+    [p_corrupt] writes garbage counter-pair storage and scrambles the
+    in-flight operation. *)
 val plugin :
   in_transit_bound:int -> exhaust_bound:int -> (state, msg) Reconfig.Stack.plugin
 
@@ -56,24 +51,8 @@ val read_results : state -> Counter.t option list
 (** Number of aborted attempts at this node. *)
 val aborts : state -> int
 
-val phase_of : state -> phase
-
 (** The node's current belief of the maximal counter (members only). *)
 val local_max : state -> Counter.t option
 
 (** Labels created at this node by the counter machinery. *)
 val label_creations : state -> int
-
-(** {2 Fault injection and packaging} *)
-
-(** Arbitrary-state injection (the plugin's [p_corrupt]): garbage
-    counter-pair storage plus a scrambled in-flight operation. *)
-val corrupt : Rng.t -> state -> state
-
-(** Pre-register the service's telemetry families. *)
-val declare_metrics : Telemetry.t -> unit
-
-(** Default-configured instance ([in_transit_bound = 8],
-    [exhaust_bound = 2{^30}]). *)
-module Service :
-  Reconfig.Stack.SERVICE with type state = state and type msg = msg

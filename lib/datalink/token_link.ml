@@ -2,10 +2,6 @@ type 'a msg =
   | Data of { seq : int; payload : 'a }
   | Ack of { seq : int }
 
-let pp_msg pp_payload fmt = function
-  | Data { seq; payload } -> Format.fprintf fmt "Data(%d, %a)" seq pp_payload payload
-  | Ack { seq } -> Format.fprintf fmt "Ack(%d)" seq
-
 module Sender = struct
   type 'a t = {
     capacity : int;

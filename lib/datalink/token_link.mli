@@ -17,8 +17,6 @@ type 'a msg =
   | Data of { seq : int; payload : 'a }
   | Ack of { seq : int }
 
-val pp_msg : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a msg -> unit
-
 module Sender : sig
   type 'a t
 

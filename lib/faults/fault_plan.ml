@@ -33,7 +33,6 @@ let empty = { seed = 7; entries = [] }
 let make ?(seed = 7) entries = { seed; entries = sort_entries entries }
 let at at event = { at; event }
 let add t ~at:r event = { t with entries = sort_entries ({ at = r; event } :: t.entries) }
-let with_seed t seed = { t with seed }
 
 let storm ~seed ~start ~rounds ~rate =
   let rng = Rng.create seed in
@@ -67,17 +66,6 @@ let kinds =
     "crash";
     "join";
   ]
-
-let last_round t =
-  List.fold_left
-    (fun acc e ->
-      let last =
-        match e.event with
-        | Partition { heal_after; _ } -> e.at + heal_after
-        | _ -> e.at
-      in
-      max acc last)
-    (-1) t.entries
 
 let equal a b = a = b
 
@@ -167,182 +155,30 @@ let to_json t =
   Buffer.add_string b "]}";
   Buffer.contents b
 
-(* --- a minimal JSON parser (the toolchain has no JSON library; plans only
-   need objects, arrays, strings, numbers and literals) --- *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected '%s'" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then begin
-        if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "invalid \\u escape"
-          in
-          (* plans are ASCII; anything exotic degrades to '?' *)
-          if code < 128 then Buffer.add_char b (Char.chr code)
-          else Buffer.add_char b '?'
-        | _ -> fail "invalid escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> f
-    | None -> fail (Printf.sprintf "invalid number '%s'" tok)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((key, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        Jobj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Jarr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        Jarr (elements [])
-      end
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
 (* --- decoding a plan out of the generic tree --- *)
 
 let pid_limit = 1 lsl Pid.key_bits
 
-let decode (j : json) : t =
-  let fail msg = raise (Parse_error msg) in
+exception Invalid_plan of string
+
+let decode (j : Telemetry.Json.t) : t =
+  let open Telemetry.Json in
+  let fail msg = raise (Invalid_plan msg) in
   let field obj key =
     match List.assoc_opt key obj with
     | Some v -> v
     | None -> fail (Printf.sprintf "missing field \"%s\"" key)
   in
+  (* [int_of_float] is unspecified outside the int range, so values
+     outside [min_int, -min_int) — both bounds exact floats — are refused *)
   let as_int ctx = function
-    | Jnum f when Float.is_integer f -> int_of_float f
+    | Num f when Float.is_integer f ->
+      if f >= Float.of_int min_int && f < -.Float.of_int min_int then int_of_float f
+      else fail (Printf.sprintf "%s: integer %g out of range" ctx f)
     | _ -> fail (Printf.sprintf "%s: expected an integer" ctx)
   in
   let as_prob ctx = function
-    | Jnum f when f >= 0.0 && f <= 1.0 -> f
+    | Num f when f >= 0.0 && f <= 1.0 -> f
     | _ -> fail (Printf.sprintf "%s: expected a probability in [0,1]" ctx)
   in
   let as_pid ctx v =
@@ -352,33 +188,33 @@ let decode (j : json) : t =
     p
   in
   let as_pids ctx = function
-    | Jarr l -> List.map (as_pid ctx) l
+    | Arr l -> List.map (as_pid ctx) l
     | _ -> fail (Printf.sprintf "%s: expected a pid array" ctx)
   in
   let as_target ctx = function
-    | Jstr "all" -> All
-    | Jarr _ as l -> Pids (as_pids ctx l)
-    | Jobj o ->
+    | Str "all" -> All
+    | Arr _ as l -> Pids (as_pids ctx l)
+    | Obj o ->
       let k = as_int (ctx ^ ".sample") (field o "sample") in
       if k <= 0 then fail (Printf.sprintf "%s: sample size must be positive" ctx);
       Sample k
     | _ -> fail (Printf.sprintf "%s: expected \"all\", a pid array or {\"sample\":k}" ctx)
   in
   match j with
-  | Jobj top ->
+  | Obj top ->
     let seed = as_int "seed" (field top "seed") in
     let events =
       match field top "events" with
-      | Jarr l -> l
+      | Arr l -> l
       | _ -> fail "\"events\": expected an array"
     in
     let entry = function
-      | Jobj o ->
+      | Obj o ->
         let r = as_int "at" (field o "at") in
         if r < 0 then fail "\"at\": round must be non-negative";
         let kind =
           match field o "kind" with
-          | Jstr k -> k
+          | Str k -> k
           | _ -> fail "\"kind\": expected a string"
         in
         let event =
@@ -417,9 +253,8 @@ let decode (j : json) : t =
   | _ -> fail "expected a top-level object"
 
 let of_json s =
-  match decode (parse_json s) with
-  | t -> Ok t
-  | exception Parse_error msg -> Error msg
+  Result.bind (Telemetry.Json.parse s) (fun j ->
+      match decode j with t -> Ok t | exception Invalid_plan msg -> Error msg)
 
 let of_file path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -80,8 +80,6 @@ val at : int -> event -> entry
 val add : t -> at:int -> event -> t
 (** Functional insert, keeping the round order. *)
 
-val with_seed : t -> int -> t
-
 val storm : seed:int -> start:int -> rounds:int -> rate:float -> entry list
 (** [storm ~seed ~start ~rounds ~rate] — a corruption storm: for each of
     the [rounds] rounds beginning at [start], with probability [rate] one
@@ -99,10 +97,6 @@ val kind : event -> string
 val kinds : string list
 (** Every identifier {!kind} can return, in a fixed order. *)
 
-val last_round : t -> int
-(** The last round the plan acts in, including scheduled partition heals;
-    [-1] for the empty plan. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
@@ -112,8 +106,8 @@ val pp : Format.formatter -> t -> unit
     [{"seed":7,"events":[{"at":3,"kind":"crash","target":[2]},...]}].
     Targets render as ["all"], an array of pids, or [{"sample":k}].
     [of_json] accepts anything [to_json] produces and validates ranges
-    (probabilities in [0,1], non-negative rounds, pids within the
-    engine's pid range). *)
+    (integers within OCaml's [int] range, probabilities in [0,1],
+    non-negative rounds, pids within the engine's pid range). *)
 
 val to_json : t -> string
 

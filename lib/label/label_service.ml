@@ -103,9 +103,6 @@ let hooks ~in_transit_bound =
     plugin = plugin ~in_transit_bound;
   }
 
-(* The labeling scheme reports through traces only; nothing to pre-register. *)
-let declare_metrics (_ : Telemetry.t) = ()
-
 let local_max st =
   Option.bind st.algo (fun algo ->
       match Label_algo.local_max algo with
@@ -141,14 +138,3 @@ let agreed_max sys =
 
 let total_creations sys =
   List.fold_left (fun acc (_, n) -> acc + creations n.Stack.app) 0 (Stack.live_nodes sys)
-
-module Service = struct
-  type nonrec state = state
-  type nonrec msg = msg
-
-  let name = "label"
-  let plugin = plugin ~in_transit_bound:8
-  let hooks = hooks ~in_transit_bound:8
-  let corrupt = corrupt
-  let declare_metrics = declare_metrics
-end

@@ -19,7 +19,8 @@ type msg = {
 }
 
 (** [plugin ~in_transit_bound] — the Stack plugin implementing the
-    service. *)
+    service. Its [p_corrupt] plants conflicting same-creator labels in the
+    max array and the stored queues. *)
 val plugin : in_transit_bound:int -> (state, msg) Stack.plugin
 
 (** [hooks ~in_transit_bound] — [Stack.unit_hooks]-like hooks carrying the
@@ -40,15 +41,3 @@ val agreed_max : (state, msg) Stack.t -> Label.t option
 
 (** Total label creations across live nodes (Theorem 4.4's quantity). *)
 val total_creations : (state, msg) Stack.t -> int
-
-(** {2 Fault injection and packaging} *)
-
-(** Arbitrary-state injection (the plugin's [p_corrupt]): conflicting
-    same-creator labels in the max array and stored queues. *)
-val corrupt : Sim.Rng.t -> state -> state
-
-(** The labeling scheme reports through traces only; this is a no-op. *)
-val declare_metrics : Telemetry.t -> unit
-
-(** Default-configured instance ([in_transit_bound = 8]). *)
-module Service : Stack.SERVICE with type state = state and type msg = msg

@@ -53,8 +53,6 @@ let create ~self ~participant ?initial_config () =
 let self t = t.sa_self
 let config t = t.sa_config
 let prp t = t.sa_prp
-let all_flag t = t.sa_all
-let all_seen t = t.sa_allseen
 let is_participant t = not (Config_value.is_not_participant t.sa_config)
 let reset_count t = t.resets
 let install_count t = t.installs
@@ -491,12 +489,6 @@ let participate t ~trusted =
 
 type stale_type = Type1 | Type2 | Type3 | Type4
 
-let pp_stale_type fmt = function
-  | Type1 -> Format.fprintf fmt "type-1"
-  | Type2 -> Format.fprintf fmt "type-2"
-  | Type3 -> Format.fprintf fmt "type-3"
-  | Type4 -> Format.fprintf fmt "type-4"
-
 (* Definition 3.1, as a pure classification of the current local state. *)
 let stale_types t ~trusted =
   let part = participants t ~trusted in
@@ -541,9 +533,6 @@ let stale_types t ~trusted =
     [ (type1, Type1); (type2, Type2); (type3, Type3); (type4, Type4) ]
 
 let peer_fd t p = Option.map (fun pv -> pv.p_fd) (Pid.Map.find_opt p t.peers)
-
-let peer_config t p =
-  Option.map (fun pv -> pv.p_config) (Pid.Map.find_opt p t.peers)
 
 let corrupt t ?config ?prp ?all ?allseen () =
   (match config with Some c -> t.sa_config <- c | None -> ());

@@ -95,8 +95,6 @@ val participate : t -> trusted:Pid.Set.t -> bool
 
 val config : t -> Config_value.t
 val prp : t -> Notification.t
-val all_flag : t -> bool
-val all_seen : t -> Pid.Set.t
 val is_participant : t -> bool
 
 (** [participants t ~trusted] is FD\[i\].part. *)
@@ -105,9 +103,6 @@ val participants : t -> trusted:Pid.Set.t -> Pid.Set.t
 (** [peer_fd t p] is the failure-detector set last received from [p]
     (recMA's [core()] needs it). *)
 val peer_fd : t -> Pid.t -> Pid.Set.t option
-
-(** [peer_config t p] is the configuration value last received from [p]. *)
-val peer_config : t -> Pid.t -> Config_value.t option
 
 (** Number of brute-force resets started / delicate installs completed. *)
 val reset_count : t -> int
@@ -120,8 +115,6 @@ type stale_type =
   | Type2  (** reset in progress, empty or conflicting configurations *)
   | Type3  (** notification phases out of synch / conflicting phase-2 sets *)
   | Type4  (** stable view but the configuration has no live participant *)
-
-val pp_stale_type : Format.formatter -> stale_type -> unit
 
 (** [stale_types t ~trusted] — which stale-information types are present in
     this processor's local state right now (no mutation). Empty in a steady

@@ -66,56 +66,6 @@ module Plugin = struct
       p_corrupt = (fun _ app -> app);
     }
 
-  let map ~state ~state_back ~msg ~msg_back p =
-    let out l = List.map (fun (d, m) -> (d, msg m)) l in
-    {
-      p_init = (fun pid -> state (p.p_init pid));
-      p_tick =
-        (fun v app ->
-          let a, l = p.p_tick v (state_back app) in
-          (state a, out l));
-      p_recv =
-        (fun v ~from m app ->
-          match msg_back m with
-          | None -> (app, [])
-          | Some m ->
-            let a, l = p.p_recv v ~from m (state_back app) in
-            (state a, out l));
-      p_merge =
-        (fun ~self app others ->
-          state (p.p_merge ~self (state_back app) (Pid.Map.map state_back others)));
-      p_corrupt = (fun rng app -> state (p.p_corrupt rng (state_back app)));
-    }
-
-  let pair pa pb =
-    let fst_out l = List.map (fun (d, m) -> (d, `Fst m)) l in
-    let snd_out l = List.map (fun (d, m) -> (d, `Snd m)) l in
-    {
-      p_init = (fun pid -> (pa.p_init pid, pb.p_init pid));
-      p_tick =
-        (fun v (a, b) ->
-          let a', la = pa.p_tick v a in
-          let b', lb = pb.p_tick v b in
-          ((a', b'), fst_out la @ snd_out lb));
-      p_recv =
-        (fun v ~from m (a, b) ->
-          match m with
-          | `Fst m ->
-            let a', l = pa.p_recv v ~from m a in
-            ((a', b), fst_out l)
-          | `Snd m ->
-            let b', l = pb.p_recv v ~from m b in
-            ((a, b'), snd_out l));
-      p_merge =
-        (fun ~self (a, b) others ->
-          ( pa.p_merge ~self a (Pid.Map.map fst others),
-            pb.p_merge ~self b (Pid.Map.map snd others) ));
-      p_corrupt =
-        (fun rng (a, b) ->
-          let a = pa.p_corrupt rng a in
-          (a, pb.p_corrupt rng b));
-    }
-
   let stack ~lower ~get ~set ~wrap ~unwrap upper =
     let out l = List.map (fun (d, m) -> (d, wrap m)) l in
     {
@@ -158,34 +108,19 @@ type ('app, 'msg) hooks = {
   plugin : ('app, 'msg) plugin;
 }
 
-let null_plugin = Plugin.null
-
 let unit_hooks =
   {
     eval_conf = (fun ~self:_ ~trusted:_ _ -> false);
     pass_query = (fun ~self:_ ~joiner:_ -> true);
-    plugin = null_plugin;
+    plugin = Plugin.null;
   }
 
-(* The uniform shape every Section-4 service module exposes; see the
-   matching module type in stack.mli. *)
-module type SERVICE = sig
-  type state
-  type msg
-
-  val name : string
-  val plugin : (state, msg) Plugin.t
-  val hooks : (state, msg) hooks
-  val corrupt : Rng.t -> state -> state
-  val declare_metrics : Telemetry.t -> unit
-end
-
-let default_eval_conf ?(fraction = 0.25) () ~self:_ ~trusted members =
+let default_eval_conf () ~self:_ ~trusted members =
   let total = Pid.Set.cardinal members in
   if total = 0 then false
   else
     let missing = total - Pid.Set.cardinal (Pid.Set.inter members trusted) in
-    float_of_int missing >= fraction *. float_of_int total
+    float_of_int missing >= 0.25 *. float_of_int total
 
 (* A joiner uses a link only once its cleaning handshake completed
    (Section 2: every established data link is initialized and cleaned
@@ -393,9 +328,9 @@ module Core (R : Runtime.S) = struct
       emit_all join_events;
       List.iter (fun (dst, m) -> send_gated ctx n "join" dst (Join m)) join_msgs;
       (* application plugin *)
-      let app', app_msgs = hooks.plugin.p_tick (view_of ctx n) n.app in
+      let app', app_out = hooks.plugin.p_tick (view_of ctx n) n.app in
       n.app <- app';
-      List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) app_msgs;
+      List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) app_out;
       (* heartbeats (the data-link token) to every known processor not already
          covered by a recSA broadcast *)
       let covered = List.fold_left (fun acc (dst, _) -> Pid.Set.add dst acc) Pid.Set.empty sa_msgs in

@@ -12,7 +12,7 @@
     ['app] is the application state (replicated to joiners by the joining
     mechanism); ['msg] is the application's own message type. The services
     of Section 4 (labeling, counters, virtual synchrony) are plugins,
-    composed with the {!Plugin} combinators. *)
+    layered with {!Plugin.stack}. *)
 
 open Sim
 
@@ -91,35 +91,14 @@ module Plugin : sig
   (** A do-nothing plugin for running the bare reconfiguration scheme. *)
   val null : (unit, unit) t
 
-  (** [map ~state ~state_back ~msg ~msg_back p] transports [p] across a
-      state isomorphism and a message embedding. [msg_back] is a partial
-      inverse: messages it maps to [None] are dropped on receipt. With
-      identity functions, [map] is the identity (the functor law tested in
-      the suite). [p_corrupt] is transported through the isomorphism;
-      [pair] corrupts both components; [stack] corrupts the lower layer
-      through the lens, then the upper. *)
-  val map :
-    state:('a -> 'b) ->
-    state_back:('b -> 'a) ->
-    msg:('ma -> 'mb) ->
-    msg_back:('mb -> 'ma option) ->
-    ('a, 'ma) t ->
-    ('b, 'mb) t
-
-  (** [pair pa pb] runs two independent plugins side by side: [pa] ticks
-      first and its messages precede [pb]'s; receipts are routed by the
-      [`Fst]/[`Snd] tag. *)
-  val pair :
-    ('a, 'ma) t -> ('b, 'mb) t -> ('a * 'b, [ `Fst of 'ma | `Snd of 'mb ]) t
-
   (** [stack ~lower ~get ~set ~wrap ~unwrap upper] layers [upper] over
       [lower], with [lower]'s state embedded in [upper]'s through the
       [get]/[set] lens and its messages embedded through [wrap]/[unwrap].
       Each tick runs [lower] first (its messages precede [upper]'s, and
       [upper] observes the post-tick lower state); receipts that [unwrap]
-      recognizes go to [lower] alone, all others to [upper]. This is how
-      the register and virtual-synchrony services embed the counter
-      service. *)
+      recognizes go to [lower] alone, all others to [upper]; [p_corrupt]
+      corrupts [lower] through the lens, then [upper]. This is how the
+      register and virtual-synchrony services embed the counter service. *)
   val stack :
     lower:('a, 'ma) t ->
     get:('b -> 'a) ->
@@ -146,42 +125,14 @@ type ('app, 'msg) hooks = {
   plugin : ('app, 'msg) plugin;
 }
 
-(** The uniform shape of a Section-4 service ([Counter_service],
-    [Label_service], [Register_service], [Vs_service]): default plugin and
-    hooks (init/step), a state corruptor for fault injection, and telemetry
-    schema declaration. Polymorphic services (virtual synchrony over an
-    arbitrary state machine) instantiate it at a canonical type. *)
-module type SERVICE = sig
-  type state
-  type msg
-
-  val name : string
-
-  val plugin : (state, msg) Plugin.t
-  (** Default-configured plugin; [plugin.p_corrupt] equals {!corrupt}. *)
-
-  val hooks : (state, msg) hooks
-  (** Default-configured hooks wrapping {!plugin}. *)
-
-  val corrupt : Rng.t -> state -> state
-  (** Transient fault: seeded garbage into the service state. *)
-
-  val declare_metrics : Telemetry.t -> unit
-  (** Pre-register the service's telemetry families (a subset of
-      {!declare_metrics}, for harnesses running the service alone). *)
-end
-
-(** Alias of {!Plugin.null}. *)
-val null_plugin : (unit, unit) plugin
-
 (** Never asks for reconfiguration; always passes joiners; null plugin. *)
 val unit_hooks : (unit, unit) hooks
 
-(** [default_eval_conf ~fraction ()] — the paper's example predictor:
-    replace when at least [fraction] (default 1/4) of the members are
-    untrusted. *)
+(** [default_eval_conf ()] — the paper's example predictor: replace when
+    at least 1/4 of the members are untrusted (never for an empty member
+    set). *)
 val default_eval_conf :
-  ?fraction:float -> unit -> self:Pid.t -> trusted:Pid.Set.t -> Pid.Set.t -> bool
+  unit -> self:Pid.t -> trusted:Pid.Set.t -> Pid.Set.t -> bool
 
 (** [snap_nonce ~self ~peer] — deterministic handshake instance identifier
     for the directed link [self → peer]: the two pids packed side by side
@@ -195,11 +146,6 @@ val snap_nonce : self:Pid.t -> peer:Pid.t -> int
     exports list a stable schema even before any event fires. Called by
     the system constructors ({!of_scenario} and [Stack_loop.of_scenario]). *)
 val declare_metrics : Telemetry.t -> unit
-
-(** [note_event tele ~self ~now (tag, detail)] folds one scheme trace
-    event into the telemetry registry (used by {!Core}; exposed for
-    runtimes that drive the layers directly). *)
-val note_event : Telemetry.t -> self:Pid.t -> now:float -> string * string -> unit
 
 (** {2 The engine-agnostic protocol core} *)
 

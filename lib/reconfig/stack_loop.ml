@@ -9,7 +9,7 @@ type ('app, 'msg) t = {
   directory : Pid.Set.t ref;
 }
 
-let of_scenario ?clock ~hooks (sc : Scenario.t) =
+let of_scenario ~hooks (sc : Scenario.t) =
   let members = sc.Scenario.sc_members in
   let members_set = Pid.set_of_list members in
   let directory = ref members_set in
@@ -17,7 +17,7 @@ let of_scenario ?clock ~hooks (sc : Scenario.t) =
     Loop_core.driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound
       ~theta:sc.sc_theta ~quorum:sc.sc_quorum ~hooks ~members_set ~directory
   in
-  let loop = Loop.create ~seed:sc.sc_seed ?clock ~driver ~pids:members () in
+  let loop = Loop.create ~seed:sc.sc_seed ~driver ~pids:members () in
   Stack.declare_metrics (Loop.telemetry loop);
   Faults.Injector.declare_metrics (Loop.telemetry loop);
   { loop; hooks; directory }

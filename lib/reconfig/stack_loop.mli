@@ -12,15 +12,10 @@ open Sim
 
 type ('app, 'msg) t
 
-val of_scenario :
-  ?clock:(unit -> float) ->
-  hooks:('app, 'msg) Stack.hooks ->
-  Scenario.t ->
-  ('app, 'msg) t
-(** Build a loop-backed stack from a {!Scenario.t}. The scenario's
-    simulator-only channel knobs ([sc_loss]) are ignored; a fault plan is
-    applied by {!run_plan}. [clock] is forwarded to
-    {!Runtime.Loop.create}. *)
+val of_scenario : hooks:('app, 'msg) Stack.hooks -> Scenario.t -> ('app, 'msg) t
+(** Build a loop-backed stack from a {!Scenario.t}, on the loop's default
+    monotone clock. The scenario's simulator-only channel knobs
+    ([sc_loss]) are ignored; a fault plan is applied by {!run_plan}. *)
 
 (** The underlying loop runtime (for trace/telemetry/round access). *)
 val loop :

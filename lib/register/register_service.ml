@@ -54,7 +54,6 @@ type msg =
 
 let write st ~rid reg v = st.queue <- st.queue @ [ Wreq (rid, reg, v) ]
 let read st ~rid reg = st.queue <- st.queue @ [ Rreq (rid, reg) ]
-let outcomes st = List.rev st.outcomes_rev
 
 let find_read st ~rid =
   List.find_map
@@ -271,8 +270,10 @@ let corrupt_upper rng st =
   st.next_mid <- Rng.int rng 1024;
   st
 
-let plugin ?(in_transit_bound = 8) ?(exhaust_bound = 1 lsl 30) () =
-  let counter_plugin = Counter_service.plugin ~in_transit_bound ~exhaust_bound in
+let plugin () =
+  let counter_plugin =
+    Counter_service.plugin ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30)
+  in
   let upper =
     {
       Stack.p_init =
@@ -301,23 +302,9 @@ let plugin ?(in_transit_bound = 8) ?(exhaust_bound = 1 lsl 30) () =
     ~unwrap:(function Cnt m -> Some m | _ -> None)
     upper
 
-let hooks ?in_transit_bound ?exhaust_bound () =
+let hooks () =
   {
     Stack.eval_conf = (fun ~self:_ ~trusted:_ _ -> false);
     pass_query = (fun ~self:_ ~joiner:_ -> true);
-    plugin = plugin ?in_transit_bound ?exhaust_bound ();
+    plugin = plugin ();
   }
-
-(* The register layer itself reports nothing; its embedded counter does. *)
-let declare_metrics = Counter_service.declare_metrics
-
-module Service = struct
-  type nonrec state = state
-  type nonrec msg = msg
-
-  let name = "register"
-  let plugin = plugin ()
-  let hooks = hooks ()
-  let corrupt rng st = plugin.Stack.p_corrupt rng st
-  let declare_metrics = declare_metrics
-end

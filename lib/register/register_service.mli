@@ -34,31 +34,19 @@ type tagged = {
 type state
 type msg
 
-(** Client-visible results of completed operations, oldest first. *)
-type outcome =
-  | Wrote of { rid : int; reg : reg }
-  | Read of { rid : int; reg : reg; result : value option }
+(** [plugin ()] — the Stack plugin: the register layer over an embedded
+    counter service ([in_transit_bound = 8], [exhaust_bound = 2{^30}]).
+    Its [p_corrupt] corrupts the counter, then forgets stored entries and
+    aborts the in-flight operation. *)
+val plugin : unit -> (state, msg) Reconfig.Stack.plugin
 
-val plugin :
-  ?in_transit_bound:int ->
-  ?exhaust_bound:int ->
-  unit ->
-  (state, msg) Reconfig.Stack.plugin
-
-val hooks :
-  ?in_transit_bound:int ->
-  ?exhaust_bound:int ->
-  unit ->
-  (state, msg) Reconfig.Stack.hooks
+val hooks : unit -> (state, msg) Reconfig.Stack.hooks
 
 (** [write st ~rid reg v] — begin a write; [rid] fresh per node. *)
 val write : state -> rid:int -> reg -> value -> unit
 
 (** [read st ~rid reg] — begin a read. *)
 val read : state -> rid:int -> reg -> unit
-
-(** Completed operations at this node, oldest first. *)
-val outcomes : state -> outcome list
 
 (** [find_read st ~rid] — result of read [rid] once completed:
     [Some None] = register unwritten, [None] = still in flight. *)
@@ -72,15 +60,3 @@ val stored : state -> reg -> tagged option
 
 (** Aborted attempts (operations retried after a reconfiguration). *)
 val aborts : state -> int
-
-(** {2 Fault injection and packaging} *)
-
-(** Pre-register the service's telemetry families (those of the embedded
-    counter scheme; the register layer itself reports nothing). *)
-val declare_metrics : Telemetry.t -> unit
-
-(** Default-configured instance; [corrupt] composes the register-layer
-    injection (forget stored entries, abort the in-flight operation) with
-    the embedded counter scheme's. *)
-module Service :
-  Reconfig.Stack.SERVICE with type state = state and type msg = msg

@@ -44,8 +44,8 @@ module type S = sig
       stepping node. *)
 
   val telemetry : 'm ctx -> Telemetry.t
-  (** Shared telemetry registry: labeled counters and gauges, bounded
-      histograms, and phase spans ({!Telemetry}). Like [now], times fed to
+  (** Shared telemetry registry: labeled counters, bounded histograms,
+      and phase spans ({!Telemetry}). Like [now], times fed to
       spans are the runtime's — virtual under the simulator, so telemetry
       exports from seeded runs are deterministic. *)
 end

@@ -67,17 +67,20 @@ let check_pids ~src ~dst =
 
 type link_profile = { lp_drop : float; lp_dup : float; lp_flip : float }
 
+(* The fixed network and scheduling model (see [create] in engine.mli):
+   per-send duplication probability, message delay and timer period
+   bounds. Channels always deliver out of order. *)
+let dup_rate = 0.02
+let min_delay = 0.5
+let max_delay = 2.0
+let timer_min = 0.8
+let timer_max = 1.2
+
 type ('s, 'm) t = {
   behavior : ('s, 'm) behavior;
   e_rng : Rng.t;
   capacity : int;
   loss : float;
-  dup : float;
-  reorder : bool;
-  min_delay : float;
-  max_delay : float;
-  timer_min : float;
-  timer_max : float;
   (* slot directory *)
   slot_tbl : (Pid.t, int) Hashtbl.t; (* pids >= slot_fast_limit *)
   mutable slot_fast : int array; (* pid -> slot, -1 when unassigned *)
@@ -123,11 +126,11 @@ let push_event t ~at kind =
 let uniform rng lo hi = lo +. (Rng.float rng *. (hi -. lo))
 
 let schedule_timer t slot =
-  push_event t ~at:(t.e_time +. uniform t.e_rng t.timer_min t.timer_max) (timer_kind slot)
+  push_event t ~at:(t.e_time +. uniform t.e_rng timer_min timer_max) (timer_kind slot)
 
 let schedule_delivery t ~src_slot ~dst_slot =
   push_event t
-    ~at:(t.e_time +. uniform t.e_rng t.min_delay t.max_delay)
+    ~at:(t.e_time +. uniform t.e_rng min_delay max_delay)
     (deliver_kind ~src_slot ~dst_slot)
 
 let find_slot t p =
@@ -213,9 +216,7 @@ let node t p =
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Engine: unknown node %d" p)
 
-let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder = true)
-    ?(min_delay = 0.5) ?(max_delay = 2.0) ?(timer_min = 0.8) ?(timer_max = 1.2) ~behavior
-    ~pids () =
+let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
   let e_rng = Rng.create seed in
   let e_trace = Trace.create () in
   let e_telemetry = Telemetry.create () in
@@ -225,12 +226,6 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(dup = 0.02) ?(reorder =
       e_rng;
       capacity;
       loss;
-      dup;
-      reorder;
-      min_delay;
-      max_delay;
-      timer_min;
-      timer_max;
       slot_tbl = Hashtbl.create 16;
       slot_fast = Array.make 64 (-1);
       pid_of_slot = Array.make 16 (-1);
@@ -307,7 +302,6 @@ let live_pids t =
     t.cached_live <- Some l;
     l
 
-let is_live t p = match node_opt t p with Some n -> not n.n_crashed | None -> false
 let state t p = (node t p).n_state
 
 let rounds t = if t.e_live = 0 then 0 else t.e_min_ticks
@@ -342,21 +336,7 @@ let note_tick t n =
   end
 
 let steps t = t.e_steps
-let set_state t p s = (node t p).n_state <- s
-
-let map_states t f =
-  for s = 0 to t.n_slots - 1 do
-    match t.node_of_slot.(s) with
-    | Some n when not n.n_crashed -> n.n_state <- f n.n_pid n.n_state
-    | Some _ | None -> ()
-  done
-
 let corrupt_channel t ~src ~dst pkts = Channel.corrupt (channel t ~src ~dst) pkts
-
-let clear_channels t =
-  Array.iter
-    (fun row -> Array.iter (function Some ch -> Channel.clear ch | None -> ()) row)
-    t.out
 
 let crash t p =
   let n = node t p in
@@ -466,7 +446,7 @@ let flush_outbox t ~src_slot ctx =
            link profile overrides the rate but spends the same single draw *)
         let dup =
           match t.profiles.(src_slot).(dst_slot) with
-          | None -> t.dup
+          | None -> dup_rate
           | Some p -> p.lp_dup
         in
         if Rng.chance t.e_rng dup then Channel.duplicate_head ch;
@@ -508,7 +488,7 @@ let exec_step t kind =
         if t.blocked.(src_slot).(dst_slot) then Channel.drop_one ch t.e_rng
         else if Rng.chance t.e_rng loss then Channel.drop_one ch t.e_rng
         else
-          match Channel.take ch t.e_rng ~reorder:t.reorder with
+          match Channel.take ch t.e_rng ~reorder:true with
           | None -> ()
           | Some msg ->
             (* "bit flips": a profiled link occasionally mangles the packet

@@ -9,9 +9,9 @@
     probability is strictly below one, so a packet sent infinitely often is
     received infinitely often.
 
-    Transient faults are injected by rewriting node states
-    ([set_state]/[corrupt_states]) and channel contents
-    ([corrupt_channel]); crashes by [crash]; joins by [add_node]. *)
+    Transient faults are injected by rewriting channel contents
+    ([corrupt_channel]) and by mutating the node states {!state} returns
+    in place; crashes by [crash]; joins by [add_node]. *)
 
 (** Width, in bits, of a pid as packed into directed-link keys — re-exported
     {!Pid.key_bits}. Every pid handed to the engine must be in
@@ -50,20 +50,15 @@ val create :
   ?seed:int ->
   ?capacity:int ->
   ?loss:float ->
-  ?dup:float ->
-  ?reorder:bool ->
-  ?min_delay:float ->
-  ?max_delay:float ->
-  ?timer_min:float ->
-  ?timer_max:float ->
   behavior:('s, 'm) behavior ->
   pids:Pid.t list ->
   unit ->
   ('s, 'm) t
-(** Defaults: [seed 42], [capacity 8] (the paper's [cap]), [loss 0.02],
-    [dup 0.02], [reorder true], message delay uniform in
-    [\[min_delay, max_delay\] = \[0.5, 2.0\]], timer period uniform in
-    [\[timer_min, timer_max\] = \[0.8, 1.2\]]. *)
+(** Defaults: [seed 42], [capacity 8] (the paper's [cap]), per-delivery
+    [loss 0.02]. The rest of the model is fixed: each send is duplicated
+    with probability 0.02, channels deliver out of order, message delay is
+    uniform in [\[0.5, 2.0\]] and the timer period uniform in
+    [\[0.8, 1.2\]]. *)
 
 (** {2 Observation} *)
 
@@ -73,7 +68,6 @@ val trace : ('s, 'm) t -> Trace.t
 val telemetry : ('s, 'm) t -> Telemetry.t
 val pids : ('s, 'm) t -> Pid.t list
 val live_pids : ('s, 'm) t -> Pid.t list
-val is_live : ('s, 'm) t -> Pid.t -> bool
 val state : ('s, 'm) t -> Pid.t -> 's
 val channel : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> 'm Channel.t
 
@@ -87,10 +81,7 @@ val steps : ('s, 'm) t -> int
 
 (** {2 Fault injection and dynamics} *)
 
-val set_state : ('s, 'm) t -> Pid.t -> 's -> unit
-val map_states : ('s, 'm) t -> (Pid.t -> 's -> 's) -> unit
 val corrupt_channel : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> 'm list -> unit
-val clear_channels : ('s, 'm) t -> unit
 
 (** [crash t p] stops [p] permanently (fail-stop; the paper models rejoins
     as transient faults, never as explicit rejoining). *)

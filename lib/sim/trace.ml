@@ -77,3 +77,10 @@ let pp_entry fmt e =
     | Some p -> Pid.pp fmt p
   in
   Format.fprintf fmt "[%8.2f] p%a %s: %s" e.time pp_node e.node e.tag e.detail
+
+let entry_json e =
+  Printf.sprintf "{\"time\":%s,\"node\":%s,\"tag\":\"%s\",\"detail\":\"%s\"}"
+    (Telemetry.Export.json_float e.time)
+    (match e.node with Some p -> string_of_int p | None -> "null")
+    (Telemetry.Export.json_escape e.tag)
+    (Telemetry.Export.json_escape e.detail)

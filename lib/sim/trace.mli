@@ -41,3 +41,8 @@ val count : t -> string -> int
 
 val clear : t -> unit
 val pp_entry : Format.formatter -> entry -> unit
+
+(** [entry_json e] — [e] as one single-line JSON object
+    [{"time":...,"node":...,"tag":"...","detail":"..."}] ([node] is
+    [null] for system events): one line of a JSONL trace. *)
+val entry_json : entry -> string

@@ -88,7 +88,6 @@ type 'v series = { s_name : string; s_labels : labels; mutable s_value : 'v }
 
 type t = {
   t_counters : (string, int series) Hashtbl.t;
-  t_gauges : (string, float series) Hashtbl.t;
   t_hists : (string, Histogram.h series) Hashtbl.t;
   t_spans : (string, float) Hashtbl.t; (* (name, key) -> begin time *)
 }
@@ -96,14 +95,12 @@ type t = {
 let create () =
   {
     t_counters = Hashtbl.create 64;
-    t_gauges = Hashtbl.create 16;
     t_hists = Hashtbl.create 32;
     t_spans = Hashtbl.create 16;
   }
 
 let clear t =
   Hashtbl.reset t.t_counters;
-  Hashtbl.reset t.t_gauges;
   Hashtbl.reset t.t_hists;
   Hashtbl.reset t.t_spans
 
@@ -153,18 +150,6 @@ let counter_value t ?(labels = []) name =
   | Some s -> s.s_value
   | None -> 0
 
-(* gauges *)
-
-let set_gauge t ?(labels = []) name v =
-  let s = find_series t.t_gauges ~default:(fun () -> 0.0) name labels in
-  s.s_value <- v
-
-let gauge_value t ?(labels = []) name =
-  let labels = normalize_labels labels in
-  match Hashtbl.find_opt t.t_gauges (series_key name labels) with
-  | Some s -> Some s.s_value
-  | None -> None
-
 (* histograms *)
 
 let histogram t ?(labels = []) name =
@@ -209,7 +194,6 @@ let sorted_rows table =
          match String.compare n1 n2 with 0 -> compare l1 l2 | c -> c)
 
 let counters t = sorted_rows t.t_counters
-let gauges t = sorted_rows t.t_gauges
 let histograms t = sorted_rows t.t_hists
 
 (* ------------------------------------------------------------------ *)
@@ -259,14 +243,6 @@ module Export = struct
         json_labels b labels;
         Buffer.add_string b (Printf.sprintf ",\"value\":%d}\n" v))
       (counters t);
-    List.iter
-      (fun (name, labels, v) ->
-        Buffer.add_string b
-          (Printf.sprintf "{\"kind\":\"gauge\",\"name\":\"%s\",\"labels\":"
-             (json_escape name));
-        json_labels b labels;
-        Buffer.add_string b (Printf.sprintf ",\"value\":%s}\n" (json_float v)))
-      (gauges t);
     List.iter
       (fun (name, labels, h) ->
         let q p = json_opt_float (Histogram.quantile h p) in
@@ -369,17 +345,6 @@ module Export = struct
     List.iter
       (fun (name, rows) ->
         let pname = sanitize_name name in
-        type_line b pname "gauge";
-        List.iter
-          (fun (labels, v) ->
-            Buffer.add_string b
-              (Printf.sprintf "%s%s %s\n" pname (prom_labels labels)
-                 (prom_float v)))
-          rows)
-      (group_by_name (gauges t));
-    List.iter
-      (fun (name, rows) ->
-        let pname = sanitize_name name in
         type_line b pname "histogram";
         List.iter
           (fun (labels, h) ->
@@ -401,4 +366,182 @@ module Export = struct
                  (Histogram.count h)))
           rows)
       (group_by_name (histograms t))
+end
+
+(* ------------------------------------------------------------------ *)
+(* Reader                                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  exception Parse_error of string
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+        advance ();
+        skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      if peek () = Some c then advance () else fail (Printf.sprintf "expected '%c'" c)
+    in
+    let literal word value =
+      let l = String.length word in
+      if !pos + l <= n && String.sub s !pos l = word then begin
+        pos := !pos + l;
+        value
+      end
+      else fail (Printf.sprintf "expected '%s'" word)
+    in
+    let hex_digit () =
+      let d =
+        match peek () with
+        | Some ('0' .. '9' as c) -> Char.code c - Char.code '0'
+        | Some ('a' .. 'f' as c) -> Char.code c - Char.code 'a' + 10
+        | Some ('A' .. 'F' as c) -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "invalid \\u escape"
+      in
+      advance ();
+      d
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' ->
+          advance ();
+          Buffer.contents b
+        | Some '\\' ->
+          advance ();
+          let e = match peek () with Some e -> e | None -> fail "unterminated escape" in
+          advance ();
+          (match e with
+          | '"' | '\\' | '/' -> Buffer.add_char b e
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'n' -> Buffer.add_char b '\n'
+          | 'r' -> Buffer.add_char b '\r'
+          | 't' -> Buffer.add_char b '\t'
+          | 'u' ->
+            let code = List.fold_left (fun acc _ -> (acc * 16) + hex_digit ()) 0 [ 1; 2; 3; 4 ] in
+            (* a lone surrogate half is no character; keep a placeholder *)
+            if Uchar.is_valid code then Buffer.add_utf_8_uchar b (Uchar.of_int code)
+            else Buffer.add_char b '?'
+          | _ -> fail "invalid escape");
+          go ()
+        | Some c when Char.code c < 0x20 -> fail "control character in string"
+        | Some c ->
+          advance ();
+          Buffer.add_char b c;
+          go ()
+      in
+      go ()
+    in
+    (* RFC 8259 number grammar: -?(0|[1-9][0-9]* )(.[0-9]+)?([eE][+-]?[0-9]+)? *)
+    let parse_number () =
+      let start = !pos in
+      let digits () =
+        let from = !pos in
+        while match peek () with Some '0' .. '9' -> true | _ -> false do
+          advance ()
+        done;
+        if !pos = from then fail "expected a digit"
+      in
+      if peek () = Some '-' then advance ();
+      (match peek () with
+      | Some '0' -> advance ()
+      | _ -> digits ());
+      if peek () = Some '.' then begin
+        advance ();
+        digits ()
+      end;
+      (match peek () with
+      | Some ('e' | 'E') ->
+        advance ();
+        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+        digits ()
+      | _ -> ());
+      float_of_string (String.sub s start (!pos - start))
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some '"' -> Str (parse_string ())
+      | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Obj []
+        end
+        else
+          let rec members acc =
+            skip_ws ();
+            let key = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              members ((key, v) :: acc)
+            | Some '}' ->
+              advance ();
+              Obj (List.rev ((key, v) :: acc))
+            | _ -> fail "expected ',' or '}'"
+          in
+          members []
+      | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          Arr []
+        end
+        else
+          let rec elements acc =
+            let v = parse_value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              elements (v :: acc)
+            | Some ']' ->
+              advance ();
+              Arr (List.rev (v :: acc))
+            | _ -> fail "expected ',' or ']'"
+          in
+          elements []
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some ('-' | '0' .. '9') -> Num (parse_number ())
+      | Some _ -> fail "expected a value"
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Parse_error msg -> Error msg
 end

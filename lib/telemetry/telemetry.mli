@@ -5,7 +5,6 @@
     label set, Prometheus-style):
 
     - {e counters} — monotonically increasing integers;
-    - {e gauges} — last-written floats;
     - {e histograms} — bounded log-scale bucket histograms
       ({!Histogram}): O(1) observe, running count/sum/min/max, and
       quantile estimates accurate to one bucket (a factor of
@@ -77,16 +76,13 @@ module Histogram : sig
   val cumulative : h -> (float * int) list
 end
 
-(** {2 Counters and gauges} *)
+(** {2 Counters} *)
 
 val inc : t -> ?labels:labels -> string -> unit
 val add : t -> ?labels:labels -> string -> int -> unit
 
 (** 0 if never touched. *)
 val counter_value : t -> ?labels:labels -> string -> int
-
-val set_gauge : t -> ?labels:labels -> string -> float -> unit
-val gauge_value : t -> ?labels:labels -> string -> float option
 
 (** {2 Histograms in the registry} *)
 
@@ -137,7 +133,6 @@ val open_spans : t -> int
     insertion order. *)
 
 val counters : t -> (string * labels * int) list
-val gauges : t -> (string * labels * float) list
 val histograms : t -> (string * labels * Histogram.h) list
 
 (** {2 Exporters}
@@ -148,8 +143,8 @@ val histograms : t -> (string * labels * Histogram.h) list
 
 module Export : sig
   (** One JSON object per line: counters as
-      [{"kind":"counter","name":...,"labels":{...},"value":n}], gauges
-      alike, histograms with [count]/[sum]/[min]/[max]/[p50]/[p90]/[p99]
+      [{"kind":"counter","name":...,"labels":{...},"value":n}], histograms
+      with [count]/[sum]/[min]/[max]/[p50]/[p90]/[p99]
       and a sparse cumulative [buckets] array of [[bound, count]] pairs. *)
   val metrics_jsonl : Buffer.t -> t -> unit
 
@@ -166,4 +161,27 @@ module Export : sig
   (** A JSON-valid rendering of a float: integral values as [%.1f],
       others as [%.17g], non-finite as [null]. *)
   val json_float : float -> string
+end
+
+(** {2 Reader}
+
+    The one JSON reader of the code base: fault plans are decoded from it
+    and the telemetry smoke check validates every exported line with it. *)
+
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list  (** members in document order *)
+
+  (** [parse s] reads exactly one JSON value (surrounding whitespace
+      allowed). Strict RFC 8259 syntax: a value starts with a minus sign,
+      a digit, a double quote, a brace, a bracket or a literal; numbers follow the JSON grammar (no
+      [+], leading [.] or [nan]); strings may not hold raw control
+      characters; [\u] escapes are decoded to UTF-8. [Error] carries the
+      reason and the byte offset. *)
+  val parse : string -> (t, string) result
 end

@@ -58,8 +58,6 @@ let delivered st = List.rev st.delivered_rev
 let delivered_batches st = List.rev st.batches_rev
 let current_view st = st.me.r_view
 let status_of st = st.me.r_status
-let round_of st = st.me.r_rnd
-let suspended st = st.me.r_suspend
 let installs st = st.view_installs
 
 let fresh_report initial =
@@ -555,23 +553,3 @@ let hooks ~machine ?eval_config () =
     pass_query = (fun ~self:_ ~joiner:_ -> true);
     plugin = plugin ~machine ?eval_config ();
   }
-
-let declare_metrics tele =
-  Telemetry.declare_counter tele "vs.proposals";
-  Telemetry.declare_counter tele "vs.installs";
-  Telemetry.declare_histogram tele "vs.view_change_seconds";
-  Counter_service.declare_metrics tele
-
-(* Monomorphic instance for harnesses that need a [Stack.SERVICE]: the
-   integer-adder machine (the same one experiment E8 replicates). *)
-module Service = struct
-  type nonrec state = (int, int) state
-  type nonrec msg = (int, int) msg
-
-  let name = "vs"
-  let adder = { initial = 0; apply = (fun s c -> s + c) }
-  let plugin = plugin ~machine:adder ()
-  let hooks = hooks ~machine:adder ()
-  let corrupt rng st = plugin.Stack.p_corrupt rng st
-  let declare_metrics = declare_metrics
-end

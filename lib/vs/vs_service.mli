@@ -89,28 +89,10 @@ val delivered_batches : ('st, 'cmd) state -> (view * (Sim.Pid.t * 'cmd) list) li
 
 val current_view : ('st, 'cmd) state -> view
 val status_of : ('st, 'cmd) state -> status
-val round_of : ('st, 'cmd) state -> int
 
 (** [is_coordinator st] — this node believes itself the valid
     coordinator. *)
 val is_coordinator : ('st, 'cmd) state -> bool
 
-val suspended : ('st, 'cmd) state -> bool
-
 (** Views installed at this node (counts view changes). *)
 val installs : ('st, 'cmd) state -> int
-
-(** {2 Fault injection and packaging} *)
-
-(** Pre-register the service's telemetry families (including the embedded
-    counter scheme's). *)
-val declare_metrics : Telemetry.t -> unit
-
-(** Monomorphic instance over the integer-adder machine (the same machine
-    experiment E8 replicates); [corrupt] scrambles the broadcast report's
-    control fields and forgets peer reports, composed with the embedded
-    counter scheme's injection. *)
-module Service :
-  Reconfig.Stack.SERVICE
-    with type state = (int, int) state
-     and type msg = (int, int) msg

@@ -47,20 +47,32 @@ let test_json_roundtrip () =
   | Error e -> Alcotest.failf "empty plan rejected: %s" e
 
 let test_json_rejects_malformed () =
-  let rejects label s =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  (* each input must fail for the stated reason, not an earlier one *)
+  let rejects label ~because s =
     match Fp.of_json s with
     | Ok _ -> Alcotest.failf "%s was accepted" label
-    | Error e -> Alcotest.(check bool) label true (String.length e > 0)
+    | Error e ->
+      if not (contains e because) then
+        Alcotest.failf "%s: error %S does not mention %S" label e because
   in
-  rejects "truncated" "{\"seed\":1,\"events\":[";
-  rejects "not an object" "[1,2,3]";
-  rejects "unknown kind"
+  rejects "truncated" ~because:"unexpected end of input" "{\"seed\":1,\"events\":[";
+  rejects "not an object" ~because:"expected a top-level object" "[1,2,3]";
+  rejects "unknown kind" ~because:"unknown event kind \"meteor\""
     "{\"seed\":1,\"events\":[{\"at\":0,\"kind\":\"meteor\",\"target\":\"all\"}]}";
-  rejects "negative round"
+  rejects "negative round" ~because:"round must be non-negative"
     "{\"seed\":1,\"events\":[{\"at\":-3,\"kind\":\"heal\"}]}";
-  rejects "probability out of range"
+  rejects "probability out of range" ~because:"drop: expected a probability in [0,1]"
     "{\"seed\":1,\"events\":[{\"at\":0,\"kind\":\"degrade_links\",\"src\":\"all\",\
-     \"dst\":\"all\",\"profile\":{\"drop\":1.5,\"dup\":0,\"flip\":0}}]}"
+     \"dst\":\"all\",\"drop\":1.5,\"dup\":0,\"flip\":0}]}";
+  rejects "round beyond int range" ~because:"at: integer 1e+30 out of range"
+    "{\"seed\":3,\"events\":[{\"at\":1e30,\"kind\":\"crash\",\"target\":[1]}]}";
+  rejects "seed beyond int range" ~because:"seed: integer 1e+30 out of range"
+    "{\"seed\":1e30,\"events\":[]}"
 
 let test_storm_is_plain_data () =
   (* storm draws its Bernoulli coins at build time: same seed, same list *)

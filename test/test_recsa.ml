@@ -184,6 +184,20 @@ let test_recma_prediction_majority () =
     (Stack.run_until sys ~max_steps:800_000 reconfigured);
   Alcotest.(check bool) "triggered via recMA" true (Stack.total_triggers sys >= 1)
 
+(* The predictor's 1/4 threshold in isolation: it fires at exactly a
+   quarter of the members untrusted, not below, and never on an empty
+   member set (no division by zero, no spurious replacement). *)
+let test_default_eval_conf_threshold () =
+  let eval = Stack.default_eval_conf () ~self:1 in
+  Alcotest.(check bool) "1 of 4 untrusted" true
+    (eval ~trusted:(set [ 1; 2; 3; 9 ]) (set [ 1; 2; 3; 4 ]));
+  Alcotest.(check bool) "1 of 5 untrusted" false
+    (eval ~trusted:(set [ 1; 2; 3; 4 ]) (set [ 1; 2; 3; 4; 5 ]));
+  Alcotest.(check bool) "all trusted" false
+    (eval ~trusted:(set [ 1; 2; 3; 4 ]) (set [ 1; 2; 3; 4 ]));
+  Alcotest.(check bool) "empty member set" false
+    (eval ~trusted:(set [ 1; 2 ]) Pid.Set.empty)
+
 let test_joiner_becomes_participant () =
   let sys = make_system ~seed:31 () in
   Stack.run_rounds sys 25;
@@ -601,6 +615,8 @@ let suites =
       [
         Alcotest.test_case "majority collapse" `Quick test_recma_majority_collapse_triggers;
         Alcotest.test_case "prediction majority" `Quick test_recma_prediction_majority;
+        Alcotest.test_case "default_eval_conf threshold" `Quick
+          test_default_eval_conf_threshold;
       ] );
     ( "reconfig.join",
       [

@@ -62,59 +62,6 @@ let probe tag =
     p_corrupt = (fun _ st -> st);
   }
 
-let test_map_identity () =
-  let p = probe "p" in
-  let q =
-    Stack.Plugin.map ~state:Fun.id ~state_back:Fun.id ~msg:Fun.id
-      ~msg_back:Option.some p
-  in
-  let v = dummy_view () in
-  Alcotest.(check (list string)) "init equal" (p.Stack.p_init 7) (q.Stack.p_init 7);
-  let st_p, out_p = p.Stack.p_tick v (p.Stack.p_init 1) in
-  let st_q, out_q = q.Stack.p_tick v (q.Stack.p_init 1) in
-  Alcotest.(check (list string)) "tick state equal" st_p st_q;
-  Alcotest.(check (list (pair int string))) "tick messages equal" out_p out_q;
-  let st_p, _ = p.Stack.p_recv v ~from:2 "x" st_p in
-  let st_q, _ = q.Stack.p_recv v ~from:2 "x" st_q in
-  Alcotest.(check (list string)) "recv state equal" st_p st_q
-
-let test_map_drops_unrecognized () =
-  let p = probe "p" in
-  let q =
-    Stack.Plugin.map ~state:Fun.id ~state_back:Fun.id ~msg:Fun.id
-      ~msg_back:(fun _ -> None)
-      p
-  in
-  let v = dummy_view () in
-  let st0 = q.Stack.p_init 1 in
-  let st, out = q.Stack.p_recv v ~from:2 "x" st0 in
-  Alcotest.(check (list string)) "state untouched" st0 st;
-  Alcotest.(check (list (pair int string))) "nothing sent" [] out
-
-let fst_snd_msg =
-  let pp fmt = function
-    | `Fst m -> Format.fprintf fmt "Fst %s" m
-    | `Snd m -> Format.fprintf fmt "Snd %s" m
-  in
-  Alcotest.testable pp ( = )
-
-let test_pair_ordering_and_routing () =
-  let pq = Stack.Plugin.pair (probe "a") (probe "b") in
-  let v = dummy_view () in
-  let st0 = pq.Stack.p_init 1 in
-  Alcotest.(check (pair (list string) (list string)))
-    "init is the product" ([ "a.init.1" ], [ "b.init.1" ]) st0;
-  let st, out = pq.Stack.p_tick v st0 in
-  (* left ticks first and its messages precede the right's *)
-  Alcotest.(check (list (pair int fst_snd_msg)))
-    "tick order: Fst before Snd"
-    [ (2, `Fst "a.m1"); (3, `Fst "a.m2"); (2, `Snd "b.m1"); (3, `Snd "b.m2") ]
-    out;
-  let (sa, sb), _ = pq.Stack.p_recv v ~from:5 (`Fst "hello") st in
-  Alcotest.(check (list string))
-    "Fst routed to the left" [ "a.recv.5.hello"; "a.tick"; "a.init.1" ] sa;
-  Alcotest.(check (list string)) "right untouched" [ "b.tick"; "b.init.1" ] sb
-
 let lo_hi_msg =
   let pp fmt = function
     | `Lo m -> Format.fprintf fmt "Lo %s" m
@@ -321,9 +268,6 @@ let suites =
       ] );
     ( "runtime.plugin",
       [
-        Alcotest.test_case "map identity" `Quick test_map_identity;
-        Alcotest.test_case "map drops unrecognized" `Quick test_map_drops_unrecognized;
-        Alcotest.test_case "pair ordering/routing" `Quick test_pair_ordering_and_routing;
         Alcotest.test_case "stack ordering" `Quick test_stack_ordering;
         Alcotest.test_case "stack routing" `Quick test_stack_routing;
       ] );

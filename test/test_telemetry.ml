@@ -227,7 +227,6 @@ let build_registry () =
   Telemetry.inc t ~labels:[ ("type", "1") ] "recsa.conflicts";
   Telemetry.inc t ~labels:[ ("type", "1") ] "recsa.conflicts";
   Telemetry.inc t ~labels:[ ("type", "3") ] "recsa.conflicts";
-  Telemetry.set_gauge t "nodes" 5.0;
   List.iter
     (Telemetry.observe t "recsa.replacement_seconds")
     [ 0.5; 1.5; 2.5 ];
@@ -253,8 +252,6 @@ let test_prometheus_export () =
       "# TYPE recsa_conflicts_total counter";
       "recsa_conflicts_total{type=\"1\"} 2";
       "recsa_conflicts_total{type=\"3\"} 1";
-      "# TYPE nodes gauge";
-      "nodes 5.0";
       "# TYPE recsa_replacement_seconds histogram";
       "recsa_replacement_seconds_bucket{le=\"+Inf\"} 3";
       "recsa_replacement_seconds_count 3";
@@ -270,8 +267,8 @@ let test_jsonl_export () =
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' out)
   in
-  (* 2 conflict series + 1 gauge + 1 histogram *)
-  Alcotest.(check int) "one object per series" 4 (List.length lines);
+  (* 2 conflict series + 1 histogram *)
+  Alcotest.(check int) "one object per series" 3 (List.length lines);
   List.iter
     (fun l ->
       Alcotest.(check bool) "object braces" true
@@ -284,7 +281,6 @@ let test_jsonl_export () =
       "\"kind\":\"counter\"";
       "\"name\":\"recsa.conflicts\"";
       "\"labels\":{\"type\":\"1\"}";
-      "\"kind\":\"gauge\"";
       "\"kind\":\"histogram\"";
       "\"count\":3";
       "\"p50\":";
@@ -306,6 +302,49 @@ let test_json_helpers () =
   Alcotest.(check string) "inf is null" "null"
     (Telemetry.Export.json_float Float.infinity)
 
+(* The shared reader accepts what the exporters write and nothing a JSON
+   parser would refuse: a value starts only with a minus sign, a digit, a
+   quote, a brace, a bracket or a literal. *)
+let test_json_reader () =
+  let module J = Telemetry.Json in
+  let accepts label s expected =
+    match J.parse s with
+    | Ok v -> Alcotest.(check bool) label true (v = expected)
+    | Error e -> Alcotest.failf "%s rejected: %s" label e
+  in
+  let rejects label s =
+    match J.parse s with
+    | Ok _ -> Alcotest.failf "%s was accepted" label
+    | Error _ -> ()
+  in
+  accepts "object" " {\"a\":[1,-2.5e3,true,null],\"b\":\"x\\ny\"} "
+    (J.Obj [ ("a", J.Arr [ J.Num 1.0; J.Num (-2500.0); J.Bool true; J.Null ]); ("b", J.Str "x\ny") ]);
+  accepts "unicode escape" "\"\\u00e9\"" (J.Str "\xc3\xa9");
+  accepts "exponent float" "1e+30" (J.Num 1e30);
+  List.iter
+    (fun (label, s) -> rejects label s)
+    [
+      ("leading plus", "+1");
+      ("leading dot", ".5");
+      ("trailing dot", "1.");
+      ("leading zero", "01");
+      ("nan", "nan");
+      ("bare word", "abc");
+      ("raw control character", "\"a\tb\"");
+      ("bad escape", "\"\\x\"");
+      ("trailing comma", "[1,]");
+      ("trailing garbage", "{} {}");
+      ("empty", "");
+    ];
+  (* every exported line parses *)
+  let t = build_registry () in
+  String.split_on_char '\n' (render Telemetry.Export.metrics_jsonl t)
+  |> List.iter (fun l ->
+         if l <> "" then
+           match J.parse l with
+           | Ok (J.Obj _) -> ()
+           | Ok _ | Error _ -> Alcotest.failf "exported line unreadable: %s" l)
+
 let suites =
   [
     ( "telemetry",
@@ -321,5 +360,6 @@ let suites =
         Alcotest.test_case "prometheus export" `Quick test_prometheus_export;
         Alcotest.test_case "jsonl export" `Quick test_jsonl_export;
         Alcotest.test_case "json helpers" `Quick test_json_helpers;
+        Alcotest.test_case "json reader" `Quick test_json_reader;
       ] );
   ]

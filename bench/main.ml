@@ -4,7 +4,7 @@
 
    1. bechamel micro-benchmarks of the core primitives (one Test.make per
       primitive), so the cost of each building block is tracked;
-   2. the experiment tables E1-E11 (DESIGN.md Section 5 / EXPERIMENTS.md),
+   2. the experiment tables E1-E18 (DESIGN.md Section 5 / EXPERIMENTS.md),
       which regenerate the measurable content of every theorem and figure
       of the paper on the simulation substrate.
 
@@ -123,11 +123,11 @@ let gossip_round_subject n seed =
   let pids = List.init n (fun i -> i + 1) in
   let behavior =
     {
-      Sim.Engine.init = (fun p -> p);
+      Sim.Step.init = (fun p -> p);
       on_timer =
         (fun ctx s ->
           List.iter
-            (fun q -> if q <> Sim.Engine.self ctx then Sim.Engine.send ctx q s)
+            (fun q -> if q <> Sim.Step.self ctx then Sim.Step.send ctx q s)
             pids;
           s);
       on_message = (fun _ _ v s -> max v s);

@@ -2,9 +2,10 @@
 
    Every subcommand that runs a system is configured the same way: the
    flags below build one Reconfig.Scenario.t (topology, seed, channel
-   model, sink paths), and the subcommand hands it to
-   Stack.of_scenario / Stack_loop.of_scenario. Adding a knob means adding
-   it here once, not in five argument lists. *)
+   model), and the subcommand hands it to Stack.of_scenario /
+   Stack_loop.of_scenario; the sink flags build a [sinks] record that
+   [export] writes once the run is over. Adding a knob means adding it
+   here once, not in five argument lists. *)
 
 open Cmdliner
 open Reconfig
@@ -28,45 +29,41 @@ let seed_arg =
 let loss_arg =
   Arg.(value & opt float 0.02 & info [ "loss" ] ~docv:"P" ~doc:"Packet loss probability.")
 
-let metrics_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-out" ] ~docv:"FILE"
-        ~doc:
-          "Write the run's telemetry registry to $(docv) in Prometheus text \
-           exposition format.")
-
-let metrics_jsonl_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-jsonl" ] ~docv:"FILE"
-        ~doc:"Write the run's telemetry registry to $(docv) as JSON Lines.")
-
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:"Write the run's event trace to $(docv) as JSON Lines.")
-
 (* The scenario every run-flavoured subcommand shares. The fault plan rides
    separately ({!plan_term}) because only some subcommands accept one.
    Values Scenario.make rejects (no members, loss outside [0,1]) are usage
    errors, not crashes. *)
 let scenario_term =
-  let build n seed loss metrics_out metrics_jsonl trace_out =
-    match
-      Scenario.make ~seed ~loss ?metrics_out ?metrics_jsonl ?trace_out ~nodes:n ()
-    with
+  let build n seed loss =
+    match Scenario.make ~seed ~loss ~nodes:n () with
     | sc -> `Ok sc
     | exception Invalid_argument msg -> `Error (true, msg)
   in
+  Term.(ret (const build $ n_arg $ seed_arg $ loss_arg))
+
+(* Where a run's telemetry and trace go; [None] writes nothing. *)
+type sinks = {
+  metrics_out : string option;  (** Prometheus text exposition *)
+  metrics_jsonl : string option;  (** telemetry as JSON Lines *)
+  trace_out : string option;  (** event trace as JSON Lines *)
+}
+
+let sinks_term =
+  let path names docv doc = Arg.(value & opt (some string) None & info names ~docv ~doc) in
+  let metrics_out =
+    path [ "metrics-out" ] "FILE"
+      "Write the run's telemetry registry to $(docv) in Prometheus text \
+       exposition format."
+  in
+  let metrics_jsonl =
+    path [ "metrics-jsonl" ] "FILE" "Write the run's telemetry registry to $(docv) as JSON Lines."
+  in
+  let trace_out =
+    path [ "trace-out" ] "FILE" "Write the run's event trace to $(docv) as JSON Lines."
+  in
   Term.(
-    ret
-      (const build $ n_arg $ seed_arg $ loss_arg $ metrics_out_arg
-     $ metrics_jsonl_arg $ trace_out_arg))
+    const (fun metrics_out metrics_jsonl trace_out -> { metrics_out; metrics_jsonl; trace_out })
+    $ metrics_out $ metrics_jsonl $ trace_out)
 
 let plan_term =
   let plan_file =
@@ -97,10 +94,10 @@ let plan_term =
   in
   Term.(ret (const build $ plan_file $ plan_json))
 
-(* Write the run's telemetry/trace to whichever sinks the scenario names.
-   All three renderings are deterministic for a fixed seed: the registry
-   never reads wall clocks and exports are sorted. *)
-let export ~tele ~trace (sc : Scenario.t) =
+(* Write the run's telemetry/trace to whichever sinks are named. On the
+   simulator all three renderings are deterministic for a fixed seed: the
+   registry reads only virtual time and exports are sorted. *)
+let export ~tele ~trace sinks =
   let dump path render =
     match path with
     | None -> ()
@@ -112,10 +109,9 @@ let export ~tele ~trace (sc : Scenario.t) =
       close_out oc;
       Format.printf "wrote %s@." path
   in
-  dump sc.Scenario.sc_metrics_out (fun buf -> Telemetry.Export.prometheus buf tele);
-  dump sc.Scenario.sc_metrics_jsonl (fun buf ->
-      Telemetry.Export.metrics_jsonl buf tele);
-  dump sc.Scenario.sc_trace_out (fun buf ->
+  dump sinks.metrics_out (fun buf -> Telemetry.Export.prometheus buf tele);
+  dump sinks.metrics_jsonl (fun buf -> Telemetry.Export.metrics_jsonl buf tele);
+  dump sinks.trace_out (fun buf ->
       Sim.Trace.iter trace (fun e ->
           Buffer.add_string buf (Sim.Trace.entry_json e);
           Buffer.add_char buf '\n'))

@@ -79,9 +79,9 @@ let pp_config fmt sys =
   | Some c -> Pid.pp_set fmt c
   | None -> Format.fprintf fmt "(no agreement yet)"
 
-let export_sys sys (sc : Scenario.t) =
+let export_sys sys sinks =
   let eng = Stack.engine sys in
-  Cli_common.export ~tele:(Engine.telemetry eng) ~trace:(Engine.trace eng) sc
+  Cli_common.export ~tele:(Engine.telemetry eng) ~trace:(Engine.trace eng) sinks
 
 let scenario_steady (sc : Scenario.t) =
   let n = Scenario.nodes sc in
@@ -194,7 +194,7 @@ let scenario_cmd =
           `Steady
       & info [] ~docv:"SCENARIO" ~doc:"One of: steady, transient, churn, scale.")
   in
-  let run kind sc =
+  let run kind sc sinks =
     let sys =
       match kind with
       | `Steady -> scenario_steady sc
@@ -202,11 +202,11 @@ let scenario_cmd =
       | `Churn -> scenario_churn sc
       | `Scale -> scenario_scale sc
     in
-    export_sys sys sc
+    export_sys sys sinks
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a named scenario and narrate the outcome.")
-    Term.(const run $ kind $ Cli_common.scenario_term)
+    Term.(const run $ kind $ Cli_common.scenario_term $ Cli_common.sinks_term)
 
 (* ------------------------------------------------------------------ *)
 (* faults                                                               *)
@@ -256,7 +256,7 @@ let faults_cmd =
              ($(b,sim)) or the real-time event loop ($(b,loop)). The loop has \
              no channel state to corrupt; such events are counted as skipped.")
   in
-  let run sc plan runtime =
+  let run sc sinks plan runtime =
     let plan =
       match plan with
       | Some p -> p
@@ -271,7 +271,7 @@ let faults_cmd =
       report_plan_outcome ~tele ~recovery;
       Format.printf "final config: %a (resets: %d)@." pp_config sys
         (Stack.total_resets sys);
-      export_sys sys sc
+      export_sys sys sinks
     | `Loop ->
       let sys = Stack_loop.of_scenario ~hooks:Stack.unit_hooks sc in
       let recovery = Stack_loop.run_plan sys ~plan ~max_rounds:2000 in
@@ -281,7 +281,7 @@ let faults_cmd =
       (match Stack_loop.uniform_config sys with
       | Some c -> Format.printf "final config: %a@." Pid.pp_set c
       | None -> Format.printf "final config: (no agreement yet)@.");
-      Cli_common.export ~tele ~trace:(Runtime.Loop.trace loop) sc
+      Cli_common.export ~tele ~trace:(Runtime.Loop.trace loop) sinks
   in
   Cmd.v
     (Cmd.info "faults"
@@ -290,7 +290,7 @@ let faults_cmd =
           report stabilization.")
     Term.(
       const run
-      $ Cli_common.scenario_term
+      $ Cli_common.scenario_term $ Cli_common.sinks_term
       $ Cli_common.plan_term $ runtime)
 
 (* ------------------------------------------------------------------ *)
@@ -306,7 +306,7 @@ let trace_cmd =
             "Dump every trace entry as JSON Lines (one object per line) \
              instead of the filtered human-readable text.")
   in
-  let run sc json =
+  let run sc sinks json =
     let sys = Stack.of_scenario ~hooks:Stack.unit_hooks sc in
     Stack.run_rounds sys 30;
     Stack.corrupt_everything sys ~rng:(Rng.create (sc.Scenario.sc_seed + 1));
@@ -318,11 +318,12 @@ let trace_cmd =
           if e.Trace.tag <> "join" then Format.printf "%a@." Trace.pp_entry e);
       Format.printf "final config: %a@."
         (fun fmt () -> pp_config fmt sys) ()
-    end
+    end;
+    export_sys sys sinks
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Dump the protocol event trace of a transient-fault recovery.")
-    Term.(const run $ Cli_common.scenario_term $ json_arg)
+    Term.(const run $ Cli_common.scenario_term $ Cli_common.sinks_term $ json_arg)
 
 let () =
   let info =

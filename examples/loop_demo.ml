@@ -1,6 +1,7 @@
 (* The identical protocol stack running on the real-time event-loop runtime
-   ({!Runtime.Loop}) instead of the discrete-event simulator: same
-   {!Reconfig.Stack.Core}, different engine behind the RUNTIME signature.
+   ({!Runtime.Loop}) instead of the discrete-event simulator: the same
+   {!Reconfig.Stack.driver} behavior, stepped through the same
+   {!Sim.Step.ctx}, by a different runtime.
 
    Run with:  dune exec examples/loop_demo.exe *)
 

@@ -6,13 +6,13 @@ type t = { eng : (node, msg) Engine.t }
 
 let behavior members_set peers =
   {
-    Engine.init = (fun _ -> { epoch = 0; config = members_set });
+    Step.init = (fun _ -> { epoch = 0; config = members_set });
     on_timer =
       (fun ctx n ->
         List.iter
           (fun q ->
-            if not (Pid.equal q (Engine.self ctx)) then
-              Engine.send ctx q { m_epoch = n.epoch; m_config = n.config })
+            if not (Pid.equal q (Step.self ctx)) then
+              Step.send ctx q { m_epoch = n.epoch; m_config = n.config })
           peers;
         n);
     on_message =

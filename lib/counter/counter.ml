@@ -44,14 +44,6 @@ let pair_of c = { mct = c; cct = None }
 let legit p = p.cct = None
 let cancel p = { p with cct = Some p.mct }
 
-let pair_equal p1 p2 =
-  equal p1.mct p2.mct
-  &&
-  match (p1.cct, p2.cct) with
-  | None, None -> true
-  | Some a, Some b -> equal a b
-  | None, Some _ | Some _, None -> false
-
 let pp_pair fmt p =
   match p.cct with
   | None -> Format.fprintf fmt "<%a, _>" pp p.mct

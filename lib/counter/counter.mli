@@ -51,5 +51,4 @@ type pair = {
 val pair_of : t -> pair
 val legit : pair -> bool
 val cancel : pair -> pair
-val pair_equal : pair -> pair -> bool
 val pp_pair : Format.formatter -> pair -> unit

@@ -22,18 +22,18 @@ let behavior ~capacity ~sender ~receiver =
   in
   let on_timer ctx n =
     (* the sender retransmits its current packet every timer step *)
-    if n.is_sender then Engine.send ctx n.peer (Fifo_link.sender_tick n.link);
+    if n.is_sender then Step.send ctx n.peer (Fifo_link.sender_tick n.link);
     n
   in
   let on_message ctx _from m n =
     if n.is_sender then Fifo_link.sender_on_msg n.link m
     else begin
       let _, ack = Fifo_link.receiver_on_msg n.link m in
-      match ack with Some a -> Engine.send ctx n.peer a | None -> ()
+      match ack with Some a -> Step.send ctx n.peer a | None -> ()
     end;
     n
   in
-  { Engine.init; on_timer; on_message }
+  { Step.init; on_timer; on_message }
 
 let create ?(seed = 42) ?(capacity = 4) ?(loss = 0.05) ~sender ~receiver () =
   if Pid.equal sender receiver then invalid_arg "Link_runner.create: same endpoint";

@@ -8,16 +8,12 @@ type t = {
   sc_theta : int;
   sc_n_bound : int;
   sc_quorum : (module Quorum.SYSTEM);
-  sc_metrics_out : string option;
-  sc_metrics_jsonl : string option;
-  sc_trace_out : string option;
 }
 
 let default_members n = List.init n (fun i -> i + 1)
 
 let make ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4) ?n_bound
-    ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ?metrics_out ?metrics_jsonl
-    ?trace_out ?nodes () =
+    ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ?nodes () =
   let members =
     match (members, nodes) with
     | Some l, _ -> l
@@ -38,9 +34,6 @@ let make ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4) ?n_bo
     sc_theta = theta;
     sc_n_bound = n_bound;
     sc_quorum = quorum;
-    sc_metrics_out = metrics_out;
-    sc_metrics_jsonl = metrics_jsonl;
-    sc_trace_out = trace_out;
   }
 
 let nodes t = List.length t.sc_members

@@ -1,15 +1,16 @@
 (** One value that describes a whole run — the unified configuration API.
 
     Historically every entry point grew its own positional argument list
-    (topology here, seed there, sink paths in the CLI only). A
-    [Scenario.t] gathers all of it: topology, scheme knobs and
-    metrics/trace sinks. [Stack.of_scenario] and [Stack_loop.of_scenario]
-    consume it directly; the [bin/] subcommands build one from shared
-    flags ([Cli_common]); the harness derives per-cell scenarios from it.
-    A fault plan is not part of the scenario: it is handed to
-    [Stack.run_plan] / [Stack_loop.run_plan]. The record is deliberately
-    concrete — a scenario is configuration data, and pattern matching on
-    it is the point — with {!make} as the builder. *)
+    (topology here, seed there). A [Scenario.t] gathers all of it:
+    topology, seed, channel model and scheme knobs. [Stack.of_scenario]
+    and [Stack_loop.of_scenario] consume it directly; the [bin/]
+    subcommands build one from shared flags ([Cli_common]); the harness
+    derives per-cell scenarios from it. A fault plan is not part of the
+    scenario: it is handed to [Stack.run_plan] / [Stack_loop.run_plan].
+    Neither are the metrics/trace sink paths: only the CLI writes files,
+    so they stay there. The record is deliberately concrete — a scenario
+    is configuration data, and pattern matching on it is the point — with
+    {!make} as the builder. *)
 
 open Sim
 
@@ -21,9 +22,6 @@ type t = {
   sc_theta : int;  (** failure-detector threshold *)
   sc_n_bound : int;  (** the paper's [N]: bound on processor count *)
   sc_quorum : (module Quorum.SYSTEM);
-  sc_metrics_out : string option;  (** Prometheus text sink *)
-  sc_metrics_jsonl : string option;  (** JSONL metrics sink *)
-  sc_trace_out : string option;  (** trace sink *)
 }
 
 val default_members : int -> Pid.t list
@@ -37,9 +35,6 @@ val make :
   ?theta:int ->
   ?n_bound:int ->
   ?quorum:(module Quorum.SYSTEM) ->
-  ?metrics_out:string ->
-  ?metrics_jsonl:string ->
-  ?trace_out:string ->
   ?nodes:int ->
   unit ->
   t

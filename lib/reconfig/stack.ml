@@ -220,168 +220,166 @@ let snap_instance ~capacity n ~self ~peer =
     n.snap <- Pid.Map.add peer s n.snap;
     s
 
-(* --- the protocol core, written once against the RUNTIME signature --- *)
+(* --- the protocol core: one Step.behavior, run unchanged by every runtime --- *)
 
-module Core (R : Runtime.S) = struct
-  let send_counted ctx kind dst m =
-    Telemetry.inc (R.telemetry ctx) ~labels:[ ("kind", kind) ] "stack.sent";
-    R.send ctx dst m
+let send_counted ctx kind dst m =
+  Telemetry.inc (Step.telemetry ctx) ~labels:[ ("kind", kind) ] "stack.sent";
+  Step.send ctx dst m
 
-  (* protocol traffic is held back until the link's handshake completed *)
-  let send_gated ctx n kind dst m =
-    if link_clean n dst then send_counted ctx kind dst m
+(* protocol traffic is held back until the link's handshake completed *)
+let send_gated ctx n kind dst m =
+  if link_clean n dst then send_counted ctx kind dst m
 
-  let view_of ctx n =
-    {
-      v_self = R.self ctx;
-      v_trusted = Intern.pid_set (Detector.Theta_fd.trusted n.fd);
-      v_recsa = n.sa;
-      v_emit = R.emit ctx;
-      v_now = R.now ctx;
-      v_rng = R.rng ctx;
-      v_telemetry = R.telemetry ctx;
-    }
+let view_of ctx n =
+  {
+    v_self = Step.self ctx;
+    v_trusted = Intern.pid_set (Detector.Theta_fd.trusted n.fd);
+    v_recsa = n.sa;
+    v_emit = Step.emit ctx;
+    v_now = Step.now ctx;
+    v_rng = Step.rng ctx;
+    v_telemetry = Step.telemetry ctx;
+  }
 
-  let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
-    let init p =
-      let participant = Pid.Set.mem p members_set in
-      let joiner = not participant in
-      let n =
-        {
-          fd = Detector.Theta_fd.create ~n_bound ~theta ~self:p ();
-          sa =
-            Recsa.create ~self:p ~participant
-              ?initial_config:(if participant then Some members_set else None)
-              ();
-          ma = Recma.create ~self:p;
-          join = Join.create ~self:p;
-          app = hooks.plugin.p_init p;
-          seeds = Pid.Set.remove p !directory;
-          snap = Pid.Map.empty;
-          joiner;
-          tele_phase = Notification.P0;
-        }
-      in
-      if joiner then
-        Pid.Set.iter (fun peer -> ignore (snap_instance ~capacity n ~self:p ~peer)) n.seeds;
-      n
+let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
+  let init p =
+    let participant = Pid.Set.mem p members_set in
+    let joiner = not participant in
+    let n =
+      {
+        fd = Detector.Theta_fd.create ~n_bound ~theta ~self:p ();
+        sa =
+          Recsa.create ~self:p ~participant
+            ?initial_config:(if participant then Some members_set else None)
+            ();
+        ma = Recma.create ~self:p;
+        join = Join.create ~self:p;
+        app = hooks.plugin.p_init p;
+        seeds = Pid.Set.remove p !directory;
+        snap = Pid.Map.empty;
+        joiner;
+        tele_phase = Notification.P0;
+      }
     in
-    let on_timer ctx n =
-      let self = R.self ctx in
-      (* flood pending cleaning handshakes *)
-      Pid.Map.iter
-        (fun peer s ->
-          match Datalink.Snap_link.on_tick s with
-          | Some m ->
-            (* keep the channel's pipe full: the handshake needs more than
-               the round-trip capacity of acknowledgments *)
-            for _ = 1 to max 1 (capacity / 2) do
-              send_counted ctx "snap" peer (Snap m)
-            done
-          | None -> ())
-        n.snap;
-      (* interned: this set rides in every broadcast's [m_fd] and seeds every
-         participants-filter this tick, so canonicalize it once here *)
-      let trusted = Intern.pid_set (Detector.Theta_fd.trusted n.fd) in
-      let tele = R.telemetry ctx in
-      let now = R.now ctx in
-      let emit_all =
-        List.iter (fun (tag, detail) ->
-            R.emit ctx tag detail;
-            note_event tele ~self ~now (tag, detail))
-      in
-      (* recSA: one do-forever iteration, then the line-29 broadcast *)
-      emit_all (Recsa.tick n.sa ~trusted);
-      (* time the delicate-replacement automaton: a span opens when this
-         node's notification leaves phase 0 and closes when it returns
-         (Figure 2's 0 -> 1 -> 2 -> 0 cycle) *)
-      let phase = (Recsa.prp n.sa).Notification.phase in
-      if phase <> n.tele_phase then begin
-        (match (n.tele_phase, phase) with
-        | Notification.P0, (Notification.P1 | Notification.P2) ->
-          Telemetry.span_begin tele ~name:"recsa.replacement_seconds" ~key:self ~now
-        | (Notification.P1 | Notification.P2), Notification.P0 ->
-          if Telemetry.span_open tele ~name:"recsa.replacement_seconds" ~key:self
-          then
-            Telemetry.span_end tele ~name:"recsa.replacement_seconds" ~key:self ~now
-        | _ -> ());
-        n.tele_phase <- phase
-      end;
-      let sa_msgs = Recsa.broadcast n.sa ~trusted in
-      List.iter (fun (dst, m) -> send_gated ctx n "sa" dst (Sa m)) sa_msgs;
-      (* recMA *)
-      let ma_msgs, ma_events =
-        Recma.tick n.ma ~quorum ~trusted ~recsa:n.sa
-          ~eval_conf:(fun members -> hooks.eval_conf ~self ~trusted members)
-          ()
-      in
-      emit_all ma_events;
-      List.iter (fun (dst, m) -> send_gated ctx n "ma" dst (Ma m)) ma_msgs;
-      (* joining mechanism (joiner side) *)
-      let join_msgs, join_events =
-        Join.tick n.join ~quorum ~trusted ~recsa:n.sa
-          ~reset_vars:(fun () -> n.app <- hooks.plugin.p_init self)
-          ~init_vars:(fun states ->
-            n.app <- hooks.plugin.p_merge ~self n.app states)
-          ()
-      in
-      emit_all join_events;
-      List.iter (fun (dst, m) -> send_gated ctx n "join" dst (Join m)) join_msgs;
-      (* application plugin *)
-      let app', app_out = hooks.plugin.p_tick (view_of ctx n) n.app in
-      n.app <- app';
-      List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) app_out;
-      (* heartbeats (the data-link token) to every known processor not already
-         covered by a recSA broadcast *)
-      let covered = List.fold_left (fun acc (dst, _) -> Pid.Set.add dst acc) Pid.Set.empty sa_msgs in
-      let targets =
-        Pid.Set.union n.seeds (Detector.Theta_fd.known n.fd)
-        |> Pid.Set.remove self
-      in
-      Pid.Set.iter
-        (fun dst ->
-          if not (Pid.Set.mem dst covered) then send_gated ctx n "heartbeat" dst Heartbeat)
-        targets;
-      n
-    in
-    let on_message ctx from msg n =
-      (match msg with
-      | Snap m ->
-        let s = snap_instance ~capacity n ~self:(R.self ctx) ~peer:from in
-        let reply, completed = Datalink.Snap_link.on_msg s m in
-        (match reply with
-        | Some r -> send_counted ctx "snap" from (Snap r)
-        | None -> ());
-        (match completed with
-        | `Completed -> R.emit ctx "snap.clean" (Pid.to_string from)
-        | `Pending -> ())
-      | Heartbeat | Sa _ | Ma _ | Join _ | App _ ->
-        if link_clean n from then Detector.Theta_fd.heartbeat n.fd from);
-      (match msg with
-      | _ when not (link_clean n from) -> () (* link not yet cleaned *)
-      | Snap _ -> ()
-      | Heartbeat -> ()
-      | Sa m -> Recsa.receive n.sa ~from m
-      | Ma m -> Recma.receive n.ma ~from ~participant:(Recsa.is_participant n.sa) m
-      | Join (Join.Join_request) ->
-        let trusted = Detector.Theta_fd.trusted n.fd in
-        (match
-           Join.on_request n.join ~self_app:n.app ~from ~trusted ~recsa:n.sa
-             ~pass_query:(fun joiner ->
-               hooks.pass_query ~self:(R.self ctx) ~joiner)
-         with
-        | Some reply -> send_gated ctx n "join" from (Join reply)
+    if joiner then
+      Pid.Set.iter (fun peer -> ignore (snap_instance ~capacity n ~self:p ~peer)) n.seeds;
+    n
+  in
+  let on_timer ctx n =
+    let self = Step.self ctx in
+    (* flood pending cleaning handshakes *)
+    Pid.Map.iter
+      (fun peer s ->
+        match Datalink.Snap_link.on_tick s with
+        | Some m ->
+          (* keep the channel's pipe full: the handshake needs more than
+             the round-trip capacity of acknowledgments *)
+          for _ = 1 to max 1 (capacity / 2) do
+            send_counted ctx "snap" peer (Snap m)
+          done
         | None -> ())
-      | Join (Join.Join_reply { pass; app }) ->
-        Join.on_reply n.join ~from ~participant:(Recsa.is_participant n.sa) ~pass ~app
-      | App m ->
-        let app', out = hooks.plugin.p_recv (view_of ctx n) ~from m n.app in
-        n.app <- app';
-        List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) out);
-      n
+      n.snap;
+    (* interned: this set rides in every broadcast's [m_fd] and seeds every
+       participants-filter this tick, so canonicalize it once here *)
+    let trusted = Intern.pid_set (Detector.Theta_fd.trusted n.fd) in
+    let tele = Step.telemetry ctx in
+    let now = Step.now ctx in
+    let emit_all =
+      List.iter (fun (tag, detail) ->
+          Step.emit ctx tag detail;
+          note_event tele ~self ~now (tag, detail))
     in
-    { Runtime.d_init = init; d_timer = on_timer; d_recv = on_message }
-end
+    (* recSA: one do-forever iteration, then the line-29 broadcast *)
+    emit_all (Recsa.tick n.sa ~trusted);
+    (* time the delicate-replacement automaton: a span opens when this
+       node's notification leaves phase 0 and closes when it returns
+       (Figure 2's 0 -> 1 -> 2 -> 0 cycle) *)
+    let phase = (Recsa.prp n.sa).Notification.phase in
+    if phase <> n.tele_phase then begin
+      (match (n.tele_phase, phase) with
+      | Notification.P0, (Notification.P1 | Notification.P2) ->
+        Telemetry.span_begin tele ~name:"recsa.replacement_seconds" ~key:self ~now
+      | (Notification.P1 | Notification.P2), Notification.P0 ->
+        if Telemetry.span_open tele ~name:"recsa.replacement_seconds" ~key:self
+        then
+          Telemetry.span_end tele ~name:"recsa.replacement_seconds" ~key:self ~now
+      | _ -> ());
+      n.tele_phase <- phase
+    end;
+    let sa_msgs = Recsa.broadcast n.sa ~trusted in
+    List.iter (fun (dst, m) -> send_gated ctx n "sa" dst (Sa m)) sa_msgs;
+    (* recMA *)
+    let ma_msgs, ma_events =
+      Recma.tick n.ma ~quorum ~trusted ~recsa:n.sa
+        ~eval_conf:(fun members -> hooks.eval_conf ~self ~trusted members)
+        ()
+    in
+    emit_all ma_events;
+    List.iter (fun (dst, m) -> send_gated ctx n "ma" dst (Ma m)) ma_msgs;
+    (* joining mechanism (joiner side) *)
+    let join_msgs, join_events =
+      Join.tick n.join ~quorum ~trusted ~recsa:n.sa
+        ~reset_vars:(fun () -> n.app <- hooks.plugin.p_init self)
+        ~init_vars:(fun states ->
+          n.app <- hooks.plugin.p_merge ~self n.app states)
+        ()
+    in
+    emit_all join_events;
+    List.iter (fun (dst, m) -> send_gated ctx n "join" dst (Join m)) join_msgs;
+    (* application plugin *)
+    let app', app_out = hooks.plugin.p_tick (view_of ctx n) n.app in
+    n.app <- app';
+    List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) app_out;
+    (* heartbeats (the data-link token) to every known processor not already
+       covered by a recSA broadcast *)
+    let covered = List.fold_left (fun acc (dst, _) -> Pid.Set.add dst acc) Pid.Set.empty sa_msgs in
+    let targets =
+      Pid.Set.union n.seeds (Detector.Theta_fd.known n.fd)
+      |> Pid.Set.remove self
+    in
+    Pid.Set.iter
+      (fun dst ->
+        if not (Pid.Set.mem dst covered) then send_gated ctx n "heartbeat" dst Heartbeat)
+      targets;
+    n
+  in
+  let on_message ctx from msg n =
+    (match msg with
+    | Snap m ->
+      let s = snap_instance ~capacity n ~self:(Step.self ctx) ~peer:from in
+      let reply, completed = Datalink.Snap_link.on_msg s m in
+      (match reply with
+      | Some r -> send_counted ctx "snap" from (Snap r)
+      | None -> ());
+      (match completed with
+      | `Completed -> Step.emit ctx "snap.clean" (Pid.to_string from)
+      | `Pending -> ())
+    | Heartbeat | Sa _ | Ma _ | Join _ | App _ ->
+      if link_clean n from then Detector.Theta_fd.heartbeat n.fd from);
+    (match msg with
+    | _ when not (link_clean n from) -> () (* link not yet cleaned *)
+    | Snap _ -> ()
+    | Heartbeat -> ()
+    | Sa m -> Recsa.receive n.sa ~from m
+    | Ma m -> Recma.receive n.ma ~from ~participant:(Recsa.is_participant n.sa) m
+    | Join (Join.Join_request) ->
+      let trusted = Detector.Theta_fd.trusted n.fd in
+      (match
+         Join.on_request n.join ~self_app:n.app ~from ~trusted ~recsa:n.sa
+           ~pass_query:(fun joiner ->
+             hooks.pass_query ~self:(Step.self ctx) ~joiner)
+       with
+      | Some reply -> send_gated ctx n "join" from (Join reply)
+      | None -> ())
+    | Join (Join.Join_reply { pass; app }) ->
+      Join.on_reply n.join ~from ~participant:(Recsa.is_participant n.sa) ~pass ~app
+    | App m ->
+      let app', out = hooks.plugin.p_recv (view_of ctx n) ~from m n.app in
+      n.app <- app';
+      List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) out);
+    n
+  in
+  { Step.init; on_timer; on_message }
 
 (* --- runtime-agnostic observation over collections of node states --- *)
 
@@ -413,8 +411,6 @@ let quiescent_of nodes =
       nodes
 
 (* --- the simulated system: the core driven by Sim.Engine --- *)
-
-module Sim_core = Core (Runtime.Sim_engine)
 
 type ('app, 'msg) t = {
   eng : ('app node_state, ('app, 'msg) message) Engine.t;
@@ -458,13 +454,13 @@ let of_scenario ~hooks (sc : Scenario.t) =
   let members = sc.Scenario.sc_members in
   let members_set = Pid.set_of_list members in
   let directory = ref members_set in
-  let driver =
-    Sim_core.driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound ~theta:sc.sc_theta
+  let behavior =
+    driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound ~theta:sc.sc_theta
       ~quorum:sc.sc_quorum ~hooks ~members_set ~directory
   in
   let eng =
     Engine.create ~seed:sc.sc_seed ~capacity:sc.sc_capacity ~loss:sc.sc_loss
-      ~behavior:(Runtime.sim_behavior driver) ~pids:members ()
+      ~behavior ~pids:members ()
   in
   declare_metrics (Engine.telemetry eng);
   Faults.Injector.declare_metrics (Engine.telemetry eng);

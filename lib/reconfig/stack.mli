@@ -2,10 +2,10 @@
     (N,Θ)-failure detector + recSA + recMA + joining mechanism, with a
     pluggable application on top.
 
-    The protocol core is engine-agnostic: {!Core} builds the node automaton
-    against any runtime implementing the RUNTIME signature
-    ({!Runtime.S}) — the discrete-event simulator ({!Runtime.Sim_engine})
-    or the real-time event loop ({!Runtime.Loop}, see [Stack_loop]). The
+    The protocol core is runtime-agnostic: {!driver} builds the node
+    automaton as one {!Sim.Step.behavior}, which the discrete-event
+    simulator ({!Sim.Engine}) and the real-time event loop
+    ([Runtime.Loop], see [Stack_loop]) both run unchanged. The
     [('app, 'msg) t] API below is the simulator-backed system used by the
     tests and the experiment harness.
 
@@ -147,25 +147,24 @@ val snap_nonce : self:Pid.t -> peer:Pid.t -> int
     the system constructors ({!of_scenario} and [Stack_loop.of_scenario]). *)
 val declare_metrics : Telemetry.t -> unit
 
-(** {2 The engine-agnostic protocol core} *)
+(** {2 The runtime-agnostic protocol core} *)
 
-(** [Core (R)] builds the scheme's node automaton for any runtime [R]
-    implementing the RUNTIME signature. *)
-module Core (R : Runtime.S) : sig
-  val driver :
-    capacity:int ->
-    n_bound:int ->
-    theta:int ->
-    quorum:(module Quorum.SYSTEM) ->
-    hooks:('app, 'msg) hooks ->
-    members_set:Pid.Set.t ->
-    directory:Pid.Set.t ref ->
-    ('app node_state, ('app, 'msg) message, ('app, 'msg) message R.ctx)
-    Runtime.driver
-  (** [directory] is read at node-init time: a node created after system
-      start treats the processors then present as its seeds and runs the
-      cleaning handshake against them. *)
-end
+(** [driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set
+    ~directory] — the scheme's node automaton, for any runtime that
+    executes {!Sim.Step} behaviors. Nodes in [members_set] start as
+    participants holding that configuration. [directory] is read at
+    node-init time: a node created after system start treats the
+    processors then present as its seeds and runs the cleaning handshake
+    against them. *)
+val driver :
+  capacity:int ->
+  n_bound:int ->
+  theta:int ->
+  quorum:(module Quorum.SYSTEM) ->
+  hooks:('app, 'msg) hooks ->
+  members_set:Pid.Set.t ->
+  directory:Pid.Set.t ref ->
+  ('app node_state, ('app, 'msg) message) Step.behavior
 
 (** {2 Runtime-agnostic observation}
 

@@ -1,8 +1,6 @@
 open Sim
 module Loop = Runtime.Loop
 
-module Loop_core = Stack.Core (Loop.Ctx)
-
 type ('app, 'msg) t = {
   loop : ('app Stack.node_state, ('app, 'msg) Stack.message) Loop.t;
   hooks : ('app, 'msg) Stack.hooks;
@@ -13,11 +11,11 @@ let of_scenario ~hooks (sc : Scenario.t) =
   let members = sc.Scenario.sc_members in
   let members_set = Pid.set_of_list members in
   let directory = ref members_set in
-  let driver =
-    Loop_core.driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound
+  let behavior =
+    Stack.driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound
       ~theta:sc.sc_theta ~quorum:sc.sc_quorum ~hooks ~members_set ~directory
   in
-  let loop = Loop.create ~seed:sc.sc_seed ~driver ~pids:members () in
+  let loop = Loop.create ~seed:sc.sc_seed ~behavior ~pids:members () in
   Stack.declare_metrics (Loop.telemetry loop);
   Faults.Injector.declare_metrics (Loop.telemetry loop);
   { loop; hooks; directory }
@@ -34,7 +32,6 @@ let live_nodes t =
   List.map (fun p -> (p, Loop.state t.loop p)) (Loop.live_pids t.loop)
 
 let trusted_of t p = Detector.Theta_fd.trusted (node t p).Stack.fd
-let config_views t = Stack.config_views_of (live_nodes t)
 let uniform_config t = Stack.uniform_config_of (live_nodes t)
 let quiescent t = Stack.quiescent_of (live_nodes t)
 let run_rounds t n = Loop.run_rounds t.loop n

@@ -1,7 +1,7 @@
-(** The identical protocol stack ({!Stack.Core}) executed by the real-time
-    event loop runtime ({!Runtime.Loop}) instead of the simulator — the
-    proof that the core is engine-agnostic, and the stepping stone toward a
-    socket-backed runtime.
+(** The identical protocol stack ({!Stack.driver}, one {!Sim.Step.behavior})
+    executed by the real-time event loop runtime ({!Runtime.Loop}) instead
+    of the simulator — the proof that the core is runtime-agnostic, and the
+    stepping stone toward a socket-backed runtime.
 
     The API mirrors the observation/driving subset of {!Stack}, including
     fault plans: the same serialized {!Faults.Fault_plan} drives either
@@ -26,9 +26,7 @@ val add_joiner : ('app, 'msg) t -> Pid.t -> unit
 (** {2 Observation} *)
 
 val node : ('app, 'msg) t -> Pid.t -> 'app Stack.node_state
-val live_nodes : ('app, 'msg) t -> (Pid.t * 'app Stack.node_state) list
 val trusted_of : ('app, 'msg) t -> Pid.t -> Pid.Set.t
-val config_views : ('app, 'msg) t -> (Pid.t * Config_value.t) list
 val uniform_config : ('app, 'msg) t -> Pid.Set.t option
 val quiescent : ('app, 'msg) t -> bool
 
@@ -50,9 +48,6 @@ val crash : ('app, 'msg) t -> Pid.t -> unit
     [fault.injected{kind="skipped"}], and link "bit flips" degrade to
     drops. Everything else — state corruption, per-link loss profiles,
     partitions, crashes, join churn — behaves as on the simulator. *)
-
-(** [fault_ops t] — the loop's capability record for {!Faults.Injector}. *)
-val fault_ops : ('app, 'msg) t -> Faults.Injector.ops
 
 (** [run_plan t ~plan ~max_rounds] — apply [plan] round by round, then run
     on until quiescence; rounds from last fault to quiescence, or [None]

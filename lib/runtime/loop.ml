@@ -1,28 +1,5 @@
 open Sim
 
-type 'm ctx = {
-  c_self : Pid.t;
-  c_now : float;
-  c_rng : Rng.t;
-  mutable c_out : (Pid.t * 'm) list; (* reversed *)
-  c_trace : Trace.t;
-  c_telemetry : Telemetry.t;
-}
-
-module Ctx = struct
-  type nonrec 'm ctx = 'm ctx
-
-  let self c = c.c_self
-  let now c = c.c_now
-  let rng c = c.c_rng
-  let send c dst msg = c.c_out <- (dst, msg) :: c.c_out
-
-  let emit c tag detail =
-    Trace.record c.c_trace ~time:c.c_now ~node:c.c_self ~tag detail
-
-  let telemetry c = c.c_telemetry
-end
-
 type ('s, 'm) node = {
   mutable n_state : 's;
   mutable n_crashed : bool;
@@ -30,7 +7,7 @@ type ('s, 'm) node = {
 }
 
 type ('s, 'm) t = {
-  driver : ('s, 'm, 'm ctx) Runtime_intf.driver;
+  behavior : ('s, 'm) Step.behavior;
   l_rng : Rng.t;
   clock : unit -> float;
   nodes : (Pid.t, ('s, 'm) node) Hashtbl.t;
@@ -43,6 +20,8 @@ type ('s, 'm) t = {
      randomness — existing runs are unaffected. *)
   l_blocked : (Pid.t * Pid.t, unit) Hashtbl.t;
   l_profiles : (Pid.t * Pid.t, Engine.link_profile) Hashtbl.t;
+  (* one scratch step context, reused across every (sequential) step *)
+  scratch : 'm Step.ctx;
 }
 
 let monotonic_clock () =
@@ -55,26 +34,30 @@ let monotonic_clock () =
     if d > !high then high := d;
     !high
 
-let create ?(seed = 42) ?clock ~driver ~pids () =
+let create ?(seed = 42) ?clock ~behavior ~pids () =
   let clock = match clock with Some c -> c | None -> monotonic_clock () in
+  let l_rng = Rng.create seed in
+  let l_trace = Trace.create () in
+  let l_telemetry = Telemetry.create () in
   let t =
     {
-      driver;
-      l_rng = Rng.create seed;
+      behavior;
+      l_rng;
       clock;
       nodes = Hashtbl.create 16;
-      l_trace = Trace.create ();
-      l_telemetry = Telemetry.create ();
+      l_trace;
+      l_telemetry;
       l_rounds = 0;
       l_blocked = Hashtbl.create 16;
       l_profiles = Hashtbl.create 16;
+      scratch = Step.create ~rng:l_rng ~trace:l_trace ~telemetry:l_telemetry;
     }
   in
   List.iter
     (fun p ->
       if Hashtbl.mem t.nodes p then invalid_arg "Loop.create: duplicate pid";
       Hashtbl.add t.nodes p
-        { n_state = driver.Runtime_intf.d_init p; n_crashed = false; n_mailbox = Queue.create () })
+        { n_state = behavior.Step.init p; n_crashed = false; n_mailbox = Queue.create () })
     pids;
   t
 
@@ -103,7 +86,7 @@ let pending t =
 let add_node t p =
   if Hashtbl.mem t.nodes p then invalid_arg "Loop.add_node: pid exists";
   Hashtbl.add t.nodes p
-    { n_state = t.driver.Runtime_intf.d_init p; n_crashed = false; n_mailbox = Queue.create () };
+    { n_state = t.behavior.Step.init p; n_crashed = false; n_mailbox = Queue.create () };
   Trace.record t.l_trace ~time:(t.clock ()) ~node:p ~tag:"join" ""
 
 let crash t p =
@@ -114,10 +97,6 @@ let crash t p =
 
 (* --- adversarial link state (fault plans) --- *)
 
-let block_link t ~src ~dst = Hashtbl.replace t.l_blocked (src, dst) ()
-let unblock_link t ~src ~dst = Hashtbl.remove t.l_blocked (src, dst)
-let link_blocked t ~src ~dst = Hashtbl.mem t.l_blocked (src, dst)
-
 let partition t group =
   let all = pids t in
   List.iter
@@ -125,8 +104,8 @@ let partition t group =
       List.iter
         (fun q ->
           if Pid.Set.mem p group <> Pid.Set.mem q group then begin
-            block_link t ~src:p ~dst:q;
-            block_link t ~src:q ~dst:p
+            Hashtbl.replace t.l_blocked (p, q) ();
+            Hashtbl.replace t.l_blocked (q, p) ()
           end)
         all)
     all;
@@ -143,22 +122,20 @@ let set_link_profile t ~src ~dst = function
 
 let clear_link_profiles t = Hashtbl.reset t.l_profiles
 
-let make_ctx t p =
-  {
-    c_self = p;
-    c_now = t.clock ();
-    c_rng = t.l_rng;
-    c_out = [];
-    c_trace = t.l_trace;
-    c_telemetry = t.l_telemetry;
-  }
+(* begin a step of [p] on the scratch context *)
+let start_step t p =
+  let ctx = t.scratch in
+  ctx.Step.ctx_self <- p;
+  ctx.ctx_time <- t.clock ();
+  ctx.ctx_outbox <- [];
+  ctx
 
 let flush t ctx =
   List.iter
     (fun (dst, msg) ->
       match Hashtbl.find_opt t.nodes dst with
       | Some n when not n.n_crashed ->
-        let src = ctx.c_self in
+        let src = ctx.Step.ctx_self in
         if not (Hashtbl.mem t.l_blocked (src, dst)) then begin
           match Hashtbl.find_opt t.l_profiles (src, dst) with
           | None -> Queue.add (src, msg) n.n_mailbox
@@ -174,8 +151,8 @@ let flush t ctx =
             end
         end
       | Some _ | None -> ())
-    (List.rev ctx.c_out);
-  ctx.c_out <- []
+    (List.rev ctx.Step.ctx_outbox);
+  ctx.Step.ctx_outbox <- []
 
 let run_round t =
   let order = live_pids t in
@@ -184,8 +161,8 @@ let run_round t =
     (fun p ->
       let n = node t p in
       if not n.n_crashed then begin
-        let ctx = make_ctx t p in
-        n.n_state <- t.driver.Runtime_intf.d_timer ctx n.n_state;
+        let ctx = start_step t p in
+        n.n_state <- t.behavior.Step.on_timer ctx n.n_state;
         flush t ctx
       end)
     order;
@@ -199,8 +176,8 @@ let run_round t =
         for _ = 1 to budget do
           if not n.n_crashed then begin
             let src, msg = Queue.pop n.n_mailbox in
-            let ctx = make_ctx t p in
-            n.n_state <- t.driver.Runtime_intf.d_recv ctx src msg n.n_state;
+            let ctx = start_step t p in
+            n.n_state <- t.behavior.Step.on_message ctx src msg n.n_state;
             flush t ctx
           end
         done

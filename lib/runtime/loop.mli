@@ -1,11 +1,13 @@
 (** A single-process real-time event loop runtime.
 
-    The minimal second implementation of the RUNTIME signature ({!Runtime_intf.S}):
-    nodes live in one process, exchange messages through in-process
-    mailboxes, and read a monotonic wall clock. There is no simulated
-    schedule, no message loss, duplication or reordering — the loop's job is
-    to prove that the protocol core is engine-agnostic and to anchor the
-    path toward a socket-backed runtime.
+    The second runtime for {!Sim.Step} behaviors, beside the simulator
+    ({!Sim.Engine}): nodes live in one process, exchange messages through
+    in-process mailboxes, and read a monotonic wall clock. Each step runs
+    on one reused {!Sim.Step.ctx}; its outbox goes to the mailboxes once
+    the step returns. There is no simulated schedule, no message loss,
+    duplication or reordering — the loop's job is to prove that the
+    protocol core is runtime-agnostic and to anchor the path toward a
+    socket-backed runtime.
 
     Execution is round-based: {!run_round} gives every live node one timer
     step (in pid order), then delivers every message that was in a mailbox
@@ -15,21 +17,16 @@
 
 open Sim
 
-type 'm ctx
-(** Per-step context; implements {!Runtime_intf.S} through {!Ctx}. *)
-
-module Ctx : Runtime_intf.S with type 'm ctx = 'm ctx
-
 type ('s, 'm) t
 
 val create :
   ?seed:int ->
   ?clock:(unit -> float) ->
-  driver:('s, 'm, 'm ctx) Runtime_intf.driver ->
+  behavior:('s, 'm) Step.behavior ->
   pids:Pid.t list ->
   unit ->
   ('s, 'm) t
-(** [create ~driver ~pids ()] starts one node per pid. [clock] defaults to
+(** [create ~behavior ~pids ()] starts one node per pid. [clock] defaults to
     seconds of wall clock elapsed since [create] (monotone by
     construction); tests may inject a deterministic clock. [seed] feeds the
     runtime's {!Sim.Rng} (default 42). *)
@@ -62,16 +59,12 @@ val crash : ('s, 'm) t -> Pid.t -> unit
 (** {2 Adversarial links (fault plans)}
 
     The loop's default delivery is reliable; fault plans can degrade it.
-    A blocked directed link silently drops every message; an installed
-    {!Sim.Engine.link_profile} drops ([lp_drop]), duplicates ([lp_dup]) or
+    A {!partition} blocks directed links, which then silently drop every
+    message; an installed {!Sim.Engine.link_profile} drops ([lp_drop]), duplicates ([lp_dup]) or
     loses-as-unparseable ([lp_flip] — mailboxes carry typed values, so a
     "bit-flipped" message is simply lost) probabilistically, drawing from
     the loop's seeded RNG. With no blocks and no profiles, delivery is
     exactly the historical reliable path with zero extra RNG draws. *)
-
-val block_link : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> unit
-val unblock_link : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> unit
-val link_blocked : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> bool
 
 (** [partition t group] cuts every link between [group] and the rest, both
     directions. *)

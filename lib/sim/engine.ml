@@ -1,32 +1,3 @@
-(* The per-step context handed to behaviors. A single scratch record per
-   engine is reused across every step (the simulator executes steps strictly
-   sequentially), so the hot path allocates no context; a behavior must not
-   retain its ctx beyond the step that handed it over. *)
-type 'm ctx = {
-  mutable ctx_self : Pid.t;
-  mutable ctx_time : float;
-  ctx_rng : Rng.t;
-  mutable ctx_outbox : (Pid.t * 'm) list; (* reversed *)
-  ctx_trace : Trace.t;
-  ctx_telemetry : Telemetry.t;
-}
-
-let self c = c.ctx_self
-let now c = c.ctx_time
-let rng_of_ctx c = c.ctx_rng
-let send c dst msg = c.ctx_outbox <- (dst, msg) :: c.ctx_outbox
-
-let emit c tag detail =
-  Trace.record c.ctx_trace ~time:c.ctx_time ~node:c.ctx_self ~tag detail
-
-let telemetry_of_ctx c = c.ctx_telemetry
-
-type ('s, 'm) behavior = {
-  init : Pid.t -> 's;
-  on_timer : 'm ctx -> 's -> 's;
-  on_message : 'm ctx -> Pid.t -> 'm -> 's -> 's;
-}
-
 (* Every pid the engine ever sees (as a node or as a channel endpoint) is
    assigned a dense slot index; the per-link state (channels, blocks) lives
    in slot-indexed matrices and events carry packed slot indices, so the
@@ -77,7 +48,7 @@ let timer_min = 0.8
 let timer_max = 1.2
 
 type ('s, 'm) t = {
-  behavior : ('s, 'm) behavior;
+  behavior : ('s, 'm) Step.behavior;
   e_rng : Rng.t;
   capacity : int;
   loss : float;
@@ -110,7 +81,9 @@ type ('s, 'm) t = {
   (* cached sorted pid lists, invalidated by [add_node] / [crash] *)
   mutable cached_pids : Pid.t list option;
   mutable cached_live : Pid.t list option;
-  scratch : 'm ctx;
+  (* one scratch step context per engine, reused across every step (steps
+     run strictly sequentially), so the hot path allocates no context *)
+  scratch : 'm Step.ctx;
   e_trace : Trace.t;
   e_telemetry : Telemetry.t;
 }
@@ -202,11 +175,6 @@ let channel_of_slots t src_slot dst_slot =
     row.(dst_slot) <- Some ch;
     ch
 
-let channel t ~src ~dst =
-  let ss = ensure_slot t src in
-  let ds = ensure_slot t dst in
-  channel_of_slots t ss ds
-
 let node_opt t p =
   let s = find_slot t p in
   if s < 0 then None else t.node_of_slot.(s)
@@ -244,15 +212,7 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
       e_min_count = 0;
       cached_pids = None;
       cached_live = None;
-      scratch =
-        {
-          ctx_self = 0;
-          ctx_time = 0.0;
-          ctx_rng = e_rng;
-          ctx_outbox = [];
-          ctx_trace = e_trace;
-          ctx_telemetry = e_telemetry;
-        };
+      scratch = Step.create ~rng:e_rng ~trace:e_trace ~telemetry:e_telemetry;
       e_trace;
       e_telemetry;
     }
@@ -262,7 +222,7 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
       let s = ensure_slot t p in
       if t.node_of_slot.(s) <> None then invalid_arg "Engine.create: duplicate pid";
       t.node_of_slot.(s) <-
-        Some { n_pid = p; n_slot = s; n_state = behavior.init p; n_crashed = false; n_ticks = 0 };
+        Some { n_pid = p; n_slot = s; n_state = behavior.Step.init p; n_crashed = false; n_ticks = 0 };
       t.e_live <- t.e_live + 1;
       t.e_min_count <- t.e_min_count + 1;
       schedule_timer t s)
@@ -270,7 +230,6 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
   t
 
 let time t = t.e_time
-let rng t = t.e_rng
 let trace t = t.e_trace
 let telemetry t = t.e_telemetry
 
@@ -336,7 +295,10 @@ let note_tick t n =
   end
 
 let steps t = t.e_steps
-let corrupt_channel t ~src ~dst pkts = Channel.corrupt (channel t ~src ~dst) pkts
+let corrupt_channel t ~src ~dst pkts =
+  let ss = ensure_slot t src in
+  let ds = ensure_slot t dst in
+  Channel.corrupt (channel_of_slots t ss ds) pkts
 
 let crash t p =
   let n = node t p in
@@ -356,7 +318,7 @@ let add_node t p =
   if t.node_of_slot.(s) <> None then invalid_arg "Engine.add_node: pid exists";
   let r = rounds t in
   t.node_of_slot.(s) <-
-    Some { n_pid = p; n_slot = s; n_state = t.behavior.init p; n_crashed = false; n_ticks = r };
+    Some { n_pid = p; n_slot = s; n_state = t.behavior.Step.init p; n_crashed = false; n_ticks = r };
   t.cached_pids <- None;
   t.cached_live <- None;
   (* the fresh node starts at the current round count, so it joins the set
@@ -452,8 +414,8 @@ let flush_outbox t ~src_slot ctx =
         if Rng.chance t.e_rng dup then Channel.duplicate_head ch;
         schedule_delivery t ~src_slot ~dst_slot
       end)
-    (List.rev ctx.ctx_outbox);
-  ctx.ctx_outbox <- []
+    (List.rev ctx.Step.ctx_outbox);
+  ctx.Step.ctx_outbox <- []
 
 let exec_step t kind =
   if kind land 1 = 0 then begin
@@ -464,10 +426,10 @@ let exec_step t kind =
     | Some n ->
       if not n.n_crashed then begin
         let ctx = t.scratch in
-        ctx.ctx_self <- n.n_pid;
+        ctx.Step.ctx_self <- n.n_pid;
         ctx.ctx_time <- t.e_time;
         ctx.ctx_outbox <- [];
-        n.n_state <- t.behavior.on_timer ctx n.n_state;
+        n.n_state <- t.behavior.Step.on_timer ctx n.n_state;
         note_tick t n;
         flush_outbox t ~src_slot:slot ctx;
         schedule_timer t slot
@@ -497,11 +459,11 @@ let exec_step t kind =
                links spend no extra draw here. *)
             let deliver msg =
               let ctx = t.scratch in
-              ctx.ctx_self <- n.n_pid;
+              ctx.Step.ctx_self <- n.n_pid;
               ctx.ctx_time <- t.e_time;
               ctx.ctx_outbox <- [];
               n.n_state <-
-                t.behavior.on_message ctx t.pid_of_slot.(src_slot) msg n.n_state;
+                t.behavior.Step.on_message ctx t.pid_of_slot.(src_slot) msg n.n_state;
               flush_outbox t ~src_slot:dst_slot ctx
             in
             (match profile with

@@ -9,6 +9,10 @@
     probability is strictly below one, so a packet sent infinitely often is
     received infinitely often.
 
+    Behaviors are {!Step.behavior}s; the engine runs each step on one
+    reused {!Step.ctx} and puts the step's outbox on the channels once it
+    returns.
+
     Transient faults are injected by rewriting channel contents
     ([corrupt_channel]) and by mutating the node states {!state} returns
     in place; crashes by [crash]; joins by [add_node]. *)
@@ -18,39 +22,13 @@
     [\[0, 2^key_bits)]. *)
 val key_bits : int
 
-type 'm ctx
-(** Per-step context handed to behaviors. *)
-
-val self : 'm ctx -> Pid.t
-val now : 'm ctx -> float
-val rng_of_ctx : 'm ctx -> Rng.t
-
-(** [send ctx dst msg] enqueues [msg] on the channel to [dst]; the paper's
-    step structure (local computation then communication) is preserved by
-    buffering sends until the step ends. *)
-val send : 'm ctx -> Pid.t -> 'm -> unit
-
-(** [emit ctx tag detail] records a trace event attributed to the stepping
-    node. *)
-val emit : 'm ctx -> string -> string -> unit
-
-(** [telemetry_of_ctx ctx] — the engine's telemetry registry (labeled
-    counters, histograms, phase spans). *)
-val telemetry_of_ctx : 'm ctx -> Telemetry.t
-
-type ('s, 'm) behavior = {
-  init : Pid.t -> 's;
-  on_timer : 'm ctx -> 's -> 's;  (** one [do forever] iteration *)
-  on_message : 'm ctx -> Pid.t -> 'm -> 's -> 's;  (** receipt of one packet *)
-}
-
 type ('s, 'm) t
 
 val create :
   ?seed:int ->
   ?capacity:int ->
   ?loss:float ->
-  behavior:('s, 'm) behavior ->
+  behavior:('s, 'm) Step.behavior ->
   pids:Pid.t list ->
   unit ->
   ('s, 'm) t
@@ -63,13 +41,11 @@ val create :
 (** {2 Observation} *)
 
 val time : ('s, 'm) t -> float
-val rng : ('s, 'm) t -> Rng.t
 val trace : ('s, 'm) t -> Trace.t
 val telemetry : ('s, 'm) t -> Telemetry.t
 val pids : ('s, 'm) t -> Pid.t list
 val live_pids : ('s, 'm) t -> Pid.t list
 val state : ('s, 'm) t -> Pid.t -> 's
-val channel : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> 'm Channel.t
 
 (** [rounds t] counts asynchronous rounds: the minimum number of timer steps
     taken by any currently-live node. O(1) — the engine maintains the

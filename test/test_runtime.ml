@@ -1,6 +1,7 @@
-(* Tests for the engine-agnostic runtime layer: the snap-nonce packing, the
-   plugin combinators (map/pair/stack laws), the real-time loop runtime,
-   and the sim-vs-loop equivalence of the full stack. *)
+(* Tests for the runtime-agnostic layer: the snap-nonce packing, the
+   plugin stacking combinator, the real-time loop runtime, a synchronous
+   runner built on Sim.Step alone, and the sim-vs-loop equivalence of the
+   full stack. *)
 
 open Sim
 open Reconfig
@@ -131,25 +132,25 @@ let test_stack_routing () =
 
 type ping_state = { mutable got : (Pid.t * string) list; mutable pinged : bool }
 
-let ping_driver : (ping_state, string, string Runtime.Loop.ctx) Runtime.driver =
+let ping : (ping_state, string) Step.behavior =
   {
-    Runtime.d_init = (fun _ -> { got = []; pinged = false });
-    d_timer =
+    Step.init = (fun _ -> { got = []; pinged = false });
+    on_timer =
       (fun ctx st ->
-        if Pid.equal (Runtime.Loop.Ctx.self ctx) 1 && not st.pinged then begin
-          Runtime.Loop.Ctx.send ctx 2 "ping";
+        if Pid.equal (Step.self ctx) 1 && not st.pinged then begin
+          Step.send ctx 2 "ping";
           st.pinged <- true
         end;
         st);
-    d_recv =
+    on_message =
       (fun ctx from m st ->
         st.got <- (from, m) :: st.got;
-        if String.equal m "ping" then Runtime.Loop.Ctx.send ctx from "pong";
+        if String.equal m "ping" then Step.send ctx from "pong";
         st);
   }
 
 let test_loop_delivery () =
-  let t = Runtime.Loop.create ~driver:ping_driver ~pids:[ 1; 2 ] () in
+  let t = Runtime.Loop.create ~behavior:ping ~pids:[ 1; 2 ] () in
   Runtime.Loop.run_round t;
   Alcotest.(check (list (pair int string)))
     "ping delivered in its round" [ (1, "ping") ]
@@ -171,7 +172,7 @@ let test_loop_clock_monotone () =
       samples := rest;
       s
   in
-  let t = Runtime.Loop.create ~clock ~driver:ping_driver ~pids:[ 1; 2 ] () in
+  let t = Runtime.Loop.create ~clock ~behavior:ping ~pids:[ 1; 2 ] () in
   let prev = ref (Runtime.Loop.now t) in
   for _ = 1 to 4 do
     Runtime.Loop.run_round t;
@@ -181,12 +182,74 @@ let test_loop_clock_monotone () =
   done
 
 let test_loop_crash () =
-  let t = Runtime.Loop.create ~driver:ping_driver ~pids:[ 1; 2 ] () in
+  let t = Runtime.Loop.create ~behavior:ping ~pids:[ 1; 2 ] () in
   Runtime.Loop.crash t 2;
   Runtime.Loop.run_rounds t 3;
   Alcotest.(check (list int)) "crashed node dropped" [ 1 ] (Runtime.Loop.live_pids t);
   Alcotest.(check (list (pair int string)))
     "no pong from a crashed node" [] (Runtime.Loop.state t 1).got
+
+(* ------------------------------------------------------------------ *)
+(* A runtime on Sim.Step alone                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A synchronous runtime in the fewest lines: each round every node takes
+   one timer step, then every message in flight when the delivery phase
+   begins is delivered (replies wait for the next round). Adding a runtime
+   is exactly this — fill a Step.ctx, call on_timer / on_message, flush the
+   outbox — whatever moves the messages. *)
+let sync_run (b : ('s, 'm) Step.behavior) pids ~max_rounds until =
+  let ctx =
+    Step.create ~rng:(Rng.create 3) ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ())
+  in
+  let states = Hashtbl.create 8 in
+  List.iter (fun p -> Hashtbl.replace states p (b.init p)) pids;
+  let in_flight = ref [] in
+  let run_step round p f =
+    ctx.Step.ctx_self <- p;
+    ctx.ctx_time <- float_of_int round;
+    ctx.ctx_outbox <- [];
+    Hashtbl.replace states p (f ctx (Hashtbl.find states p));
+    List.iter (fun (dst, m) -> in_flight := (p, dst, m) :: !in_flight) (List.rev ctx.ctx_outbox)
+  in
+  let view () = List.map (fun p -> (p, Hashtbl.find states p)) pids in
+  let rec go round =
+    if until (view ()) then Some round
+    else if round >= max_rounds then None
+    else begin
+      List.iter (fun p -> run_step round p b.on_timer) pids;
+      let batch = List.rev !in_flight in
+      in_flight := [];
+      List.iter
+        (fun (src, dst, m) ->
+          if Hashtbl.mem states dst then run_step round dst (fun c -> b.on_message c src m))
+        batch;
+      go (round + 1)
+    end
+  in
+  go 0
+
+let test_sync_runner_drives_stack () =
+  (* every node starts from a corrupted state: the runner has to carry the
+     scheme through brute-force recovery to agreement on the members *)
+  let members = [ 1; 2; 3; 4 ] in
+  let rng = Rng.create 17 in
+  let b =
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+      ~hooks:Stack.unit_hooks ~members_set:(set members) ~directory:(ref (set members))
+  in
+  let corrupted p =
+    let n = b.init p in
+    Stack.corrupt_state ~hooks:Stack.unit_hooks ~pool:members ~rng n;
+    n
+  in
+  let agreed nodes =
+    Stack.quiescent_of nodes
+    && Option.equal Pid.Set.equal (Stack.uniform_config_of nodes) (Some (set members))
+  in
+  match sync_run { b with init = corrupted } members ~max_rounds:200 agreed with
+  | Some rounds -> Alcotest.(check bool) "corrupted start is not agreed" true (rounds > 0)
+  | None -> Alcotest.fail "no agreement on the members within 200 synchronous rounds"
 
 (* ------------------------------------------------------------------ *)
 (* Sim-vs-loop equivalence of the full stack                           *)
@@ -277,6 +340,8 @@ let suites =
         Alcotest.test_case "monotone clock" `Quick test_loop_clock_monotone;
         Alcotest.test_case "crash" `Quick test_loop_crash;
       ] );
+    ( "runtime.step",
+      [ Alcotest.test_case "synchronous runner drives the stack" `Quick test_sync_runner_drives_stack ] );
     ( "runtime.equivalence",
       [
         Alcotest.test_case "stack on both runtimes" `Quick test_stack_on_both_runtimes;

@@ -134,10 +134,10 @@ type gossip = { mutable value : int; peers : Pid.t list }
 
 let gossip_behavior pids =
   {
-    Engine.init = (fun p -> { value = p * 10; peers = List.filter (fun q -> q <> p) pids });
+    Step.init = (fun p -> { value = p * 10; peers = List.filter (fun q -> q <> p) pids });
     on_timer =
       (fun ctx s ->
-        List.iter (fun q -> Engine.send ctx q s.value) s.peers;
+        List.iter (fun q -> Step.send ctx q s.value) s.peers;
         s);
     on_message =
       (fun _ctx _from v s ->

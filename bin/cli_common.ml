@@ -107,7 +107,7 @@ let export ~tele ~trace sinks =
       let oc = open_out path in
       Buffer.output_buffer oc buf;
       close_out oc;
-      Format.printf "wrote %s@." path
+      Format.eprintf "wrote %s@." path
   in
   dump sinks.metrics_out (fun buf -> Telemetry.Export.prometheus buf tele);
   dump sinks.metrics_jsonl (fun buf -> Telemetry.Export.metrics_jsonl buf tele);

@@ -13,14 +13,11 @@ open Counters
 let app sys p = (Reconfig.Stack.node sys p).Reconfig.Stack.app
 
 let increment sys pid =
-  let before = List.length (Counter_service.results (app sys pid)) in
   Counter_service.request_increment (app sys pid);
-  let ok =
-    Reconfig.Stack.run_until sys ~max_steps:2_000_000 (fun t ->
-        List.length (Counter_service.results (app t pid)) > before)
-  in
-  if not ok then failwith "increment did not complete";
-  List.nth (Counter_service.results (app sys pid)) before
+  let completed t = Counter_service.increment_result (app t pid) <> None in
+  if not (Reconfig.Stack.run_until sys ~max_steps:2_000_000 completed) then
+    failwith "increment did not complete";
+  Option.get (Counter_service.increment_result (app sys pid))
 
 let () =
   (* a deliberately tiny exhaustion bound so we can watch epochs roll *)

@@ -5,19 +5,13 @@
     Configuration members gossip their maximal counter pairs and keep the
     bounded counter storage of {!Counter_algo}. Any participant increments
     the counter with a two-phase majority read / majority write against the
-    configuration members; requests during a reconfiguration are answered
-    with Abort and the operation returns ⊥ (here: is aborted and retried
-    by the driver while the request flag stays up). *)
+    configuration members; requests during a reconfiguration are refused
+    (the paper's Abort) and the operation returns ⊥ (here: is aborted and
+    retried while the request flag stays up). Each phase is one
+    {!Quorum.Phase} round. *)
 
 type state
-
-type msg =
-  | Gossip of { sent_max : Counter.pair option; last_sent : Counter.pair option }
-  | Read_request of { rid : int }
-  | Read_response of { rid : int; counter : Counter.pair option }
-  | Write_request of { rid : int; counter : Counter.t }
-  | Write_ack of { rid : int }
-  | Abort of { rid : int }
+type msg
 
 (** [plugin ~in_transit_bound ~exhaust_bound] — the Stack plugin. Its
     [p_corrupt] writes garbage counter-pair storage and scrambles the
@@ -35,24 +29,20 @@ val hooks :
     retries after aborts until it succeeds. *)
 val request_increment : state -> unit
 
+(** The counter returned by the increment requested last: [None] from
+    {!request_increment} until that increment completes. *)
+val increment_result : state -> Counter.t option
+
 (** [request_read st] — raise the read flag: a majority read of the
     current maximal counter without incrementing it (the first phase of
     the paper's two-phase operations, usable on its own for shared-memory
     style reads). *)
 val request_read : state -> unit
 
-(** Counters returned by completed increments at this node, oldest first. *)
-val results : state -> Counter.t list
-
-(** Results of completed read-only operations, oldest first; [None] means
-    the read returned ⊥ (no comparable maximum existed yet). *)
-val read_results : state -> Counter.t option list
+(** The result of the read requested last: [None] from {!request_read}
+    until that read completes, then [Some None] when it returned ⊥ (no
+    comparable maximum existed yet). *)
+val read_result : state -> Counter.t option option
 
 (** Number of aborted attempts at this node. *)
 val aborts : state -> int
-
-(** The node's current belief of the maximal counter (members only). *)
-val local_max : state -> Counter.t option
-
-(** Labels created at this node by the counter machinery. *)
-val label_creations : state -> int

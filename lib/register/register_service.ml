@@ -7,6 +7,7 @@ type value = int
 type tagged = { tag : Counter.t; tv : value }
 
 module Reg_map = Map.Make (String)
+module Phase = Quorum.Phase
 
 type outcome =
   | Wrote of { rid : int; reg : reg }
@@ -14,24 +15,21 @@ type outcome =
 
 type request = Wreq of int * reg * value | Rreq of int * reg
 
+(* A query asks the members for their copy of a register; an update stores
+   an entry and is answered with a bare acknowledgment ([None]). *)
+type req = Query of reg | Update of reg * tagged
+type round = (req, tagged option) Phase.t
+
+(* A client operation: a write first waits for its tag, then runs its
+   update round; a read runs its query round, then its write-back. *)
 type op =
   | Idle
-  | Get_tag of { rid : int; reg : reg; value : value; baseline : int }
-  | Updating of {
+  | Get_tag of { rid : int; reg : reg; value : value }
+  | Running of {
       rid : int;
       reg : reg;
-      entry : tagged;
-      conf : Pid.Set.t;
-      mid : int;
-      mutable acks : Pid.Set.t;
-      kind : [ `Write | `Read_back of value option ];
-    }
-  | Querying of {
-      rid : int;
-      reg : reg;
-      conf : Pid.Set.t;
-      mid : int;
-      mutable resps : tagged option Pid.Map.t;
+      goal : [ `Query | `Write of value | `Read_back of value option ];
+      round : round;
     }
 
 type state = {
@@ -41,16 +39,12 @@ type state = {
   mutable queue : request list;
   mutable outcomes_rev : outcome list;
   mutable abort_count : int;
-  mutable next_mid : int;
+  mutable next_id : int;
 }
 
 type msg =
   | Cnt of Counter_service.msg
-  | Query of { mid : int; reg : reg }
-  | Query_resp of { mid : int; entry : tagged option }
-  | Update of { mid : int; reg : reg; entry : tagged }
-  | Update_ack of { mid : int }
-  | Op_abort of { mid : int }
+  | Op of (req, tagged option) Phase.msg
 
 let write st ~rid reg v = st.queue <- st.queue @ [ Wreq (rid, reg, v) ]
 let read st ~rid reg = st.queue <- st.queue @ [ Rreq (rid, reg) ]
@@ -78,18 +72,14 @@ let merge_entry st reg (entry : tagged) =
     ()
   | Some _ | None -> st.store <- Reg_map.add reg entry st.store
 
-let majority conf = Quorum.majority_threshold (Pid.Set.cardinal conf)
-
 let abort_op st =
   (* re-queue the client request: operations retry after reconfigurations *)
   (match st.op with
   | Idle -> ()
-  | Get_tag { rid; reg; value; _ } -> st.queue <- Wreq (rid, reg, value) :: st.queue
-  | Updating { rid; reg; entry; kind; _ } -> (
-    match kind with
-    | `Write -> st.queue <- Wreq (rid, reg, entry.tv) :: st.queue
-    | `Read_back _ -> st.queue <- Rreq (rid, reg) :: st.queue)
-  | Querying { rid; reg; _ } -> st.queue <- Rreq (rid, reg) :: st.queue);
+  | Get_tag { rid; reg; value } | Running { rid; reg; goal = `Write value; _ } ->
+    st.queue <- Wreq (rid, reg, value) :: st.queue
+  | Running { rid; reg; goal = `Query | `Read_back _; _ } ->
+    st.queue <- Rreq (rid, reg) :: st.queue);
   st.op <- Idle;
   st.abort_count <- st.abort_count + 1
 
@@ -97,77 +87,56 @@ let finish st outcome =
   st.op <- Idle;
   st.outcomes_rev <- outcome :: st.outcomes_rev
 
-(* Send the current phase's requests to the processors that have not yet
-   answered (also serves as per-tick retransmission). *)
-let outstanding_messages (view : Stack.scheme_view) st =
-  let self = view.Stack.v_self in
-  let to_others conf covered m =
-    Pid.Set.fold
-      (fun p acc ->
-        if Pid.equal p self || Pid.Set.mem p covered then acc else (p, m) :: acc)
-      conf []
-  in
-  match st.op with
-  | Idle | Get_tag _ -> []
-  | Querying q ->
-    let covered =
-      Pid.Map.fold (fun p _ acc -> Pid.Set.add p acc) q.resps Pid.Set.empty
-    in
-    to_others q.conf covered (Query { mid = q.mid; reg = q.reg })
-  | Updating u ->
-    (* updates also refresh every trusted participant's copy so prospective
-       members carry the state into the next configuration *)
-    let part = Stack.View.participants view in
-    let targets = Pid.Set.union u.conf part in
-    to_others targets u.acks (Update { mid = u.mid; reg = u.reg; entry = u.entry })
+let start_round st ~conf ?targets req =
+  let id = st.next_id in
+  st.next_id <- id + 1;
+  Phase.start ~id ~conf ?targets req
 
-let start_update (view : Stack.scheme_view) st ~rid ~reg ~entry ~conf ~kind =
-  let mid = st.next_mid in
-  st.next_mid <- st.next_mid + 1;
-  let self = view.Stack.v_self in
-  let op = Updating { rid; reg; entry; conf; mid; acks = Pid.Set.empty; kind } in
-  st.op <- op;
+(* The update goes to the members and also refreshes every trusted
+   participant's copy, so prospective members carry the state into the
+   next configuration; only the members' acknowledgments count. *)
+let start_update (view : Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal =
+  let targets = Stack.View.participants view in
+  let round = start_round st ~conf ~targets (Update (reg, entry)) in
+  st.op <- Running { rid; reg; goal; round };
   merge_entry st reg entry;
-  (match op with
-  | Updating u when Pid.Set.mem self conf -> u.acks <- Pid.Set.add self u.acks
-  | _ -> ());
-  ()
+  if Pid.Set.mem view.Stack.v_self conf then
+    Phase.record round ~from:view.Stack.v_self None
 
 let maybe_finish (view : Stack.scheme_view) st =
   match st.op with
-  | Idle | Get_tag _ -> ()
-  | Querying q when Pid.Map.cardinal q.resps >= majority q.conf ->
-    let best =
-      Pid.Map.fold
-        (fun _ entry best ->
-          match (entry, best) with
-          | None, b -> b
-          | Some e, None -> Some e
-          | Some e, Some b -> if Counter.precedes b.tag e.tag then Some e else Some b)
-        q.resps None
-    in
-    (match best with
-    | None -> finish st (Read { rid = q.rid; reg = q.reg; result = None })
-    | Some e ->
-      (* write-back before returning (atomicity) *)
-      start_update view st ~rid:q.rid ~reg:q.reg ~entry:e ~conf:q.conf
-        ~kind:(`Read_back (Some e.tv)))
-  | Querying _ -> ()
-  | Updating u when Pid.Set.cardinal u.acks >= majority u.conf -> (
-    match u.kind with
-    | `Write ->
-      view.Stack.v_emit "register.write" u.reg;
-      finish st (Wrote { rid = u.rid; reg = u.reg })
+  | Running { rid; reg; goal; round } when Phase.complete round -> (
+    match goal with
+    | `Query -> (
+      let best =
+        Pid.Map.fold
+          (fun _ entry best ->
+            match (entry, best) with
+            | None, b -> b
+            | Some e, None -> Some e
+            | Some e, Some b -> if Counter.precedes b.tag e.tag then Some e else Some b)
+          (Phase.replies round) None
+      in
+      match best with
+      | None -> finish st (Read { rid; reg; result = None })
+      | Some e ->
+        (* write-back before returning (atomicity) *)
+        start_update view st ~rid ~reg ~entry:e ~conf:(Phase.conf round)
+          ~goal:(`Read_back (Some e.tv)))
+    | `Write _ ->
+      view.Stack.v_emit "register.write" reg;
+      finish st (Wrote { rid; reg })
     | `Read_back result ->
-      view.Stack.v_emit "register.read" u.reg;
-      finish st (Read { rid = u.rid; reg = u.reg; result }))
-  | Updating _ -> ()
+      view.Stack.v_emit "register.read" reg;
+      finish st (Read { rid; reg; result }))
+  | Idle | Get_tag _ | Running _ -> ()
 
 (* The register logic alone; the embedded counter service (write-tag
    provider) is layered underneath via {!Stack.Plugin.stack}, which runs
    its tick first — so [st.cnt] is already up to date here — and routes
    every [Cnt] message to it. *)
 let tick (view : Stack.scheme_view) st =
+  let self = view.Stack.v_self in
   (match Stack.View.current_members view with
   | None -> () (* reconfiguration in progress: hold *)
   | Some conf -> (
@@ -175,77 +144,56 @@ let tick (view : Stack.scheme_view) st =
     (match (st.op, st.queue) with
     | Idle, Wreq (rid, reg, value) :: rest ->
       st.queue <- rest;
-      st.op <-
-        Get_tag
-          { rid; reg; value; baseline = List.length (Counter_service.results st.cnt) };
+      st.op <- Get_tag { rid; reg; value };
       Counter_service.request_increment st.cnt
     | Idle, Rreq (rid, reg) :: rest ->
       st.queue <- rest;
-      let mid = st.next_mid in
-      st.next_mid <- st.next_mid + 1;
-      let q = Querying { rid; reg; conf; mid; resps = Pid.Map.empty } in
-      st.op <- q;
+      let round = start_round st ~conf (Query reg) in
+      st.op <- Running { rid; reg; goal = `Query; round };
       (* a member answers its own query locally *)
-      if Pid.Set.mem view.Stack.v_self conf then begin
-        match st.op with
-        | Querying qq ->
-          qq.resps <-
-            Pid.Map.add view.Stack.v_self (Reg_map.find_opt reg st.store) qq.resps
-        | _ -> ()
-      end
+      if Pid.Set.mem self conf then
+        Phase.record round ~from:self (Reg_map.find_opt reg st.store)
     | _ -> ());
     (* a write waiting for its tag *)
-    match st.op with
-    | Get_tag g ->
-      let results = Counter_service.results st.cnt in
-      if List.length results > g.baseline then begin
-        let tag = List.nth results (List.length results - 1) in
-        start_update view st ~rid:g.rid ~reg:g.reg ~entry:{ tag; tv = g.value } ~conf
-          ~kind:`Write
-      end
-    | Idle | Querying _ | Updating _ -> ()));
+    match (st.op, Counter_service.increment_result st.cnt) with
+    | Get_tag { rid; reg; value }, Some tag ->
+      start_update view st ~rid ~reg ~entry:{ tag; tv = value } ~conf
+        ~goal:(`Write value)
+    | _ -> ()));
   maybe_finish view st;
-  (st, outstanding_messages view st)
+  let out =
+    match st.op with
+    | Running { round; _ } -> Phase.requests ~self round
+    | Idle | Get_tag _ -> []
+  in
+  (st, List.map (fun (p, m) -> (p, Op m)) out)
 
 let recv (view : Stack.scheme_view) ~from m st =
   let members_opt = Stack.View.current_members view in
-  let is_member =
-    match members_opt with
-    | Some c -> Pid.Set.mem view.Stack.v_self c
-    | None -> false
-  in
+  let reply r = (st, [ (from, Op r) ]) in
   match m with
   | Cnt _ -> (st, []) (* routed to the counter layer by Plugin.stack *)
-  | Query { mid; reg } ->
-    if is_member then (st, [ (from, Query_resp { mid; entry = Reg_map.find_opt reg st.store }) ])
-    else (st, [ (from, Op_abort { mid }) ])
-  | Update { mid; reg; entry } ->
-    (* every participant keeps a copy; only members acknowledge quorum
-       membership, but acks are harmless either way *)
+  | Op (Phase.Request { id; req = Query reg }) -> (
+    match members_opt with
+    | Some c when Pid.Set.mem view.Stack.v_self c ->
+      reply (Phase.Reply { id; rep = Reg_map.find_opt reg st.store })
+    | Some _ | None -> reply (Phase.Refuse { id }))
+  | Op (Phase.Request { id; req = Update (reg, entry) }) ->
+    (* every participant keeps a copy; only the members' acknowledgments
+       count toward the update's majority *)
     if members_opt <> None || Recsa.is_participant view.Stack.v_recsa then begin
       merge_entry st reg entry;
-      (st, [ (from, Update_ack { mid }) ])
+      reply (Phase.Reply { id; rep = None })
     end
-    else (st, [ (from, Op_abort { mid }) ])
-  | Query_resp { mid; entry } ->
+    else reply (Phase.Refuse { id })
+  | Op r ->
     (match st.op with
-    | Querying q when q.mid = mid ->
-      q.resps <- Pid.Map.add from entry q.resps;
-      maybe_finish view st
-    | _ -> ());
-    (st, [])
-  | Update_ack { mid } ->
-    (match st.op with
-    | Updating u when u.mid = mid ->
-      u.acks <- Pid.Set.add from u.acks;
-      maybe_finish view st
-    | _ -> ());
-    (st, [])
-  | Op_abort { mid } ->
-    (match st.op with
-    | Querying { mid = m'; _ } when m' = mid -> abort_op st
-    | Updating { mid = m'; _ } when m' = mid -> abort_op st
-    | _ -> ());
+    | Running { round; _ } -> (
+      match Phase.receive round ~from r with
+      | `Replied -> maybe_finish view st
+      | `Refused -> abort_op st
+      | `Ignored -> ())
+    | Idle | Get_tag _ -> ());
     (st, [])
 
 let merge_states ~self:_ st others =
@@ -267,7 +215,7 @@ let corrupt_upper rng st =
     (fun k -> if Rng.bool rng then st.store <- Reg_map.remove k st.store)
     keys;
   abort_op st;
-  st.next_mid <- Rng.int rng 1024;
+  st.next_id <- Rng.int rng 1024;
   st
 
 let plugin () =
@@ -285,7 +233,7 @@ let plugin () =
             queue = [];
             outcomes_rev = [];
             abort_count = 0;
-            next_mid = 0;
+            next_id = 0;
           });
       p_tick = tick;
       p_recv = recv;

@@ -6,20 +6,23 @@
     This is the ABD-style alternative to {!Vs.Shared_memory} (which routes
     operations through the replicated state machine): here configuration
     members store per-register ⟨tag, value⟩ copies, and clients run
-    two-phase operations against majorities:
+    operations made of majority round trips, each one {!Quorum.Phase}
+    round:
 
-    - {b write}: obtain a fresh tag from the counter-increment scheme
-      (totally ordered, bounded), then update a majority.
-    - {b read}: query a majority for the maximal ⟨tag, value⟩, write it
-      back to a majority (so later reads cannot see older values), then
-      return it.
+    - {b write} (three round trips): obtain a fresh tag from the
+      counter-increment scheme (totally ordered, bounded; its majRead and
+      majWrite), then update a majority.
+    - {b read} (two round trips): query a majority for the maximal
+      ⟨tag, value⟩, write it back to a majority (so later reads cannot see
+      older values), then return it.
 
-    Operations issued during a reconfiguration are answered with Abort and
-    retried. Values survive delicate reconfigurations because every
-    {e participant} keeps a register copy refreshed by update messages (so
-    a participant promoted into the new configuration already carries the
-    state), and joiners adopt the freshest copies through the joining
-    mechanism's state transfer ([initVars]). *)
+    Operations issued during a reconfiguration are refused and retried.
+    Values survive delicate reconfigurations because every {e participant}
+    keeps a register copy refreshed by update messages (so a participant
+    promoted into the new configuration already carries the state), and
+    joiners adopt the freshest copies through the joining mechanism's state
+    transfer ([initVars]). Only configuration members' acknowledgments
+    count toward an update's majority. *)
 
 open Counters
 

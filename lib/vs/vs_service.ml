@@ -42,7 +42,7 @@ type ('st, 'cmd) state = {
   mutable delivered_rev : 'cmd list;
   mutable batches_rev : (view * (Pid.t * 'cmd) list) list;
       (* per-batch delivery journal, newest first (virtual-synchrony audit) *)
-  mutable awaiting_vid : int option; (* results length before the request *)
+  mutable awaiting_vid : bool; (* a view identifier was requested *)
   mutable reconf_ready : bool;
   mutable view_installs : int;
   mutable i_am_coordinator : bool; (* refreshed every tick from valCrd *)
@@ -415,8 +415,8 @@ let should_propose (v : Stack.scheme_view) st =
 
 (* The virtual-synchrony logic alone; the embedded counter service (the
    inc() provider) is layered underneath via {!Stack.Plugin.stack}, which
-   runs its tick first — so [Counter_service.results st.cnt] is current
-   here — and routes every [Cnt] message to it. *)
+   runs its tick first — so [Counter_service.increment_result st.cnt] is
+   current here — and routes every [Cnt] message to it. *)
 let vs_tick machine ~eval_config (v : Stack.scheme_view) st =
   let self = v.Stack.v_self in
   let out = ref [] in
@@ -433,31 +433,28 @@ let vs_tick machine ~eval_config (v : Stack.scheme_view) st =
     (* 2. proposals: obtain a view identifier from the counter service,
        then switch to Propose *)
     let no_reco = Recsa.no_reco v.Stack.v_recsa ~trusted:v.Stack.v_trusted in
-    (match st.awaiting_vid with
-    | Some baseline ->
-      let results = Counter_service.results st.cnt in
-      if List.length results > baseline then begin
-        let vid = List.nth results (List.length results - 1) in
-        st.awaiting_vid <- None;
-        if should_propose v st || no_crd then begin
-          st.me <-
-            {
-              st.me with
-              r_status = Propose;
-              r_propv = { vid = Some vid; vset = part };
-              r_suspend = false;
-            };
-          st.reconf_ready <- false;
-          Telemetry.inc v.Stack.v_telemetry "vs.proposals";
-          Telemetry.span_begin v.Stack.v_telemetry ~name:"vs.view_change_seconds"
-            ~key:self ~now:v.Stack.v_now;
-          v.Stack.v_emit "vs.propose" (Format.asprintf "%a" pp_view st.me.r_propv)
-        end
+    (match (st.awaiting_vid, Counter_service.increment_result st.cnt) with
+    | true, Some vid ->
+      st.awaiting_vid <- false;
+      if should_propose v st || no_crd then begin
+        st.me <-
+          {
+            st.me with
+            r_status = Propose;
+            r_propv = { vid = Some vid; vset = part };
+            r_suspend = false;
+          };
+        st.reconf_ready <- false;
+        Telemetry.inc v.Stack.v_telemetry "vs.proposals";
+        Telemetry.span_begin v.Stack.v_telemetry ~name:"vs.view_change_seconds"
+          ~key:self ~now:v.Stack.v_now;
+        v.Stack.v_emit "vs.propose" (Format.asprintf "%a" pp_view st.me.r_propv)
       end
-    | None ->
+    | true, None -> ()
+    | false, _ ->
       if no_reco && should_propose v st then begin
         Counter_service.request_increment st.cnt;
-        st.awaiting_vid <- Some (List.length (Counter_service.results st.cnt))
+        st.awaiting_vid <- true
       end);
     (* 3. refill the input slot so the coordinator sees pending commands
        (fetch(), line 15/22) *)
@@ -508,7 +505,7 @@ let corrupt_upper rng st =
       r_suspend = Rng.bool rng;
     };
   st.peers <- Pid.Map.empty;
-  st.awaiting_vid <- (if Rng.bool rng then None else Some (Rng.int rng 8));
+  st.awaiting_vid <- Rng.bool rng;
   st.reconf_ready <- Rng.bool rng;
   st
 
@@ -527,7 +524,7 @@ let plugin ~machine ?(eval_config = default_eval) () =
             pending = [];
             delivered_rev = [];
             batches_rev = [];
-            awaiting_vid = None;
+            awaiting_vid = false;
             reconf_ready = false;
             view_installs = 0;
             i_am_coordinator = false;

@@ -91,27 +91,25 @@ let test_member_increment () =
   Counter_service.request_increment (app sys 1);
   Alcotest.(check bool) "increment completes" true
     (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.results (app t 1) <> []));
-  match Counter_service.results (app sys 1) with
-  | [ c ] -> Alcotest.(check int) "writer id" 1 c.Counter.wid
-  | _ -> Alcotest.fail "expected exactly one result"
+         Counter_service.increment_result (app t 1) <> None));
+  match Counter_service.increment_result (app sys 1) with
+  | Some c -> Alcotest.(check int) "writer id" 1 c.Counter.wid
+  | None -> Alcotest.fail "expected a result"
 
 let test_sequential_increments_monotone () =
   let sys = make_counter_system ~seed:2 () in
   Reconfig.Stack.run_rounds sys 15;
-  let rec go n =
-    if n = 0 then ()
+  let rec go n acc =
+    if n = 0 then List.rev acc
     else begin
-      let before = List.length (Counter_service.results (app sys 2)) in
       Counter_service.request_increment (app sys 2);
-      let done_ t = List.length (Counter_service.results (app t 2)) > before in
+      let done_ t = Counter_service.increment_result (app t 2) <> None in
       Alcotest.(check bool) "increment completes" true
         (Reconfig.Stack.run_until sys ~max_steps:400_000 done_);
-      go (n - 1)
+      go (n - 1) (Option.get (Counter_service.increment_result (app sys 2)) :: acc)
     end
   in
-  go 5;
-  let results = Counter_service.results (app sys 2) in
+  let results = go 5 [] in
   Alcotest.(check int) "five results" 5 (List.length results);
   let rec monotone = function
     | a :: (b :: _ as rest) -> Counter.precedes a b && monotone rest
@@ -125,12 +123,13 @@ let test_concurrent_increments_ordered () =
   Counter_service.request_increment (app sys 1);
   Counter_service.request_increment (app sys 3);
   let both t =
-    Counter_service.results (app t 1) <> [] && Counter_service.results (app t 3) <> []
+    Counter_service.increment_result (app t 1) <> None
+    && Counter_service.increment_result (app t 3) <> None
   in
   Alcotest.(check bool) "both complete" true
     (Reconfig.Stack.run_until sys ~max_steps:600_000 both);
-  let c1 = List.hd (Counter_service.results (app sys 1)) in
-  let c3 = List.hd (Counter_service.results (app sys 3)) in
+  let c1 = Option.get (Counter_service.increment_result (app sys 1)) in
+  let c3 = Option.get (Counter_service.increment_result (app sys 3)) in
   Alcotest.(check bool) "results are ordered (never equal)" true
     (Counter.precedes c1 c3 || Counter.precedes c3 c1)
 
@@ -146,12 +145,12 @@ let test_non_member_increment () =
   Counter_service.request_increment (app sys 1);
   Alcotest.(check bool) "member increment first" true
     (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.results (app t 1) <> []));
+         Counter_service.increment_result (app t 1) <> None));
   Counter_service.request_increment (app sys 9);
   Alcotest.(check bool) "non-member increment completes" true
     (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
-         Counter_service.results (app t 9) <> []));
-  let c9 = List.hd (Counter_service.results (app sys 9)) in
+         Counter_service.increment_result (app t 9) <> None));
+  let c9 = Option.get (Counter_service.increment_result (app sys 9)) in
   Alcotest.(check int) "writer is the non-member" 9 c9.Counter.wid
 
 let test_exhaustion_rollover_in_system () =
@@ -159,19 +158,17 @@ let test_exhaustion_rollover_in_system () =
      label rather than wrapping *)
   let sys = make_counter_system ~seed:5 ~exhaust_bound:3 () in
   Reconfig.Stack.run_rounds sys 15;
-  let rec go n =
-    if n = 0 then ()
+  let rec go n acc =
+    if n = 0 then List.rev acc
     else begin
-      let before = List.length (Counter_service.results (app sys 1)) in
       Counter_service.request_increment (app sys 1);
       Alcotest.(check bool) "increment completes" true
         (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
-             List.length (Counter_service.results (app t 1)) > before));
-      go (n - 1)
+             Counter_service.increment_result (app t 1) <> None));
+      go (n - 1) (Option.get (Counter_service.increment_result (app sys 1)) :: acc)
     end
   in
-  go 8;
-  let results = Counter_service.results (app sys 1) in
+  let results = go 8 [] in
   Alcotest.(check int) "eight results" 8 (List.length results);
   let distinct_labels =
     List.fold_left
@@ -191,26 +188,26 @@ let test_read_only_operation () =
   Counter_service.request_increment (app sys 1);
   Alcotest.(check bool) "increment completes" true
     (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.results (app t 1) <> []));
-  let written = List.hd (Counter_service.results (app sys 1)) in
+         Counter_service.increment_result (app t 1) <> None));
+  let written = Option.get (Counter_service.increment_result (app sys 1)) in
   (* a different node reads without incrementing *)
   Counter_service.request_read (app sys 3);
   Alcotest.(check bool) "read completes" true
     (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.read_results (app t 3) <> []));
-  (match Counter_service.read_results (app sys 3) with
-  | [ Some c ] ->
+         Counter_service.read_result (app t 3) <> None));
+  (match Counter_service.read_result (app sys 3) with
+  | Some (Some c) ->
     Alcotest.(check bool) "read sees at least the written counter" true
       (Counter.equal c written || Counter.precedes written c)
-  | [ None ] -> Alcotest.fail "read returned bottom despite a completed write"
-  | _ -> Alcotest.fail "expected exactly one read result");
+  | Some None -> Alcotest.fail "read returned bottom despite a completed write"
+  | None -> Alcotest.fail "expected a read result");
   (* reads do not bump the counter *)
   Counter_service.request_read (app sys 2);
   Alcotest.(check bool) "second read completes" true
     (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.read_results (app t 2) <> []));
-  match Counter_service.read_results (app sys 2) with
-  | [ Some c ] ->
+         Counter_service.read_result (app t 2) <> None));
+  match Counter_service.read_result (app sys 2) with
+  | Some (Some c) ->
     (* read-only operations must not advance the sequence number *)
     Alcotest.(check int) "same seqn as written" written.Counter.seqn c.Counter.seqn
   | _ -> Alcotest.fail "expected one read result"
@@ -221,7 +218,7 @@ let test_non_member_read () =
   Counter_service.request_increment (app sys 2);
   Alcotest.(check bool) "increment" true
     (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.results (app t 2) <> []));
+         Counter_service.increment_result (app t 2) <> None));
   Reconfig.Stack.add_joiner sys 9;
   Alcotest.(check bool) "joined" true
     (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
@@ -229,7 +226,7 @@ let test_non_member_read () =
   Counter_service.request_read (app sys 9);
   Alcotest.(check bool) "non-member read completes" true
     (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
-         Counter_service.read_results (app t 9) <> []))
+         Counter_service.read_result (app t 9) <> None))
 
 let suites =
   [

@@ -193,7 +193,7 @@ let test_service_corrupt_recovers () =
   Counters.Counter_service.request_increment (app 1);
   Alcotest.(check bool) "increment completes after corruption" true
     (Stack.run_until sys ~max_steps:800_000 (fun t ->
-         Counters.Counter_service.results (Stack.node t 1).Stack.app <> []))
+         Counters.Counter_service.increment_result (Stack.node t 1).Stack.app <> None))
 
 let test_corrupt_hook_deterministic () =
   (* the same RNG seed produces the same garbage — required for replay *)
@@ -298,7 +298,7 @@ let test_loop_service_corrupt () =
   Counters.Counter_service.request_increment (app 1);
   Alcotest.(check bool) "increment completes after corruption" true
     (Runtime.Loop.run_until (Stack_loop.loop sys) ~max_rounds:1500 (fun _ ->
-         Counters.Counter_service.results (app 1) <> []))
+         Counters.Counter_service.increment_result (app 1) <> None))
 
 let suites =
   [

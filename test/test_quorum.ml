@@ -94,6 +94,61 @@ let test_has_majority_alias () =
   let config = set [ 1; 2; 3 ] in
   Alcotest.(check bool) "alias works" true (Quorum.has_majority ~config (set [ 1; 2 ]))
 
+(* --- one quorum round (Quorum.Phase) --- *)
+
+module Phase = Quorum.Phase
+
+let test_phase_only_current_members_count () =
+  let round = Phase.start ~id:7 ~conf:(set [ 1; 2; 3; 4; 5 ]) ~targets:(set [ 6; 7 ]) () in
+  Alcotest.(check bool) "a joiner's reply is recorded" true
+    (Phase.receive round ~from:6 (Phase.Reply { id = 7; rep = () }) = `Replied);
+  ignore (Phase.receive round ~from:7 (Phase.Reply { id = 7; rep = () }));
+  Alcotest.(check bool) "a stale reply is ignored" true
+    (Phase.receive round ~from:1 (Phase.Reply { id = 6; rep = () }) = `Ignored);
+  ignore (Phase.receive round ~from:2 (Phase.Reply { id = 6; rep = () }));
+  Alcotest.(check (list int)) "only current replies are kept" [ 6; 7 ]
+    (List.map fst (Pid.Map.bindings (Phase.replies round)));
+  ignore (Phase.receive round ~from:1 (Phase.Reply { id = 7; rep = () }));
+  ignore (Phase.receive round ~from:2 (Phase.Reply { id = 7; rep = () }));
+  Alcotest.(check bool) "2 members + 2 outsiders: not done" false (Phase.complete round);
+  ignore (Phase.receive round ~from:3 (Phase.Reply { id = 7; rep = () }));
+  Alcotest.(check bool) "3 of 5 members: done" true (Phase.complete round)
+
+let test_phase_completes_at_majority () =
+  for n = 1 to 9 do
+    let round = Phase.start ~id:0 ~conf:(set (List.init n (fun i -> i + 1))) () in
+    for k = 1 to n do
+      Phase.record round ~from:k ();
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d after %d replies" n k)
+        (k >= (n / 2) + 1) (Phase.complete round)
+    done
+  done
+
+let test_phase_retransmits_to_unanswered () =
+  let round = Phase.start ~id:3 ~conf:(set [ 1; 2; 3 ]) ~targets:(set [ 4; 5 ]) "req" in
+  let destinations () = List.sort compare (List.map fst (Phase.requests ~self:1 round)) in
+  Alcotest.(check (list int)) "every target but self" [ 2; 3; 4; 5 ] (destinations ());
+  Phase.record round ~from:1 "own";
+  ignore (Phase.receive round ~from:2 (Phase.Reply { id = 3; rep = "ok" }));
+  ignore (Phase.receive round ~from:4 (Phase.Reply { id = 3; rep = "ok" }));
+  ignore (Phase.receive round ~from:5 (Phase.Reply { id = 2; rep = "stale" }));
+  Alcotest.(check (list int)) "only the unanswered" [ 3; 5 ] (destinations ());
+  Alcotest.(check bool) "requests carry the round" true
+    (List.for_all
+       (function _, Phase.Request { id = 3; req = "req" } -> true | _ -> false)
+       (Phase.requests ~self:1 round))
+
+let test_phase_refusal_current_only () =
+  let round = Phase.start ~id:5 ~conf:(set [ 1; 2; 3 ]) () in
+  Alcotest.(check bool) "stale refusal" true
+    (Phase.receive round ~from:2 (Phase.Refuse { id = 4 }) = `Ignored);
+  Alcotest.(check bool) "current refusal" true
+    (Phase.receive round ~from:2 (Phase.Refuse { id = 5 }) = `Refused);
+  Alcotest.(check bool) "a request is not an answer" true
+    (Phase.receive round ~from:2 (Phase.Request { id = 5; req = () }) = `Ignored);
+  Alcotest.(check int) "refusals record no reply" 0 (Pid.Map.cardinal (Phase.replies round))
+
 let suites =
   [
     ( "quorum",
@@ -106,6 +161,14 @@ let suites =
         Alcotest.test_case "wall basics" `Quick test_wall_basic;
         Alcotest.test_case "wall small configs" `Quick test_wall_small_configs;
         Alcotest.test_case "has_majority alias" `Quick test_has_majority_alias;
+        Alcotest.test_case "phase: only current members count" `Quick
+          test_phase_only_current_members_count;
+        Alcotest.test_case "phase: completes at a majority" `Quick
+          test_phase_completes_at_majority;
+        Alcotest.test_case "phase: retransmits to the unanswered" `Quick
+          test_phase_retransmits_to_unanswered;
+        Alcotest.test_case "phase: refusal of the current id only" `Quick
+          test_phase_refusal_current_only;
         qtest (prop_quorum_intersection (module Quorum.Majority) "majority");
         qtest (prop_quorum_intersection (module Quorum.Grid) "grid");
         qtest (prop_quorum_intersection (module Quorum.Wall) "wall");

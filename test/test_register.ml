@@ -146,6 +146,41 @@ let test_joiner_can_use_register () =
   Alcotest.(check (option (option int))) "joiner reads the value" (Some (Some 9))
     (Register_service.find_read (app sys 9) ~rid:1)
 
+(* Updates also refresh the participants' copies, but only members'
+   acknowledgments may complete them: with joiners 6 and 7 acknowledging,
+   a write used to complete while only 2 of the 5 members stored it (seed
+   35's first write). *)
+let test_write_reaches_member_majority () =
+  List.iter
+    (fun seed ->
+      let sys = make ~seed ~n:5 () in
+      Reconfig.Stack.run_rounds sys 25;
+      List.iter (Reconfig.Stack.add_joiner sys) [ 6; 7 ];
+      let participating t p =
+        Reconfig.Recsa.is_participant (Reconfig.Stack.node t p).Reconfig.Stack.sa
+      in
+      Alcotest.(check bool) "joiners participate" true
+        (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+             participating t 6 && participating t 7));
+      for i = 1 to 10 do
+        Register_service.write (app sys 1) ~rid:i "q" i;
+        Alcotest.(check bool) "write completes" true
+          (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+               Register_service.write_done (app t 1) ~rid:i));
+        let holders =
+          List.filter
+            (fun p ->
+              match Register_service.stored (app sys p) "q" with
+              | Some e -> e.Register_service.tv = i
+              | None -> false)
+            [ 1; 2; 3; 4; 5 ]
+        in
+        if List.length holders < 3 then
+          Alcotest.failf "seed %d write %d completed with %d of 5 members" seed i
+            (List.length holders)
+      done)
+    [ 35; 11; 12 ]
+
 let suites =
   [
     ( "register",
@@ -157,5 +192,7 @@ let suites =
         Alcotest.test_case "read monotonic" `Quick test_read_monotonic_after_writeback;
         Alcotest.test_case "survives reconfiguration" `Quick test_value_survives_reconfiguration;
         Alcotest.test_case "joiner can use register" `Quick test_joiner_can_use_register;
+        Alcotest.test_case "write reaches a member majority" `Quick
+          test_write_reaches_member_majority;
       ] );
   ]

@@ -150,6 +150,20 @@ let bench_engine_round_16 =
 let bench_engine_round_64 =
   Test.make ~name:"engine.round_64node_gossip" (Staged.stage (gossip_round_subject 64 64))
 
+(* one steady-state round of the full N=12 register stack (recSA, recMA,
+   the counter's gossip, the register, heartbeats) after E16's 25 warm
+   rounds: every delivery reads the scheme's derived view, so this is the
+   per-delivery hot path without perfbench's per-episode set-up *)
+let bench_stack_round_12 =
+  let sys =
+    Reconfig.Stack.of_scenario
+      ~hooks:(Register.Register_service.hooks ())
+      (Reconfig.Scenario.make ~seed:12 ~nodes:12 ())
+  in
+  Reconfig.Stack.run_rounds sys 25;
+  Test.make ~name:"stack.round_12node_register"
+    (Staged.stage (fun () -> Reconfig.Stack.run_rounds sys 1))
+
 let micro_tests =
   Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
     [
@@ -165,6 +179,7 @@ let micro_tests =
       bench_engine_round;
       bench_engine_round_16;
       bench_engine_round_64;
+      bench_stack_round_12;
     ]
 
 let run_micro () =

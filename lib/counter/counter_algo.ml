@@ -1,25 +1,43 @@
 open Sim
 open Labels
 
+(* [find_max_counter] is a function of (max, store) and constants, and
+   every step below leaves a map physically unchanged when it changes
+   nothing. So when a full run leaves both maps physically unchanged, the
+   state is a fixed point: until either map is replaced, another run would
+   return the same counter and change nothing, and [fixed] remembers that.
+   A run that changed anything is no fixed point — on corrupted states
+   [sync_cancellations] can swap a just-settled max for its canceled twin —
+   so only a run that changed nothing may mark the state clean. *)
+type fixed_point = {
+  fp_max : Counter.pair Pid.Map.t;
+  fp_store : Counter.pair list Pid.Map.t;
+  fp_result : Counter.t;
+}
+
 type t = {
   ca_self : Pid.t;
   mutable ca_members : Pid.Set.t;
+  mutable n_members : int; (* |ca_members| *)
   mutable max : Counter.pair Pid.Map.t;
   mutable store : Counter.pair list Pid.Map.t; (* per label-creator queues *)
   m_bound : int;
   exhaust : int;
   mutable label_creations : int;
+  mutable fixed : fixed_point option;
 }
 
 let create ~self ~members ~in_transit_bound ~exhaust_bound =
   {
     ca_self = self;
     ca_members = members;
+    n_members = Pid.Set.cardinal members;
     max = Pid.Map.empty;
     store = Pid.Map.empty;
     m_bound = max 1 in_transit_bound;
     exhaust = exhaust_bound;
     label_creations = 0;
+    fixed = None;
   }
 
 let self t = t.ca_self
@@ -31,7 +49,7 @@ let label_creations t = t.label_creations
 let stored t j = match Pid.Map.find_opt j t.store with Some q -> q | None -> []
 
 let queue_bound t j =
-  let v = max 1 (Pid.Set.cardinal t.ca_members) in
+  let v = max 1 t.n_members in
   if Pid.equal j t.ca_self then (v * ((v * v) + t.m_bound)) + v else v + t.m_bound
 
 let truncate n l =
@@ -44,6 +62,28 @@ let truncate n l =
 
 let same_label (a : Counter.pair) (b : Counter.pair) =
   Label.equal a.Counter.mct.Counter.lbl b.Counter.mct.Counter.lbl
+
+let pair_equal (a : Counter.pair) (b : Counter.pair) =
+  a == b
+  || Counter.equal a.Counter.mct b.Counter.mct
+     && Option.equal Counter.equal a.Counter.cct b.Counter.cct
+
+(* [Pid.Map.map] / [List.map] that return their argument itself when [f]
+   returns every element physically unchanged *)
+let map_values f m =
+  Pid.Map.fold
+    (fun k v acc ->
+      let v' = f v in
+      if v' == v then acc else Pid.Map.add k v' acc)
+    m m
+
+let rec map_list f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = f x in
+    let rest' = map_list f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
 
 (* Merging two pairs with the same label: a canceled copy wins; otherwise
    the greater ⟨seqn, wid⟩ wins. *)
@@ -59,14 +99,25 @@ let merge_pair (a : Counter.pair) (b : Counter.pair) =
 let store_add t (p : Counter.pair) =
   let creator = p.Counter.mct.Counter.lbl.Label.creator in
   let q = stored t creator in
-  let q' =
-    match List.partition (same_label p) q with
-    | [], rest -> truncate (queue_bound t creator) (p :: rest)
-    | dups, rest ->
-      let merged = List.fold_left merge_pair p dups in
-      truncate (queue_bound t creator) (merged :: rest)
-  in
-  t.store <- Pid.Map.add creator q' t.store
+  let bound = queue_bound t creator in
+  match q with
+  | h :: rest
+    when same_label p h
+         && pair_equal (merge_pair p h) h
+         && (not (List.exists (same_label p) rest))
+         && List.compare_length_with q bound <= 0 ->
+    (* the pair's label already heads the queue with this value: adding it
+       would rebuild the same queue *)
+    ()
+  | _ ->
+    let q' =
+      match List.partition (same_label p) q with
+      | [], rest -> truncate bound (p :: rest)
+      | dups, rest ->
+        let merged = List.fold_left merge_pair p dups in
+        truncate bound (merged :: rest)
+    in
+    t.store <- Pid.Map.add creator q' t.store
 
 let clean_pair t (p : Counter.pair) =
   if Pid.Set.mem p.Counter.mct.Counter.lbl.Label.creator t.ca_members then Some p
@@ -81,16 +132,16 @@ let cancel_exhausted t =
       Counter.cancel p
     else p
   in
-  t.max <- Pid.Map.map fix t.max;
-  t.store <- Pid.Map.map (List.map fix) t.store
+  t.max <- map_values fix t.max;
+  t.store <- map_values (map_list fix) t.store
 
 (* Cancel stored legit pairs whose label is dominated by (or incomparable
    with) another stored pair of the same creator. *)
 let cancel_dominated t =
   t.store <-
-    Pid.Map.map
+    map_values
       (fun q ->
-        List.map
+        map_list
           (fun (p : Counter.pair) ->
             if not (Counter.legit p) then p
             else if
@@ -113,7 +164,7 @@ let sync_cancellations t =
     (fun _ (mp : Counter.pair) -> if not (Counter.legit mp) then store_add t mp)
     t.max;
   t.max <-
-    Pid.Map.map
+    map_values
       (fun (mp : Counter.pair) ->
         if Counter.legit mp then
           match
@@ -165,18 +216,30 @@ let settle t =
   in
   match Counter.max_of candidates with
   | Some c ->
-    t.max <- Pid.Map.add t.ca_self (Counter.pair_of c) t.max;
+    (match local_max t with
+    | Some p when Counter.legit p && Counter.equal p.Counter.mct c -> ()
+    | Some _ | None -> t.max <- Pid.Map.add t.ca_self (Counter.pair_of c) t.max);
     c
   | None -> fresh_epoch t
 
 let find_max_counter t =
-  cancel_exhausted t;
-  cancel_dominated t;
-  sync_cancellations t;
-  settle t
+  match t.fixed with
+  | Some fp when fp.fp_max == t.max && fp.fp_store == t.store -> fp.fp_result
+  | Some _ | None ->
+    let max0 = t.max and store0 = t.store in
+    cancel_exhausted t;
+    cancel_dominated t;
+    sync_cancellations t;
+    let c = settle t in
+    t.fixed <-
+      (if t.max == max0 && t.store == store0 then
+         Some { fp_max = max0; fp_store = store0; fp_result = c }
+       else None);
+    c
 
 let merge t ~from p =
   (match Pid.Map.find_opt from t.max with
+  | Some existing when existing == p -> () (* gossip repeating itself *)
   | Some existing when same_label existing p ->
     t.max <- Pid.Map.add from (merge_pair existing p) t.max
   | Some _ | None -> t.max <- Pid.Map.add from p t.max);
@@ -195,6 +258,8 @@ let receipt_action t ~sent_max ~last_sent ~from =
 
 let rebuild t ~members =
   t.ca_members <- members;
+  t.n_members <- Pid.Set.cardinal members;
+  t.fixed <- None;
   t.store <- Pid.Map.empty;
   clean_max t;
   let own = local_max t in
@@ -203,6 +268,7 @@ let rebuild t ~members =
   ignore (find_max_counter t)
 
 let corrupt t ~max_entries =
+  t.fixed <- None;
   List.iter (fun (j, p) -> t.max <- Pid.Map.add j p t.max) max_entries
 
 let pp fmt t =

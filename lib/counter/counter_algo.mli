@@ -28,6 +28,10 @@ val local_max : t -> Counter.pair option
 (** The last pair received from member [j]. *)
 val max_of : t -> Pid.t -> Counter.pair option
 
+(** [stored t j] is the queue [storedCnts\[j\]] of pairs whose label [j]
+    created, most recent first. *)
+val stored : t -> Pid.t -> Counter.pair list
+
 (** Labels created by this node (counts toward Theorem 4.4's bound). *)
 val label_creations : t -> int
 

@@ -52,7 +52,7 @@ let aborts st = st.abort_count
 let ensure_algo ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) st
     members =
   match st.algo with
-  | Some algo when Pid.Set.equal (Counter_algo.members algo) members -> algo
+  | Some algo when Pid.equal_sets (Counter_algo.members algo) members -> algo
   | Some algo ->
     Counter_algo.rebuild algo ~members;
     view.Stack.v_emit "counter.rebuild" "";
@@ -194,16 +194,12 @@ let tick ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) st =
         if Counter_algo.local_max algo = None then
           ignore (Counter_algo.find_max_counter algo);
         let clean p = Option.bind p (Counter_algo.clean_pair algo) in
+        let sent_max = clean (Counter_algo.local_max algo) in
         Pid.Set.fold
           (fun pk acc ->
             if Pid.equal pk self then acc
             else
-              ( pk,
-                Gossip
-                  {
-                    sent_max = clean (Counter_algo.local_max algo);
-                    last_sent = clean (Counter_algo.max_of algo pk);
-                  } )
+              (pk, Gossip { sent_max; last_sent = clean (Counter_algo.max_of algo pk) })
               :: acc)
           members []
       end

@@ -19,8 +19,9 @@ type t
 
 (** [create ~n_bound ~theta ~self] — [n_bound] is the system bound [N];
     [theta] is the gap factor: a count [c] is beyond the gap when
-    [c > theta * (prev + 1)] with [prev] the preceding (smaller) count in
-    the sorted vector. [self] is always trusted. *)
+    [c > theta * (prev + k)] with [prev] the preceding (smaller) count in
+    the sorted vector and [k] the number of known processors. [self] is
+    always trusted. *)
 val create : n_bound:int -> ?theta:int -> self:Pid.t -> unit -> t
 
 val self : t -> Pid.t
@@ -36,7 +37,9 @@ val forget : t -> Pid.t -> unit
 
 (** [trusted t] is the current trusted set (the paper's [FD\[i\]]): the
     processors before the gap, capped at [n_bound], always containing
-    [self]. *)
+    [self]. While its membership is unchanged, successive calls return the
+    physically same set, so callers may cache values derived from it under
+    [==]. *)
 val trusted : t -> Pid.Set.t
 
 (** [estimate t] is the live-count estimate [n_i ≤ N]. *)

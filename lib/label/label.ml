@@ -7,7 +7,8 @@ let make ~creator ~sting ~antistings =
   { creator; sting; antistings = Int_set.of_list antistings }
 
 let equal l1 l2 =
-  Pid.equal l1.creator l2.creator
+  l1 == l2
+  || Pid.equal l1.creator l2.creator
   && l1.sting = l2.sting
   && Int_set.equal l1.antistings l2.antistings
 
@@ -23,12 +24,13 @@ let precedes l1 l2 =
 let comparable l1 l2 = equal l1 l2 || precedes l1 l2 || precedes l2 l1
 
 let compare_total l1 l2 =
-  let c = Pid.compare l1.creator l2.creator in
-  if c <> 0 then c
+  if l1 == l2 then 0
   else
-    let c = Int.compare l1.sting l2.sting in
+    let c = Pid.compare l1.creator l2.creator in
     if c <> 0 then c
-    else Int_set.compare l1.antistings l2.antistings
+    else
+      let c = Int.compare l1.sting l2.sting in
+      if c <> 0 then c else Int_set.compare l1.antistings l2.antistings
 
 let max_legit labels =
   match labels with

@@ -20,6 +20,14 @@ type peer_view = {
   p_echo : echo_view option;
 }
 
+(* Everything a tick or a broadcast reads besides constants. *)
+type inputs = {
+  i_version : int;
+  i_trusted : Pid.Set.t;
+  i_all : bool;
+  i_allseen : Pid.Set.t;
+}
+
 type t = {
   sa_self : Pid.t;
   mutable sa_config : Config_value.t;
@@ -29,6 +37,20 @@ type t = {
   mutable peers : peer_view Pid.Map.t;
   mutable resets : int;
   mutable installs : int;
+  (* Figure 1's interface — participants, noReco() and getConfig() — is a
+     function of (config, prp, peers, trusted) alone. [version] is bumped
+     by every write to those three fields (through [set_config], [set_prp]
+     and [set_peers] only), so the interface is memoized per (version,
+     trusted) and every service reading it per delivered message pays a
+     comparison, not a recomputation. *)
+  mutable version : int;
+  mutable memo_version : int;
+  mutable memo_trusted : Pid.Set.t;
+  mutable memo_part : Pid.Set.t option;
+  mutable memo_no_reco : bool option;
+  mutable memo_config : Config_value.t option;
+  mutable quiet : inputs option; (* a tick at these inputs changed nothing *)
+  mutable last_broadcast : (inputs * (Pid.t * message) list) option;
 }
 
 let create ~self ~participant ?initial_config () =
@@ -48,7 +70,54 @@ let create ~self ~participant ?initial_config () =
     peers = Pid.Map.empty;
     resets = 0;
     installs = 0;
+    version = 0;
+    memo_version = -1;
+    memo_trusted = Pid.Set.empty;
+    memo_part = None;
+    memo_no_reco = None;
+    memo_config = None;
+    quiet = None;
+    last_broadcast = None;
   }
+
+let set_config t v =
+  if v != t.sa_config then begin
+    t.sa_config <- v;
+    t.version <- t.version + 1
+  end
+
+let set_prp t n =
+  if n != t.sa_prp then begin
+    t.sa_prp <- n;
+    t.version <- t.version + 1
+  end
+
+let set_peers t m =
+  if m != t.peers then begin
+    t.peers <- m;
+    t.version <- t.version + 1
+  end
+
+let inputs t ~trusted =
+  { i_version = t.version; i_trusted = trusted; i_all = t.sa_all; i_allseen = t.sa_allseen }
+
+let same_inputs t ~trusted i =
+  i.i_version = t.version
+  && Bool.equal i.i_all t.sa_all
+  && i.i_allseen == t.sa_allseen
+  && Pid.equal_sets i.i_trusted trusted
+
+(* Start a fresh memo unless it is already keyed by the current state and
+   an equal trusted set. *)
+let memo_for t ~trusted =
+  if t.memo_version <> t.version || not (Pid.equal_sets t.memo_trusted trusted)
+  then begin
+    t.memo_version <- t.version;
+    t.memo_trusted <- trusted;
+    t.memo_part <- None;
+    t.memo_no_reco <- None;
+    t.memo_config <- None
+  end
 
 let self t = t.sa_self
 let config t = t.sa_config
@@ -60,17 +129,26 @@ let install_count t = t.installs
 (* FD[i].part = {pj in FD[i] : config[j] <> #}; our own entry counts iff we
    are a participant. *)
 let participants t ~trusted =
-  (* interned: the result is compared against gossiped [part] descriptors on
-     every message, and interning makes those comparisons pointer-equality *)
-  Intern.pid_set
-    (Pid.Set.filter
-       (fun p ->
-         if Pid.equal p t.sa_self then is_participant t
-         else
-           match Pid.Map.find_opt p t.peers with
-           | Some pv -> not (Config_value.is_not_participant pv.p_config)
-           | None -> false)
-       trusted)
+  memo_for t ~trusted;
+  match t.memo_part with
+  | Some part -> part
+  | None ->
+    (* interned: the result is compared against gossiped [part] descriptors
+       on every message, and interning makes those comparisons
+       pointer-equality *)
+    let part =
+      Intern.pid_set
+        (Pid.Set.filter
+           (fun p ->
+             if Pid.equal p t.sa_self then is_participant t
+             else
+               match Pid.Map.find_opt p t.peers with
+               | Some pv -> not (Config_value.is_not_participant pv.p_config)
+               | None -> false)
+           trusted)
+    in
+    t.memo_part <- Some part;
+    part
 
 (* Every (non-#) configuration value visible locally: own + received from
    trusted processors. *)
@@ -140,7 +218,7 @@ let echo_full t ~part pv =
     && Notification.equal e.e_prp t.sa_prp
     && Bool.equal e.e_all t.sa_all
 
-let no_reco t ~trusted =
+let compute_no_reco t ~trusted =
   let part = participants t ~trusted in
   let views = peer_views t ~part in
   (* all participants have reported (they are in part only if their config
@@ -166,21 +244,36 @@ let no_reco t ~trusted =
   in
   recognized && no_conflict && no_reset && parts_stable && no_notification
 
+let no_reco t ~trusted =
+  memo_for t ~trusted;
+  match t.memo_no_reco with
+  | Some r -> r
+  | None ->
+    let r = compute_no_reco t ~trusted in
+    t.memo_no_reco <- Some r;
+    r
+
 let get_config t ~trusted =
-  if no_reco t ~trusted then chs_config t ~trusted else t.sa_config
+  memo_for t ~trusted;
+  match t.memo_config with
+  | Some c -> c
+  | None ->
+    let c = if no_reco t ~trusted then chs_config t ~trusted else t.sa_config in
+    t.memo_config <- Some c;
+    c
 
 (* configSet(val): wrapper for the whole local config array; also clears all
    local notifications (line 21 of the pseudocode). *)
 let config_set t value =
   let value = Config_value.intern value in
-  t.sa_config <- value;
-  t.sa_prp <- Notification.default;
+  set_config t value;
+  set_prp t Notification.default;
   t.sa_all <- false;
   t.sa_allseen <- Pid.Set.empty;
-  t.peers <-
-    Pid.Map.map
-      (fun pv -> { pv with p_config = value; p_prp = Notification.default })
-      t.peers
+  set_peers t
+    (Pid.Map.map
+       (fun pv -> { pv with p_config = value; p_prp = Notification.default })
+       t.peers)
 
 let start_reset t reason events =
   if not (Config_value.is_reset t.sa_config) then begin
@@ -200,15 +293,15 @@ let advance_to t (n : Notification.t) events =
       events :=
         ("recsa.install", Format.asprintf "%a" Pid.pp_set s) :: !events
     end;
-    t.sa_config <- Config_value.of_set s
+    set_config t (Config_value.of_set s)
   | _ -> ());
-  t.sa_prp <- n;
+  set_prp t n;
   t.sa_all <- false;
   t.sa_allseen <- Pid.Set.empty
 
 let finish_replacement t events =
   events := ("recsa.phase0", "replacement complete") :: !events;
-  t.sa_prp <- Notification.default;
+  set_prp t Notification.default;
   t.sa_all <- false;
   t.sa_allseen <- Pid.Set.empty
 
@@ -336,7 +429,7 @@ let delicate t ~part max_ntf events =
         t.installs <- t.installs + 1;
         events := ("recsa.install", Format.asprintf "%a" Pid.pp_set s) :: !events
       end;
-      t.sa_config <- Config_value.of_set s;
+      set_config t (Config_value.of_set s);
       finish_replacement t events
     end
   | _ -> ());
@@ -364,31 +457,34 @@ let delicate t ~part max_ntf events =
         | Some s ->
           events := ("recsa.phase2", Format.asprintf "%a" Pid.pp_set s) :: !events;
           advance_to t { Notification.phase = Notification.P2; set = Some s } events
-        | None -> t.sa_prp <- Notification.default)
+        | None -> set_prp t Notification.default)
       | Notification.P2 -> finish_replacement t events
-      | Notification.P0 -> t.sa_prp <- Notification.default
+      | Notification.P0 -> set_prp t Notification.default
     end
   end
   end
 
-let tick t ~trusted =
+let tick_once t ~trusted =
   let events = ref [] in
   (* line 25 prologue: clean state about processors we no longer trust *)
-  t.peers <- Pid.Map.filter (fun p _ -> Pid.Set.mem p trusted) t.peers;
+  (* (both cleanings leave [peers] physically unchanged when they drop or
+     normalize nothing, so the interface memo survives a quiet round) *)
+  set_peers t (Pid.Map.filter (fun p _ -> Pid.Set.mem p trusted) t.peers);
   (* type-1 cleaning: malformed notifications are normalized, never kept *)
   if Notification.malformed t.sa_prp then begin
     events := ("recsa.stale", "type-1") :: !events;
-    t.sa_prp <- Notification.default
+    set_prp t Notification.default
   end;
-  t.peers <-
-    Pid.Map.map
-      (fun pv ->
-        if Notification.malformed pv.p_prp then begin
-          events := ("recsa.stale", "type-1") :: !events;
-          { pv with p_prp = Notification.default }
-        end
-        else pv)
-      t.peers;
+  if Pid.Map.exists (fun _ pv -> Notification.malformed pv.p_prp) t.peers then
+    set_peers t
+      (Pid.Map.map
+         (fun pv ->
+           if Notification.malformed pv.p_prp then begin
+             events := ("recsa.stale", "type-1") :: !events;
+             { pv with p_prp = Notification.default }
+           end
+           else pv)
+         t.peers);
   (* a non-participant observing a reset joins it (brute force includes all
      active processors) *)
   (if Config_value.is_not_participant t.sa_config then
@@ -398,7 +494,7 @@ let tick t ~trusted =
          t.peers
      in
      if reset_visible then begin
-       t.sa_config <- Config_value.Reset;
+       set_config t Config_value.Reset;
        events := ("recsa.join_reset", "") :: !events
      end);
   let part = participants t ~trusted in
@@ -411,7 +507,19 @@ let tick t ~trusted =
   | Some max_ntf -> if is_participant t then delicate t ~part max_ntf events);
   List.rev !events
 
-let broadcast t ~trusted =
+(* A tick is a function of its inputs, so one that changed none of them and
+   emitted nothing is a fixed point: until an input changes, the next tick
+   would do nothing again, and is skipped. *)
+let tick t ~trusted =
+  match t.quiet with
+  | Some i when same_inputs t ~trusted i -> []
+  | Some _ | None ->
+    let before = inputs t ~trusted in
+    let events = tick_once t ~trusted in
+    t.quiet <- (if events = [] && same_inputs t ~trusted before then Some before else None);
+    events
+
+let compute_broadcast t ~trusted =
   if not (is_participant t) then []
   else begin
     let part = participants t ~trusted in
@@ -438,33 +546,84 @@ let broadcast t ~trusted =
       trusted []
   end
 
+(* The broadcast too is a function of the tick inputs, so an unchanged
+   state re-sends the very same messages. *)
+let broadcast t ~trusted =
+  match t.last_broadcast with
+  | Some (i, msgs) when same_inputs t ~trusted i -> msgs
+  | Some _ | None ->
+    let msgs = compute_broadcast t ~trusted in
+    t.last_broadcast <- Some (inputs t ~trusted, msgs);
+    msgs
+
 let receive t ~from m =
-  (* Intern every descriptor as it comes off the wire: this is the single
-     choke point that makes all downstream Definition 3.1 comparisons
-     pointer-equality in the steady state. *)
   let prp = if Notification.malformed m.m_prp then Notification.default else m.m_prp in
-  let echo =
-    match m.m_echo with
-    | None -> None
-    | Some e ->
-      Some
-        {
-          e_part = Intern.pid_set e.e_part;
-          e_prp = Notification.intern e.e_prp;
-          e_all = e.e_all;
-        }
+  let stored = Pid.Map.find_opt from t.peers in
+  (* In the simulator a message carries the sender's own (interned)
+     descriptors, so a repeated message is usually physically the stored
+     view: nothing to intern and nothing changes. *)
+  let repeated =
+    match stored with
+    | None -> false
+    | Some pv ->
+      m.m_fd == pv.p_fd && m.m_part == pv.p_part && m.m_config == pv.p_config
+      && prp == pv.p_prp
+      && Bool.equal m.m_all pv.p_all
+      &&
+      match (pv.p_echo, m.m_echo) with
+      | None, None -> true
+      | Some e, Some e' ->
+        e'.e_part == e.e_part && e'.e_prp == e.e_prp && Bool.equal e'.e_all e.e_all
+      | Some _, None | None, Some _ -> false
   in
-  t.peers <-
-    Pid.Map.add from
-      {
-        p_fd = Intern.pid_set m.m_fd;
-        p_part = Intern.pid_set m.m_part;
-        p_config = Config_value.intern m.m_config;
-        p_prp = Notification.intern prp;
-        p_all = m.m_all;
-        p_echo = echo;
-      }
-      t.peers
+  if not repeated then begin
+    (* Intern every descriptor as it comes off the wire: this is the single
+       choke point that makes all downstream Definition 3.1 comparisons
+       pointer-equality in the steady state. *)
+    let fd = Intern.pid_set m.m_fd in
+    let part = Intern.pid_set m.m_part in
+    let config = Config_value.intern m.m_config in
+    let prp = Notification.intern prp in
+    let echo =
+      Option.map
+        (fun e ->
+          {
+            e_part = Intern.pid_set e.e_part;
+            e_prp = Notification.intern e.e_prp;
+            e_all = e.e_all;
+          })
+        m.m_echo
+    in
+    (* interned descriptors make [==] decide whether the stored view
+       changes; an unchanged view leaves [peers], and so the interface memo,
+       alone *)
+    let unchanged =
+      match stored with
+      | None -> false
+      | Some pv ->
+        pv.p_fd == fd && pv.p_part == part && pv.p_config == config
+        && pv.p_prp == prp
+        && Bool.equal pv.p_all m.m_all
+        &&
+        match (pv.p_echo, echo) with
+        | None, None -> true
+        | Some e, Some e' ->
+          e.e_part == e'.e_part && e.e_prp == e'.e_prp && Bool.equal e.e_all e'.e_all
+        | Some _, None | None, Some _ -> false
+    in
+    if not unchanged then
+      set_peers t
+        (Pid.Map.add from
+           {
+             p_fd = fd;
+             p_part = part;
+             p_config = config;
+             p_prp = prp;
+             p_all = m.m_all;
+             p_echo = echo;
+           }
+           t.peers)
+  end
 
 let estab t ~trusted set =
   if
@@ -472,7 +631,7 @@ let estab t ~trusted set =
     && (not (Pid.Set.is_empty set))
     && not (Config_value.equal t.sa_config (Config_value.Set set))
   then begin
-    t.sa_prp <- Notification.intern (Notification.make Notification.P1 set);
+    set_prp t (Notification.intern (Notification.make Notification.P1 set));
     t.sa_all <- false;
     t.sa_allseen <- Pid.Set.empty;
     true
@@ -482,7 +641,7 @@ let estab t ~trusted set =
 let participate t ~trusted =
   if is_participant t then true
   else if no_reco t ~trusted then begin
-    t.sa_config <- Config_value.intern (chs_config t ~trusted);
+    set_config t (Config_value.intern (chs_config t ~trusted));
     is_participant t
   end
   else false
@@ -535,12 +694,12 @@ let stale_types t ~trusted =
 let peer_fd t p = Option.map (fun pv -> pv.p_fd) (Pid.Map.find_opt p t.peers)
 
 let corrupt t ?config ?prp ?all ?allseen () =
-  (match config with Some c -> t.sa_config <- c | None -> ());
-  (match prp with Some n -> t.sa_prp <- n | None -> ());
+  (match config with Some c -> set_config t c | None -> ());
+  (match prp with Some n -> set_prp t n | None -> ());
   (match all with Some a -> t.sa_all <- a | None -> ());
   match allseen with Some s -> t.sa_allseen <- s | None -> ()
 
-let clear_peers t = t.peers <- Pid.Map.empty
+let clear_peers t = set_peers t Pid.Map.empty
 
 let pp fmt t =
   Format.fprintf fmt "recSA(p%a) config=%a prp=%a all=%b allSeen=%a" Pid.pp

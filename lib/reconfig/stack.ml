@@ -18,7 +18,22 @@ type 'app node_state = {
   mutable snap : Datalink.Snap_link.t Pid.Map.t;
   joiner : bool;
   mutable tele_phase : Notification.phase;
+  mutable fd_raw : Pid.Set.t; (* the detector's last trusted set *)
+  mutable fd_trusted : Pid.Set.t; (* its interned copy *)
 }
+
+(* The node's trusted set, interned once per change: the detector returns
+   the physically same set while membership is unchanged, so [Intern] (whose
+   small MRU ring every node of the domain shares) runs only when the set
+   really changed, and recSA's interface memo keyed on this set hits under
+   [==]. *)
+let trusted_set n =
+  let raw = Detector.Theta_fd.trusted n.fd in
+  if raw != n.fd_raw then begin
+    n.fd_raw <- raw;
+    n.fd_trusted <- Intern.pid_set raw
+  end;
+  n.fd_trusted
 
 type scheme_view = {
   v_self : Pid.t;
@@ -222,18 +237,31 @@ let snap_instance ~capacity n ~self ~peer =
 
 (* --- the protocol core: one Step.behavior, run unchanged by every runtime --- *)
 
-let send_counted ctx kind dst m =
-  Telemetry.inc (Step.telemetry ctx) ~labels:[ ("kind", kind) ] "stack.sent";
+(* [sent_counter kind] — the stack.sent{kind} series of the runtime's
+   registry, resolved on the kind's first send (so exports list only kinds
+   actually sent) and re-resolved if the registry changes *)
+let sent_counter kind =
+  let cell = ref None in
+  fun tele ->
+    match !cell with
+    | Some (registry, c) when registry == tele -> c
+    | Some _ | None ->
+      let c = Telemetry.counter tele ~labels:[ ("kind", kind) ] "stack.sent" in
+      cell := Some (tele, c);
+      c
+
+let send_counted ctx sent dst m =
+  Telemetry.incr (sent (Step.telemetry ctx));
   Step.send ctx dst m
 
 (* protocol traffic is held back until the link's handshake completed *)
-let send_gated ctx n kind dst m =
-  if link_clean n dst then send_counted ctx kind dst m
+let send_gated ctx n sent dst m =
+  if link_clean n dst then send_counted ctx sent dst m
 
 let view_of ctx n =
   {
     v_self = Step.self ctx;
-    v_trusted = Intern.pid_set (Detector.Theta_fd.trusted n.fd);
+    v_trusted = trusted_set n;
     v_recsa = n.sa;
     v_emit = Step.emit ctx;
     v_now = Step.now ctx;
@@ -242,6 +270,12 @@ let view_of ctx n =
   }
 
 let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
+  let sent_snap = sent_counter "snap"
+  and sent_sa = sent_counter "sa"
+  and sent_ma = sent_counter "ma"
+  and sent_join = sent_counter "join"
+  and sent_app = sent_counter "app"
+  and sent_heartbeat = sent_counter "heartbeat" in
   let init p =
     let participant = Pid.Set.mem p members_set in
     let joiner = not participant in
@@ -259,6 +293,8 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
         snap = Pid.Map.empty;
         joiner;
         tele_phase = Notification.P0;
+        fd_raw = Pid.Set.empty;
+        fd_trusted = Pid.Set.empty;
       }
     in
     if joiner then
@@ -275,13 +311,13 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
           (* keep the channel's pipe full: the handshake needs more than
              the round-trip capacity of acknowledgments *)
           for _ = 1 to max 1 (capacity / 2) do
-            send_counted ctx "snap" peer (Snap m)
+            send_counted ctx sent_snap peer (Snap m)
           done
         | None -> ())
       n.snap;
-    (* interned: this set rides in every broadcast's [m_fd] and seeds every
-       participants-filter this tick, so canonicalize it once here *)
-    let trusted = Intern.pid_set (Detector.Theta_fd.trusted n.fd) in
+    (* interned: this set rides in every broadcast's [m_fd] and keys recSA's
+       interface memo *)
+    let trusted = trusted_set n in
     let tele = Step.telemetry ctx in
     let now = Step.now ctx in
     let emit_all =
@@ -307,7 +343,7 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
       n.tele_phase <- phase
     end;
     let sa_msgs = Recsa.broadcast n.sa ~trusted in
-    List.iter (fun (dst, m) -> send_gated ctx n "sa" dst (Sa m)) sa_msgs;
+    List.iter (fun (dst, m) -> send_gated ctx n sent_sa dst (Sa m)) sa_msgs;
     (* recMA *)
     let ma_msgs, ma_events =
       Recma.tick n.ma ~quorum ~trusted ~recsa:n.sa
@@ -315,7 +351,7 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
         ()
     in
     emit_all ma_events;
-    List.iter (fun (dst, m) -> send_gated ctx n "ma" dst (Ma m)) ma_msgs;
+    List.iter (fun (dst, m) -> send_gated ctx n sent_ma dst (Ma m)) ma_msgs;
     (* joining mechanism (joiner side) *)
     let join_msgs, join_events =
       Join.tick n.join ~quorum ~trusted ~recsa:n.sa
@@ -325,22 +361,22 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
         ()
     in
     emit_all join_events;
-    List.iter (fun (dst, m) -> send_gated ctx n "join" dst (Join m)) join_msgs;
+    List.iter (fun (dst, m) -> send_gated ctx n sent_join dst (Join m)) join_msgs;
     (* application plugin *)
     let app', app_out = hooks.plugin.p_tick (view_of ctx n) n.app in
     n.app <- app';
-    List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) app_out;
+    List.iter (fun (dst, m) -> send_gated ctx n sent_app dst (App m)) app_out;
     (* heartbeats (the data-link token) to every known processor not already
-       covered by a recSA broadcast *)
-    let covered = List.fold_left (fun acc (dst, _) -> Pid.Set.add dst acc) Pid.Set.empty sa_msgs in
-    let targets =
-      Pid.Set.union n.seeds (Detector.Theta_fd.known n.fd)
-      |> Pid.Set.remove self
+       covered by a recSA broadcast; in steady state the broadcast covers
+       them all, so look for an uncovered one before building the union *)
+    let uncovered dst =
+      (not (Pid.equal dst self)) && not (List.exists (fun (d, _) -> Pid.equal d dst) sa_msgs)
     in
-    Pid.Set.iter
-      (fun dst ->
-        if not (Pid.Set.mem dst covered) then send_gated ctx n "heartbeat" dst Heartbeat)
-      targets;
+    let known = Detector.Theta_fd.known n.fd in
+    if Pid.Set.exists uncovered n.seeds || Pid.Set.exists uncovered known then
+      Pid.Set.iter
+        (fun dst -> if uncovered dst then send_gated ctx n sent_heartbeat dst Heartbeat)
+        (Pid.Set.union n.seeds known);
     n
   in
   let on_message ctx from msg n =
@@ -349,7 +385,7 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
       let s = snap_instance ~capacity n ~self:(Step.self ctx) ~peer:from in
       let reply, completed = Datalink.Snap_link.on_msg s m in
       (match reply with
-      | Some r -> send_counted ctx "snap" from (Snap r)
+      | Some r -> send_counted ctx sent_snap from (Snap r)
       | None -> ());
       (match completed with
       | `Completed -> Step.emit ctx "snap.clean" (Pid.to_string from)
@@ -363,20 +399,20 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
     | Sa m -> Recsa.receive n.sa ~from m
     | Ma m -> Recma.receive n.ma ~from ~participant:(Recsa.is_participant n.sa) m
     | Join (Join.Join_request) ->
-      let trusted = Detector.Theta_fd.trusted n.fd in
+      let trusted = trusted_set n in
       (match
          Join.on_request n.join ~self_app:n.app ~from ~trusted ~recsa:n.sa
            ~pass_query:(fun joiner ->
              hooks.pass_query ~self:(Step.self ctx) ~joiner)
        with
-      | Some reply -> send_gated ctx n "join" from (Join reply)
+      | Some reply -> send_gated ctx n sent_join from (Join reply)
       | None -> ())
     | Join (Join.Join_reply { pass; app }) ->
       Join.on_reply n.join ~from ~participant:(Recsa.is_participant n.sa) ~pass ~app
     | App m ->
       let app', out = hooks.plugin.p_recv (view_of ctx n) ~from m n.app in
       n.app <- app';
-      List.iter (fun (dst, m) -> send_gated ctx n "app" dst (App m)) out);
+      List.iter (fun (dst, m) -> send_gated ctx n sent_app dst (App m)) out);
     n
   in
   { Step.init; on_timer; on_message }
@@ -407,7 +443,7 @@ let quiescent_of nodes =
     List.for_all
       (fun (_, n) ->
         (not (Recsa.is_participant n.sa))
-        || Recsa.no_reco n.sa ~trusted:(Detector.Theta_fd.trusted n.fd))
+        || Recsa.no_reco n.sa ~trusted:(trusted_set n))
       nodes
 
 (* --- the simulated system: the core driven by Sim.Engine --- *)
@@ -484,7 +520,7 @@ let node t p = Engine.state t.eng p
 let live_nodes t =
   List.map (fun p -> (p, Engine.state t.eng p)) (Engine.live_pids t.eng)
 
-let trusted_of t p = Detector.Theta_fd.trusted (node t p).fd
+let trusted_of t p = trusted_set (node t p)
 let config_views t = config_views_of (live_nodes t)
 let uniform_config t = uniform_config_of (live_nodes t)
 let quiescent t = quiescent_of (live_nodes t)

@@ -39,6 +39,10 @@ type 'app node_state = {
   mutable tele_phase : Notification.phase;
       (** last notification phase observed by the telemetry layer, for
           timing the delicate-replacement 0 -> 1 -> 2 -> 0 cycle *)
+  mutable fd_raw : Pid.Set.t;  (** the detector's last trusted set *)
+  mutable fd_trusted : Pid.Set.t;
+      (** its interned copy, refreshed only when the detector returns a new
+          set *)
 }
 
 (** Read-only view of the scheme handed to the application plugin — the

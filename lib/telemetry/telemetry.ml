@@ -99,11 +99,6 @@ let create () =
     t_spans = Hashtbl.create 16;
   }
 
-let clear t =
-  Hashtbl.reset t.t_counters;
-  Hashtbl.reset t.t_hists;
-  Hashtbl.reset t.t_spans
-
 let normalize_labels labels =
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   let rec dup = function
@@ -137,8 +132,15 @@ let find_series table ~default name labels =
 
 (* counters *)
 
-let add t ?(labels = []) name n =
-  let s = find_series t.t_counters ~default:(fun () -> 0) name labels in
+type counter = int series
+
+let counter t ?(labels = []) name =
+  find_series t.t_counters ~default:(fun () -> 0) name labels
+
+let incr c = c.s_value <- c.s_value + 1
+
+let add t ?labels name n =
+  let s = counter t ?labels name in
   s.s_value <- s.s_value + n
 
 let inc t ?labels name = add t ?labels name 1
@@ -388,7 +390,7 @@ module Json = struct
     let pos = ref 0 in
     let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
     let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
+    let advance () = Stdlib.incr pos in
     let rec skip_ws () =
       match peek () with
       | Some (' ' | '\t' | '\n' | '\r') ->

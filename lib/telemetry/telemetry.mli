@@ -26,9 +26,6 @@ type t
 
 val create : unit -> t
 
-(** Drop every instrument and open span. *)
-val clear : t -> unit
-
 (** {2 Bounded histograms} *)
 
 module Histogram : sig
@@ -79,6 +76,16 @@ end
 (** {2 Counters} *)
 
 val inc : t -> ?labels:labels -> string -> unit
+
+(** A pre-resolved counter series: [counter t ?labels name] finds or
+    creates the series once (the label sort, key build and hash of {!inc}),
+    then [incr c] is a single field update. Resolving creates the series as
+    {!declare_counter} does, so resolve a handle on first use when a series
+    must not appear in exports before its first event. *)
+type counter
+
+val counter : t -> ?labels:labels -> string -> counter
+val incr : counter -> unit
 val add : t -> ?labels:labels -> string -> int -> unit
 
 (** 0 if never touched. *)

@@ -34,6 +34,42 @@ let prop_counter_total_order_same_label =
       let c2 = Counter.make ~lbl:(lbl 1) ~seqn:s2 ~wid:w2 in
       Counter.equal c1 c2 || Counter.precedes c1 c2 || Counter.precedes c2 c1)
 
+(* max_of as first written: the compare_total-largest of the counters no
+   other counter follows (all counters when each is followed) *)
+let reference_max_of counters =
+  match counters with
+  | [] -> None
+  | _ ->
+    let maximal =
+      List.filter
+        (fun c -> not (List.exists (fun c' -> Counter.precedes c c') counters))
+        counters
+    in
+    let pool = match maximal with [] -> counters | _ -> maximal in
+    Some
+      (List.fold_left
+         (fun best c -> if Counter.compare_total c best > 0 then c else best)
+         (List.hd pool) (List.tl pool))
+
+let prop_max_of_matches_reference =
+  QCheck.Test.make ~name:"max_of = quadratic maximal-then-tiebreak reference" ~count:500
+    QCheck.(
+      small_list
+        (quad (int_range 1 3) (int_range 0 3) (small_list (int_range 0 3))
+           (pair (int_range 0 4) (int_range 1 3))))
+    (fun specs ->
+      let counters =
+        List.map
+          (fun (creator, sting, antistings, (seqn, wid)) ->
+            Counter.make ~lbl:(Label.make ~creator ~sting ~antistings) ~seqn ~wid)
+          specs
+      in
+      (* the physically same counter, not just an equal one *)
+      match (Counter.max_of counters, reference_max_of counters) with
+      | None, None -> true
+      | Some a, Some b -> a == b
+      | Some _, None | None, Some _ -> false)
+
 (* --- Counter_algo --- *)
 
 let mk_algo self =
@@ -228,6 +264,167 @@ let test_non_member_read () =
     (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
          Counter_service.read_result (app t 9) <> None))
 
+(* --- the fixed-point skip in find_max_counter is exact --- *)
+
+type cnt_op =
+  | Merge of Pid.t * Counter.pair
+  | Receipt of Pid.t * Counter.pair option * Counter.pair option
+  | Corrupt_max of (Pid.t * Counter.pair) list
+  | Find
+
+let pair_equal (a : Counter.pair) (b : Counter.pair) =
+  Counter.equal a.Counter.mct b.Counter.mct
+  && Option.equal Counter.equal a.Counter.cct b.Counter.cct
+
+let algo_state_equal a b =
+  Counter_algo.label_creations a = Counter_algo.label_creations b
+  && List.for_all
+       (fun j ->
+         Option.equal pair_equal (Counter_algo.max_of a j) (Counter_algo.max_of b j)
+         && List.equal pair_equal (Counter_algo.stored a j) (Counter_algo.stored b j))
+       [ 1; 2; 3 ]
+
+(* Pairs come from a small per-run pool over four labels (same-creator
+   labels that dominate, are dominated by or are incomparable with each
+   other; seqns across the exhaustion bound; some canceled), so pairs often
+   share a label and receipts often repeat what is already stored — the
+   case the skip serves. *)
+let gen_cnt_ops rs n =
+  let gen_label () =
+    Label.make ~creator:(1 + Random.State.int rs 3) ~sting:(Random.State.int rs 4)
+      ~antistings:(List.filter (fun _ -> Random.State.bool rs) [ 0; 1; 2; 3 ])
+  in
+  let labels = Array.init 4 (fun _ -> gen_label ()) in
+  let gen_pair () =
+    let lbl =
+      if Random.State.int rs 4 = 0 then gen_label () else labels.(Random.State.int rs 4)
+    in
+    let p =
+      Counter.pair_of
+        (Counter.make ~lbl ~seqn:(Random.State.int rs 6) ~wid:(1 + Random.State.int rs 3))
+    in
+    if Random.State.int rs 4 = 0 then Counter.cancel p else p
+  in
+  let pool = Array.init 8 (fun _ -> gen_pair ()) in
+  let pair () =
+    if Random.State.int rs 5 = 0 then gen_pair () else pool.(Random.State.int rs 8)
+  in
+  let opt () = if Random.State.int rs 4 = 0 then None else Some (pair ()) in
+  let member () = 1 + Random.State.int rs 3 in
+  List.init n (fun _ ->
+      match Random.State.int rs 10 with
+      | 0 | 1 -> Merge (member (), pair ())
+      | 2 ->
+        Corrupt_max (List.init (Random.State.int rs 3) (fun _ -> (member (), pair ())))
+      | 3 -> Find
+      | _ -> Receipt (member (), opt (), opt ()))
+
+let mk_fixed_algo () =
+  Counter_algo.create ~self:1 ~members:(set [ 1; 2; 3 ]) ~in_transit_bound:2
+    ~exhaust_bound:4
+
+(* [corrupt ~max_entries:[]] changes no entry but forgets the fixed point,
+   so the reference runs the full findMaxCounter on every call. *)
+let force_dirty b = Counter_algo.corrupt b ~max_entries:[]
+
+let prop_fixed_point_skip_exact =
+  qtest
+    (QCheck.Test.make ~name:"fixed-point findMaxCounter = always-dirty reference"
+       ~count:300 QCheck.(int_range 0 100_000)
+       (fun seed ->
+         let rs = Random.State.make [| seed |] in
+         let a = mk_fixed_algo () and b = mk_fixed_algo () in
+         List.for_all
+           (fun op ->
+             (match op with
+             | Merge (from, p) ->
+               Counter_algo.merge a ~from p;
+               Counter_algo.merge b ~from p
+             | Receipt (from, sent_max, last_sent) ->
+               Counter_algo.receipt_action a ~sent_max ~last_sent ~from;
+               force_dirty b;
+               Counter_algo.receipt_action b ~sent_max ~last_sent ~from
+             | Corrupt_max entries ->
+               Counter_algo.corrupt a ~max_entries:entries;
+               Counter_algo.corrupt b ~max_entries:entries
+             | Find -> ());
+             let ca = Counter_algo.find_max_counter a in
+             force_dirty b;
+             let cb = Counter_algo.find_max_counter b in
+             Counter.equal ca cb && algo_state_equal a b)
+           (gen_cnt_ops rs 80)))
+
+(* storedCnts as first written: partition out the pair's label, merge
+   (a canceled copy wins, else the greater <seqn, wid>), push to the front,
+   truncate to the queue bound. [merge] must keep exactly these queues even
+   where it skips an add that would rebuild the same queue. *)
+let reference_store_add ~bound store (p : Counter.pair) =
+  let creator = p.Counter.mct.Counter.lbl.Label.creator in
+  let same (a : Counter.pair) = Label.equal a.Counter.mct.Counter.lbl p.Counter.mct.Counter.lbl in
+  let merge_pair (a : Counter.pair) (b : Counter.pair) =
+    match (Counter.legit a, Counter.legit b) with
+    | false, true -> a
+    | true, false -> b
+    | _ -> if Counter.precedes a.Counter.mct b.Counter.mct then b else a
+  in
+  let q = Option.value ~default:[] (Pid.Map.find_opt creator store) in
+  let dups, rest = List.partition same q in
+  let q' = List.fold_left merge_pair p dups :: rest in
+  Pid.Map.add creator (List.filteri (fun i _ -> i < bound) q') store
+
+let prop_merge_store_matches_reference =
+  qtest
+    (QCheck.Test.make ~name:"merge keeps the partition-and-merge store queues"
+       ~count:300 QCheck.(int_range 0 100_000)
+       (fun seed ->
+         let rs = Random.State.make [| seed |] in
+         let a = mk_fixed_algo () in
+         (* three members, in-transit bound 2: other creators keep 3 + 2 *)
+         let bound j = if j = 1 then (3 * ((3 * 3) + 2)) + 3 else 3 + 2 in
+         let store = ref Pid.Map.empty in
+         List.for_all
+           (function
+             | Merge (from, p) ->
+               Counter_algo.merge a ~from p;
+               let creator = p.Counter.mct.Counter.lbl.Label.creator in
+               store := reference_store_add ~bound:(bound creator) !store p;
+               List.for_all
+                 (fun j ->
+                   List.equal pair_equal (Counter_algo.stored a j)
+                     (Option.value ~default:[] (Pid.Map.find_opt j !store)))
+                 [ 1; 2; 3 ]
+             | Receipt _ | Corrupt_max _ | Find -> true)
+           (gen_cnt_ops rs 120)))
+
+(* A corrupted state on which findMaxCounter is not idempotent: the first
+   run settles on a stored legit pair whose label a canceled max entry of
+   the same creator dominates; only the second run cancels that pair, swaps
+   the just-settled max for its canceled twin and opens a fresh epoch. A
+   receipt that changes nothing must therefore not skip the second run. *)
+let test_not_idempotent_after_corruption () =
+  let a = mk_fixed_algo () in
+  let l1 = Label.make ~creator:2 ~sting:1 ~antistings:[] in
+  let l2 = Label.make ~creator:2 ~sting:2 ~antistings:[ 1 ] in
+  (* the store holds the legit l1 pair; max holds only the canceled l2 *)
+  Counter_algo.merge a ~from:3 (Counter.pair_of (Counter.make ~lbl:l1 ~seqn:1 ~wid:2));
+  Counter_algo.corrupt a
+    ~max_entries:
+      [ (3, Counter.cancel (Counter.pair_of (Counter.make ~lbl:l2 ~seqn:0 ~wid:2))) ];
+  let first = Counter_algo.find_max_counter a in
+  Alcotest.(check bool) "first run settles on the dominated label" true
+    (Label.equal first.Counter.lbl l1);
+  Alcotest.(check int) "no fresh epoch yet" 0 (Counter_algo.label_creations a);
+  (* a receipt from a processor without an entry: nothing changes *)
+  Counter_algo.receipt_action a ~sent_max:None ~last_sent:None ~from:2;
+  Alcotest.(check int) "the receipt's run opened a fresh epoch" 1
+    (Counter_algo.label_creations a);
+  let second = Counter_algo.find_max_counter a in
+  Alcotest.(check int) "own fresh label" 1 second.Counter.lbl.Label.creator;
+  Alcotest.(check bool) "settled max is legit" true
+    (match Counter_algo.local_max a with
+    | Some p -> Counter.legit p && Counter.equal p.Counter.mct second
+    | None -> false)
+
 let suites =
   [
     ( "counter.structure",
@@ -235,6 +432,7 @@ let suites =
         Alcotest.test_case "order" `Quick test_counter_order;
         Alcotest.test_case "exhaustion" `Quick test_counter_exhaustion;
         qtest prop_counter_total_order_same_label;
+        qtest prop_max_of_matches_reference;
       ] );
     ( "counter.algo",
       [
@@ -242,6 +440,10 @@ let suites =
         Alcotest.test_case "merge keeps greatest" `Quick test_algo_merge_keeps_greatest;
         Alcotest.test_case "exhaustion forces epoch" `Quick test_algo_exhaustion_forces_new_epoch;
         Alcotest.test_case "rebuild voids non-members" `Quick test_algo_rebuild_voids_non_members;
+        prop_fixed_point_skip_exact;
+        prop_merge_store_matches_reference;
+        Alcotest.test_case "findMaxCounter not idempotent after corruption" `Quick
+          test_not_idempotent_after_corruption;
       ] );
     ( "counter.service",
       [

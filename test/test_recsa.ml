@@ -584,6 +584,219 @@ let test_interning_physical_equality () =
   let n3 = Reconfig.Notification.intern (Reconfig.Notification.make Reconfig.Notification.P1 asc) in
   Alcotest.(check bool) "phase distinguishes notifications" true (n1 != n3)
 
+(* --- recSA's memos are exact --- *)
+
+type sa_op =
+  | Receive of Pid.t * Recsa.message
+  | Tick of Pid.Set.t
+  | Broadcast of Pid.Set.t
+  | Estab of Pid.Set.t * Pid.Set.t
+  | Participate of Pid.Set.t
+  | Corrupt of Config_value.t option * Notification.t option * bool option * Pid.Set.t option
+  | Clear_peers
+
+let sa_set_pool =
+  [| set [ 1; 2; 3; 4 ]; set [ 1; 2; 3 ]; set [ 1; 2 ]; set [ 2; 3; 4 ]; set [ 1 ]; Pid.Set.empty |]
+
+(* Small pools make repeated messages — and so memo hits — common; a
+   trusted set is sometimes a fresh copy, equal but not physically equal. *)
+let gen_sa_op rs ~sent =
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let some_set () = pick sa_set_pool in
+  let trusted () =
+    let s = pick [| set [ 1; 2; 3; 4 ]; set [ 1; 2; 3 ]; set [ 1; 3; 4 ] |] in
+    if Random.State.bool rs then s else set (Pid.Set.elements s)
+  in
+  let config () =
+    match Random.State.int rs 6 with
+    | 0 -> Config_value.Reset
+    | 1 -> Config_value.Not_participant
+    | _ -> Config_value.Set (some_set ())
+  in
+  let notification () =
+    match Random.State.int rs 8 with
+    | 0 -> Notification.make Notification.P1 (some_set ())
+    | 1 -> Notification.make Notification.P2 (some_set ())
+    | 2 -> { Notification.phase = Notification.P0; set = Some (some_set ()) }
+    | _ -> Notification.default
+  in
+  match Random.State.int rs 14 with
+  | 0 | 1 | 2 | 3 ->
+    let m =
+      match !sent with
+      | (_ :: _ as l) when Random.State.int rs 3 > 0 ->
+        List.nth l (Random.State.int rs (List.length l))
+      | _ ->
+        let m =
+          {
+            Recsa.m_fd = some_set ();
+            m_part = some_set ();
+            m_config = config ();
+            m_prp = notification ();
+            m_all = Random.State.bool rs;
+            m_echo =
+              (if Random.State.bool rs then None
+               else
+                 Some
+                   {
+                     Recsa.e_part = some_set ();
+                     e_prp = notification ();
+                     e_all = Random.State.bool rs;
+                   });
+          }
+        in
+        sent := m :: !sent;
+        m
+    in
+    Receive (2 + Random.State.int rs 3, m)
+  | 4 | 5 | 6 | 7 -> Tick (trusted ())
+  | 8 | 9 -> Broadcast (trusted ())
+  | 10 -> Estab (trusted (), some_set ())
+  | 11 -> Participate (trusted ())
+  | 12 ->
+    let maybe f = if Random.State.bool rs then Some (f ()) else None in
+    Corrupt
+      ( maybe config,
+        maybe notification,
+        maybe (fun () -> Random.State.bool rs),
+        maybe some_set )
+  | _ -> Clear_peers
+
+let echo_equal (a : Recsa.echo_view) (b : Recsa.echo_view) =
+  Pid.Set.equal a.e_part b.e_part
+  && Notification.equal a.e_prp b.e_prp
+  && Bool.equal a.e_all b.e_all
+
+let message_equal (p, (a : Recsa.message)) (q, (b : Recsa.message)) =
+  Pid.equal p q
+  && Pid.Set.equal a.m_fd b.m_fd
+  && Pid.Set.equal a.m_part b.m_part
+  && Config_value.equal a.m_config b.m_config
+  && Notification.equal a.m_prp b.m_prp
+  && Bool.equal a.m_all b.m_all
+  && Option.equal echo_equal a.m_echo b.m_echo
+
+(* what an operation returned, in comparable form *)
+type sa_result =
+  | Done
+  | Events of (string * string) list
+  | Sent of (Pid.t * Recsa.message) list
+  | Accepted of bool
+
+let sa_result_equal a b =
+  match (a, b) with
+  | Done, Done -> true
+  | Events a, Events b -> a = b
+  | Sent a, Sent b -> List.equal message_equal a b
+  | Accepted a, Accepted b -> Bool.equal a b
+  | (Done | Events _ | Sent _ | Accepted _), _ -> false
+
+let apply_sa_op sa = function
+  | Receive (from, m) ->
+    Recsa.receive sa ~from m;
+    Done
+  | Tick trusted -> Events (Recsa.tick sa ~trusted)
+  | Broadcast trusted -> Sent (Recsa.broadcast sa ~trusted)
+  | Estab (trusted, s) -> Accepted (Recsa.estab sa ~trusted s)
+  | Participate trusted -> Accepted (Recsa.participate sa ~trusted)
+  | Corrupt (config, prp, all, allseen) ->
+    Recsa.corrupt sa ?config ?prp ?all ?allseen ();
+    Done
+  | Clear_peers ->
+    Recsa.clear_peers sa;
+    Done
+
+(* the interface, and the broadcast, which changes no state either *)
+let sa_interface sa ~trusted =
+  ( Recsa.participants sa ~trusted,
+    Recsa.no_reco sa ~trusted,
+    Recsa.get_config sa ~trusted,
+    Recsa.broadcast sa ~trusted )
+
+(* Writing an equal but physically new notification bumps the state's
+   version without changing any value, so the next interface query, tick
+   and broadcast are necessarily memo misses, i.e. full recomputations. *)
+let force_dirty sa =
+  let n = Recsa.prp sa in
+  Recsa.corrupt sa ~prp:{ n with Notification.phase = n.Notification.phase } ()
+
+(* One instance is queried after every step, so its memos hit whenever
+   the state did not change. The reference replays the same inputs into a
+   fresh instance, forced dirty before every step and before the final
+   queries; every operation's result and every query must agree. *)
+let prop_recsa_memo_exact =
+  qtest
+    (QCheck.Test.make ~name:"memoized recSA interface, tick and broadcast = fresh replay"
+       ~count:150
+       QCheck.(pair (int_range 0 100_000) bool)
+       (fun (seed, participant) ->
+         let rs = Random.State.make [| seed |] in
+         let create () =
+           Recsa.create ~self:1 ~participant
+             ?initial_config:(if participant then Some (set [ 1; 2; 3; 4 ]) else None)
+             ()
+         in
+         let sa = create () in
+         let sent = ref [] in
+         let pool = [| set [ 1; 2; 3; 4 ]; set [ 1; 2; 3 ]; set [ 1; 3; 4 ] |] in
+         let query = ref pool.(0) in
+         let rec steps k history =
+           k = 0
+           ||
+           let op = gen_sa_op rs ~sent in
+           (* mostly keep querying with the same set, so the memo can hit
+              across steps *)
+           if Random.State.int rs 4 = 0 then query := pool.(Random.State.int rs 3);
+           let result = apply_sa_op sa op in
+           let history = op :: history in
+           let fresh = create () in
+           let replayed =
+             List.fold_left
+               (fun _ op ->
+                 force_dirty fresh;
+                 apply_sa_op fresh op)
+               Done (List.rev history)
+           in
+           let trusted = !query in
+           let part, no_reco, config, msgs = sa_interface sa ~trusted in
+           force_dirty fresh;
+           let part', no_reco', config', msgs' = sa_interface fresh ~trusted in
+           sa_result_equal result replayed
+           && Pid.Set.equal part part' && Bool.equal no_reco no_reco'
+           && Config_value.equal config config'
+           && List.equal message_equal msgs msgs'
+           && Config_value.equal (Recsa.config sa) (Recsa.config fresh)
+           && Notification.equal (Recsa.prp sa) (Recsa.prp fresh)
+           && steps (k - 1) history
+         in
+         steps 60 []))
+
+(* Mid-replacement, a quiet tick waits for allSeen to cover the
+   participants; a corrupted allSeen that does is a new input, so the next
+   tick must run and advance to phase 2 rather than be skipped. *)
+let test_quiet_tick_reads_allseen () =
+  let trusted = set [ 1; 2 ] in
+  let sa = Recsa.create ~self:1 ~participant:true ~initial_config:trusted () in
+  let proposal = Notification.intern (Notification.make Notification.P1 (set [ 1 ])) in
+  Recsa.corrupt sa ~prp:proposal ();
+  Recsa.receive sa ~from:2
+    {
+      Recsa.m_fd = trusted;
+      m_part = trusted;
+      m_config = Config_value.Set trusted;
+      m_prp = proposal;
+      m_all = false;
+      m_echo = Some { Recsa.e_part = trusted; e_prp = proposal; e_all = true };
+    };
+  ignore (Recsa.tick sa ~trusted);
+  Alcotest.(check (list (pair string string))) "waiting: quiet" [] (Recsa.tick sa ~trusted);
+  Alcotest.(check (list (pair string string))) "still quiet" [] (Recsa.tick sa ~trusted);
+  Recsa.corrupt sa ~allseen:(set [ 2 ]) ();
+  let events = Recsa.tick sa ~trusted in
+  Alcotest.(check bool) "phase 2 reached" true (List.mem_assoc "recsa.phase2" events);
+  Alcotest.(check bool) "in phase 2" true
+    ((Recsa.prp sa).Notification.phase = Notification.P2)
+
 let suites =
   [
     ( "reconfig.values",
@@ -634,6 +847,8 @@ let suites =
         Alcotest.test_case "stale report + recovery" `Quick test_stale_report_after_corruption;
         Alcotest.test_case "closure (Thm 3.16)" `Quick test_closure_theorem;
         Alcotest.test_case "descriptor interning" `Quick test_interning_physical_equality;
+        prop_recsa_memo_exact;
+        Alcotest.test_case "quiet tick reads allSeen" `Quick test_quiet_tick_reads_allseen;
       ] );
     ( "reconfig.partitions",
       [

@@ -104,6 +104,23 @@ let test_labels () =
     (Telemetry.counter_value t ~labels:[ ("a", "other") ] "x");
   Alcotest.(check int) "unlabeled untouched" 0 (Telemetry.counter_value t "x")
 
+let test_counter_handles () =
+  let t = Telemetry.create () in
+  Telemetry.inc t ~labels:[ ("kind", "sa") ] "sent";
+  (* a handle is the very series [inc] updates, whatever the label order *)
+  let h = Telemetry.counter t ~labels:[ ("kind", "sa") ] "sent" in
+  Telemetry.incr h;
+  Telemetry.incr h;
+  Alcotest.(check int) "handle and inc share a series" 3
+    (Telemetry.counter_value t ~labels:[ ("kind", "sa") ] "sent");
+  (* resolving declares the series at zero, as declare_counter does *)
+  let before = List.length (Telemetry.counters t) in
+  ignore (Telemetry.counter t ~labels:[ ("kind", "ma") ] "sent");
+  Alcotest.(check int) "resolving creates the series" (before + 1)
+    (List.length (Telemetry.counters t));
+  Alcotest.(check int) "at zero" 0
+    (Telemetry.counter_value t ~labels:[ ("kind", "ma") ] "sent")
+
 let test_declarations () =
   let t = Telemetry.create () in
   Telemetry.declare_counter t ~labels:[ ("type", "1") ] "conflicts";
@@ -353,6 +370,7 @@ let suites =
         Alcotest.test_case "histogram stats" `Quick test_histogram_stats;
         Alcotest.test_case "quantile accuracy" `Quick test_quantile_accuracy;
         Alcotest.test_case "labels" `Quick test_labels;
+        Alcotest.test_case "counter handles" `Quick test_counter_handles;
         Alcotest.test_case "declarations" `Quick test_declarations;
         Alcotest.test_case "span basic" `Quick test_span_basic;
         Alcotest.test_case "span mismatches" `Quick test_span_mismatches;

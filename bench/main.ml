@@ -33,17 +33,20 @@ let bench_rng =
   let rng = Sim.Rng.create 1 in
   Test.make ~name:"rng.int" (Staged.stage (fun () -> Sim.Rng.int rng 1000))
 
-let bench_heap =
+(* the engine's own queue load: 512 resident events, about what `wide`
+   keeps in flight; one run pops the earliest event and schedules a
+   successor at now + U[0.5, 2], the delivery-delay model *)
+let bench_event_queue =
   let rng = Sim.Rng.create 2 in
-  Test.make ~name:"heap.push_pop_64"
+  let q = Sim.Event_queue.create () in
+  for kind = 1 to 512 do
+    Sim.Event_queue.push q ~at:(2.0 *. Sim.Rng.float rng) kind
+  done;
+  Test.make ~name:"engine.event_queue_hold_512"
     (Staged.stage (fun () ->
-         let h = Sim.Heap.create Int.compare in
-         for _ = 1 to 64 do
-           Sim.Heap.push h (Sim.Rng.int rng 10_000)
-         done;
-         while not (Sim.Heap.is_empty h) do
-           ignore (Sim.Heap.pop h)
-         done))
+         let now = Sim.Event_queue.min_at q in
+         let kind = Sim.Event_queue.pop q in
+         Sim.Event_queue.push q ~at:(now +. 0.5 +. (1.5 *. Sim.Rng.float rng)) kind))
 
 let bench_channel =
   let rng = Sim.Rng.create 3 in
@@ -168,7 +171,7 @@ let micro_tests =
   Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
     [
       bench_rng;
-      bench_heap;
+      bench_event_queue;
       bench_channel;
       bench_fd;
       bench_notification_max;

@@ -82,22 +82,25 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
             paper uses majorities; any intersecting quorum system works) *)
          if not (Q.is_quorum ~config:members trusted) then
            t.no_maj <- Pid.Map.add t.ma_self true t.no_maj;
-         let co = core t ~trusted ~recsa in
+         (* [core] and the supporters are pure, so each is built only
+            under the guard that reads it *)
          if
            flag t.no_maj t.ma_self
-           && Pid.Set.cardinal co > 1
-           && Pid.Set.for_all (fun p -> flag t.no_maj p) co
+           &&
+           let co = core t ~trusted ~recsa in
+           Pid.Set.cardinal co > 1 && Pid.Set.for_all (fun p -> flag t.no_maj p) co
          then trigger t ~trusted ~recsa "majority collapse" events
          else begin
            (* line 16: prediction-function path *)
            let wants = eval_conf members in
            t.need_reconf <- Pid.Map.add t.ma_self wants t.need_reconf;
-           let supporters =
-             Pid.Set.filter (fun p -> flag t.need_reconf p)
-               (Pid.Set.inter members trusted)
-           in
-           if wants && Q.is_quorum ~config:members supporters then
-             trigger t ~trusted ~recsa "majority prediction" events
+           if
+             wants
+             && Q.is_quorum ~config:members
+                  (Pid.Set.filter
+                     (fun p -> flag t.need_reconf p)
+                     (Pid.Set.inter members trusted))
+           then trigger t ~trusted ~recsa "majority prediction" events
          end
      end);
     let msg =

@@ -37,6 +37,12 @@ val send : 'a t -> Rng.t -> 'a -> unit
     uniformly random queued packet when [reorder]. [None] if empty. *)
 val take : 'a t -> Rng.t -> reorder:bool -> 'a option
 
+(** [take_nonempty t rng] is [take t rng ~reorder:true] on a non-empty
+    channel, without the option: the same single draw picks the same
+    packet, and nothing is allocated.
+    @raise Invalid_argument if [t] is empty. *)
+val take_nonempty : 'a t -> Rng.t -> 'a
+
 (** [duplicate_head t] re-enqueues a copy of the head packet if capacity
     allows, counting it as a duplication. *)
 val duplicate_head : 'a t -> unit

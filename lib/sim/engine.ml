@@ -14,8 +14,6 @@ let slot_fast_limit = 1 lsl 16
 
 (* An event's kind packs into one int: bit 0 tags timer (0) vs delivery
    (1); a timer carries the node's slot, a delivery both endpoint slots. *)
-type event = { at : float; seq : int; kind : int }
-
 let timer_kind slot = slot lsl 1
 let deliver_kind ~src_slot ~dst_slot = (((src_slot lsl slot_bits) lor dst_slot) lsl 1) lor 1
 
@@ -67,9 +65,8 @@ type ('s, 'm) t = {
      draw sequence is exactly the profile-free one *)
   mutable profiles : link_profile option array array;
   mutable mangler : (Rng.t -> 'm -> 'm) option;
-  queue : event Heap.t;
+  queue : Event_queue.t;
   mutable e_time : float;
-  mutable e_seq : int;
   mutable e_steps : int;
   (* cached view of [rounds]: the minimum tick count over live nodes and how
      many live nodes sit at that minimum, so [rounds] is O(1) and the O(n)
@@ -88,23 +85,15 @@ type ('s, 'm) t = {
   e_telemetry : Telemetry.t;
 }
 
-let compare_event a b =
-  let c = Float.compare a.at b.at in
-  if c <> 0 then c else Int.compare a.seq b.seq
+(* [Event_queue.push] and [Rng.float] inline here, so the event's time
+   never leaves a float register *)
+let[@inline] schedule t ~lo ~hi kind =
+  Event_queue.push t.queue ~at:(t.e_time +. (lo +. (Rng.float t.e_rng *. (hi -. lo)))) kind
 
-let push_event t ~at kind =
-  t.e_seq <- t.e_seq + 1;
-  Heap.push t.queue { at; seq = t.e_seq; kind }
-
-let uniform rng lo hi = lo +. (Rng.float rng *. (hi -. lo))
-
-let schedule_timer t slot =
-  push_event t ~at:(t.e_time +. uniform t.e_rng timer_min timer_max) (timer_kind slot)
+let schedule_timer t slot = schedule t ~lo:timer_min ~hi:timer_max (timer_kind slot)
 
 let schedule_delivery t ~src_slot ~dst_slot =
-  push_event t
-    ~at:(t.e_time +. uniform t.e_rng min_delay max_delay)
-    (deliver_kind ~src_slot ~dst_slot)
+  schedule t ~lo:min_delay ~hi:max_delay (deliver_kind ~src_slot ~dst_slot)
 
 let find_slot t p =
   if p >= 0 && p < Array.length t.slot_fast then t.slot_fast.(p)
@@ -203,9 +192,8 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
       blocked = Array.make 16 [||];
       profiles = Array.make 16 [||];
       mangler = None;
-      queue = Heap.create compare_event;
+      queue = Event_queue.create ();
       e_time = 0.0;
-      e_seq = 0;
       e_steps = 0;
       e_live = 0;
       e_min_ticks = 0;
@@ -393,29 +381,46 @@ let clear_link_profiles t =
 
 let set_mangler t f = t.mangler <- f
 
+let send_one t ~src_slot dst msg =
+  let dst_slot = ensure_slot t dst in
+  let ch = channel_of_slots t src_slot dst_slot in
+  if t.blocked.(src_slot).(dst_slot) then begin
+    let st = Channel.stats ch in
+    st.Channel.dropped <- st.Channel.dropped + 1
+  end
+  else begin
+    Channel.send ch t.e_rng msg;
+    (* duplication: occasionally schedule an extra delivery attempt; a
+       link profile overrides the rate but spends the same single draw *)
+    let dup =
+      match t.profiles.(src_slot).(dst_slot) with
+      | None -> dup_rate
+      | Some p -> p.lp_dup
+    in
+    if Rng.chance t.e_rng dup then Channel.duplicate_head ch;
+    schedule_delivery t ~src_slot ~dst_slot
+  end
+
+(* The outbox is newest first; sending on the way back up the recursion
+   sends oldest first without reversing it. Its depth is one step's sends. *)
+let rec send_oldest_first t ~src_slot = function
+  | [] -> ()
+  | (dst, msg) :: older ->
+    send_oldest_first t ~src_slot older;
+    send_one t ~src_slot dst msg
+
 let flush_outbox t ~src_slot ctx =
-  List.iter
-    (fun (dst, msg) ->
-      let dst_slot = ensure_slot t dst in
-      let ch = channel_of_slots t src_slot dst_slot in
-      if t.blocked.(src_slot).(dst_slot) then begin
-        let st = Channel.stats ch in
-        st.Channel.dropped <- st.Channel.dropped + 1
-      end
-      else begin
-        Channel.send ch t.e_rng msg;
-        (* duplication: occasionally schedule an extra delivery attempt; a
-           link profile overrides the rate but spends the same single draw *)
-        let dup =
-          match t.profiles.(src_slot).(dst_slot) with
-          | None -> dup_rate
-          | Some p -> p.lp_dup
-        in
-        if Rng.chance t.e_rng dup then Channel.duplicate_head ch;
-        schedule_delivery t ~src_slot ~dst_slot
-      end)
-    (List.rev ctx.Step.ctx_outbox);
+  send_oldest_first t ~src_slot ctx.Step.ctx_outbox;
   ctx.Step.ctx_outbox <- []
+
+(* Hand [msg] from [src_slot] to node [n] and flush its sends. *)
+let deliver t n ~src_slot ~dst_slot msg =
+  let ctx = t.scratch in
+  ctx.Step.ctx_self <- n.n_pid;
+  ctx.ctx_time <- t.e_time;
+  ctx.ctx_outbox <- [];
+  n.n_state <- t.behavior.Step.on_message ctx t.pid_of_slot.(src_slot) msg n.n_state;
+  flush_outbox t ~src_slot:dst_slot ctx
 
 let exec_step t kind =
   if kind land 1 = 0 then begin
@@ -449,41 +454,36 @@ let exec_step t kind =
         let loss = match profile with None -> t.loss | Some p -> p.lp_drop in
         if t.blocked.(src_slot).(dst_slot) then Channel.drop_one ch t.e_rng
         else if Rng.chance t.e_rng loss then Channel.drop_one ch t.e_rng
-        else
-          match Channel.take ch t.e_rng ~reorder:true with
-          | None -> ()
-          | Some msg ->
-            (* "bit flips": a profiled link occasionally mangles the packet
-               through the installed mangler; without a mangler a flipped
-               packet is unparseable and counts as dropped. Profile-free
-               links spend no extra draw here. *)
-            let deliver msg =
-              let ctx = t.scratch in
-              ctx.Step.ctx_self <- n.n_pid;
-              ctx.ctx_time <- t.e_time;
-              ctx.ctx_outbox <- [];
-              n.n_state <-
-                t.behavior.Step.on_message ctx t.pid_of_slot.(src_slot) msg n.n_state;
-              flush_outbox t ~src_slot:dst_slot ctx
-            in
-            (match profile with
-            | Some p when p.lp_flip > 0.0 && Rng.chance t.e_rng p.lp_flip -> (
-              match t.mangler with
-              | Some f -> deliver (f t.e_rng msg)
-              | None ->
-                let st = Channel.stats ch in
-                st.Channel.dropped <- st.Channel.dropped + 1)
-            | _ -> deliver msg)
+        else if not (Channel.is_empty ch) then begin
+          let msg = Channel.take_nonempty ch t.e_rng in
+          (* "bit flips": a profiled link occasionally mangles the packet
+             through the installed mangler; without a mangler a flipped
+             packet is unparseable and counts as dropped. Profile-free
+             links spend no extra draw here. *)
+          match profile with
+          | Some p when p.lp_flip > 0.0 && Rng.chance t.e_rng p.lp_flip -> (
+            match t.mangler with
+            | Some f -> deliver t n ~src_slot ~dst_slot (f t.e_rng msg)
+            | None ->
+              let st = Channel.stats ch in
+              st.Channel.dropped <- st.Channel.dropped + 1)
+          | _ -> deliver t n ~src_slot ~dst_slot msg
+        end
       end
   end
 
 let step t =
-  if Heap.is_empty t.queue then false
+  let q = t.queue in
+  if Event_queue.is_empty q then false
   else begin
-    let ev = Heap.pop t.queue in
-    t.e_time <- Float.max t.e_time ev.at;
+    let at = Event_queue.min_at q in
+    let kind = Event_queue.pop q in
+    (* no event is scheduled before the clock, so this equals
+       [Float.max t.e_time at]; it compares unboxed and boxes only a time
+       that advances the clock *)
+    if at > t.e_time then t.e_time <- at;
     t.e_steps <- t.e_steps + 1;
-    exec_step t ev.kind;
+    exec_step t kind;
     true
   end
 

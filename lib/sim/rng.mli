@@ -1,7 +1,9 @@
 (** Deterministic pseudo-random number generator (splitmix64).
 
     All randomness in the simulator flows from a single seeded generator so
-    every execution is reproducible from its seed. *)
+    every execution is reproducible from its seed. The state is kept
+    unboxed and the draw functions inline, so [bits64], [int], [float],
+    [bool] and [chance] allocate nothing at a native-code call site. *)
 
 type t
 

@@ -1,5 +1,5 @@
-(* Tests for the simulation kernel: pids, rng, heap, channel, trace,
-   engine. *)
+(* Tests for the simulation kernel: pids, rng, event queue, channel,
+   trace, engine. *)
 
 open Sim
 
@@ -59,28 +59,108 @@ let test_rng_chance_extremes () =
     Alcotest.(check bool) "p=0 never" false (Rng.chance r 0.0)
   done
 
-(* --- Heap --- *)
+(* Every seeded run depends on these streams draw for draw; the goldens
+   are in rng_golden.ml. *)
+let rng_golden_draws = 64
+let rng_golden_int_bounds = [| 2; 7; 1000; 1_000_003; max_int |]
+
+let rng_golden_lines seed =
+  let line name r draw =
+    Printf.sprintf "seed %d %s:%s" seed name
+      (String.concat "" (List.init rng_golden_draws (fun i -> " " ^ draw r i)))
+  in
+  let bits r _ = Printf.sprintf "%016Lx" (Rng.bits64 r) in
+  let fresh () = Rng.create seed in
+  let advanced = fresh () in
+  for _ = 1 to rng_golden_draws do
+    ignore (Rng.bits64 advanced)
+  done;
+  let parent = fresh () in
+  let child = Rng.split parent in
+  [
+    line "bits64" (fresh ()) bits;
+    line "int" (fresh ()) (fun r i ->
+        string_of_int
+          (Rng.int r rng_golden_int_bounds.(i mod Array.length rng_golden_int_bounds)));
+    line "float" (fresh ()) (fun r _ -> Printf.sprintf "%h" (Rng.float r));
+    line "bool" (fresh ()) (fun r _ -> if Rng.bool r then "1" else "0");
+    line "copy" (Rng.copy advanced) bits;
+    line "split-child" child bits;
+    line "split-parent" parent bits;
+  ]
+
+let test_rng_golden_streams () =
+  let expected = Rng_golden.lines in
+  let actual = List.concat_map rng_golden_lines [ 0; 1; 42 ] in
+  Alcotest.(check int) "stream count" (List.length expected) (List.length actual);
+  List.iter2 (fun e a -> Alcotest.(check string) "golden stream" e a) expected actual
+
+let test_rng_copy_independent () =
+  let a = Rng.create 9 in
+  ignore (Rng.bits64 a);
+  let b = Rng.copy a in
+  let xs = List.init 16 (fun _ -> Rng.bits64 a) in
+  let ys = List.init 16 (fun _ -> Rng.bits64 b) in
+  Alcotest.(check (list int64)) "copy replays the stream" xs ys;
+  (* drawing from the copy did not advance the original *)
+  Alcotest.(check bool) "original moved on" true (Rng.bits64 a <> List.hd xs)
+
+(* --- Event queue --- *)
+
+let drain_kinds q =
+  let rec go acc = if Event_queue.is_empty q then List.rev acc else go (Event_queue.pop q :: acc) in
+  go []
 
 let test_heap_sorts () =
-  let h = Heap.create Int.compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc = if Heap.is_empty h then List.rev acc else drain (Heap.pop h :: acc) in
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
+  let q = Event_queue.create () in
+  List.iter (fun v -> Event_queue.push q ~at:(float_of_int v) v) [ 5; 3; 8; 1; 9; 2; 7 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain_kinds q)
 
 let test_heap_empty_raises () =
-  let h = Heap.create Int.compare in
-  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Heap.pop h));
-  Alcotest.check_raises "peek empty" Not_found (fun () -> ignore (Heap.peek h))
+  let q = Event_queue.create () in
+  Alcotest.check_raises "pop empty" Not_found (fun () -> ignore (Event_queue.pop q));
+  Alcotest.check_raises "min_at empty" Not_found (fun () -> ignore (Event_queue.min_at q))
 
 let prop_heap_pop_order =
   QCheck.Test.make ~name:"heap pops in nondecreasing order"
     QCheck.(list small_int)
     (fun l ->
-      let h = Heap.create Int.compare in
-      List.iter (Heap.push h) l;
-      let rec drain acc = if Heap.is_empty h then List.rev acc else drain (Heap.pop h :: acc) in
-      let out = drain [] in
-      out = List.sort Int.compare l)
+      let q = Event_queue.create () in
+      List.iter (fun v -> Event_queue.push q ~at:(float_of_int v) v) l;
+      drain_kinds q = List.sort Int.compare l)
+
+(* Interleaved pushes and pops against a list sorted by (at, seq). Times
+   come from a handful of values, so most comparisons are ties that only
+   the insertion number breaks, and runs of pushes outgrow the initial
+   capacity. A push is [Some at]; a pop is [None]. *)
+let prop_event_queue_model =
+  let op = QCheck.(option ~ratio:0.7 (map float_of_int (int_bound 3))) in
+  QCheck.Test.make ~name:"event queue pops in (at, seq) order" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 600) op)
+    (fun ops ->
+      let q = Event_queue.create () in
+      let model = ref [] and seq = ref 0 in
+      let by_at_seq (a1, s1) (a2, s2) =
+        let c = Float.compare a1 a2 in
+        if c <> 0 then c else Int.compare s1 s2
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match (op, !model) with
+            | Some at, _ ->
+              Event_queue.push q ~at !seq;
+              model := List.merge by_at_seq !model [ (at, !seq) ];
+              incr seq;
+              true
+            | None, [] -> Event_queue.is_empty q
+            | None, (at, s) :: rest ->
+              model := rest;
+              Event_queue.min_at q = at && Event_queue.pop q = s
+          in
+          ok && Event_queue.size q = List.length !model)
+        ops
+      && drain_kinds q = List.map snd !model)
 
 (* --- Channel --- *)
 
@@ -103,6 +183,33 @@ let test_channel_fifo_without_reorder () =
   Alcotest.(check (option int)) "second" (Some 2) (take ());
   Alcotest.(check (option int)) "third" (Some 3) (take ());
   Alcotest.(check (option int)) "empty" None (take ())
+
+(* [take_nonempty] is [take ~reorder:true] without the option: on the same
+   stream it removes the same packet with the same draw. *)
+let test_channel_take_nonempty_matches_take () =
+  List.iter
+    (fun seed ->
+      let rng_a = Rng.create seed and rng_b = Rng.create seed in
+      let ops = Rng.create (seed + 1) in
+      let a = Channel.create ~capacity:5 and b = Channel.create ~capacity:5 in
+      for i = 1 to 2_000 do
+        if Rng.bool ops then begin
+          Channel.send a rng_a i;
+          Channel.send b rng_b i
+        end
+        else if Channel.is_empty a then
+          Alcotest.check_raises "empty" (Invalid_argument "Channel.take_nonempty: empty channel")
+            (fun () -> ignore (Channel.take_nonempty a rng_a))
+        else
+          Alcotest.(check (option int)) "same packet"
+            (Channel.take b rng_b ~reorder:true)
+            (Some (Channel.take_nonempty a rng_a));
+        Alcotest.(check (list int)) "same contents" (Channel.contents b) (Channel.contents a)
+      done;
+      Alcotest.(check int64) "same draws" (Rng.bits64 rng_b) (Rng.bits64 rng_a);
+      Alcotest.(check int) "delivered counted" (Channel.stats b).Channel.delivered
+        (Channel.stats a).Channel.delivered)
+    [ 3; 77 ]
 
 let test_channel_corrupt_and_clear () =
   let ch = Channel.create ~capacity:3 in
@@ -420,29 +527,29 @@ let test_channel_matches_list_model () =
       Alcotest.(check int) "duplicated" refc.Ref_channel.duplicated st.Channel.duplicated)
     [ 1; 17; 4242 ]
 
-(* --- Heap vs a sorted-list model, interleaved pushes and pops --- *)
+(* --- Event queue vs a sorted-list model, interleaved pushes and pops --- *)
 
 let test_heap_matches_sorted_model () =
   List.iter
     (fun seed ->
       let rng = Rng.create seed in
-      let h = Heap.create Int.compare in
+      let q = Event_queue.create () in
       let model = ref [] in
       for _ = 1 to 3_000 do
         if Rng.int rng 3 < 2 || !model = [] then begin
           let v = Rng.int rng 1_000 in
-          Heap.push h v;
+          Event_queue.push q ~at:(float_of_int v) v;
           model := List.merge Int.compare [ v ] !model
         end
         else begin
           match !model with
           | m :: rest ->
-            Alcotest.(check int) "peek is min" m (Heap.peek h);
-            Alcotest.(check int) "pop is min" m (Heap.pop h);
+            Alcotest.(check (float 0.0)) "peek is min" (float_of_int m) (Event_queue.min_at q);
+            Alcotest.(check int) "pop is min" m (Event_queue.pop q);
             model := rest
           | [] -> assert false
         end;
-        Alcotest.(check int) "size agrees" (List.length !model) (Heap.size h)
+        Alcotest.(check int) "size agrees" (List.length !model) (Event_queue.size q)
       done)
     [ 2; 23 ]
 
@@ -478,6 +585,8 @@ let suites =
         Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
+        Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
+        Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
       ] );
     ( "sim.heap",
       [
@@ -485,12 +594,15 @@ let suites =
         Alcotest.test_case "empty raises" `Quick test_heap_empty_raises;
         Alcotest.test_case "matches sorted-list model" `Quick test_heap_matches_sorted_model;
         qtest prop_heap_pop_order;
+        qtest prop_event_queue_model;
       ] );
     ( "sim.channel",
       [
         Alcotest.test_case "capacity bound" `Quick test_channel_capacity;
         Alcotest.test_case "fifo without reorder" `Quick test_channel_fifo_without_reorder;
         Alcotest.test_case "corrupt and clear" `Quick test_channel_corrupt_and_clear;
+        Alcotest.test_case "take_nonempty matches take" `Quick
+          test_channel_take_nonempty_matches_take;
         Alcotest.test_case "matches list reference model" `Quick
           test_channel_matches_list_model;
       ] );

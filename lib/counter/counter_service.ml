@@ -49,7 +49,7 @@ let increment_result st = st.increment_result
 let read_result st = st.read_result
 let aborts st = st.abort_count
 
-let ensure_algo ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) st
+let ensure_algo ~in_transit_bound ~exhaust_bound (view : msg Stack.scheme_view) st
     members =
   match st.algo with
   | Some algo when Pid.equal_sets (Counter_algo.members algo) members -> algo
@@ -65,15 +65,17 @@ let ensure_algo ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) st
     st.algo <- Some algo;
     algo
 
-let abort_op (view : Stack.scheme_view) st =
+let abort_op (view : msg Stack.scheme_view) st =
   st.phase <- None;
   st.abort_count <- st.abort_count + 1;
   Telemetry.span_drop view.Stack.v_telemetry ~name:"counter.op_seconds"
     ~key:view.Stack.v_self;
   Telemetry.inc view.Stack.v_telemetry "counter.aborts"
 
-let requests ~self round =
-  List.map (fun (p, m) -> (p, Op m)) (Phase.requests ~self round)
+let send_requests (view : msg Stack.scheme_view) round =
+  List.iter
+    (fun (p, m) -> view.Stack.v_send p (Op m))
+    (Phase.requests ~self:view.Stack.v_self round)
 
 let fresh_id st =
   let id = st.next_id in
@@ -106,7 +108,7 @@ let max_from_responses ~exhaust_bound round =
     in
     if List.for_all dominated returned then Some m else None
 
-let start_write (view : Stack.scheme_view) st ~conf ~max_counter =
+let start_write (view : msg Stack.scheme_view) st ~conf ~max_counter =
   let self = view.Stack.v_self in
   let cnt =
     Counter.make ~lbl:max_counter.Counter.lbl ~seqn:(max_counter.Counter.seqn + 1)
@@ -120,9 +122,9 @@ let start_write (view : Stack.scheme_view) st ~conf ~max_counter =
     Counter_algo.merge algo ~from:self (Counter.pair_of cnt);
     Phase.record round ~from:self None
   | Some _ | None -> ());
-  requests ~self round
+  send_requests view round
 
-let finish_write (view : Stack.scheme_view) st cnt =
+let finish_write (view : msg Stack.scheme_view) st cnt =
   st.phase <- None;
   st.want_increment <- false;
   st.increment_result <- Some cnt;
@@ -130,7 +132,7 @@ let finish_write (view : Stack.scheme_view) st cnt =
     ~name:"counter.op_seconds" ~key:view.Stack.v_self ~now:view.Stack.v_now;
   view.Stack.v_emit "counter.increment" (Format.asprintf "%a" Counter.pp cnt)
 
-let finish_read_only (view : Stack.scheme_view) st result =
+let finish_read_only (view : msg Stack.scheme_view) st result =
   st.phase <- None;
   st.want_read <- false;
   st.read_result <- Some result;
@@ -143,13 +145,11 @@ let finish_read_only (view : Stack.scheme_view) st result =
 
 (* Finish the running phase once a majority of members answered; a
    finished majRead returns (read-only) or moves on to its majWrite. *)
-let rec advance ~exhaust_bound (view : Stack.scheme_view) st =
+let rec advance ~exhaust_bound (view : msg Stack.scheme_view) st =
   match st.phase with
   | Some round when Phase.complete round -> (
     match Phase.request round with
-    | Write cnt ->
-      finish_write view st cnt;
-      []
+    | Write cnt -> finish_write view st cnt
     | Read -> (
       let conf = Phase.conf round in
       let found =
@@ -169,39 +169,30 @@ let rec advance ~exhaust_bound (view : Stack.scheme_view) st =
       | _ when st.read_only ->
         (* the paper's two-phase read returns ⊥ when no comparable
            maximum exists yet *)
-        finish_read_only view st found;
-        []
+        finish_read_only view st found
       | Some m ->
-        let out = start_write view st ~conf ~max_counter:m in
-        out @ advance ~exhaust_bound view st
+        start_write view st ~conf ~max_counter:m;
+        advance ~exhaust_bound view st
       | None ->
         (* incomparable or exhausted counters only: return ⊥ *)
-        abort_op view st;
-        []))
-  | Some _ | None -> []
+        abort_op view st))
+  | Some _ | None -> ()
 
-let tick ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) st =
+(* Sends in a fixed order seeded runs rely on: the retransmission, the
+   round started this tick, the gossip, then whatever [advance] starts. *)
+let tick ~in_transit_bound ~exhaust_bound (view : msg Stack.scheme_view) st =
   let self = view.Stack.v_self in
   match Stack.View.current_members view with
-  | None -> (st, []) (* reconfiguration taking place *)
+  | None -> () (* reconfiguration taking place *)
   | Some members ->
-    let is_member = Pid.Set.mem self members in
-    (* Algorithm 4.3: members maintain and gossip the maximal counter *)
-    let gossip =
-      if not is_member then []
+    (* Algorithm 4.3: members maintain the maximal counter *)
+    let algo =
+      if not (Pid.Set.mem self members) then None
       else begin
         let algo = ensure_algo ~in_transit_bound ~exhaust_bound view st members in
         if Counter_algo.local_max algo = None then
           ignore (Counter_algo.find_max_counter algo);
-        let clean p = Option.bind p (Counter_algo.clean_pair algo) in
-        let sent_max = clean (Counter_algo.local_max algo) in
-        Pid.Set.fold
-          (fun pk acc ->
-            if Pid.equal pk self then acc
-            else
-              (pk, Gossip { sent_max; last_sent = clean (Counter_algo.max_of algo pk) })
-              :: acc)
-          members []
+        Some algo
       end
     in
     (* start a pending increment or read *)
@@ -215,23 +206,33 @@ let tick ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) st =
         let round = Phase.start ~id:(fresh_id st) ~conf:members Read in
         st.phase <- Some round;
         (* a member answers its own read locally *)
-        (match st.algo with
-        | Some algo when is_member ->
-          Phase.record round ~from:self (Counter_algo.local_max algo)
-        | Some _ | None -> ());
-        requests ~self round
+        Option.iter
+          (fun algo -> Phase.record round ~from:self (Counter_algo.local_max algo))
+          algo;
+        Some round
       end
-      else []
+      else None
     in
     (* retransmit in-flight requests (messages may be lost); a round
-       started this tick is thus sent twice, which seeded runs rely on *)
-    let resent =
-      match st.phase with Some round -> requests ~self round | None -> []
-    in
-    let more = advance ~exhaust_bound view st in
-    (st, resent @ started @ gossip @ more)
+       started this tick is thus sent twice *)
+    Option.iter (send_requests view) st.phase;
+    Option.iter (send_requests view) started;
+    (* ... and gossip the maximal counter to the other members, in
+       descending pid order *)
+    Option.iter
+      (fun algo ->
+        let clean p = Option.bind p (Counter_algo.clean_pair algo) in
+        let sent_max = clean (Counter_algo.local_max algo) in
+        Seq.iter
+          (fun pk ->
+            if not (Pid.equal pk self) then
+              view.Stack.v_send pk
+                (Gossip { sent_max; last_sent = clean (Counter_algo.max_of algo pk) }))
+          (Pid.Set.to_rev_seq members))
+      algo;
+    advance ~exhaust_bound view st
 
-let recv ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) ~from m st =
+let recv ~in_transit_bound ~exhaust_bound (view : msg Stack.scheme_view) ~from m st =
   let members_opt = Stack.View.current_members view in
   (* the local storage, when this node is a member able to serve *)
   let serving () =
@@ -240,7 +241,7 @@ let recv ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) ~from m st 
       Some (ensure_algo ~in_transit_bound ~exhaust_bound view st members)
     | Some _ | None -> None
   in
-  let reply r = (st, [ (from, Op r) ]) in
+  let reply r = view.Stack.v_send from (Op r) in
   match m with
   | Gossip { sent_max; last_sent } -> (
     match members_opt with
@@ -250,9 +251,8 @@ let recv ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) ~from m st 
           let clean p = Option.bind p (Counter_algo.clean_pair algo) in
           Counter_algo.receipt_action algo ~sent_max:(clean sent_max)
             ~last_sent:(clean last_sent) ~from)
-        (serving ());
-      (st, [])
-    | Some _ | None -> (st, []))
+        (serving ())
+    | Some _ | None -> ())
   | Op (Phase.Request { id; req }) -> (
     match serving () with
     | None -> reply (Phase.Refuse { id })
@@ -266,14 +266,12 @@ let recv ~in_transit_bound ~exhaust_bound (view : Stack.scheme_view) ~from m st 
         reply (Phase.Reply { id; rep = None })))
   | Op r -> (
     match st.phase with
-    | None -> (st, [])
+    | None -> ()
     | Some round -> (
       match Phase.receive round ~from r with
-      | `Replied -> (st, advance ~exhaust_bound view st)
-      | `Refused ->
-        abort_op view st;
-        (st, [])
-      | `Ignored -> (st, [])))
+      | `Replied -> advance ~exhaust_bound view st
+      | `Refused -> abort_op view st
+      | `Ignored -> ()))
 
 (* Arbitrary-state injection: garbage counter-pair storage plus a scrambled
    in-flight operation. Unmatched telemetry spans this leaves behind are
@@ -313,21 +311,16 @@ let corrupt rng st =
   | None -> st.phase <- None);
   st.want_increment <- Rng.bool rng;
   st.want_read <- Rng.bool rng;
-  st.next_id <- Rng.int rng 1024;
-  st
+  st.next_id <- Rng.int rng 1024
 
 let plugin ~in_transit_bound ~exhaust_bound =
   {
     Stack.p_init = fresh_state;
-    p_tick = (fun view st -> tick ~in_transit_bound ~exhaust_bound view st);
-    p_recv = (fun view ~from m st -> recv ~in_transit_bound ~exhaust_bound view ~from m st);
-    p_merge = (fun ~self:_ st _ -> st);
+    p_tick = tick ~in_transit_bound ~exhaust_bound;
+    p_recv = recv ~in_transit_bound ~exhaust_bound;
+    p_merge = (fun ~self:_ _ _ -> ());
     p_corrupt = corrupt;
   }
 
 let hooks ~in_transit_bound ~exhaust_bound =
-  {
-    Stack.eval_conf = (fun ~self:_ ~trusted:_ _ -> false);
-    pass_query = (fun ~self:_ ~joiner:_ -> true);
-    plugin = plugin ~in_transit_bound ~exhaust_bound;
-  }
+  { Stack.unit_hooks with plugin = plugin ~in_transit_bound ~exhaust_bound }

@@ -35,10 +35,11 @@ let trusted_set n =
   end;
   n.fd_trusted
 
-type scheme_view = {
+type 'msg scheme_view = {
   v_self : Pid.t;
   v_trusted : Pid.Set.t;
   v_recsa : Recsa.t;
+  v_send : Pid.t -> 'msg -> unit;
   v_emit : string -> string -> unit;
   v_now : float;
   v_rng : Rng.t;
@@ -66,55 +67,51 @@ end
 module Plugin = struct
   type ('app, 'msg) t = {
     p_init : Pid.t -> 'app;
-    p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
-    p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
-    p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
-    p_corrupt : Rng.t -> 'app -> 'app;
+    p_tick : 'msg scheme_view -> 'app -> unit;
+    p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
+    p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
+    p_corrupt : Rng.t -> 'app -> unit;
   }
 
   let null =
     {
       p_init = (fun _ -> ());
-      p_tick = (fun _ app -> (app, []));
-      p_recv = (fun _ ~from:_ _ app -> (app, []));
-      p_merge = (fun ~self:_ app _ -> app);
-      p_corrupt = (fun _ app -> app);
+      p_tick = (fun _ () -> ());
+      p_recv = (fun _ ~from:_ _ () -> ());
+      p_merge = (fun ~self:_ () _ -> ());
+      p_corrupt = (fun _ () -> ());
     }
 
-  let stack ~lower ~get ~set ~wrap ~unwrap upper =
-    let out l = List.map (fun (d, m) -> (d, wrap m)) l in
+  let stack ~lower ~get ~wrap ~unwrap upper =
+    let lower_view v = { v with v_send = (fun dst m -> v.v_send dst (wrap m)) } in
     {
-      p_init = (fun pid -> set (upper.p_init pid) (lower.p_init pid));
+      p_init = upper.p_init;
       p_tick =
         (fun v st ->
-          let a, la = lower.p_tick v (get st) in
-          let st = set st a in
-          let st, ua = upper.p_tick v st in
-          (st, out la @ ua));
+          lower.p_tick (lower_view v) (get st);
+          upper.p_tick v st);
       p_recv =
         (fun v ~from m st ->
           match unwrap m with
-          | Some lm ->
-            let a, l = lower.p_recv v ~from lm (get st) in
-            (set st a, out l)
+          | Some lm -> lower.p_recv (lower_view v) ~from lm (get st)
           | None -> upper.p_recv v ~from m st);
       p_merge =
         (fun ~self st others ->
-          let a = lower.p_merge ~self (get st) (Pid.Map.map get others) in
-          upper.p_merge ~self (set st a) others);
+          lower.p_merge ~self (get st) (Pid.Map.map get others);
+          upper.p_merge ~self st others);
       p_corrupt =
         (fun rng st ->
-          let st = set st (lower.p_corrupt rng (get st)) in
+          lower.p_corrupt rng (get st);
           upper.p_corrupt rng st);
     }
 end
 
 type ('app, 'msg) plugin = ('app, 'msg) Plugin.t = {
   p_init : Pid.t -> 'app;
-  p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
-  p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
-  p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
-  p_corrupt : Rng.t -> 'app -> 'app;
+  p_tick : 'msg scheme_view -> 'app -> unit;
+  p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
+  p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
+  p_corrupt : Rng.t -> 'app -> unit;
 }
 
 type ('app, 'msg) hooks = {
@@ -258,11 +255,13 @@ let send_counted ctx sent dst m =
 let send_gated ctx n sent dst m =
   if link_clean n dst then send_counted ctx sent dst m
 
-let view_of ctx n =
+(* the plugin's view; its sends are gated and counted as [App] traffic *)
+let view_of ctx n sent_app =
   {
     v_self = Step.self ctx;
     v_trusted = trusted_set n;
     v_recsa = n.sa;
+    v_send = (fun dst m -> send_gated ctx n sent_app dst (App m));
     v_emit = Step.emit ctx;
     v_now = Step.now ctx;
     v_rng = Step.rng ctx;
@@ -357,15 +356,13 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
       Join.tick n.join ~quorum ~trusted ~recsa:n.sa
         ~reset_vars:(fun () -> n.app <- hooks.plugin.p_init self)
         ~init_vars:(fun states ->
-          n.app <- hooks.plugin.p_merge ~self n.app states)
+          hooks.plugin.p_merge ~self n.app states)
         ()
     in
     emit_all join_events;
     List.iter (fun (dst, m) -> send_gated ctx n sent_join dst (Join m)) join_msgs;
     (* application plugin *)
-    let app', app_out = hooks.plugin.p_tick (view_of ctx n) n.app in
-    n.app <- app';
-    List.iter (fun (dst, m) -> send_gated ctx n sent_app dst (App m)) app_out;
+    hooks.plugin.p_tick (view_of ctx n sent_app) n.app;
     (* heartbeats (the data-link token) to every known processor not already
        covered by a recSA broadcast; in steady state the broadcast covers
        them all, so look for an uncovered one before building the union *)
@@ -409,10 +406,7 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
       | None -> ())
     | Join (Join.Join_reply { pass; app }) ->
       Join.on_reply n.join ~from ~participant:(Recsa.is_participant n.sa) ~pass ~app
-    | App m ->
-      let app', out = hooks.plugin.p_recv (view_of ctx n) ~from m n.app in
-      n.app <- app';
-      List.iter (fun (dst, m) -> send_gated ctx n sent_app dst (App m)) out);
+    | App m -> hooks.plugin.p_recv (view_of ctx n sent_app) ~from m n.app);
     n
   in
   { Step.init; on_timer; on_message }
@@ -556,7 +550,7 @@ let corrupt_state ~hooks ~pool ~rng n =
   let random_flags () = List.map (fun q -> (q, Rng.bool rng)) pool in
   Recma.corrupt n.ma ~no_maj:(random_flags ()) ~need_reconf:(random_flags ());
   Join.corrupt n.join ~rng ~pool;
-  n.app <- hooks.plugin.p_corrupt rng n.app
+  hooks.plugin.p_corrupt rng n.app
 
 let corrupt_node t p ~rng =
   corrupt_state ~hooks:t.hooks ~pool:(Engine.pids t.eng) ~rng (node t p)

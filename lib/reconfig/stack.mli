@@ -45,13 +45,18 @@ type 'app node_state = {
           set *)
 }
 
-(** Read-only view of the scheme handed to the application plugin — the
-    [getConfig()] / [noReco()] interfaces of Figure 1, enriched with the
-    executing runtime's clock, randomness and telemetry. *)
-type scheme_view = {
+(** The scheme as the application plugin sees it — the [getConfig()] /
+    [noReco()] interfaces of Figure 1, enriched with the executing
+    runtime's clock, randomness and telemetry, plus the plugin's one way to
+    send its own messages. *)
+type 'msg scheme_view = {
   v_self : Pid.t;
   v_trusted : Pid.Set.t;
   v_recsa : Recsa.t;
+  v_send : Pid.t -> 'msg -> unit;
+      (** send an application message as an [App] packet, counted as
+          [stack.sent{kind="app"}]; held back, like all protocol traffic,
+          while a joiner's link to the destination is not yet cleaned *)
   v_emit : string -> string -> unit;  (** trace emission *)
   v_now : float;  (** the runtime's current time *)
   v_rng : Rng.t;  (** the runtime's random source *)
@@ -63,50 +68,54 @@ type scheme_view = {
 module View : sig
   (** [current_members v] — the configuration member set while no
       reconfiguration is taking place, [None] during reconfigurations. *)
-  val current_members : scheme_view -> Pid.Set.t option
+  val current_members : _ scheme_view -> Pid.Set.t option
 
   (** The trusted participants (getConfig ∪ prospective members ∩ FD). *)
-  val participants : scheme_view -> Pid.Set.t
+  val participants : _ scheme_view -> Pid.Set.t
 
   (** The raw configuration value as a set, reconfiguring or not. *)
-  val config_set : scheme_view -> Pid.Set.t option
+  val config_set : _ scheme_view -> Pid.Set.t option
 
   (** [is_member v] — is this node a member of the stable configuration? *)
-  val is_member : scheme_view -> bool
+  val is_member : _ scheme_view -> bool
 end
 
 (** Application plugins: ticked after the scheme layers on every timer
-    step; receive every [App] message. Both return messages to send. *)
+    step; receive every [App] message. Plugins keep their state in mutable
+    fields and update it in place; every field returns [unit], and a
+    plugin sends through its view's [v_send]. *)
 module Plugin : sig
   type ('app, 'msg) t = {
     p_init : Pid.t -> 'app;
-    p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
-    p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
-    p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
-        (** [initVars]: combine members' states into a fresh participant's
+    p_tick : 'msg scheme_view -> 'app -> unit;
+    p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
+    p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
+        (** [initVars]: fold members' states into a fresh participant's
             state when joining completes *)
-    p_corrupt : Rng.t -> 'app -> 'app;
+    p_corrupt : Rng.t -> 'app -> unit;
         (** transient fault: rewrite the application state with seeded
             garbage. Self-stabilization demands the plugin converge from
-            whatever this returns; [corrupt_node] and fault plans call it
+            whatever this leaves; [corrupt_node] and fault plans call it
             alongside the scheme-layer corruptors. *)
   }
 
   (** A do-nothing plugin for running the bare reconfiguration scheme. *)
   val null : (unit, unit) t
 
-  (** [stack ~lower ~get ~set ~wrap ~unwrap upper] layers [upper] over
-      [lower], with [lower]'s state embedded in [upper]'s through the
-      [get]/[set] lens and its messages embedded through [wrap]/[unwrap].
-      Each tick runs [lower] first (its messages precede [upper]'s, and
-      [upper] observes the post-tick lower state); receipts that [unwrap]
-      recognizes go to [lower] alone, all others to [upper]; [p_corrupt]
-      corrupts [lower] through the lens, then [upper]. This is how the
-      register and virtual-synchrony services embed the counter service. *)
+  (** [stack ~lower ~get ~wrap ~unwrap upper] layers [upper] over [lower].
+      [upper.p_init] builds the whole state, [lower]'s embedded in it and
+      read back through [get]; [lower]'s messages are embedded through
+      [wrap]/[unwrap], and [lower] sends through a view whose [v_send]
+      wraps. Each tick runs [lower] first (its messages precede [upper]'s,
+      and [upper] observes the post-tick lower state); receipts that
+      [unwrap] recognizes go to [lower] alone, all others to [upper];
+      [p_merge] hands [lower] the others' states projected through [get],
+      then runs [upper]; [p_corrupt] corrupts [lower], then [upper]. This
+      is how the register and virtual-synchrony services embed the counter
+      service. *)
   val stack :
     lower:('a, 'ma) t ->
     get:('b -> 'a) ->
-    set:('b -> 'a -> 'b) ->
     wrap:('ma -> 'mb) ->
     unwrap:('mb -> 'ma option) ->
     ('b, 'mb) t ->
@@ -115,10 +124,10 @@ end
 
 type ('app, 'msg) plugin = ('app, 'msg) Plugin.t = {
   p_init : Pid.t -> 'app;
-  p_tick : scheme_view -> 'app -> 'app * (Pid.t * 'msg) list;
-  p_recv : scheme_view -> from:Pid.t -> 'msg -> 'app -> 'app * (Pid.t * 'msg) list;
-  p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> 'app;
-  p_corrupt : Rng.t -> 'app -> 'app;
+  p_tick : 'msg scheme_view -> 'app -> unit;
+  p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
+  p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
+  p_corrupt : Rng.t -> 'app -> unit;
 }
 
 type ('app, 'msg) hooks = {

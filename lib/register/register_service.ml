@@ -33,7 +33,7 @@ type op =
     }
 
 type state = {
-  mutable cnt : Counter_service.state;
+  cnt : Counter_service.state;
   mutable store : tagged Reg_map.t;
   mutable op : op;
   mutable queue : request list;
@@ -95,7 +95,7 @@ let start_round st ~conf ?targets req =
 (* The update goes to the members and also refreshes every trusted
    participant's copy, so prospective members carry the state into the
    next configuration; only the members' acknowledgments count. *)
-let start_update (view : Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal =
+let start_update (view : msg Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal =
   let targets = Stack.View.participants view in
   let round = start_round st ~conf ~targets (Update (reg, entry)) in
   st.op <- Running { rid; reg; goal; round };
@@ -103,7 +103,7 @@ let start_update (view : Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal =
   if Pid.Set.mem view.Stack.v_self conf then
     Phase.record round ~from:view.Stack.v_self None
 
-let maybe_finish (view : Stack.scheme_view) st =
+let maybe_finish (view : msg Stack.scheme_view) st =
   match st.op with
   | Running { rid; reg; goal; round } when Phase.complete round -> (
     match goal with
@@ -135,7 +135,7 @@ let maybe_finish (view : Stack.scheme_view) st =
    provider) is layered underneath via {!Stack.Plugin.stack}, which runs
    its tick first — so [st.cnt] is already up to date here — and routes
    every [Cnt] message to it. *)
-let tick (view : Stack.scheme_view) st =
+let tick (view : msg Stack.scheme_view) st =
   let self = view.Stack.v_self in
   (match Stack.View.current_members view with
   | None -> () (* reconfiguration in progress: hold *)
@@ -161,18 +161,16 @@ let tick (view : Stack.scheme_view) st =
         ~goal:(`Write value)
     | _ -> ()));
   maybe_finish view st;
-  let out =
-    match st.op with
-    | Running { round; _ } -> Phase.requests ~self round
-    | Idle | Get_tag _ -> []
-  in
-  (st, List.map (fun (p, m) -> (p, Op m)) out)
+  match st.op with
+  | Running { round; _ } ->
+    List.iter (fun (p, m) -> view.Stack.v_send p (Op m)) (Phase.requests ~self round)
+  | Idle | Get_tag _ -> ()
 
-let recv (view : Stack.scheme_view) ~from m st =
+let recv (view : msg Stack.scheme_view) ~from m st =
   let members_opt = Stack.View.current_members view in
-  let reply r = (st, [ (from, Op r) ]) in
+  let reply r = view.Stack.v_send from (Op r) in
   match m with
-  | Cnt _ -> (st, []) (* routed to the counter layer by Plugin.stack *)
+  | Cnt _ -> () (* routed to the counter layer by Plugin.stack *)
   | Op (Phase.Request { id; req = Query reg }) -> (
     match members_opt with
     | Some c when Pid.Set.mem view.Stack.v_self c ->
@@ -186,15 +184,14 @@ let recv (view : Stack.scheme_view) ~from m st =
       reply (Phase.Reply { id; rep = None })
     end
     else reply (Phase.Refuse { id })
-  | Op r ->
-    (match st.op with
+  | Op r -> (
+    match st.op with
     | Running { round; _ } -> (
       match Phase.receive round ~from r with
       | `Replied -> maybe_finish view st
       | `Refused -> abort_op st
       | `Ignored -> ())
-    | Idle | Get_tag _ -> ());
-    (st, [])
+    | Idle | Get_tag _ -> ())
 
 let merge_states ~self:_ st others =
   (* joining state transfer (initVars): adopt the freshest copy of every
@@ -202,8 +199,7 @@ let merge_states ~self:_ st others =
   Pid.Map.iter
     (fun _ (other : state) ->
       Reg_map.iter (fun reg entry -> merge_entry st reg entry) other.store)
-    others;
-  st
+    others
 
 (* Arbitrary-state injection for the register layer: forget a random subset
    of stored entries and abort the in-flight operation (which re-queues the
@@ -215,8 +211,7 @@ let corrupt_upper rng st =
     (fun k -> if Rng.bool rng then st.store <- Reg_map.remove k st.store)
     keys;
   abort_op st;
-  st.next_id <- Rng.int rng 1024;
-  st
+  st.next_id <- Rng.int rng 1024
 
 let plugin () =
   let counter_plugin =
@@ -243,16 +238,8 @@ let plugin () =
   in
   Stack.Plugin.stack ~lower:counter_plugin
     ~get:(fun st -> st.cnt)
-    ~set:(fun st c ->
-      st.cnt <- c;
-      st)
     ~wrap:(fun m -> Cnt m)
     ~unwrap:(function Cnt m -> Some m | _ -> None)
     upper
 
-let hooks () =
-  {
-    Stack.eval_conf = (fun ~self:_ ~trusted:_ _ -> false);
-    pass_query = (fun ~self:_ ~joiner:_ -> true);
-    plugin = plugin ();
-  }
+let hooks () = { Stack.unit_hooks with plugin = plugin () }

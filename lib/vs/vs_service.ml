@@ -35,7 +35,7 @@ type ('st, 'cmd) report = {
 }
 
 type ('st, 'cmd) state = {
-  mutable cnt : Counter_service.state; (* the inc() provider (Section 4.2) *)
+  cnt : Counter_service.state; (* the inc() provider (Section 4.2) *)
   mutable me : ('st, 'cmd) report;
   mutable peers : ('st, 'cmd) report Pid.Map.t;
   mutable pending : 'cmd list;
@@ -77,7 +77,7 @@ let fresh_report initial =
    its proposed view is identified by a counter written by its owner, the
    owner belongs to the proposed set, and the proposed set contains a
    majority of the current configuration. *)
-let candidates (v : Stack.scheme_view) st =
+let candidates (v : _ Stack.scheme_view) st =
   match Stack.View.config_set v with
   | None -> []
   | Some config ->
@@ -97,7 +97,7 @@ let candidates (v : Stack.scheme_view) st =
       (fun p r acc -> if Pid.Set.mem p part then consider p r acc else acc)
       st.peers acc
 
-let valid_coordinator (v : Stack.scheme_view) st =
+let valid_coordinator (v : _ Stack.scheme_view) st =
   List.fold_left
     (fun best (owner, c, r) ->
       match best with
@@ -116,7 +116,7 @@ let fetch st =
 
 (* synchState/synchMsgs: adopt the most advanced replica among the reports
    of the proposed view's members. *)
-let synch_state (v : Stack.scheme_view) st vset =
+let synch_state st vset =
   let key (r : ('st, 'cmd) report) =
     let vid_key =
       match r.r_view.vid with None -> (-1, -1, -1) | Some c -> (c.Counter.seqn, c.Counter.wid, 0)
@@ -129,7 +129,6 @@ let synch_state (v : Stack.scheme_view) st vset =
         if Pid.Set.mem p vset && compare (key r) (key best) > 0 then r else best)
       st.peers st.me
   in
-  ignore v;
   best.r_replica
 
 let apply_batch machine st batch =
@@ -139,7 +138,7 @@ let apply_batch machine st batch =
   List.fold_left (fun acc (_, cmd) -> machine.apply acc cmd) st.me.r_replica sorted
 
 (* Follower adoption of the coordinator's report (lines 18-23). *)
-let follow machine (v : Stack.scheme_view) st (crd : Pid.t) (rep : ('st, 'cmd) report) =
+let follow machine (v : _ Stack.scheme_view) st (rep : ('st, 'cmd) report) =
   (* a Propose/Install report for a view we already entered is a stale
      (reordered or duplicated) packet; ignore it *)
   let already_entered = view_equal st.me.r_view rep.r_propv && st.me.r_status = Multicast in
@@ -165,7 +164,6 @@ let follow machine (v : Stack.scheme_view) st (crd : Pid.t) (rep : ('st, 'cmd) r
           r_suspend = false;
         }
   | Multicast ->
-    ignore crd;
     if view_equal st.me.r_view rep.r_view && st.me.r_status <> Multicast then
       (* recover from a stale Propose/Install adoption: the coordinator is
          already multicasting in this view *)
@@ -229,7 +227,7 @@ let follow machine (v : Stack.scheme_view) st (crd : Pid.t) (rep : ('st, 'cmd) r
       st.me <- { st.me with r_suspend = rep.r_suspend }
 
 (* Coordinator logic for one tick. *)
-let coordinate machine ~eval_config (v : Stack.scheme_view) st =
+let coordinate machine ~eval_config (v : _ Stack.scheme_view) st =
   let self = v.Stack.v_self in
   let no_reco = Recsa.no_reco v.Stack.v_recsa ~trusted:v.Stack.v_trusted in
   let echoes_propose vset =
@@ -267,7 +265,7 @@ let coordinate machine ~eval_config (v : Stack.scheme_view) st =
   match st.me.r_status with
   | Propose ->
     if echoes_propose st.me.r_propv.vset then begin
-      let replica = synch_state v st st.me.r_propv.vset in
+      let replica = synch_state st st.me.r_propv.vset in
       st.me <- { st.me with r_status = Install; r_replica = replica; r_rnd = 0 };
       v.Stack.v_emit "vs.install" (Format.asprintf "%a" pp_view st.me.r_propv)
     end
@@ -383,7 +381,7 @@ let coordinate machine ~eval_config (v : Stack.scheme_view) st =
     end
 
 (* Should this node propose itself as coordinator? *)
-let should_propose (v : Stack.scheme_view) st =
+let should_propose (v : _ Stack.scheme_view) st =
   match Stack.View.config_set v with
   | None -> false
   | Some config ->
@@ -417,9 +415,8 @@ let should_propose (v : Stack.scheme_view) st =
    inc() provider) is layered underneath via {!Stack.Plugin.stack}, which
    runs its tick first — so [Counter_service.increment_result st.cnt] is
    current here — and routes every [Cnt] message to it. *)
-let vs_tick machine ~eval_config (v : Stack.scheme_view) st =
+let vs_tick machine ~eval_config (v : _ Stack.scheme_view) st =
   let self = v.Stack.v_self in
-  let out = ref [] in
   if Recsa.is_participant v.Stack.v_recsa then begin
     let part = Stack.View.participants v in
     (* 1. track coordinator existence *)
@@ -467,23 +464,16 @@ let vs_tick machine ~eval_config (v : Stack.scheme_view) st =
     (* 4. act as coordinator or follower *)
     (match val_crd with
     | Some (owner, _, _) when Pid.equal owner self -> coordinate machine ~eval_config v st
-    | Some (owner, _, rep) -> if not (Pid.equal owner self) then follow machine v st owner rep
+    | Some (owner, _, rep) -> if not (Pid.equal owner self) then follow machine v st rep
     | None -> ());
     (* 5. broadcast the state record (lines 24-25) *)
-    Pid.Set.iter
-      (fun p -> if not (Pid.equal p self) then out := (p, Vs st.me) :: !out)
-      part
-  end;
-  (st, List.rev !out)
+    Pid.Set.iter (fun p -> if not (Pid.equal p self) then v.Stack.v_send p (Vs st.me)) part
+  end
 
-let vs_recv machine (v : Stack.scheme_view) ~from m st =
-  ignore machine;
-  ignore v;
+let vs_recv _v ~from m st =
   match m with
-  | Cnt _ -> (st, []) (* routed to the counter layer by Plugin.stack *)
-  | Vs rep ->
-    st.peers <- Pid.Map.add from rep st.peers;
-    (st, [])
+  | Cnt _ -> () (* routed to the counter layer by Plugin.stack *)
+  | Vs rep -> st.peers <- Pid.Map.add from rep st.peers
 
 let default_eval ~self:_ ~trusted:_ _ = false
 
@@ -506,8 +496,7 @@ let corrupt_upper rng st =
     };
   st.peers <- Pid.Map.empty;
   st.awaiting_vid <- Rng.bool rng;
-  st.reconf_ready <- Rng.bool rng;
-  st
+  st.reconf_ready <- Rng.bool rng
 
 let plugin ~machine ?(eval_config = default_eval) () =
   let counter_plugin =
@@ -529,24 +518,17 @@ let plugin ~machine ?(eval_config = default_eval) () =
             view_installs = 0;
             i_am_coordinator = false;
           });
-      p_tick = (fun v st -> vs_tick machine ~eval_config v st);
-      p_recv = (fun v ~from m st -> vs_recv machine v ~from m st);
-      p_merge = (fun ~self:_ st _ -> st);
+      p_tick = vs_tick machine ~eval_config;
+      p_recv = vs_recv;
+      p_merge = (fun ~self:_ _ _ -> ());
       p_corrupt = corrupt_upper;
     }
   in
   Stack.Plugin.stack ~lower:counter_plugin
     ~get:(fun st -> st.cnt)
-    ~set:(fun st c ->
-      st.cnt <- c;
-      st)
     ~wrap:(fun m -> Cnt m)
     ~unwrap:(function Cnt m -> Some m | _ -> None)
     upper
 
 let hooks ~machine ?eval_config () =
-  {
-    Stack.eval_conf = (fun ~self:_ ~trusted:_ _ -> false);
-    pass_query = (fun ~self:_ ~joiner:_ -> true);
-    plugin = plugin ~machine ?eval_config ();
-  }
+  { Stack.unit_hooks with plugin = plugin ~machine ?eval_config () }

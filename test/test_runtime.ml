@@ -38,11 +38,12 @@ let test_snap_nonce_injective () =
 (* Plugin combinators                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_view ?(self = 1) () =
+let dummy_view ?(self = 1) ?(send = fun _ _ -> ()) () =
   {
     Stack.v_self = self;
     v_trusted = set [ 1; 2; 3 ];
     v_recsa = Recsa.create ~self ~participant:true ();
+    v_send = send;
     v_emit = (fun _ _ -> ());
     v_now = 0.0;
     v_rng = Rng.create 1;
@@ -50,17 +51,27 @@ let dummy_view ?(self = 1) () =
   }
 
 (* A plugin whose state is a newest-first log of everything that happened
-   to it, and whose tick always emits two tagged messages. *)
+   to it, and whose tick always sends two tagged messages. Its merge logs
+   the first entry of each other state it was handed. *)
 let probe tag =
+  let note log event = log := event :: !log in
   {
-    Stack.p_init = (fun pid -> [ Printf.sprintf "%s.init.%d" tag pid ]);
+    Stack.p_init = (fun pid -> ref [ Printf.sprintf "%s.init.%d" tag pid ]);
     p_tick =
-      (fun _v log ->
-        (Printf.sprintf "%s.tick" tag :: log, [ (2, tag ^ ".m1"); (3, tag ^ ".m2") ]));
-    p_recv =
-      (fun _v ~from m log -> (Printf.sprintf "%s.recv.%d.%s" tag from m :: log, []));
-    p_merge = (fun ~self:_ log _ -> "merged" :: log);
-    p_corrupt = (fun _ st -> st);
+      (fun v log ->
+        note log (tag ^ ".tick");
+        v.Stack.v_send 2 (tag ^ ".m1");
+        v.Stack.v_send 3 (tag ^ ".m2"));
+    p_recv = (fun _v ~from m log -> note log (Printf.sprintf "%s.recv.%d.%s" tag from m));
+    p_merge =
+      (fun ~self:_ log others ->
+        let heads =
+          List.map
+            (fun (p, other) -> Printf.sprintf "%d:%s" p (List.hd !other))
+            (Pid.Map.bindings others)
+        in
+        note log (Printf.sprintf "%s.merge(%s)" tag (String.concat "," heads)));
+    p_corrupt = (fun _ log -> note log (tag ^ ".corrupt"));
   }
 
 let lo_hi_msg =
@@ -70,61 +81,90 @@ let lo_hi_msg =
   in
   Alcotest.testable pp ( = )
 
-(* upper state = (lower log, upper log); upper's tick records a snapshot of
-   the lower log so the lower-ticks-first contract is observable. *)
+(* upper state = (lower log, upper log); the upper's tick, merge and
+   corrupt record how many lower events they observed, so the
+   lower-runs-first contract is observable. *)
 let stacked () =
+  let lower = probe "lo" in
+  let saw what lo = Printf.sprintf "hi.%s(saw %d lo events)" what (List.length !lo) in
   let upper =
     {
-      Stack.p_init = (fun pid -> ([], [ Printf.sprintf "hi.init.%d" pid ]));
+      Stack.p_init = (fun pid -> (lower.Stack.p_init pid, ref [ Printf.sprintf "hi.init.%d" pid ]));
       p_tick =
-        (fun _v (lo, hi) ->
-          let seen = Printf.sprintf "hi.tick(saw %d lo events)" (List.length lo) in
-          ((lo, seen :: hi), [ (9, `Hi "h1") ]));
+        (fun v (lo, hi) ->
+          hi := saw "tick" lo :: !hi;
+          v.Stack.v_send 9 (`Hi "h1"));
       p_recv =
-        (fun _v ~from m (lo, hi) ->
+        (fun _v ~from m (_, hi) ->
           match m with
-          | `Hi s -> ((lo, Printf.sprintf "hi.recv.%d.%s" from s :: hi), [])
-          | `Lo _ -> ((lo, "hi.MUST_NOT_SEE_LO" :: hi), []));
-      p_merge = (fun ~self:_ st _ -> st);
-      p_corrupt = (fun _ st -> st);
+          | `Hi s -> hi := Printf.sprintf "hi.recv.%d.%s" from s :: !hi
+          | `Lo _ -> hi := "hi.MUST_NOT_SEE_LO" :: !hi);
+      p_merge = (fun ~self:_ (lo, hi) _ -> hi := saw "merge" lo :: !hi);
+      p_corrupt = (fun _ (lo, hi) -> hi := saw "corrupt" lo :: !hi);
     }
   in
-  Stack.Plugin.stack ~lower:(probe "lo")
+  Stack.Plugin.stack ~lower
     ~get:(fun (lo, _) -> lo)
-    ~set:(fun (_, hi) lo -> (lo, hi))
     ~wrap:(fun m -> `Lo m)
     ~unwrap:(function `Lo m -> Some m | `Hi _ -> None)
     upper
 
+(* a view recording every send, oldest first *)
+let recording_view () =
+  let sent = ref [] in
+  (dummy_view ~send:(fun dst m -> sent := (dst, m) :: !sent) (), fun () -> List.rev !sent)
+
 let test_stack_ordering () =
   let p = stacked () in
-  let v = dummy_view () in
-  let st0 = p.Stack.p_init 1 in
-  Alcotest.(check (list string)) "lower initialised" [ "lo.init.1" ] (fst st0);
-  let (lo, hi), out = p.Stack.p_tick v st0 in
+  let v, sent = recording_view () in
+  let ((lo, hi) as st) = p.Stack.p_init 1 in
+  Alcotest.(check (list string)) "lower initialised" [ "lo.init.1" ] !lo;
+  p.Stack.p_tick v st;
   Alcotest.(check (list (pair int lo_hi_msg)))
     "wrapped lower messages precede the upper's"
     [ (2, `Lo "lo.m1"); (3, `Lo "lo.m2"); (9, `Hi "h1") ]
-    out;
-  Alcotest.(check (list string)) "lower ticked" [ "lo.tick"; "lo.init.1" ] lo;
+    (sent ());
+  Alcotest.(check (list string)) "lower ticked" [ "lo.tick"; "lo.init.1" ] !lo;
   (* 2 events: the upper observed the lower's post-tick state *)
   Alcotest.(check (list string))
     "upper saw the post-tick lower state"
     [ "hi.tick(saw 2 lo events)"; "hi.init.1" ]
-    hi
+    !hi
 
 let test_stack_routing () =
   let p = stacked () in
-  let v = dummy_view () in
-  let st0 = p.Stack.p_init 1 in
-  let (lo, hi), out = p.Stack.p_recv v ~from:4 (`Lo "ping") st0 in
+  let v, sent = recording_view () in
+  let ((lo, hi) as st) = p.Stack.p_init 1 in
+  p.Stack.p_recv v ~from:4 (`Lo "ping") st;
   Alcotest.(check (list string))
-    "Lo routed to the lower alone" [ "lo.recv.4.ping"; "lo.init.1" ] lo;
-  Alcotest.(check (list string)) "upper untouched" [ "hi.init.1" ] hi;
-  Alcotest.(check (list (pair int lo_hi_msg))) "lower replies re-wrapped" [] out;
-  let (lo, hi), _ = p.Stack.p_recv v ~from:4 (`Hi "yo") st0 in
-  Alcotest.(check (list string)) "lower untouched" [ "lo.init.1" ] lo;
-  Alcotest.(check (list string)) "Hi routed to the upper" [ "hi.recv.4.yo"; "hi.init.1" ] hi
+    "Lo routed to the lower alone" [ "lo.recv.4.ping"; "lo.init.1" ] !lo;
+  Alcotest.(check (list string)) "upper untouched" [ "hi.init.1" ] !hi;
+  Alcotest.(check (list (pair int lo_hi_msg))) "lower replies re-wrapped" [] (sent ());
+  let ((lo, hi) as st) = p.Stack.p_init 1 in
+  p.Stack.p_recv v ~from:4 (`Hi "yo") st;
+  Alcotest.(check (list string)) "lower untouched" [ "lo.init.1" ] !lo;
+  Alcotest.(check (list string)) "Hi routed to the upper" [ "hi.recv.4.yo"; "hi.init.1" ] !hi
+
+let test_stack_merge_corrupt () =
+  let p = stacked () in
+  let ((lo, hi) as st) = p.Stack.p_init 1 in
+  let others = Pid.Map.of_seq (List.to_seq [ (2, p.Stack.p_init 2); (3, p.Stack.p_init 3) ]) in
+  p.Stack.p_merge ~self:1 st others;
+  Alcotest.(check (list string))
+    "lower merged the others' lower states"
+    [ "lo.merge(2:lo.init.2,3:lo.init.3)"; "lo.init.1" ]
+    !lo;
+  Alcotest.(check (list string))
+    "upper merged after the lower" [ "hi.merge(saw 2 lo events)"; "hi.init.1" ] !hi;
+  p.Stack.p_corrupt (Rng.create 1) st;
+  Alcotest.(check (list string))
+    "lower corrupted"
+    [ "lo.corrupt"; "lo.merge(2:lo.init.2,3:lo.init.3)"; "lo.init.1" ]
+    !lo;
+  Alcotest.(check (list string))
+    "upper corrupted after the lower"
+    [ "hi.corrupt(saw 3 lo events)"; "hi.merge(saw 2 lo events)"; "hi.init.1" ]
+    !hi
 
 (* ------------------------------------------------------------------ *)
 (* The loop runtime                                                    *)
@@ -251,6 +291,72 @@ let test_sync_runner_drives_stack () =
   | Some rounds -> Alcotest.(check bool) "corrupted start is not agreed" true (rounds > 0)
   | None -> Alcotest.fail "no agreement on the members within 200 synchronous rounds"
 
+let test_joiner_app_waits_for_handshake () =
+  (* a plugin sending to every seed on each tick: a joiner's [v_send] must
+     hold that traffic back on every link whose cleaning handshake has not
+     completed *)
+  let seeds = [ 1; 2; 3 ] in
+  let plugin =
+    {
+      Stack.p_init = (fun _ -> ());
+      p_tick = (fun v () -> List.iter (fun p -> v.Stack.v_send p "hello") seeds);
+      p_recv = (fun _ ~from:_ _ () -> ());
+      p_merge = (fun ~self:_ () _ -> ());
+      p_corrupt = (fun _ () -> ());
+    }
+  in
+  let b =
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+      ~hooks:{ Stack.unit_hooks with plugin } ~members_set:(set seeds)
+      ~directory:(ref (set seeds))
+  in
+  let ctx =
+    Step.create ~rng:(Rng.create 3) ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ())
+  in
+  (* one synchronous step; its sends, oldest first *)
+  let step self f =
+    ctx.Step.ctx_self <- self;
+    ctx.ctx_outbox <- [];
+    ignore (f ctx);
+    List.rev ctx.ctx_outbox
+  in
+  let joiner = b.init 9 and member = b.init 1 in
+  let app_to out =
+    List.filter_map (function dst, Stack.App _ -> Some dst | _, _ -> None) out
+  in
+  let clean peer =
+    match Pid.Map.find_opt peer joiner.Stack.snap with
+    | Some s -> Datalink.Snap_link.phase s = Datalink.Snap_link.Clean_done
+    | None -> false
+  in
+  let first = step 9 (fun c -> b.on_timer c joiner) in
+  Alcotest.(check bool) "first tick floods the handshake" true
+    (List.exists (function _, Stack.Snap _ -> true | _ -> false) first);
+  Alcotest.(check (list int)) "no app traffic over an uncleaned link" []
+    (List.filter (fun dst -> not (clean dst)) (app_to first));
+  Alcotest.(check (list int)) "member sends app traffic ungated" seeds
+    (app_to (step 1 (fun c -> b.on_timer c member)));
+  (* clean the link to seed 1 alone: shuttle the joiner's flood to seed 1
+     and its acknowledgments back *)
+  let rec handshake rounds out =
+    if clean 1 then ()
+    else if rounds = 0 then Alcotest.fail "handshake with seed 1 never completed"
+    else begin
+      List.iter
+        (fun (dst, m) ->
+          if Pid.equal dst 1 then
+            List.iter
+              (fun (back, r) ->
+                if Pid.equal back 9 then ignore (step 9 (fun c -> b.on_message c 1 r joiner)))
+              (step 1 (fun c -> b.on_message c 9 m member)))
+        out;
+      handshake (rounds - 1) (step 9 (fun c -> b.on_timer c joiner))
+    end
+  in
+  handshake 50 first;
+  Alcotest.(check (list int)) "app traffic flows over the cleaned link only" [ 1 ]
+    (app_to (step 9 (fun c -> b.on_timer c joiner)))
+
 (* ------------------------------------------------------------------ *)
 (* Sim-vs-loop equivalence of the full stack                           *)
 (* ------------------------------------------------------------------ *)
@@ -333,6 +439,7 @@ let suites =
       [
         Alcotest.test_case "stack ordering" `Quick test_stack_ordering;
         Alcotest.test_case "stack routing" `Quick test_stack_routing;
+        Alcotest.test_case "stack merge and corrupt" `Quick test_stack_merge_corrupt;
       ] );
     ( "runtime.loop",
       [
@@ -341,7 +448,11 @@ let suites =
         Alcotest.test_case "crash" `Quick test_loop_crash;
       ] );
     ( "runtime.step",
-      [ Alcotest.test_case "synchronous runner drives the stack" `Quick test_sync_runner_drives_stack ] );
+      [
+        Alcotest.test_case "synchronous runner drives the stack" `Quick test_sync_runner_drives_stack;
+        Alcotest.test_case "joiner app traffic waits for the handshake" `Quick
+          test_joiner_app_waits_for_handshake;
+      ] );
     ( "runtime.equivalence",
       [
         Alcotest.test_case "stack on both runtimes" `Quick test_stack_on_both_runtimes;

@@ -1,39 +1,12 @@
 open Sim
 open Reconfig
 
-let members_of n = List.init n (fun i -> i + 1)
-
-let mean l =
-  match l with
-  | [] -> 0.0
-  | _ -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
 let n_of (p : Experiments.params) =
   match List.rev p.Experiments.sizes with last :: _ -> last | [] -> 8
 
 (* Like the experiment tables, each (variant x seed) sweep cell is an
-   independent simulation submitted to the domain pool; see
+   independent simulation scheduled by [Experiments.per_seed]; see
    Experiments for the determinism contract. *)
-let product xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
-
-let per_seed pool (p : Experiments.params) f keys =
-  let nseeds = List.length p.Experiments.seeds in
-  let cells = product keys p.Experiments.seeds in
-  let results = Pool.map pool (fun (key, seed) -> f key seed) cells in
-  let rec chunk = function
-    | [] -> []
-    | xs ->
-      let rec split i acc rest =
-        if i = 0 then (List.rev acc, rest)
-        else
-          match rest with
-          | [] -> (List.rev acc, [])
-          | x :: tl -> split (i - 1) (x :: acc) tl
-      in
-      let g, rest = split nseeds [] xs in
-      g :: chunk rest
-  in
-  chunk results
 
 (* ------------------------------------------------------------------ *)
 (* A1: failure-detector gap factor.                                     *)
@@ -45,7 +18,8 @@ let a1_theta_sweep ?(jobs = 1) p =
   let run theta seed =
     let sys =
       Stack.of_scenario ~hooks:Stack.unit_hooks
-        (Scenario.make ~seed ~theta ~n_bound:(2 * n) ~members:(members_of n) ())
+        (Scenario.make ~seed ~theta ~n_bound:(2 * n)
+           ~members:(Experiments.members_of n) ())
     in
     Stack.run_rounds sys 60;
     let spurious = Stack.total_resets sys in
@@ -72,11 +46,11 @@ let a1_theta_sweep ?(jobs = 1) p =
       (fun theta results ->
         [
           Table.cell_int theta;
-          Table.cell_float (mean (List.map fst results));
-          Table.cell_float (mean (List.map snd results));
+          Table.cell_float (Experiments.mean (List.map fst results));
+          Table.cell_float (Experiments.mean (List.map snd results));
         ])
       thetas
-      (per_seed pool p run thetas)
+      (Experiments.per_seed pool p run thetas)
   in
   Table.make ~id:"A1" ~title:"failure-detector gap factor Θ"
     ~claim:
@@ -92,11 +66,12 @@ let a1_theta_sweep ?(jobs = 1) p =
 let a2_loss_sweep ?(jobs = 1) p =
   Pool.with_pool ~jobs @@ fun pool ->
   let n = n_of p in
-  let target = Pid.set_of_list (members_of (n - 1)) in
+  let target = Pid.set_of_list (Experiments.members_of (n - 1)) in
   let run loss seed =
     let sys =
       Stack.of_scenario ~hooks:Stack.unit_hooks
-        (Scenario.make ~seed ~loss ~n_bound:(2 * n) ~members:(members_of n) ())
+        (Scenario.make ~seed ~loss ~n_bound:(2 * n)
+           ~members:(Experiments.members_of n) ())
     in
     Stack.run_rounds sys 30;
     let rec propose k =
@@ -130,10 +105,10 @@ let a2_loss_sweep ?(jobs = 1) p =
         [
           Printf.sprintf "%.0f%%" (loss *. 100.0);
           Table.cell_int (List.length completed);
-          Table.cell_float (mean completed);
+          Table.cell_float (Experiments.mean completed);
         ])
       losses
-      (per_seed pool p run losses)
+      (Experiments.per_seed pool p run losses)
   in
   Table.make ~id:"A2" ~title:"packet loss vs delicate replacement latency"
     ~claim:
@@ -153,7 +128,8 @@ let a3_capacity_sweep ?(jobs = 1) p =
   let run capacity seed =
     let sys =
       Stack.of_scenario ~hooks:Stack.unit_hooks
-        (Scenario.make ~seed ~capacity ~n_bound:(2 * n) ~members:(members_of n) ())
+        (Scenario.make ~seed ~capacity ~n_bound:(2 * n)
+           ~members:(Experiments.members_of n) ())
     in
     Stack.run_rounds sys 25;
     Stack.corrupt_everything sys ~rng:(Rng.create (seed * 31));
@@ -168,10 +144,10 @@ let a3_capacity_sweep ?(jobs = 1) p =
         [
           Table.cell_int capacity;
           Table.cell_int (List.length recovered);
-          Table.cell_float (mean recovered);
+          Table.cell_float (Experiments.mean recovered);
         ])
       caps
-      (per_seed pool p run caps)
+      (Experiments.per_seed pool p run caps)
   in
   Table.make ~id:"A3" ~title:"channel capacity vs recovery from arbitrary state"
     ~claim:
@@ -191,10 +167,10 @@ let a4_brute_vs_delicate ?(jobs = 1) p =
     | `Delicate ->
       let sys =
         Stack.of_scenario ~hooks:Stack.unit_hooks
-          (Scenario.make ~seed ~n_bound:(2 * n) ~members:(members_of n) ())
+          (Scenario.make ~seed ~n_bound:(2 * n) ~members:(Experiments.members_of n) ())
       in
       Stack.run_rounds sys 30;
-      let target = Pid.set_of_list (members_of (n - 1)) in
+      let target = Pid.set_of_list (Experiments.members_of (n - 1)) in
       let rec propose k =
         if k = 0 then false
         else if Stack.estab sys 1 target then true
@@ -213,7 +189,7 @@ let a4_brute_vs_delicate ?(jobs = 1) p =
     | `Brute ->
       let sys =
         Stack.of_scenario ~hooks:Stack.unit_hooks
-          (Scenario.make ~seed ~n_bound:(2 * n) ~members:(members_of n) ())
+          (Scenario.make ~seed ~n_bound:(2 * n) ~members:(Experiments.members_of n) ())
       in
       Stack.run_rounds sys 30;
       (* force a reset by planting a conflicting configuration *)
@@ -226,7 +202,7 @@ let a4_brute_vs_delicate ?(jobs = 1) p =
       Option.map float_of_int
         (Stack.run_until_quiescent sys ~max_rounds:p.Experiments.max_rounds)
   in
-  let keys = product p.Experiments.sizes [ `Delicate; `Brute ] in
+  let keys = Experiments.product p.Experiments.sizes [ `Delicate; `Brute ] in
   let rows =
     List.map2
       (fun (n, technique) results ->
@@ -237,10 +213,10 @@ let a4_brute_vs_delicate ?(jobs = 1) p =
           | `Delicate -> "delicate (estab)"
           | `Brute -> "brute force (conflict reset)");
           Table.cell_int (List.length completed);
-          Table.cell_float (mean completed);
+          Table.cell_float (Experiments.mean completed);
         ])
       keys
-      (per_seed pool p run keys)
+      (Experiments.per_seed pool p run keys)
   in
   Table.make ~id:"A4" ~title:"brute-force reset vs delicate replacement"
     ~claim:

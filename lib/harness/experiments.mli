@@ -20,6 +20,24 @@ type params = {
 val default_params : params
 val quick_params : params
 
+(** {2 Cell scheduling}
+
+    Every table is computed as a flat list of independent (variant x seed)
+    simulation cells run on a {!Pool}; the ablations share this scheduling. *)
+
+(** [members_of n] is the configuration [1..n]. *)
+val members_of : int -> int list
+
+(** Arithmetic mean; [0.0] for the empty list. *)
+val mean : float list -> float
+
+(** [product xs ys] — every [(x, y)] pair, [xs]-major. *)
+val product : 'a list -> 'b list -> ('a * 'b) list
+
+(** [per_seed pool p f keys] runs [f key seed] for every (key, seed) cell on
+    [pool] and returns one result group per key, seeds in order. *)
+val per_seed : Pool.t -> params -> ('k -> int -> 'r) -> 'k list -> 'r list list
+
 val e1_convergence : ?jobs:int -> params -> Table.t
 val e2_delicate_replacement : ?jobs:int -> params -> Table.t
 val e3_recma_trigger_bound : ?jobs:int -> params -> Table.t

@@ -11,46 +11,31 @@ type message = {
   m_echo : echo_view option;
 }
 
-type peer_view = {
-  p_fd : Pid.Set.t;
-  p_part : Pid.Set.t;
-  p_config : Config_value.t;
-  p_prp : Notification.t;
-  p_all : bool;
-  p_echo : echo_view option;
-}
-
-(* Everything a tick or a broadcast reads besides constants. *)
-type inputs = {
-  i_version : int;
-  i_trusted : Pid.Set.t;
-  i_all : bool;
-  i_allseen : Pid.Set.t;
-}
-
 type t = {
   sa_self : Pid.t;
   mutable sa_config : Config_value.t;
   mutable sa_prp : Notification.t;
   mutable sa_all : bool;
   mutable sa_allseen : Pid.Set.t;
-  mutable peers : peer_view Pid.Map.t;
+  mutable peers : message Pid.Map.t; (* the last message from each peer *)
   mutable resets : int;
   mutable installs : int;
-  (* Figure 1's interface — participants, noReco() and getConfig() — is a
-     function of (config, prp, peers, trusted) alone. [version] is bumped
-     by every write to those three fields (through [set_config], [set_prp]
-     and [set_peers] only), so the interface is memoized per (version,
-     trusted) and every service reading it per delivered message pays a
-     comparison, not a recomputation. *)
+  (* Figure 1's interface — participants, noReco() and getConfig() —, the
+     broadcast and the tick are functions of (config, prp, all, allSeen,
+     peers, trusted) alone. [version] is bumped by every change to the
+     first five (through the [set_*] functions only), so all three are
+     memoized per (version, trusted): a service reading the interface per
+     delivered message pays a comparison, not a recomputation, an unchanged
+     state re-sends the very same messages, and a tick that emitted nothing
+     and changed nothing is a fixed point, skipped until the key changes. *)
   mutable version : int;
   mutable memo_version : int;
   mutable memo_trusted : Pid.Set.t;
   mutable memo_part : Pid.Set.t option;
   mutable memo_no_reco : bool option;
   mutable memo_config : Config_value.t option;
-  mutable quiet : inputs option; (* a tick at these inputs changed nothing *)
-  mutable last_broadcast : (inputs * (Pid.t * message) list) option;
+  mutable memo_broadcast : (Pid.t * message) list option;
+  mutable memo_quiet : bool; (* a tick at this key changed nothing *)
 }
 
 let create ~self ~participant ?initial_config () =
@@ -76,8 +61,8 @@ let create ~self ~participant ?initial_config () =
     memo_part = None;
     memo_no_reco = None;
     memo_config = None;
-    quiet = None;
-    last_broadcast = None;
+    memo_broadcast = None;
+    memo_quiet = false;
   }
 
 let set_config t v =
@@ -98,14 +83,18 @@ let set_peers t m =
     t.version <- t.version + 1
   end
 
-let inputs t ~trusted =
-  { i_version = t.version; i_trusted = trusted; i_all = t.sa_all; i_allseen = t.sa_allseen }
+let set_all t a =
+  if not (Bool.equal a t.sa_all) then begin
+    t.sa_all <- a;
+    t.version <- t.version + 1
+  end
 
-let same_inputs t ~trusted i =
-  i.i_version = t.version
-  && Bool.equal i.i_all t.sa_all
-  && i.i_allseen == t.sa_allseen
-  && Pid.equal_sets i.i_trusted trusted
+(* [Pid.Set.add] of a present pid returns the very same set *)
+let set_allseen t s =
+  if s != t.sa_allseen then begin
+    t.sa_allseen <- s;
+    t.version <- t.version + 1
+  end
 
 (* Start a fresh memo unless it is already keyed by the current state and
    an equal trusted set. *)
@@ -116,7 +105,9 @@ let memo_for t ~trusted =
     t.memo_trusted <- trusted;
     t.memo_part <- None;
     t.memo_no_reco <- None;
-    t.memo_config <- None
+    t.memo_config <- None;
+    t.memo_broadcast <- None;
+    t.memo_quiet <- false
   end
 
 let self t = t.sa_self
@@ -143,7 +134,7 @@ let participants t ~trusted =
              if Pid.equal p t.sa_self then is_participant t
              else
                match Pid.Map.find_opt p t.peers with
-               | Some pv -> not (Config_value.is_not_participant pv.p_config)
+               | Some pv -> not (Config_value.is_not_participant pv.m_config)
                | None -> false)
            trusted)
     in
@@ -155,7 +146,7 @@ let participants t ~trusted =
 let visible_configs t ~trusted =
   let received =
     Pid.Map.fold
-      (fun p pv acc -> if Pid.Set.mem p trusted then pv.p_config :: acc else acc)
+      (fun p pv acc -> if Pid.Set.mem p trusted then pv.m_config :: acc else acc)
       t.peers []
   in
   t.sa_config :: received
@@ -201,46 +192,82 @@ let peer_views t ~part =
 
 (* same(k): pk's most recently received (part, prp) match ours. *)
 let same t ~part pv =
-  Intern.set_equal pv.p_part part && Notification.equal pv.p_prp t.sa_prp
+  Intern.set_equal pv.m_part part && Notification.equal pv.m_prp t.sa_prp
 
 (* echoNoAll: pk echoed our (part, prp). *)
 let echo_no_all t ~part pv =
-  match pv.p_echo with
+  match pv.m_echo with
   | None -> false
   | Some e -> Intern.set_equal e.e_part part && Notification.equal e.e_prp t.sa_prp
 
 (* echo(): pk echoed our full (part, prp, all) triple. *)
 let echo_full t ~part pv =
-  match pv.p_echo with
+  match pv.m_echo with
   | None -> false
   | Some e ->
     Intern.set_equal e.e_part part
     && Notification.equal e.e_prp t.sa_prp
     && Bool.equal e.e_all t.sa_all
 
+(* Definition 3.1's stale-information tests, read both by the tick's resets
+   and by [stale_types]. *)
+
+(* type-2: an empty configuration set is never legal *)
+let empty_config = function
+  | Config_value.Set s -> Pid.Set.is_empty s
+  | Config_value.Not_participant | Config_value.Reset -> false
+
+(* type-2: two distinct configuration sets are visible *)
+let config_conflict values = List.length (distinct_sets values) > 1
+
+(* type-3: two phase-2 notifications with distinct sets *)
+let phase2_conflict t views =
+  let collect acc (n : Notification.t) =
+    match (n.phase, n.set) with
+    | Notification.P2, Some s ->
+      if List.exists (Intern.set_equal s) acc then acc else s :: acc
+    | _ -> acc
+  in
+  List.length
+    (List.fold_left (fun acc (_, pv) -> collect acc pv.m_prp) (collect [] t.sa_prp) views)
+  > 1
+
+(* type-4: a stable view, but the configuration has no live participant *)
+let dead_config t ~trusted ~part views =
+  match t.sa_config with
+  | Config_value.Set s ->
+    Pid.Set.cardinal part > 1
+    && List.length views = Pid.Set.cardinal (Pid.Set.remove t.sa_self part)
+    && List.for_all
+         (fun (_, pv) ->
+           Intern.set_equal pv.m_fd trusted && Intern.set_equal pv.m_part part)
+         views
+    && Pid.Set.is_empty (Pid.Set.inter s part)
+  | Config_value.Not_participant | Config_value.Reset -> false
+
 let compute_no_reco t ~trusted =
   let part = participants t ~trusted in
   let views = peer_views t ~part in
   (* all participants have reported (they are in part only if their config
      was received, so views covers part \ {self}) *)
-  let recognized = List.for_all (fun (_, pv) -> Pid.Set.mem t.sa_self pv.p_fd) views in
+  let recognized = List.for_all (fun (_, pv) -> Pid.Set.mem t.sa_self pv.m_fd) views in
   let values = visible_configs t ~trusted in
-  let no_conflict = List.length (distinct_sets values) <= 1 in
+  let no_conflict = not (config_conflict values) in
   let no_reset = not (exists_reset values) in
   let parts_stable =
-    List.for_all (fun (_, pv) -> Intern.set_equal pv.p_part part) views
+    List.for_all (fun (_, pv) -> Intern.set_equal pv.m_part part) views
     (* peers can only echo our values if we broadcast, i.e. participate *)
     && ((not (is_participant t))
        || List.for_all
             (fun (_, pv) ->
-              match pv.p_echo with
+              match pv.m_echo with
               | Some e -> Intern.set_equal e.e_part part
               | None -> false)
             views)
   in
   let no_notification =
     Notification.is_default t.sa_prp
-    && List.for_all (fun (_, pv) -> Notification.is_default pv.p_prp) views
+    && List.for_all (fun (_, pv) -> Notification.is_default pv.m_prp) views
   in
   recognized && no_conflict && no_reset && parts_stable && no_notification
 
@@ -268,11 +295,11 @@ let config_set t value =
   let value = Config_value.intern value in
   set_config t value;
   set_prp t Notification.default;
-  t.sa_all <- false;
-  t.sa_allseen <- Pid.Set.empty;
+  set_all t false;
+  set_allseen t Pid.Set.empty;
   set_peers t
     (Pid.Map.map
-       (fun pv -> { pv with p_config = value; p_prp = Notification.default })
+       (fun pv -> { pv with m_config = value; m_prp = Notification.default })
        t.peers)
 
 let start_reset t reason events =
@@ -296,79 +323,37 @@ let advance_to t (n : Notification.t) events =
     set_config t (Config_value.of_set s)
   | _ -> ());
   set_prp t n;
-  t.sa_all <- false;
-  t.sa_allseen <- Pid.Set.empty
+  set_all t false;
+  set_allseen t Pid.Set.empty
 
 let finish_replacement t events =
   events := ("recsa.phase0", "replacement complete") :: !events;
   set_prp t Notification.default;
-  t.sa_all <- false;
-  t.sa_allseen <- Pid.Set.empty
+  set_all t false;
+  set_allseen t Pid.Set.empty
 
-(* Stale-information tests of Definition 3.1 that are valid in every state
-   (configuration disagreement, by contrast, is normal while a replacement
-   is mid-flight, so the conflict test lives in the no-notification branch,
-   as in line 26 of the pseudocode). *)
+let stale t events ty reason =
+  events := ("recsa.stale", ty) :: !events;
+  start_reset t reason events
+
+(* The tests valid in every state (configuration disagreement, by contrast,
+   is normal while a replacement is mid-flight, so the conflict test lives
+   in the no-notification branch, as in line 26 of the pseudocode). *)
 let stale_check_always t ~part events =
-  (* type-2 (own): an empty configuration set is never legal *)
-  let own_empty =
-    match t.sa_config with
-    | Config_value.Set s -> Pid.Set.is_empty s
-    | Config_value.Not_participant | Config_value.Reset -> false
-  in
-  (* type-3: two phase-2 notifications with distinct sets *)
-  let phase2_sets =
-    let collect acc (n : Notification.t) =
-      match (n.phase, n.set) with
-      | Notification.P2, Some s ->
-        if List.exists (Intern.set_equal s) acc then acc else s :: acc
-      | _ -> acc
-    in
-    let acc = collect [] t.sa_prp in
-    List.fold_left (fun acc (_, pv) -> collect acc pv.p_prp) acc (peer_views t ~part)
-  in
-  let notif_conflict = List.length phase2_sets > 1 in
-  if own_empty then begin
-    events := ("recsa.stale", "type-2") :: !events;
-    start_reset t "empty config" events
-  end
-  else if notif_conflict then begin
-    events := ("recsa.stale", "type-3") :: !events;
-    start_reset t "conflicting phase-2 notifications" events
-  end
+  if empty_config t.sa_config then stale t events "type-2" "empty config"
+  else if phase2_conflict t (peer_views t ~part) then
+    stale t events "type-3" "conflicting phase-2 notifications"
 
-(* Stale-information tests that only apply outside replacements. *)
+(* The tests that only apply outside replacements. *)
 let stale_check_quiet t ~trusted ~part events =
-  let values = visible_configs t ~trusted in
-  let conflict = List.length (distinct_sets values) > 1 in
-  (* type-4: stable view but the configuration has no live participant *)
-  let views = peer_views t ~part in
-  let fd_stable =
-    (not (Pid.Set.is_empty part))
-    && Pid.Set.cardinal part > 1
-    && List.length views = Pid.Set.cardinal (Pid.Set.remove t.sa_self part)
-    && List.for_all
-         (fun (_, pv) ->
-           Intern.set_equal pv.p_fd trusted && Intern.set_equal pv.p_part part)
-         views
-  in
-  let dead_config =
-    match t.sa_config with
-    | Config_value.Set s -> fd_stable && Pid.Set.is_empty (Pid.Set.inter s part)
-    | Config_value.Not_participant | Config_value.Reset -> false
-  in
-  if conflict then begin
-    events := ("recsa.stale", "type-2") :: !events;
-    start_reset t "config conflict" events
-  end
-  else if dead_config then begin
-    events := ("recsa.stale", "type-4") :: !events;
-    start_reset t "config has no live participant" events
-  end
+  if config_conflict (visible_configs t ~trusted) then
+    stale t events "type-2" "config conflict"
+  else if dead_config t ~trusted ~part (peer_views t ~part) then
+    stale t events "type-4" "config has no live participant"
 
 let max_notification t ~part =
   let own = if Pid.Set.mem t.sa_self part then [ t.sa_prp ] else [] in
-  let received = List.map (fun (_, pv) -> pv.p_prp) (peer_views t ~part) in
+  let received = List.map (fun (_, pv) -> pv.m_prp) (peer_views t ~part) in
   Notification.max_of (own @ received)
 
 (* Brute-force stabilization (line 26): during a reset, wait until every
@@ -381,7 +366,7 @@ let brute_force t ~trusted events =
       Pid.Set.for_all
         (fun p ->
           match Pid.Map.find_opt p t.peers with
-          | Some pv -> Intern.set_equal pv.p_fd trusted
+          | Some pv -> Intern.set_equal pv.m_fd trusted
           | None -> false)
         others
     in
@@ -420,8 +405,8 @@ let delicate t ~part max_ntf events =
     let completed =
       List.exists
         (fun (_, pv) ->
-          Notification.is_default pv.p_prp
-          && Config_value.equal pv.p_config (Config_value.Set s))
+          Notification.is_default pv.m_prp
+          && Config_value.equal pv.m_config (Config_value.Set s))
         (peer_views t ~part)
     in
     if completed then begin
@@ -437,13 +422,13 @@ let delicate t ~part max_ntf events =
     let views = peer_views t ~part in
     (* all[i] <- every participant reports and echoes our (part, prp) *)
     let complete_views = List.length views = Pid.Set.cardinal (Pid.Set.remove t.sa_self part) in
-    t.sa_all <-
-      complete_views
-      && List.for_all (fun (_, pv) -> echo_no_all t ~part pv && same t ~part pv) views;
+    set_all t
+      (complete_views
+      && List.for_all (fun (_, pv) -> echo_no_all t ~part pv && same t ~part pv) views);
     (* accumulate allSeen: peers that reported all[k] for our notification *)
     List.iter
       (fun (p, pv) ->
-        if same t ~part pv && pv.p_all then t.sa_allseen <- Pid.Set.add p t.sa_allseen)
+        if same t ~part pv && pv.m_all then set_allseen t (Pid.Set.add p t.sa_allseen))
       views;
     let echo_ok = complete_views && List.for_all (fun (_, pv) -> echo_full t ~part pv) views in
     let allseen_ok =
@@ -468,20 +453,20 @@ let tick_once t ~trusted =
   let events = ref [] in
   (* line 25 prologue: clean state about processors we no longer trust *)
   (* (both cleanings leave [peers] physically unchanged when they drop or
-     normalize nothing, so the interface memo survives a quiet round) *)
+     normalize nothing, so the memo survives a quiet round) *)
   set_peers t (Pid.Map.filter (fun p _ -> Pid.Set.mem p trusted) t.peers);
   (* type-1 cleaning: malformed notifications are normalized, never kept *)
   if Notification.malformed t.sa_prp then begin
     events := ("recsa.stale", "type-1") :: !events;
     set_prp t Notification.default
   end;
-  if Pid.Map.exists (fun _ pv -> Notification.malformed pv.p_prp) t.peers then
+  if Pid.Map.exists (fun _ pv -> Notification.malformed pv.m_prp) t.peers then
     set_peers t
       (Pid.Map.map
          (fun pv ->
-           if Notification.malformed pv.p_prp then begin
+           if Notification.malformed pv.m_prp then begin
              events := ("recsa.stale", "type-1") :: !events;
-             { pv with p_prp = Notification.default }
+             { pv with m_prp = Notification.default }
            end
            else pv)
          t.peers);
@@ -490,7 +475,7 @@ let tick_once t ~trusted =
   (if Config_value.is_not_participant t.sa_config then
      let reset_visible =
        Pid.Map.exists
-         (fun p pv -> Pid.Set.mem p trusted && Config_value.is_reset pv.p_config)
+         (fun p pv -> Pid.Set.mem p trusted && Config_value.is_reset pv.m_config)
          t.peers
      in
      if reset_visible then begin
@@ -507,17 +492,16 @@ let tick_once t ~trusted =
   | Some max_ntf -> if is_participant t then delicate t ~part max_ntf events);
   List.rev !events
 
-(* A tick is a function of its inputs, so one that changed none of them and
-   emitted nothing is a fixed point: until an input changes, the next tick
-   would do nothing again, and is skipped. *)
 let tick t ~trusted =
-  match t.quiet with
-  | Some i when same_inputs t ~trusted i -> []
-  | Some _ | None ->
-    let before = inputs t ~trusted in
+  memo_for t ~trusted;
+  if t.memo_quiet then []
+  else begin
+    let version = t.version in
     let events = tick_once t ~trusted in
-    t.quiet <- (if events = [] && same_inputs t ~trusted before then Some before else None);
+    memo_for t ~trusted;
+    t.memo_quiet <- events = [] && t.version = version;
     events
+  end
 
 let compute_broadcast t ~trusted =
   if not (is_participant t) then []
@@ -530,7 +514,7 @@ let compute_broadcast t ~trusted =
           let echo =
             match Pid.Map.find_opt p t.peers with
             | Some pv ->
-              Some { e_part = pv.p_part; e_prp = pv.p_prp; e_all = pv.p_all }
+              Some { e_part = pv.m_part; e_prp = pv.m_prp; e_all = pv.m_all }
             | None -> None
           in
           ( p,
@@ -546,84 +530,64 @@ let compute_broadcast t ~trusted =
       trusted []
   end
 
-(* The broadcast too is a function of the tick inputs, so an unchanged
-   state re-sends the very same messages. *)
 let broadcast t ~trusted =
-  match t.last_broadcast with
-  | Some (i, msgs) when same_inputs t ~trusted i -> msgs
-  | Some _ | None ->
+  memo_for t ~trusted;
+  match t.memo_broadcast with
+  | Some msgs -> msgs
+  | None ->
     let msgs = compute_broadcast t ~trusted in
-    t.last_broadcast <- Some (inputs t ~trusted, msgs);
+    t.memo_broadcast <- Some msgs;
     msgs
 
-let receive t ~from m =
-  let prp = if Notification.malformed m.m_prp then Notification.default else m.m_prp in
-  let stored = Pid.Map.find_opt from t.peers in
-  (* In the simulator a message carries the sender's own (interned)
-     descriptors, so a repeated message is usually physically the stored
-     view: nothing to intern and nothing changes. *)
-  let repeated =
-    match stored with
-    | None -> false
-    | Some pv ->
-      m.m_fd == pv.p_fd && m.m_part == pv.p_part && m.m_config == pv.p_config
-      && prp == pv.p_prp
-      && Bool.equal m.m_all pv.p_all
-      &&
-      match (pv.p_echo, m.m_echo) with
-      | None, None -> true
-      | Some e, Some e' ->
-        e'.e_part == e.e_part && e'.e_prp == e.e_prp && Bool.equal e'.e_all e.e_all
-      | Some _, None | None, Some _ -> false
+(* Interned descriptors make [==] decide whether two views are the same. *)
+let same_view a b =
+  a.m_fd == b.m_fd && a.m_part == b.m_part && a.m_config == b.m_config
+  && a.m_prp == b.m_prp
+  && Bool.equal a.m_all b.m_all
+  &&
+  match (a.m_echo, b.m_echo) with
+  | None, None -> true
+  | Some e, Some e' ->
+    e.e_part == e'.e_part && e.e_prp == e'.e_prp && Bool.equal e.e_all e'.e_all
+  | Some _, None | None, Some _ -> false
+
+(* Intern every descriptor as it comes off the wire: this is the single
+   choke point that makes all downstream Definition 3.1 comparisons
+   pointer-equality in the steady state. *)
+let intern_view m =
+  let fd = Intern.pid_set m.m_fd in
+  let part = Intern.pid_set m.m_part in
+  let config = Config_value.intern m.m_config in
+  let prp = Notification.intern m.m_prp in
+  let echo =
+    Option.map
+      (fun e ->
+        {
+          e_part = Intern.pid_set e.e_part;
+          e_prp = Notification.intern e.e_prp;
+          e_all = e.e_all;
+        })
+      m.m_echo
   in
-  if not repeated then begin
-    (* Intern every descriptor as it comes off the wire: this is the single
-       choke point that makes all downstream Definition 3.1 comparisons
-       pointer-equality in the steady state. *)
-    let fd = Intern.pid_set m.m_fd in
-    let part = Intern.pid_set m.m_part in
-    let config = Config_value.intern m.m_config in
-    let prp = Notification.intern prp in
-    let echo =
-      Option.map
-        (fun e ->
-          {
-            e_part = Intern.pid_set e.e_part;
-            e_prp = Notification.intern e.e_prp;
-            e_all = e.e_all;
-          })
-        m.m_echo
-    in
-    (* interned descriptors make [==] decide whether the stored view
-       changes; an unchanged view leaves [peers], and so the interface memo,
-       alone *)
-    let unchanged =
-      match stored with
-      | None -> false
-      | Some pv ->
-        pv.p_fd == fd && pv.p_part == part && pv.p_config == config
-        && pv.p_prp == prp
-        && Bool.equal pv.p_all m.m_all
-        &&
-        match (pv.p_echo, echo) with
-        | None, None -> true
-        | Some e, Some e' ->
-          e.e_part == e'.e_part && e.e_prp == e'.e_prp && Bool.equal e.e_all e'.e_all
-        | Some _, None | None, Some _ -> false
-    in
-    if not unchanged then
-      set_peers t
-        (Pid.Map.add from
-           {
-             p_fd = fd;
-             p_part = part;
-             p_config = config;
-             p_prp = prp;
-             p_all = m.m_all;
-             p_echo = echo;
-           }
-           t.peers)
-  end
+  { m_fd = fd; m_part = part; m_config = config; m_prp = prp; m_all = m.m_all;
+    m_echo = echo }
+
+(* The stored view is the message itself, its notification normalized if
+   malformed. In the simulator a message carries the sender's own (interned)
+   descriptors, so a repeated message is usually physically the stored view:
+   nothing to intern. An unchanged view leaves [peers], and so the memo,
+   alone. *)
+let receive t ~from m =
+  let m =
+    if Notification.malformed m.m_prp then { m with m_prp = Notification.default } else m
+  in
+  match Pid.Map.find_opt from t.peers with
+  | Some pv when same_view pv m -> ()
+  | stored -> (
+    let m = intern_view m in
+    match stored with
+    | Some pv when same_view pv m -> ()
+    | Some _ | None -> set_peers t (Pid.Map.add from m t.peers))
 
 let estab t ~trusted set =
   if
@@ -632,8 +596,8 @@ let estab t ~trusted set =
     && not (Config_value.equal t.sa_config (Config_value.Set set))
   then begin
     set_prp t (Notification.intern (Notification.make Notification.P1 set));
-    t.sa_all <- false;
-    t.sa_allseen <- Pid.Set.empty;
+    set_all t false;
+    set_allseen t Pid.Set.empty;
     true
   end
   else false
@@ -652,52 +616,26 @@ type stale_type = Type1 | Type2 | Type3 | Type4
 let stale_types t ~trusted =
   let part = participants t ~trusted in
   let views = peer_views t ~part in
-  let type1 =
-    Notification.malformed t.sa_prp
-    || List.exists (fun (_, pv) -> Notification.malformed pv.p_prp) views
-  in
   let values = visible_configs t ~trusted in
-  let type2 =
-    exists_reset values
-    || List.length (distinct_sets values) > 1
-    || List.exists
-         (function Config_value.Set s -> Pid.Set.is_empty s | _ -> false)
-         values
-  in
-  let phase2_sets =
-    let collect acc (n : Notification.t) =
-      match (n.phase, n.set) with
-      | Notification.P2, Some s ->
-        if List.exists (Intern.set_equal s) acc then acc else s :: acc
-      | _ -> acc
-    in
-    List.fold_left (fun acc (_, pv) -> collect acc pv.p_prp) (collect [] t.sa_prp) views
-  in
-  let type3 = List.length phase2_sets > 1 in
-  let fd_stable =
-    Pid.Set.cardinal part > 1
-    && List.length views = Pid.Set.cardinal (Pid.Set.remove t.sa_self part)
-    && List.for_all
-         (fun (_, pv) ->
-           Intern.set_equal pv.p_fd trusted && Intern.set_equal pv.p_part part)
-         views
-  in
-  let type4 =
-    match t.sa_config with
-    | Config_value.Set s -> fd_stable && Pid.Set.is_empty (Pid.Set.inter s part)
-    | Config_value.Not_participant | Config_value.Reset -> false
-  in
   List.filter_map
     (fun (present, ty) -> if present then Some ty else None)
-    [ (type1, Type1); (type2, Type2); (type3, Type3); (type4, Type4) ]
+    [
+      ( Notification.malformed t.sa_prp
+        || List.exists (fun (_, pv) -> Notification.malformed pv.m_prp) views,
+        Type1 );
+      ( exists_reset values || config_conflict values || List.exists empty_config values,
+        Type2 );
+      (phase2_conflict t views, Type3);
+      (dead_config t ~trusted ~part views, Type4);
+    ]
 
-let peer_fd t p = Option.map (fun pv -> pv.p_fd) (Pid.Map.find_opt p t.peers)
+let peer_fd t p = Option.map (fun pv -> pv.m_fd) (Pid.Map.find_opt p t.peers)
 
 let corrupt t ?config ?prp ?all ?allseen () =
   (match config with Some c -> set_config t c | None -> ());
   (match prp with Some n -> set_prp t n | None -> ());
-  (match all with Some a -> t.sa_all <- a | None -> ());
-  match allseen with Some s -> t.sa_allseen <- s | None -> ()
+  (match all with Some a -> set_all t a | None -> ());
+  match allseen with Some s -> set_allseen t s | None -> ()
 
 let clear_peers t = set_peers t Pid.Map.empty
 

@@ -118,7 +118,8 @@ type stale_type =
 
 (** [stale_types t ~trusted] — which stale-information types are present in
     this processor's local state right now (no mutation). Empty in a steady
-    config state. *)
+    config state. The resets of [tick] test the same type-2/3/4
+    predicates. *)
 val stale_types : t -> trusted:Pid.Set.t -> stale_type list
 
 (** Arbitrary-state injection for self-stabilization experiments. *)

@@ -21,6 +21,7 @@ let make ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4) ?n_bo
     | None, None -> invalid_arg "Scenario.make: pass ~nodes or ~members"
   in
   if members = [] then invalid_arg "Scenario.make: empty member list";
+  if capacity <= 0 then invalid_arg "Scenario.make: capacity must be positive";
   (* written so that NaN fails too *)
   if not (loss >= 0.0 && loss <= 1.0) then
     invalid_arg "Scenario.make: loss must be in [0,1]";

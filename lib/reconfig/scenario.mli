@@ -42,7 +42,8 @@ val make :
     [quorum Majority], [members = default_members nodes],
     [n_bound = 2 * nodes]. At least one of [nodes] and [members] must be
     given. Raises [Invalid_argument] when neither is, the member list is
-    empty, [loss] lies outside [\[0,1\]], or [n_bound] is not positive. *)
+    empty, [capacity] is not positive, [loss] lies outside [\[0,1\]], or
+    [n_bound] is not positive. *)
 
 val nodes : t -> int
 (** Number of initial members. *)

@@ -354,6 +354,35 @@ let test_stale_type3_detected () =
   Alcotest.(check bool) "type-3 present" true
     (List.mem Recsa.Type3 (Recsa.stale_types sa ~trusted))
 
+(* Participant 1 holds a configuration whose members are all gone while its
+   live peers agree on the failure-detector view: the tick must classify it
+   as type-4 and recover by a brute-force reset to the trusted set. *)
+let test_stale_type4_detected () =
+  let trusted = set [ 1; 2; 3 ] in
+  let dead = set [ 5; 6 ] in
+  let sa = Recsa.create ~self:1 ~participant:true ~initial_config:dead () in
+  List.iter
+    (fun from ->
+      Recsa.receive sa ~from
+        {
+          Recsa.m_fd = trusted;
+          m_part = trusted;
+          m_config = Config_value.Set dead;
+          m_prp = Notification.default;
+          m_all = false;
+          m_echo = None;
+        })
+    [ 2; 3 ];
+  Alcotest.(check bool) "type-4 present" true
+    (List.mem Recsa.Type4 (Recsa.stale_types sa ~trusted));
+  let events = Recsa.tick sa ~trusted in
+  Alcotest.(check (list string)) "stale, reset, brute force"
+    [ "recsa.stale"; "recsa.reset"; "recsa.brute_force" ]
+    (List.map fst events);
+  Alcotest.(check string) "reported as type-4" "type-4" (List.assoc "recsa.stale" events);
+  Alcotest.(check bool) "brute force adopts the trusted set" true
+    (Config_value.equal (Recsa.config sa) (Config_value.Set trusted))
+
 let test_stale_report_after_corruption () =
   let sys = make_system ~seed:62 () in
   Stack.run_rounds sys 30;
@@ -771,6 +800,49 @@ let prop_recsa_memo_exact =
          in
          steps 60 []))
 
+let stale_type_of_tag = function
+  | "type-1" -> Some Recsa.Type1
+  | "type-2" -> Some Recsa.Type2
+  | "type-3" -> Some Recsa.Type3
+  | "type-4" -> Some Recsa.Type4
+  | _ -> None
+
+(* The tick's resets and [stale_types] read one Definition 3.1: every
+   stale-information event a tick emits names a type that [stale_types]
+   reported for the state the tick started from. *)
+let prop_tick_resets_on_stale_types =
+  qtest
+    (QCheck.Test.make ~name:"tick resets only on types stale_types reports" ~count:500
+       QCheck.(pair (int_range 0 100_000) bool)
+       (fun (seed, participant) ->
+         let rs = Random.State.make [| seed |] in
+         let sa =
+           Recsa.create ~self:1 ~participant
+             ?initial_config:(if participant then Some (set [ 1; 2; 3; 4 ]) else None)
+             ()
+         in
+         let sent = ref [] in
+         let rec steps k =
+           k = 0
+           ||
+           (match gen_sa_op rs ~sent with
+           | Tick trusted ->
+             let present = Recsa.stale_types sa ~trusted in
+             List.for_all
+               (function
+                 | "recsa.stale", tag -> (
+                   match stale_type_of_tag tag with
+                   | Some ty -> List.mem ty present
+                   | None -> false)
+                 | _ -> true)
+               (Recsa.tick sa ~trusted)
+           | op ->
+             ignore (apply_sa_op sa op);
+             true)
+           && steps (k - 1)
+         in
+         steps 80))
+
 (* Mid-replacement, a quiet tick waits for allSeen to cover the
    participants; a corrupted allSeen that does is a new input, so the next
    tick must run and advance to phase 2 rather than be skipped. *)
@@ -844,11 +916,13 @@ let suites =
         Alcotest.test_case "type-1 detected" `Quick test_stale_type1_detected;
         Alcotest.test_case "type-2 detected" `Quick test_stale_type2_detected;
         Alcotest.test_case "type-3 detected" `Quick test_stale_type3_detected;
+        Alcotest.test_case "type-4 detected" `Quick test_stale_type4_detected;
         Alcotest.test_case "stale report + recovery" `Quick test_stale_report_after_corruption;
         Alcotest.test_case "closure (Thm 3.16)" `Quick test_closure_theorem;
         Alcotest.test_case "descriptor interning" `Quick test_interning_physical_equality;
         prop_recsa_memo_exact;
         Alcotest.test_case "quiet tick reads allSeen" `Quick test_quiet_tick_reads_allseen;
+        prop_tick_resets_on_stale_types;
       ] );
     ( "reconfig.partitions",
       [

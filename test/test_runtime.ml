@@ -428,6 +428,16 @@ let test_scenario_rejects_bad_loss () =
         (Scenario.make ~nodes:3 ~loss ()).Scenario.sc_loss)
     [ 0.0; 1.0 ]
 
+let test_scenario_rejects_bad_capacity () =
+  let bad = Invalid_argument "Scenario.make: capacity must be positive" in
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises (Printf.sprintf "capacity %d" capacity) bad (fun () ->
+          ignore (Scenario.make ~nodes:4 ~capacity ())))
+    [ 0; -1 ];
+  Alcotest.(check int) "capacity 1 accepted" 1
+    (Scenario.make ~nodes:4 ~capacity:1 ()).Scenario.sc_capacity
+
 let suites =
   [
     ( "runtime.nonce",
@@ -464,5 +474,7 @@ let suites =
           test_scenario_rejects_empty_members;
         Alcotest.test_case "rejects loss outside [0,1]" `Quick
           test_scenario_rejects_bad_loss;
+        Alcotest.test_case "rejects non-positive capacity" `Quick
+          test_scenario_rejects_bad_capacity;
       ] );
   ]

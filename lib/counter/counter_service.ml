@@ -73,9 +73,8 @@ let abort_op (view : msg Stack.scheme_view) st =
   Telemetry.inc view.Stack.v_telemetry "counter.aborts"
 
 let send_requests (view : msg Stack.scheme_view) round =
-  List.iter
-    (fun (p, m) -> view.Stack.v_send p (Op m))
-    (Phase.requests ~self:view.Stack.v_self round)
+  Phase.send_requests ~self:view.Stack.v_self round (fun p m ->
+      view.Stack.v_send p (Op m))
 
 let fresh_id st =
   let id = st.next_id in

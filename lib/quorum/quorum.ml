@@ -131,10 +131,9 @@ module Phase = struct
     has_majority ~config:t.conf
       (Pid.Map.fold (fun p _ acc -> Pid.Set.add p acc) t.replies Pid.Set.empty)
 
-  let requests ~self t =
+  let send_requests ~self t send =
     let m = Request { id = t.id; req = t.req } in
-    Pid.Set.fold
-      (fun p acc ->
-        if Pid.equal p self || Pid.Map.mem p t.replies then acc else (p, m) :: acc)
-      t.targets []
+    Pid.iter_desc
+      (fun p -> if not (Pid.equal p self || Pid.Map.mem p t.replies) then send p m)
+      t.targets
 end

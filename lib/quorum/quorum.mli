@@ -37,8 +37,8 @@ module Wall : SYSTEM
 (** [majority_threshold n] is ⌊n/2⌋ + 1, the paper's [(|curConf|/2) + 1]. *)
 val majority_threshold : int -> int
 
-(** [has_majority ~config alive] — specialization of {!Majority.is_quorum}
-    used pervasively by recMA, joining and the counter algorithms. *)
+(** [has_majority ~config alive] — specialization of {!Majority.is_quorum},
+    used by {!Phase}, the virtual-synchrony service and the experiments. *)
 val has_majority : config:Pid.Set.t -> Pid.Set.t -> bool
 
 (** [intersects q1 q2] — non-empty intersection (sanity checks in tests). *)
@@ -83,7 +83,9 @@ module Phase : sig
   (** {!has_majority}[ ~config:conf] over the answering processors. *)
   val complete : ('req, 'rep) t -> bool
 
-  (** [requests ~self t] — a request to every unanswered target but [self]:
-      the initial send and each tick's retransmission. *)
-  val requests : self:Pid.t -> ('req, 'rep) t -> (Pid.t * ('req, 'rep) msg) list
+  (** [send_requests ~self t send] sends a request to every unanswered
+      target but [self], in descending pid order: the initial send and
+      each tick's retransmission. *)
+  val send_requests :
+    self:Pid.t -> ('req, 'rep) t -> (Pid.t -> ('req, 'rep) msg -> unit) -> unit
 end

@@ -21,13 +21,13 @@ let granted t members trusted =
     (Pid.Set.inter members trusted)
 
 let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
-    ~reset_vars ~init_vars () =
+    ~reset_vars ~init_vars ~send () =
   let module Q = (val quorum : Quorum.SYSTEM) in
   if Recsa.is_participant recsa then begin
     (* participants run none of the joiner loop; arm resetVars for a
        hypothetical later rejoin-as-transient-fault *)
     t.fresh <- true;
-    ([], [])
+    []
   end
   else begin
     let events = ref [] in
@@ -51,15 +51,11 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
         events := ("join.participate", "") :: !events
       end
     | Some _ | None -> ());
-    let out =
-      if Recsa.is_participant recsa then []
-      else
-        Pid.Set.fold
-          (fun p acc ->
-            if Pid.equal p t.j_self then acc else (p, Join_request) :: acc)
-          trusted []
-    in
-    (out, List.rev !events)
+    if not (Recsa.is_participant recsa) then
+      Pid.iter_desc
+        (fun p -> if not (Pid.equal p t.j_self) then send p Join_request)
+        trusted;
+    List.rev !events
   end
 
 let on_request t ~self_app ~from ~trusted ~recsa ~pass_query =

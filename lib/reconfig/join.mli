@@ -26,7 +26,9 @@ val create : self:Pid.t -> 'app t
     once when (re)entering the joining state; [init_vars] is called with
     the collected member states just before [participate]; [quorum]
     (default {!Quorum.Majority}) generalizes the quorum-of-passes admission
-    test. Returns outgoing messages and trace events. *)
+    test. A joiner that is still not a participant then sends a request to
+    every other trusted processor through [send], in descending pid order.
+    Returns the trace events. *)
 val tick :
   'app t ->
   ?quorum:(module Quorum.SYSTEM) ->
@@ -34,8 +36,9 @@ val tick :
   recsa:Recsa.t ->
   reset_vars:(unit -> unit) ->
   init_vars:('app Pid.Map.t -> unit) ->
+  send:(Pid.t -> 'app message -> unit) ->
   unit ->
-  (Pid.t * 'app message) list * (string * string) list
+  (string * string) list
 
 (** [on_request t ~self_app ~from ~trusted ~recsa ~pass_query] — the
     participant side: the reply to a "Join" request, or [None] when this

@@ -56,11 +56,11 @@ let trigger t ~trusted ~recsa reason events =
   flush_flags t
 
 let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
-    ~eval_conf () =
+    ~eval_conf ~send () =
   let module Q = (val quorum : Quorum.SYSTEM) in
   let events = ref [] in
   let part = Recsa.participants recsa ~trusted in
-  if not (Pid.Set.mem t.ma_self part) then ([], List.rev !events)
+  if not (Pid.Set.mem t.ma_self part) then []
   else begin
     let cur_conf = Recsa.get_config recsa ~trusted in
     (* line 8: own flags restart every iteration *)
@@ -109,12 +109,8 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
         m_need_reconf = flag t.need_reconf t.ma_self;
       }
     in
-    let out =
-      Pid.Set.fold
-        (fun p acc -> if Pid.equal p t.ma_self then acc else (p, msg) :: acc)
-        part []
-    in
-    (out, List.rev !events)
+    Pid.iter_desc (fun p -> if not (Pid.equal p t.ma_self) then send p msg) part;
+    List.rev !events
   end
 
 let receive t ~from ~participant m =

@@ -27,16 +27,18 @@ val create : self:Pid.t -> t
     (default {!Quorum.Majority}): "no quorum of members trusted" triggers
     the collapse path, a quorum of supporters triggers the prediction path
     — the generalization the paper describes in Related Work. Calls
-    [Recsa.estab] on triggering. Returns the broadcast messages (to all
-    trusted participants) and trace events. *)
+    [Recsa.estab] on triggering, then sends its flags to every other
+    trusted participant through [send], in descending pid order. Returns
+    the trace events. *)
 val tick :
   t ->
   ?quorum:(module Quorum.SYSTEM) ->
   trusted:Pid.Set.t ->
   recsa:Recsa.t ->
   eval_conf:(Pid.Set.t -> bool) ->
+  send:(Pid.t -> message -> unit) ->
   unit ->
-  (Pid.t * message) list * (string * string) list
+  (string * string) list
 
 val receive : t -> from:Pid.t -> participant:bool -> message -> unit
 

@@ -17,14 +17,18 @@ let make ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4) ?n_bo
   let members =
     match (members, nodes) with
     | Some l, _ -> l
+    | None, Some n when n < 0 -> invalid_arg "Scenario.make: nodes must not be negative"
     | None, Some n -> default_members n
     | None, None -> invalid_arg "Scenario.make: pass ~nodes or ~members"
   in
   if members = [] then invalid_arg "Scenario.make: empty member list";
+  if List.length (List.sort_uniq Pid.compare members) <> List.length members then
+    invalid_arg "Scenario.make: duplicate member";
   if capacity <= 0 then invalid_arg "Scenario.make: capacity must be positive";
   (* written so that NaN fails too *)
   if not (loss >= 0.0 && loss <= 1.0) then
     invalid_arg "Scenario.make: loss must be in [0,1]";
+  if theta < 2 then invalid_arg "Scenario.make: theta must be >= 2";
   let n_bound = match n_bound with Some b -> b | None -> 2 * List.length members in
   if n_bound <= 0 then invalid_arg "Scenario.make: n_bound must be positive";
   {

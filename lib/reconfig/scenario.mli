@@ -41,9 +41,10 @@ val make :
 (** Defaults: [seed 42], [capacity 8], [loss 0.02], [theta 4],
     [quorum Majority], [members = default_members nodes],
     [n_bound = 2 * nodes]. At least one of [nodes] and [members] must be
-    given. Raises [Invalid_argument] when neither is, the member list is
-    empty, [capacity] is not positive, [loss] lies outside [\[0,1\]], or
-    [n_bound] is not positive. *)
+    given. Raises [Invalid_argument] when neither is, [nodes] is negative,
+    the member list is empty or repeats a pid, [capacity] is not positive,
+    [loss] lies outside [\[0,1\]], [theta] is below 2, or [n_bound] is not
+    positive. *)
 
 val nodes : t -> int
 (** Number of initial members. *)

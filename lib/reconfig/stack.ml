@@ -42,7 +42,6 @@ type 'msg scheme_view = {
   v_send : Pid.t -> 'msg -> unit;
   v_emit : string -> string -> unit;
   v_now : float;
-  v_rng : Rng.t;
   v_telemetry : Telemetry.t;
 }
 
@@ -264,7 +263,6 @@ let view_of ctx n sent_app =
     v_send = (fun dst m -> send_gated ctx n sent_app dst (App m));
     v_emit = Step.emit ctx;
     v_now = Step.now ctx;
-    v_rng = Step.rng ctx;
     v_telemetry = Step.telemetry ctx;
   }
 
@@ -344,30 +342,28 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
     let sa_msgs = Recsa.broadcast n.sa ~trusted in
     List.iter (fun (dst, m) -> send_gated ctx n sent_sa dst (Sa m)) sa_msgs;
     (* recMA *)
-    let ma_msgs, ma_events =
-      Recma.tick n.ma ~quorum ~trusted ~recsa:n.sa
-        ~eval_conf:(fun members -> hooks.eval_conf ~self ~trusted members)
-        ()
-    in
-    emit_all ma_events;
-    List.iter (fun (dst, m) -> send_gated ctx n sent_ma dst (Ma m)) ma_msgs;
+    emit_all
+      (Recma.tick n.ma ~quorum ~trusted ~recsa:n.sa
+         ~eval_conf:(fun members -> hooks.eval_conf ~self ~trusted members)
+         ~send:(fun dst m -> send_gated ctx n sent_ma dst (Ma m))
+         ());
     (* joining mechanism (joiner side) *)
-    let join_msgs, join_events =
-      Join.tick n.join ~quorum ~trusted ~recsa:n.sa
-        ~reset_vars:(fun () -> n.app <- hooks.plugin.p_init self)
-        ~init_vars:(fun states ->
-          hooks.plugin.p_merge ~self n.app states)
-        ()
-    in
-    emit_all join_events;
-    List.iter (fun (dst, m) -> send_gated ctx n sent_join dst (Join m)) join_msgs;
+    emit_all
+      (Join.tick n.join ~quorum ~trusted ~recsa:n.sa
+         ~reset_vars:(fun () -> n.app <- hooks.plugin.p_init self)
+         ~init_vars:(fun states -> hooks.plugin.p_merge ~self n.app states)
+         ~send:(fun dst m -> send_gated ctx n sent_join dst (Join m))
+         ());
     (* application plugin *)
     hooks.plugin.p_tick (view_of ctx n sent_app) n.app;
     (* heartbeats (the data-link token) to every known processor not already
-       covered by a recSA broadcast; in steady state the broadcast covers
-       them all, so look for an uncovered one before building the union *)
+       covered by a recSA broadcast, which, when this tick made one, went to
+       every trusted processor but self ([sa_msgs] was taken before Join.tick
+       could make this node a participant); in steady state it covers them
+       all, so look for an uncovered one before building the union *)
+    let broadcast = sa_msgs <> [] in
     let uncovered dst =
-      (not (Pid.equal dst self)) && not (List.exists (fun (d, _) -> Pid.equal d dst) sa_msgs)
+      (not (Pid.equal dst self)) && not (broadcast && Pid.Set.mem dst trusted)
     in
     let known = Detector.Theta_fd.known n.fd in
     if Pid.Set.exists uncovered n.seeds || Pid.Set.exists uncovered known then
@@ -412,8 +408,6 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
   { Step.init; on_timer; on_message }
 
 (* --- runtime-agnostic observation over collections of node states --- *)
-
-let config_views_of nodes = List.map (fun (p, n) -> (p, Recsa.config n.sa)) nodes
 
 let uniform_config_of nodes =
   let participant_configs =
@@ -515,7 +509,6 @@ let live_nodes t =
   List.map (fun p -> (p, Engine.state t.eng p)) (Engine.live_pids t.eng)
 
 let trusted_of t p = trusted_set (node t p)
-let config_views t = config_views_of (live_nodes t)
 let uniform_config t = uniform_config_of (live_nodes t)
 let quiescent t = quiescent_of (live_nodes t)
 let sum_over t f = List.fold_left (fun acc (_, n) -> acc + f n) 0 (live_nodes t)

@@ -59,7 +59,6 @@ type 'msg scheme_view = {
           while a joiner's link to the destination is not yet cleaned *)
   v_emit : string -> string -> unit;  (** trace emission *)
   v_now : float;  (** the runtime's current time *)
-  v_rng : Rng.t;  (** the runtime's random source *)
   v_telemetry : Telemetry.t;  (** shared telemetry registry *)
 }
 
@@ -184,7 +183,6 @@ val driver :
     These fold over any [(pid, node_state)] collection, so every runtime's
     harness can share them. *)
 
-val config_views_of : (Pid.t * 'app node_state) list -> (Pid.t * Config_value.t) list
 val uniform_config_of : (Pid.t * 'app node_state) list -> Pid.Set.t option
 val quiescent_of : (Pid.t * 'app node_state) list -> bool
 
@@ -213,9 +211,6 @@ val add_joiner : ('app, 'msg) t -> Pid.t -> unit
 val node : ('app, 'msg) t -> Pid.t -> 'app node_state
 val live_nodes : ('app, 'msg) t -> (Pid.t * 'app node_state) list
 val trusted_of : ('app, 'msg) t -> Pid.t -> Pid.Set.t
-
-(** [config_views t] — every live node's configuration value. *)
-val config_views : ('app, 'msg) t -> (Pid.t * Config_value.t) list
 
 (** [uniform_config t] is [Some s] iff every live {e participant} holds
     exactly [Set s] — the paper's conflict-free condition. [None] while any

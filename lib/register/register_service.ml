@@ -163,7 +163,7 @@ let tick (view : msg Stack.scheme_view) st =
   maybe_finish view st;
   match st.op with
   | Running { round; _ } ->
-    List.iter (fun (p, m) -> view.Stack.v_send p (Op m)) (Phase.requests ~self round)
+    Phase.send_requests ~self round (fun p m -> view.Stack.v_send p (Op m))
   | Idle | Get_tag _ -> ()
 
 let recv (view : msg Stack.scheme_view) ~from m st =

@@ -34,6 +34,27 @@ let monotonic_clock () =
     if d > !high then high := d;
     !high
 
+(* [src]'s send: straight into [dst]'s mailbox, which the delivery phase
+   drains only as far as it was filled when [dst]'s drain began *)
+let send t src dst msg =
+  match Hashtbl.find_opt t.nodes dst with
+  | Some n when not n.n_crashed ->
+    if not (Hashtbl.mem t.l_blocked (src, dst)) then begin
+      match Hashtbl.find_opt t.l_profiles (src, dst) with
+      | None -> Queue.add (src, msg) n.n_mailbox
+      | Some p ->
+        (* mailboxes have no bit representation to flip, so a "flipped"
+           message is unparseable, i.e. lost *)
+        if
+          (not (Rng.chance t.l_rng p.Engine.lp_drop))
+          && not (p.Engine.lp_flip > 0.0 && Rng.chance t.l_rng p.Engine.lp_flip)
+        then begin
+          Queue.add (src, msg) n.n_mailbox;
+          if Rng.chance t.l_rng p.Engine.lp_dup then Queue.add (src, msg) n.n_mailbox
+        end
+    end
+  | Some _ | None -> ()
+
 let create ?(seed = 42) ?clock ~behavior ~pids () =
   let clock = match clock with Some c -> c | None -> monotonic_clock () in
   let l_rng = Rng.create seed in
@@ -50,9 +71,10 @@ let create ?(seed = 42) ?clock ~behavior ~pids () =
       l_rounds = 0;
       l_blocked = Hashtbl.create 16;
       l_profiles = Hashtbl.create 16;
-      scratch = Step.create ~rng:l_rng ~trace:l_trace ~telemetry:l_telemetry;
+      scratch = Step.create ~trace:l_trace ~telemetry:l_telemetry;
     }
   in
+  t.scratch.Step.ctx_send <- (fun dst msg -> send t t.scratch.Step.ctx_self dst msg);
   List.iter
     (fun p ->
       if Hashtbl.mem t.nodes p then invalid_arg "Loop.create: duplicate pid";
@@ -127,32 +149,7 @@ let start_step t p =
   let ctx = t.scratch in
   ctx.Step.ctx_self <- p;
   ctx.ctx_time <- t.clock ();
-  ctx.ctx_outbox <- [];
   ctx
-
-let flush t ctx =
-  List.iter
-    (fun (dst, msg) ->
-      match Hashtbl.find_opt t.nodes dst with
-      | Some n when not n.n_crashed ->
-        let src = ctx.Step.ctx_self in
-        if not (Hashtbl.mem t.l_blocked (src, dst)) then begin
-          match Hashtbl.find_opt t.l_profiles (src, dst) with
-          | None -> Queue.add (src, msg) n.n_mailbox
-          | Some p ->
-            (* mailboxes have no bit representation to flip, so a "flipped"
-               message is unparseable, i.e. lost *)
-            if
-              (not (Rng.chance t.l_rng p.Engine.lp_drop))
-              && not (p.Engine.lp_flip > 0.0 && Rng.chance t.l_rng p.Engine.lp_flip)
-            then begin
-              Queue.add (src, msg) n.n_mailbox;
-              if Rng.chance t.l_rng p.Engine.lp_dup then Queue.add (src, msg) n.n_mailbox
-            end
-        end
-      | Some _ | None -> ())
-    (List.rev ctx.Step.ctx_outbox);
-  ctx.Step.ctx_outbox <- []
 
 let run_round t =
   let order = live_pids t in
@@ -160,11 +157,8 @@ let run_round t =
   List.iter
     (fun p ->
       let n = node t p in
-      if not n.n_crashed then begin
-        let ctx = start_step t p in
-        n.n_state <- t.behavior.Step.on_timer ctx n.n_state;
-        flush t ctx
-      end)
+      if not n.n_crashed then
+        n.n_state <- t.behavior.Step.on_timer (start_step t p) n.n_state)
     order;
   (* delivery phase: only the messages already enqueued when each node's
      drain starts; replies land in the next phase *)
@@ -176,9 +170,7 @@ let run_round t =
         for _ = 1 to budget do
           if not n.n_crashed then begin
             let src, msg = Queue.pop n.n_mailbox in
-            let ctx = start_step t p in
-            n.n_state <- t.behavior.Step.on_message ctx src msg n.n_state;
-            flush t ctx
+            n.n_state <- t.behavior.Step.on_message (start_step t p) src msg n.n_state
           end
         done
       end)

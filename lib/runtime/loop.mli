@@ -3,8 +3,8 @@
     The second runtime for {!Sim.Step} behaviors, beside the simulator
     ({!Sim.Engine}): nodes live in one process, exchange messages through
     in-process mailboxes, and read a monotonic wall clock. Each step runs
-    on one reused {!Sim.Step.ctx}; its outbox goes to the mailboxes once
-    the step returns. There is no simulated schedule, no message loss,
+    on one reused {!Sim.Step.ctx}, whose send appends to the destination's
+    mailbox at once. There is no simulated schedule, no message loss,
     duplication or reordering — the loop's job is to prove that the
     protocol core is runtime-agnostic and to anchor the path toward a
     socket-backed runtime.

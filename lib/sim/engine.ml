@@ -79,8 +79,10 @@ type ('s, 'm) t = {
   mutable cached_pids : Pid.t list option;
   mutable cached_live : Pid.t list option;
   (* one scratch step context per engine, reused across every step (steps
-     run strictly sequentially), so the hot path allocates no context *)
+     run strictly sequentially), so the hot path allocates no context; its
+     send goes out from [e_slot], the stepping node's slot *)
   scratch : 'm Step.ctx;
+  mutable e_slot : int;
   e_trace : Trace.t;
   e_telemetry : Telemetry.t;
 }
@@ -173,6 +175,26 @@ let node t p =
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Engine: unknown node %d" p)
 
+let send_one t ~src_slot dst msg =
+  let dst_slot = ensure_slot t dst in
+  let ch = channel_of_slots t src_slot dst_slot in
+  if t.blocked.(src_slot).(dst_slot) then begin
+    let st = Channel.stats ch in
+    st.Channel.dropped <- st.Channel.dropped + 1
+  end
+  else begin
+    Channel.send ch t.e_rng msg;
+    (* duplication: occasionally schedule an extra delivery attempt; a
+       link profile overrides the rate but spends the same single draw *)
+    let dup =
+      match t.profiles.(src_slot).(dst_slot) with
+      | None -> dup_rate
+      | Some p -> p.lp_dup
+    in
+    if Rng.chance t.e_rng dup then Channel.duplicate_head ch;
+    schedule_delivery t ~src_slot ~dst_slot
+  end
+
 let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
   let e_rng = Rng.create seed in
   let e_trace = Trace.create () in
@@ -200,11 +222,13 @@ let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
       e_min_count = 0;
       cached_pids = None;
       cached_live = None;
-      scratch = Step.create ~rng:e_rng ~trace:e_trace ~telemetry:e_telemetry;
+      scratch = Step.create ~trace:e_trace ~telemetry:e_telemetry;
+      e_slot = 0;
       e_trace;
       e_telemetry;
     }
   in
+  t.scratch.Step.ctx_send <- (fun dst msg -> send_one t ~src_slot:t.e_slot dst msg);
   List.iter
     (fun p ->
       let s = ensure_slot t p in
@@ -381,46 +405,20 @@ let clear_link_profiles t =
 
 let set_mangler t f = t.mangler <- f
 
-let send_one t ~src_slot dst msg =
-  let dst_slot = ensure_slot t dst in
-  let ch = channel_of_slots t src_slot dst_slot in
-  if t.blocked.(src_slot).(dst_slot) then begin
-    let st = Channel.stats ch in
-    st.Channel.dropped <- st.Channel.dropped + 1
-  end
-  else begin
-    Channel.send ch t.e_rng msg;
-    (* duplication: occasionally schedule an extra delivery attempt; a
-       link profile overrides the rate but spends the same single draw *)
-    let dup =
-      match t.profiles.(src_slot).(dst_slot) with
-      | None -> dup_rate
-      | Some p -> p.lp_dup
-    in
-    if Rng.chance t.e_rng dup then Channel.duplicate_head ch;
-    schedule_delivery t ~src_slot ~dst_slot
-  end
-
-(* The outbox is newest first; sending on the way back up the recursion
-   sends oldest first without reversing it. Its depth is one step's sends. *)
-let rec send_oldest_first t ~src_slot = function
-  | [] -> ()
-  | (dst, msg) :: older ->
-    send_oldest_first t ~src_slot older;
-    send_one t ~src_slot dst msg
-
-let flush_outbox t ~src_slot ctx =
-  send_oldest_first t ~src_slot ctx.Step.ctx_outbox;
-  ctx.Step.ctx_outbox <- []
-
-(* Hand [msg] from [src_slot] to node [n] and flush its sends. *)
-let deliver t n ~src_slot ~dst_slot msg =
+(* Point the scratch context at node [n] for one step. *)
+let start_step t n =
   let ctx = t.scratch in
   ctx.Step.ctx_self <- n.n_pid;
   ctx.ctx_time <- t.e_time;
-  ctx.ctx_outbox <- [];
-  n.n_state <- t.behavior.Step.on_message ctx t.pid_of_slot.(src_slot) msg n.n_state;
-  flush_outbox t ~src_slot:dst_slot ctx
+  t.e_slot <- n.n_slot;
+  ctx
+
+(* Hand [msg] from [src_slot] to node [n]. The behavior's sends may grow
+   the slot matrices, so the caller reads no per-link array it fetched
+   before this call. *)
+let deliver t n ~src_slot msg =
+  let ctx = start_step t n in
+  n.n_state <- t.behavior.Step.on_message ctx t.pid_of_slot.(src_slot) msg n.n_state
 
 let exec_step t kind =
   if kind land 1 = 0 then begin
@@ -430,13 +428,8 @@ let exec_step t kind =
     | None -> ()
     | Some n ->
       if not n.n_crashed then begin
-        let ctx = t.scratch in
-        ctx.Step.ctx_self <- n.n_pid;
-        ctx.ctx_time <- t.e_time;
-        ctx.ctx_outbox <- [];
-        n.n_state <- t.behavior.Step.on_timer ctx n.n_state;
+        n.n_state <- t.behavior.Step.on_timer (start_step t n) n.n_state;
         note_tick t n;
-        flush_outbox t ~src_slot:slot ctx;
         schedule_timer t slot
       end
   end
@@ -463,11 +456,11 @@ let exec_step t kind =
           match profile with
           | Some p when p.lp_flip > 0.0 && Rng.chance t.e_rng p.lp_flip -> (
             match t.mangler with
-            | Some f -> deliver t n ~src_slot ~dst_slot (f t.e_rng msg)
+            | Some f -> deliver t n ~src_slot (f t.e_rng msg)
             | None ->
               let st = Channel.stats ch in
               st.Channel.dropped <- st.Channel.dropped + 1)
-          | _ -> deliver t n ~src_slot ~dst_slot msg
+          | _ -> deliver t n ~src_slot msg
         end
       end
   end

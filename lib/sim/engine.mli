@@ -10,8 +10,9 @@
     received infinitely often.
 
     Behaviors are {!Step.behavior}s; the engine runs each step on one
-    reused {!Step.ctx} and puts the step's outbox on the channels once it
-    returns.
+    reused {!Step.ctx}, whose send puts a message on its channel and
+    schedules its delivery at least 0.5 time units later, so no step
+    receives its own sends.
 
     Transient faults are injected by rewriting channel contents
     ([corrupt_channel]) and by mutating the node states {!state} returns

@@ -11,6 +11,7 @@ module Set = Set.Make (Int)
 module Map = Map.Make (Int)
 
 let set_of_list l = Set.of_list l
+let iter_desc f s = List.iter f (Set.fold List.cons s [])
 
 let pp_set fmt s =
   Format.fprintf fmt "{%a}"

@@ -22,6 +22,10 @@ module Map : Map.S with type key = t
 (** [set_of_list l] builds a set from a list of identifiers. *)
 val set_of_list : t list -> Set.t
 
+(** [iter_desc f s] applies [f] to the elements of [s] in descending
+    order, the order in which the protocol layers send. *)
+val iter_desc : (t -> unit) -> Set.t -> unit
+
 (** [pp_set fmt s] prints a processor set as [{1, 2, 3}]. *)
 val pp_set : Format.formatter -> Set.t -> unit
 

@@ -1,26 +1,23 @@
 type 'm ctx = {
   mutable ctx_self : Pid.t;
   mutable ctx_time : float;
-  ctx_rng : Rng.t;
-  mutable ctx_outbox : (Pid.t * 'm) list; (* reversed *)
+  mutable ctx_send : Pid.t -> 'm -> unit;
   ctx_trace : Trace.t;
   ctx_telemetry : Telemetry.t;
 }
 
-let create ~rng ~trace ~telemetry =
+let create ~trace ~telemetry =
   {
     ctx_self = 0;
     ctx_time = 0.0;
-    ctx_rng = rng;
-    ctx_outbox = [];
+    ctx_send = (fun _ _ -> invalid_arg "Step.send: no send installed");
     ctx_trace = trace;
     ctx_telemetry = telemetry;
   }
 
 let self c = c.ctx_self
 let now c = c.ctx_time
-let rng c = c.ctx_rng
-let send c dst msg = c.ctx_outbox <- (dst, msg) :: c.ctx_outbox
+let send c dst msg = c.ctx_send dst msg
 
 let emit c tag detail =
   Trace.record c.ctx_trace ~time:c.ctx_time ~node:c.ctx_self ~tag detail

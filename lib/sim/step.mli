@@ -2,15 +2,17 @@
 
     A node takes timer steps (one iteration of its [do forever] loop) and
     message-receipt steps. During a step it may read its identity and
-    clock, draw randomness, send messages and record events; sends are
-    buffered in the context's outbox and leave only after the step
-    returns (local computation, then communication).
+    clock, send messages and record events. A send is a call into the
+    runtime: the message leaves at once, and every runtime delivers it in
+    a later step, never inside the step that sent it (local computation,
+    then communication). A node that sends to itself is not re-entered.
 
     Every runtime executes behaviors through this one concrete context:
-    it fills a {!ctx}, calls [on_timer] or [on_message], then flushes
-    [ctx_outbox]. The discrete-event simulator ({!Engine}) and the
-    real-time loop ([Runtime.Loop]) both do exactly that; so does the
-    synchronous runner in the runtime tests, in about twenty lines. *)
+    it installs its send in [ctx_send] once, then for each step fills
+    [ctx_self] and [ctx_time] and calls [on_timer] or [on_message]. The
+    discrete-event simulator ({!Engine}) and the real-time loop
+    ([Runtime.Loop]) both do exactly that; so do the synchronous runners
+    in the runtime tests, in a few lines each. *)
 
 (** The per-step context for a node exchanging messages of type ['m]. A
     runtime may reuse one record for every step it executes (steps are
@@ -21,24 +23,22 @@ type 'm ctx = {
   mutable ctx_time : float;
       (** the runtime's time: virtual under the simulator, seconds of
           monotone wall clock in a real-time runtime *)
-  ctx_rng : Rng.t;  (** the runtime's random source *)
-  mutable ctx_outbox : (Pid.t * 'm) list;
-      (** sends of the current step, newest first; the runtime delivers
-          them (oldest first) once the step returns and then empties it *)
+  mutable ctx_send : Pid.t -> 'm -> unit;
+      (** the runtime's send from [ctx_self]; set once by the runtime *)
   ctx_trace : Trace.t;
   ctx_telemetry : Telemetry.t;
 }
 
-(** [create ~rng ~trace ~telemetry] — a context with an empty outbox, for
-    a runtime to fill before each step. *)
-val create : rng:Rng.t -> trace:Trace.t -> telemetry:Telemetry.t -> 'm ctx
+(** [create ~trace ~telemetry] — a context for a runtime to install its
+    send in and fill before each step; until then a send raises
+    [Invalid_argument]. *)
+val create : trace:Trace.t -> telemetry:Telemetry.t -> 'm ctx
 
 val self : 'm ctx -> Pid.t
 val now : 'm ctx -> float
-val rng : 'm ctx -> Rng.t
 
-(** [send ctx dst msg] enqueues [msg] towards [dst]; it leaves when the
-    step ends. *)
+(** [send ctx dst msg] hands [msg] towards [dst] to the runtime now; [dst]
+    receives it in a later step. *)
 val send : 'm ctx -> Pid.t -> 'm -> unit
 
 (** [emit ctx tag detail] records a trace event attributed to the stepping

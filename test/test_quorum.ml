@@ -127,17 +127,23 @@ let test_phase_completes_at_majority () =
 
 let test_phase_retransmits_to_unanswered () =
   let round = Phase.start ~id:3 ~conf:(set [ 1; 2; 3 ]) ~targets:(set [ 4; 5 ]) "req" in
-  let destinations () = List.sort compare (List.map fst (Phase.requests ~self:1 round)) in
-  Alcotest.(check (list int)) "every target but self" [ 2; 3; 4; 5 ] (destinations ());
+  let requests () =
+    let sent = ref [] in
+    Phase.send_requests ~self:1 round (fun dst m -> sent := (dst, m) :: !sent);
+    List.rev !sent
+  in
+  let destinations () = List.map fst (requests ()) in
+  Alcotest.(check (list int)) "every target but self, descending" [ 5; 4; 3; 2 ]
+    (destinations ());
   Phase.record round ~from:1 "own";
   ignore (Phase.receive round ~from:2 (Phase.Reply { id = 3; rep = "ok" }));
   ignore (Phase.receive round ~from:4 (Phase.Reply { id = 3; rep = "ok" }));
   ignore (Phase.receive round ~from:5 (Phase.Reply { id = 2; rep = "stale" }));
-  Alcotest.(check (list int)) "only the unanswered" [ 3; 5 ] (destinations ());
+  Alcotest.(check (list int)) "only the unanswered, descending" [ 5; 3 ] (destinations ());
   Alcotest.(check bool) "requests carry the round" true
     (List.for_all
        (function _, Phase.Request { id = 3; req = "req" } -> true | _ -> false)
-       (Phase.requests ~self:1 round))
+       (requests ()))
 
 let test_phase_refusal_current_only () =
   let round = Phase.start ~id:5 ~conf:(set [ 1; 2; 3 ]) () in

@@ -46,7 +46,6 @@ let dummy_view ?(self = 1) ?(send = fun _ _ -> ()) () =
     v_send = send;
     v_emit = (fun _ _ -> ());
     v_now = 0.0;
-    v_rng = Rng.create 1;
     v_telemetry = Telemetry.create ();
   }
 
@@ -236,21 +235,19 @@ let test_loop_crash () =
 (* A synchronous runtime in the fewest lines: each round every node takes
    one timer step, then every message in flight when the delivery phase
    begins is delivered (replies wait for the next round). Adding a runtime
-   is exactly this — fill a Step.ctx, call on_timer / on_message, flush the
-   outbox — whatever moves the messages. *)
+   is exactly this — install a send in a Step.ctx, fill it, call on_timer /
+   on_message — whatever moves the messages. *)
 let sync_run (b : ('s, 'm) Step.behavior) pids ~max_rounds until =
-  let ctx =
-    Step.create ~rng:(Rng.create 3) ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ())
-  in
+  let ctx = Step.create ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ()) in
   let states = Hashtbl.create 8 in
   List.iter (fun p -> Hashtbl.replace states p (b.init p)) pids;
   let in_flight = ref [] in
+  ctx.Step.ctx_send <-
+    (fun dst m -> in_flight := (ctx.Step.ctx_self, dst, m) :: !in_flight);
   let run_step round p f =
     ctx.Step.ctx_self <- p;
     ctx.ctx_time <- float_of_int round;
-    ctx.ctx_outbox <- [];
-    Hashtbl.replace states p (f ctx (Hashtbl.find states p));
-    List.iter (fun (dst, m) -> in_flight := (p, dst, m) :: !in_flight) (List.rev ctx.ctx_outbox)
+    Hashtbl.replace states p (f ctx (Hashtbl.find states p))
   in
   let view () = List.map (fun p -> (p, Hashtbl.find states p)) pids in
   let rec go round =
@@ -310,15 +307,15 @@ let test_joiner_app_waits_for_handshake () =
       ~hooks:{ Stack.unit_hooks with plugin } ~members_set:(set seeds)
       ~directory:(ref (set seeds))
   in
-  let ctx =
-    Step.create ~rng:(Rng.create 3) ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ())
-  in
+  let ctx = Step.create ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ()) in
+  let sent = ref [] in
+  ctx.Step.ctx_send <- (fun dst m -> sent := (dst, m) :: !sent);
   (* one synchronous step; its sends, oldest first *)
   let step self f =
     ctx.Step.ctx_self <- self;
-    ctx.ctx_outbox <- [];
+    sent := [];
     ignore (f ctx);
-    List.rev ctx.ctx_outbox
+    List.rev !sent
   in
   let joiner = b.init 9 and member = b.init 1 in
   let app_to out =
@@ -356,6 +353,65 @@ let test_joiner_app_waits_for_handshake () =
   handshake 50 first;
   Alcotest.(check (list int)) "app traffic flows over the cleaned link only" [ 1 ]
     (app_to (step 9 (fun c -> b.on_timer c joiner)))
+
+(* A node that sends to itself from both kinds of step; each message carries
+   the number of the step that sent it. A runtime that re-entered the
+   behavior from a send would find it [busy]; one that delivered a message
+   within the step that sent it would hand over a stamp that is not older
+   than the receiving step. *)
+type self_state = {
+  mutable steps : int;
+  mutable busy : bool;
+  mutable received : int;
+  mutable violations : int;
+}
+
+let self_sender : (self_state, int) Step.behavior =
+  let enter st =
+    if st.busy then st.violations <- st.violations + 1;
+    st.busy <- true;
+    st.steps <- st.steps + 1
+  in
+  let leave st =
+    st.busy <- false;
+    st
+  in
+  {
+    Step.init = (fun _ -> { steps = 0; busy = false; received = 0; violations = 0 });
+    on_timer =
+      (fun ctx st ->
+        enter st;
+        Step.send ctx (Step.self ctx) st.steps;
+        leave st);
+    on_message =
+      (fun ctx from stamp st ->
+        enter st;
+        if stamp >= st.steps || not (Pid.equal from (Step.self ctx)) then
+          st.violations <- st.violations + 1;
+        st.received <- st.received + 1;
+        Step.send ctx (Step.self ctx) st.steps;
+        leave st);
+  }
+
+let check_self_sends state pids =
+  List.iter
+    (fun p ->
+      let st = state p in
+      Alcotest.(check int) (Printf.sprintf "p%d: never re-entered, stamps older" p) 0
+        st.violations;
+      Alcotest.(check bool) (Printf.sprintf "p%d: self-sends arrive" p) true
+        (st.received > 0))
+    pids
+
+let test_engine_self_send_later_step () =
+  let t = Engine.create ~seed:3 ~behavior:self_sender ~pids:[ 1; 2 ] () in
+  Engine.run_rounds t 20;
+  check_self_sends (Engine.state t) [ 1; 2 ]
+
+let test_loop_self_send_later_step () =
+  let t = Runtime.Loop.create ~behavior:self_sender ~pids:[ 1; 2 ] () in
+  Runtime.Loop.run_rounds t 5;
+  check_self_sends (Runtime.Loop.state t) [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Sim-vs-loop equivalence of the full stack                           *)
@@ -438,6 +494,17 @@ let test_scenario_rejects_bad_capacity () =
   Alcotest.(check int) "capacity 1 accepted" 1
     (Scenario.make ~nodes:4 ~capacity:1 ()).Scenario.sc_capacity
 
+let test_scenario_rejects_bad_shape () =
+  Alcotest.check_raises "theta 1" (Invalid_argument "Scenario.make: theta must be >= 2")
+    (fun () -> ignore (Scenario.make ~nodes:4 ~theta:1 ()));
+  Alcotest.(check int) "theta 2 accepted" 2
+    (Scenario.make ~nodes:4 ~theta:2 ()).Scenario.sc_theta;
+  Alcotest.check_raises "members [1;1;2]"
+    (Invalid_argument "Scenario.make: duplicate member") (fun () -> ignore (Scenario.make ~members:[ 1; 1; 2 ] ()));
+  Alcotest.check_raises "nodes -3"
+    (Invalid_argument "Scenario.make: nodes must not be negative") (fun () ->
+      ignore (Scenario.make ~nodes:(-3) ()))
+
 let suites =
   [
     ( "runtime.nonce",
@@ -462,6 +529,10 @@ let suites =
         Alcotest.test_case "synchronous runner drives the stack" `Quick test_sync_runner_drives_stack;
         Alcotest.test_case "joiner app traffic waits for the handshake" `Quick
           test_joiner_app_waits_for_handshake;
+        Alcotest.test_case "engine: a self-send arrives in a later step" `Quick
+          test_engine_self_send_later_step;
+        Alcotest.test_case "loop: a self-send arrives in a later step" `Quick
+          test_loop_self_send_later_step;
       ] );
     ( "runtime.equivalence",
       [
@@ -476,5 +547,7 @@ let suites =
           test_scenario_rejects_bad_loss;
         Alcotest.test_case "rejects non-positive capacity" `Quick
           test_scenario_rejects_bad_capacity;
+        Alcotest.test_case "rejects theta below 2, duplicates, negative nodes" `Quick
+          test_scenario_rejects_bad_shape;
       ] );
   ]

@@ -41,13 +41,20 @@ let test_recma_core_intersection () =
   Alcotest.(check (list int)) "core = intersection of all FDs" [ 1; 2; 3 ]
     (Pid.Set.elements core)
 
+(* a send that records each [(dst, msg)], and the record in send order *)
+let collecting_send () =
+  let sent = ref [] in
+  ((fun dst m -> sent := (dst, m) :: !sent), fun () -> List.rev !sent)
+
+let no_send _ _ = ()
+
 let test_recma_no_trigger_in_steady_state () =
   let members = set [ 1; 2; 3 ] in
   let sa = steady_recsa ~self:1 ~members in
   let ma = Recma.create ~self:1 in
   for _ = 1 to 5 do
-    let _msgs, events =
-      Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) ()
+    let events =
+      Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) ~send:no_send ()
     in
     Alcotest.(check (list (pair string string))) "no trigger events" [] events
   done;
@@ -57,23 +64,28 @@ let test_recma_messages_to_participants () =
   let members = set [ 1; 2; 3 ] in
   let sa = steady_recsa ~self:1 ~members in
   let ma = Recma.create ~self:1 in
-  let msgs, _ = Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) () in
+  let send, sent = collecting_send () in
+  ignore (Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) ~send ());
   Alcotest.(check (list int)) "broadcast to other participants" [ 2; 3 ]
-    (List.sort compare (List.map fst msgs))
+    (List.sort compare (List.map fst (sent ())))
 
 let test_recma_prediction_needs_majority () =
   let members = set [ 1; 2; 3; 4; 5 ] in
   let sa = steady_recsa ~self:1 ~members in
   let ma = Recma.create ~self:1 in
   (* own vote only: 1 of 5 — no trigger *)
-  let _ = Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> true) () in
+  let _ =
+    Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> true) ~send:no_send ()
+  in
   Alcotest.(check int) "no trigger on own vote" 0 (Recma.attempt_count ma);
   (* two more supporters: 3 of 5 — majority, trigger *)
   Recma.receive ma ~from:2 ~participant:true
     { Recma.m_no_maj = false; m_need_reconf = true };
   Recma.receive ma ~from:3 ~participant:true
     { Recma.m_no_maj = false; m_need_reconf = true };
-  let _ = Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> true) () in
+  let _ =
+    Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> true) ~send:no_send ()
+  in
   Alcotest.(check bool) "trigger attempted with majority" true
     (Recma.attempt_count ma >= 1)
 
@@ -84,10 +96,11 @@ let test_recma_non_participant_ignores_messages () =
   (* nothing observable should have been stored: a tick as a non-participant
      produces nothing *)
   let sa = Recsa.create ~self:1 ~participant:false () in
-  let msgs, events =
-    Recma.tick ma ~trusted:(set [ 1; 2 ]) ~recsa:sa ~eval_conf:(fun _ -> true) ()
+  let send, sent = collecting_send () in
+  let events =
+    Recma.tick ma ~trusted:(set [ 1; 2 ]) ~recsa:sa ~eval_conf:(fun _ -> true) ~send ()
   in
-  Alcotest.(check bool) "no output as non-participant" true (msgs = [] && events = [])
+  Alcotest.(check bool) "no output as non-participant" true (sent () = [] && events = [])
 
 (* --- joining mechanism --- *)
 
@@ -144,7 +157,7 @@ let test_join_majority_required () =
   let tick () =
     Join.tick j ~trusted ~recsa:sa ~reset_vars:(fun () -> ())
       ~init_vars:(fun _ -> ())
-      ()
+      ~send:no_send ()
   in
   ignore (tick ());
   Join.on_reply j ~from:1 ~participant:false ~pass:true ~app:();

@@ -1018,10 +1018,12 @@ let e16_register_comparison ?(jobs = 1) p =
     ~claim:
       "Section 4.3: both emulation routes provide atomic MWMR registers; \
        the quorum route pays three majority round trips per write (the \
-       counter's majRead and majWrite for the tag, then the update) and two \
-       per read (query, then write-back) while the SMR route pays a \
-       multicast round, so their costs converge but the SMR route suspends \
-       during reconfigurations"
+       counter's majRead and majWrite for the tag, then the update, each \
+       started in the step that completes the one before) and one per read \
+       when every replier already holds the newest value (two otherwise: \
+       query, then write-back) while the SMR route pays a multicast round, \
+       so their costs converge but the SMR route suspends during \
+       reconfigurations"
     ~header:[ "N"; "emulation"; "rounds per op (mean)" ]
     rows
 

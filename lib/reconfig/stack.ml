@@ -87,13 +87,14 @@ module Plugin = struct
       p_init = upper.p_init;
       p_tick =
         (fun v st ->
-          lower.p_tick (lower_view v) (get st);
-          upper.p_tick v st);
+          upper.p_tick v st;
+          lower.p_tick (lower_view v) (get st));
       p_recv =
         (fun v ~from m st ->
-          match unwrap m with
+          (match unwrap m with
           | Some lm -> lower.p_recv (lower_view v) ~from lm (get st)
-          | None -> upper.p_recv v ~from m st);
+          | None -> ());
+          upper.p_recv v ~from m st);
       p_merge =
         (fun ~self st others ->
           lower.p_merge ~self (get st) (Pid.Map.map get others);

@@ -105,13 +105,15 @@ module Plugin : sig
       [upper.p_init] builds the whole state, [lower]'s embedded in it and
       read back through [get]; [lower]'s messages are embedded through
       [wrap]/[unwrap], and [lower] sends through a view whose [v_send]
-      wraps. Each tick runs [lower] first (its messages precede [upper]'s,
-      and [upper] observes the post-tick lower state); receipts that
-      [unwrap] recognizes go to [lower] alone, all others to [upper];
-      [p_merge] hands [lower] the others' states projected through [get],
-      then runs [upper]; [p_corrupt] corrupts [lower], then [upper]. This
-      is how the register and virtual-synchrony services embed the counter
-      service. *)
+      wraps. Each tick runs [upper] first (its messages precede [lower]'s,
+      and [lower] observes the post-tick upper state), so an operation
+      [upper] asks of [lower] starts in the same tick. A receipt that
+      [unwrap] recognizes goes to [lower] and then, unchanged, to [upper],
+      so [upper] can act in the same step on what [lower] just completed;
+      every other receipt goes to [upper] alone. [p_merge] hands [lower]
+      the others' states projected through [get], then runs [upper];
+      [p_corrupt] corrupts [lower], then [upper]. This is how the register
+      and virtual-synchrony services embed the counter service. *)
   val stack :
     lower:('a, 'ma) t ->
     get:('b -> 'a) ->

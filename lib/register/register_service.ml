@@ -9,10 +9,6 @@ type tagged = { tag : Counter.t; tv : value }
 module Reg_map = Map.Make (String)
 module Phase = Quorum.Phase
 
-type outcome =
-  | Wrote of { rid : int; reg : reg }
-  | Read of { rid : int; reg : reg; result : value option }
-
 type request = Wreq of int * reg * value | Rreq of int * reg
 
 (* A query asks the members for their copy of a register; an update stores
@@ -21,7 +17,8 @@ type req = Query of reg | Update of reg * tagged
 type round = (req, tagged option) Phase.t
 
 (* A client operation: a write first waits for its tag, then runs its
-   update round; a read runs its query round, then its write-back. *)
+   update round; a read runs its query round, then, unless every replier
+   already holds the newest entry, its write-back. *)
 type op =
   | Idle
   | Get_tag of { rid : int; reg : reg; value : value }
@@ -36,8 +33,12 @@ type state = {
   cnt : Counter_service.state;
   mutable store : tagged Reg_map.t;
   mutable op : op;
-  mutable queue : request list;
-  mutable outcomes_rev : outcome list;
+  (* the client queue: [front] in order, then [back] newest first *)
+  mutable front : request list;
+  mutable back : request list;
+  (* completed operations by rid; a write and a read may share a rid *)
+  writes_done : (int, unit) Hashtbl.t;
+  reads_done : (int, value option) Hashtbl.t;
   mutable abort_count : int;
   mutable next_id : int;
 }
@@ -46,23 +47,25 @@ type msg =
   | Cnt of Counter_service.msg
   | Op of (req, tagged option) Phase.msg
 
-let write st ~rid reg v = st.queue <- st.queue @ [ Wreq (rid, reg, v) ]
-let read st ~rid reg = st.queue <- st.queue @ [ Rreq (rid, reg) ]
-
-let find_read st ~rid =
-  List.find_map
-    (function
-      | Read { rid = r; result; _ } when r = rid -> Some result
-      | Read _ | Wrote _ -> None)
-    st.outcomes_rev
-
-let write_done st ~rid =
-  List.exists
-    (function Wrote { rid = r; _ } -> r = rid | Read _ -> false)
-    st.outcomes_rev
-
+let write st ~rid reg v = st.back <- Wreq (rid, reg, v) :: st.back
+let read st ~rid reg = st.back <- Rreq (rid, reg) :: st.back
+let find_read st ~rid = Hashtbl.find_opt st.reads_done rid
+let write_done st ~rid = Hashtbl.mem st.writes_done rid
 let stored st reg = Reg_map.find_opt reg st.store
 let aborts st = st.abort_count
+
+let next_request st =
+  match st.front with
+  | r :: rest ->
+    st.front <- rest;
+    Some r
+  | [] -> (
+    match List.rev st.back with
+    | [] -> None
+    | r :: rest ->
+      st.back <- [];
+      st.front <- rest;
+      Some r)
 
 let merge_entry st reg (entry : tagged) =
   match Reg_map.find_opt reg st.store with
@@ -77,109 +80,133 @@ let abort_op st =
   (match st.op with
   | Idle -> ()
   | Get_tag { rid; reg; value } | Running { rid; reg; goal = `Write value; _ } ->
-    st.queue <- Wreq (rid, reg, value) :: st.queue
+    st.front <- Wreq (rid, reg, value) :: st.front
   | Running { rid; reg; goal = `Query | `Read_back _; _ } ->
-    st.queue <- Rreq (rid, reg) :: st.queue);
+    st.front <- Rreq (rid, reg) :: st.front);
   st.op <- Idle;
   st.abort_count <- st.abort_count + 1
 
-let finish st outcome =
+let finish_read (view : msg Stack.scheme_view) st ~rid ~reg result =
+  view.Stack.v_emit "register.read" reg;
   st.op <- Idle;
-  st.outcomes_rev <- outcome :: st.outcomes_rev
+  Hashtbl.replace st.reads_done rid result
 
-let start_round st ~conf ?targets req =
+let send_requests (view : msg Stack.scheme_view) round =
+  Phase.send_requests ~self:view.Stack.v_self round (fun p m ->
+      view.Stack.v_send p (Op m))
+
+(* The newest entry among a query's replies. *)
+let newest replies =
+  Pid.Map.fold
+    (fun _ entry best ->
+      match (entry, best) with
+      | None, b -> b
+      | Some e, None -> Some e
+      | Some e, Some b -> if Counter.precedes b.tag e.tag then Some e else Some b)
+    replies None
+
+let held_by_all replies (e : tagged) =
+  Pid.Map.for_all
+    (fun _ entry ->
+      match entry with Some r -> Counter.equal r.tag e.tag | None -> false)
+    replies
+
+(* Start a round: a member initiator answers itself, and the requests
+   leave in this step unless that answer already completed the round. *)
+let rec run_round view st ~rid ~reg ~goal ~conf ?targets req self_reply =
   let id = st.next_id in
   st.next_id <- id + 1;
-  Phase.start ~id ~conf ?targets req
+  let round = Phase.start ~id ~conf ?targets req in
+  st.op <- Running { rid; reg; goal; round };
+  if Pid.Set.mem view.Stack.v_self conf then
+    Phase.record round ~from:view.Stack.v_self self_reply;
+  if Phase.complete round then maybe_finish view st else send_requests view round
 
 (* The update goes to the members and also refreshes every trusted
    participant's copy, so prospective members carry the state into the
    next configuration; only the members' acknowledgments count. *)
-let start_update (view : msg Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal =
-  let targets = Stack.View.participants view in
-  let round = start_round st ~conf ~targets (Update (reg, entry)) in
-  st.op <- Running { rid; reg; goal; round };
+and start_update (view : msg Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal =
+  view.Stack.v_emit "register.update" reg;
   merge_entry st reg entry;
-  if Pid.Set.mem view.Stack.v_self conf then
-    Phase.record round ~from:view.Stack.v_self None
+  run_round view st ~rid ~reg ~goal ~conf
+    ~targets:(Stack.View.participants view) (Update (reg, entry)) None
 
-let maybe_finish (view : msg Stack.scheme_view) st =
+and maybe_finish (view : msg Stack.scheme_view) st =
   match st.op with
   | Running { rid; reg; goal; round } when Phase.complete round -> (
     match goal with
     | `Query -> (
-      let best =
-        Pid.Map.fold
-          (fun _ entry best ->
-            match (entry, best) with
-            | None, b -> b
-            | Some e, None -> Some e
-            | Some e, Some b -> if Counter.precedes b.tag e.tag then Some e else Some b)
-          (Phase.replies round) None
-      in
-      match best with
-      | None -> finish st (Read { rid; reg; result = None })
+      view.Stack.v_emit "register.query" reg;
+      let replies = Phase.replies round in
+      match newest replies with
+      | None -> finish_read view st ~rid ~reg None
+      | Some e when held_by_all replies e ->
+        (* a majority already stores the newest entry, and every later
+           query's majority meets this one: no write-back needed *)
+        finish_read view st ~rid ~reg (Some e.tv)
       | Some e ->
         (* write-back before returning (atomicity) *)
         start_update view st ~rid ~reg ~entry:e ~conf:(Phase.conf round)
           ~goal:(`Read_back (Some e.tv)))
     | `Write _ ->
       view.Stack.v_emit "register.write" reg;
-      finish st (Wrote { rid; reg })
-    | `Read_back result ->
-      view.Stack.v_emit "register.read" reg;
-      finish st (Read { rid; reg; result }))
+      st.op <- Idle;
+      Hashtbl.replace st.writes_done rid ()
+    | `Read_back result -> finish_read view st ~rid ~reg result)
   | Idle | Get_tag _ | Running _ -> ()
+
+(* A write waiting for its tag starts its update as soon as the counter
+   delivered it, unless a reconfiguration is in progress. *)
+let take_tag view st =
+  match (st.op, Counter_service.increment_result st.cnt) with
+  | Get_tag { rid; reg; value }, Some tag -> (
+    match Stack.View.current_members view with
+    | Some conf ->
+      start_update view st ~rid ~reg ~entry:{ tag; tv = value } ~conf
+        ~goal:(`Write value)
+    | None -> ())
+  | _ -> ()
 
 (* The register logic alone; the embedded counter service (write-tag
    provider) is layered underneath via {!Stack.Plugin.stack}, which runs
-   its tick first — so [st.cnt] is already up to date here — and routes
-   every [Cnt] message to it. *)
+   its tick after this one — so a tag requested here is asked for in the
+   same tick — and hands every [Cnt] receipt to it, then to [recv]. *)
 let tick (view : msg Stack.scheme_view) st =
-  let self = view.Stack.v_self in
-  (match Stack.View.current_members view with
+  (* retransmit the running round to the targets that have not answered *)
+  (match st.op with
+  | Running { round; _ } -> send_requests view round
+  | Idle | Get_tag _ -> ());
+  match Stack.View.current_members view with
   | None -> () (* reconfiguration in progress: hold *)
   | Some conf -> (
     (* start the next queued operation *)
-    (match (st.op, st.queue) with
-    | Idle, Wreq (rid, reg, value) :: rest ->
-      st.queue <- rest;
-      st.op <- Get_tag { rid; reg; value };
-      Counter_service.request_increment st.cnt
-    | Idle, Rreq (rid, reg) :: rest ->
-      st.queue <- rest;
-      let round = start_round st ~conf (Query reg) in
-      st.op <- Running { rid; reg; goal = `Query; round };
-      (* a member answers its own query locally *)
-      if Pid.Set.mem self conf then
-        Phase.record round ~from:self (Reg_map.find_opt reg st.store)
-    | _ -> ());
-    (* a write waiting for its tag *)
-    match (st.op, Counter_service.increment_result st.cnt) with
-    | Get_tag { rid; reg; value }, Some tag ->
-      start_update view st ~rid ~reg ~entry:{ tag; tv = value } ~conf
-        ~goal:(`Write value)
-    | _ -> ()));
-  maybe_finish view st;
-  match st.op with
-  | Running { round; _ } ->
-    Phase.send_requests ~self round (fun p m -> view.Stack.v_send p (Op m))
-  | Idle | Get_tag _ -> ()
+    (match st.op with
+    | Idle -> (
+      match next_request st with
+      | Some (Wreq (rid, reg, value)) ->
+        st.op <- Get_tag { rid; reg; value };
+        Counter_service.request_increment st.cnt
+      | Some (Rreq (rid, reg)) ->
+        run_round view st ~rid ~reg ~goal:`Query ~conf (Query reg)
+          (Reg_map.find_opt reg st.store)
+      | None -> ())
+    | Get_tag _ | Running _ -> ());
+    take_tag view st)
 
 let recv (view : msg Stack.scheme_view) ~from m st =
-  let members_opt = Stack.View.current_members view in
   let reply r = view.Stack.v_send from (Op r) in
   match m with
-  | Cnt _ -> () (* routed to the counter layer by Plugin.stack *)
+  | Cnt _ -> take_tag view st (* the counter layer may have completed the tag *)
   | Op (Phase.Request { id; req = Query reg }) -> (
-    match members_opt with
+    match Stack.View.current_members view with
     | Some c when Pid.Set.mem view.Stack.v_self c ->
       reply (Phase.Reply { id; rep = Reg_map.find_opt reg st.store })
     | Some _ | None -> reply (Phase.Refuse { id }))
   | Op (Phase.Request { id; req = Update (reg, entry) }) ->
     (* every participant keeps a copy; only the members' acknowledgments
        count toward the update's majority *)
-    if members_opt <> None || Recsa.is_participant view.Stack.v_recsa then begin
+    if Stack.View.current_members view <> None || Recsa.is_participant view.Stack.v_recsa
+    then begin
       merge_entry st reg entry;
       reply (Phase.Reply { id; rep = None })
     end
@@ -225,8 +252,10 @@ let plugin () =
             cnt = counter_plugin.Stack.p_init p;
             store = Reg_map.empty;
             op = Idle;
-            queue = [];
-            outcomes_rev = [];
+            front = [];
+            back = [];
+            writes_done = Hashtbl.create 8;
+            reads_done = Hashtbl.create 8;
             abort_count = 0;
             next_id = 0;
           });

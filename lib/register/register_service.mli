@@ -12,9 +12,21 @@
     - {b write} (three round trips): obtain a fresh tag from the
       counter-increment scheme (totally ordered, bounded; its majRead and
       majWrite), then update a majority.
-    - {b read} (two round trips): query a majority for the maximal
-      ⟨tag, value⟩, write it back to a majority (so later reads cannot see
-      older values), then return it.
+    - {b read} (one round trip when every replier holds the newest entry,
+      two otherwise): query a majority for the maximal ⟨tag, value⟩. If
+      every reply carries that tag, a majority already stores it and every
+      later query's majority meets this one, so the read returns at once;
+      otherwise it writes the entry back to a majority (so later reads
+      cannot see older values), then returns it.
+
+    Each round starts, and sends its requests, in the step that completes
+    the one before it: the counter's majRead in the tick that asks for a
+    tag, the update in the step that delivers the tag, the write-back in
+    the step that completes the query. Later ticks only retransmit to the
+    targets that have not answered. The trace records ["register.query"]
+    when a query completes, ["register.update"] when an update or
+    write-back starts, and ["register.write"] / ["register.read"] when an
+    operation returns; each carries the register's name.
 
     Operations issued during a reconfiguration are refused and retried.
     Values survive delicate reconfigurations because every {e participant}
@@ -45,17 +57,19 @@ val plugin : unit -> (state, msg) Reconfig.Stack.plugin
 
 val hooks : unit -> (state, msg) Reconfig.Stack.hooks
 
-(** [write st ~rid reg v] — begin a write; [rid] fresh per node. *)
+(** [write st ~rid reg v] — queue a write; [rid] fresh per node. The
+    queue runs one operation at a time, in submission order; an aborted
+    operation goes back to its front. *)
 val write : state -> rid:int -> reg -> value -> unit
 
-(** [read st ~rid reg] — begin a read. *)
+(** [read st ~rid reg] — queue a read. *)
 val read : state -> rid:int -> reg -> unit
 
-(** [find_read st ~rid] — result of read [rid] once completed:
-    [Some None] = register unwritten, [None] = still in flight. *)
+(** [find_read st ~rid] — result of the latest read [rid] once completed:
+    [Some None] = register unwritten, [None] = still in flight. O(1). *)
 val find_read : state -> rid:int -> value option option
 
-(** [write_done st ~rid] — has write [rid] completed? *)
+(** [write_done st ~rid] — has write [rid] completed? O(1). *)
 val write_done : state -> rid:int -> bool
 
 (** [stored st reg] — this member's local copy (tests/monitoring). *)

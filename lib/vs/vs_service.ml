@@ -413,8 +413,8 @@ let should_propose (v : _ Stack.scheme_view) st =
 
 (* The virtual-synchrony logic alone; the embedded counter service (the
    inc() provider) is layered underneath via {!Stack.Plugin.stack}, which
-   runs its tick first — so [Counter_service.increment_result st.cnt] is
-   current here — and routes every [Cnt] message to it. *)
+   runs its tick after this one — so an increment requested here starts in
+   the same tick — and routes every [Cnt] message to it. *)
 let vs_tick machine ~eval_config (v : _ Stack.scheme_view) st =
   let self = v.Stack.v_self in
   if Recsa.is_participant v.Stack.v_recsa then begin
@@ -472,7 +472,7 @@ let vs_tick machine ~eval_config (v : _ Stack.scheme_view) st =
 
 let vs_recv _v ~from m st =
   match m with
-  | Cnt _ -> () (* routed to the counter layer by Plugin.stack *)
+  | Cnt _ -> () (* handled by the counter layer; the tick reads its result *)
   | Vs rep -> st.peers <- Pid.Map.add from rep st.peers
 
 let default_eval ~self:_ ~trusted:_ _ = false

@@ -6,12 +6,55 @@ open Register
 
 let set = Pid.set_of_list
 
-let make ?(seed = 42) ?(n = 4) () =
+let make ?(seed = 42) ?(n = 4) ?loss () =
   let members = List.init n (fun i -> i + 1) in
   Reconfig.Stack.of_scenario ~hooks:(Register_service.hooks ())
-    (Reconfig.Scenario.make ~seed ~n_bound:16 ~members ())
+    (Reconfig.Scenario.make ~seed ~n_bound:16 ?loss ~members ())
 
 let app sys p = (Reconfig.Stack.node sys p).Reconfig.Stack.app
+
+(* times of the [tag] events node [p] emitted at or after [since] *)
+let event_times sys ~since p tag =
+  List.filter_map
+    (fun (e : Trace.entry) ->
+      if e.node = Some p && e.time >= since then Some e.time else None)
+    (Trace.with_tag (Engine.trace (Reconfig.Stack.engine sys)) tag)
+
+let now sys = Engine.time (Reconfig.Stack.engine sys)
+
+let app_sent sys =
+  Telemetry.counter_value
+    (Engine.telemetry (Reconfig.Stack.engine sys))
+    ~labels:[ ("kind", "app") ] "stack.sent"
+
+(* Step until node [p] emits a [tag] event; the number of service messages
+   sent in that step. *)
+let step_to_event sys p tag =
+  let count () = List.length (event_times sys ~since:neg_infinity p tag) in
+  let before = count () in
+  let rec go k =
+    if k = 0 then Alcotest.failf "node %d never emitted %s" p tag;
+    let sent = app_sent sys in
+    ignore (Engine.step (Reconfig.Stack.engine sys));
+    if count () > before then app_sent sys - sent else go (k - 1)
+  in
+  go 600_000
+
+let await_write sys p ~rid =
+  Alcotest.(check bool) "write completes" true
+    (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+         Register_service.write_done (app t p) ~rid))
+
+let await_read sys p ~rid =
+  Alcotest.(check bool) "read completes" true
+    (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+         Register_service.find_read (app t p) ~rid <> None));
+  Register_service.find_read (app sys p) ~rid
+
+let holds sys p reg v =
+  match Register_service.stored (app sys p) reg with
+  | Some e -> e.Register_service.tv = v
+  | None -> false
 
 let test_write_then_read () =
   let sys = make () in
@@ -167,19 +210,144 @@ let test_write_reaches_member_majority () =
         Alcotest.(check bool) "write completes" true
           (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
                Register_service.write_done (app t 1) ~rid:i));
-        let holders =
-          List.filter
-            (fun p ->
-              match Register_service.stored (app sys p) "q" with
-              | Some e -> e.Register_service.tv = i
-              | None -> false)
-            [ 1; 2; 3; 4; 5 ]
-        in
+        let holders = List.filter (fun p -> holds sys p "q" i) [ 1; 2; 3; 4; 5 ] in
         if List.length holders < 3 then
           Alcotest.failf "seed %d write %d completed with %d of 5 members" seed i
             (List.length holders)
       done)
     [ 35; 11; 12 ]
+
+(* A read whose query finds the newest entry at every replier returns
+   after that one round trip. Without loss every member stores the write
+   once it settled, so the read must not write back. *)
+let test_fast_read () =
+  List.iter
+    (fun seed ->
+      let sys = make ~seed ~loss:0.0 () in
+      Reconfig.Stack.run_rounds sys 20;
+      Register_service.write (app sys 1) ~rid:1 "f" 5;
+      await_write sys 1 ~rid:1;
+      Reconfig.Stack.run_rounds sys 5;
+      Alcotest.(check bool) "every member stores the write" true
+        (List.for_all (fun p -> holds sys p "f" 5) [ 1; 2; 3; 4 ]);
+      let since = now sys in
+      Register_service.read (app sys 3) ~rid:1 "f";
+      Alcotest.(check (option (option int))) "read returns the value" (Some (Some 5))
+        (await_read sys 3 ~rid:1);
+      let query = event_times sys ~since 3 "register.query" in
+      Alcotest.(check int) "one query round" 1 (List.length query);
+      Alcotest.(check (list (float 0.0)))
+        "the read returns when its query completes" query
+        (event_times sys ~since 3 "register.read");
+      Alcotest.(check (list (float 0.0)))
+        "no write-back round" []
+        (event_times sys ~since 3 "register.update"))
+    [ 1; 2; 3 ]
+
+(* Member 5 misses a write; a later read whose majority includes 5 must
+   write the value back, which leaves it stored at 5. *)
+let write_back_system () =
+  let sys = make ~seed:8 ~n:5 () in
+  let eng = Reconfig.Stack.engine sys in
+  Reconfig.Stack.run_rounds sys 20;
+  Engine.block_link eng ~src:1 ~dst:5;
+  Register_service.write (app sys 1) ~rid:1 "b" 77;
+  await_write sys 1 ~rid:1;
+  Engine.unblock_link eng ~src:1 ~dst:5;
+  (* the detectors trust everyone again before the read *)
+  Alcotest.(check bool) "quiescent" true
+    (Reconfig.Stack.run_until sys ~max_steps:600_000 Reconfig.Stack.quiescent);
+  Alcotest.(check bool) "5 missed the write" false (holds sys 5 "b" 77);
+  List.iter
+    (fun q ->
+      Engine.block_link eng ~src:3 ~dst:q;
+      Engine.block_link eng ~src:q ~dst:3)
+    [ 1; 2 ];
+  let since = now sys in
+  Register_service.read (app sys 3) ~rid:1 "b";
+  (sys, since)
+
+let test_write_back () =
+  let sys, since = write_back_system () in
+  Alcotest.(check (option (option int))) "read returns the write" (Some (Some 77))
+    (await_read sys 3 ~rid:1);
+  Alcotest.(check int) "the read wrote back" 1
+    (List.length (event_times sys ~since 3 "register.update"));
+  Alcotest.(check bool) "5 stores the value written back" true (holds sys 5 "b" 77)
+
+(* Each round starts, and its requests leave, in the step that completes
+   the one before it: a write's update in the step that delivers its tag,
+   a read's write-back in the step that completes its query. Those steps
+   are receipts, in which the register sends nothing else. *)
+let test_pipelined_rounds () =
+  let sys = make ~seed:9 () in
+  Reconfig.Stack.run_rounds sys 20;
+  let since = now sys in
+  for rid = 1 to 4 do
+    Register_service.write (app sys 1) ~rid "p" rid;
+    Alcotest.(check int) "the update goes to the 3 other members at once" 3
+      (step_to_event sys 1 "register.update");
+    await_write sys 1 ~rid
+  done;
+  let tags = event_times sys ~since 1 "counter.increment" in
+  Alcotest.(check int) "four tags" 4 (List.length tags);
+  Alcotest.(check (list (float 0.0)))
+    "each update starts when its tag arrives" tags
+    (event_times sys ~since 1 "register.update");
+  let sys, since = write_back_system () in
+  Alcotest.(check int) "the write-back goes to the 4 other members at once" 4
+    (step_to_event sys 3 "register.update");
+  ignore (await_read sys 3 ~rid:1);
+  let query = event_times sys ~since 3 "register.query" in
+  Alcotest.(check int) "one query round" 1 (List.length query);
+  Alcotest.(check (list (float 0.0)))
+    "the write-back starts when the query completes" query
+    (event_times sys ~since 3 "register.update")
+
+(* One writer runs concurrently with two readers that take turns: no read
+   may return a value older than a read that finished before it started,
+   or than a write that completed before it started. *)
+let test_monotonic_reads_concurrent_writer () =
+  let writes = 8 and reads = 12 in
+  List.iter
+    (fun seed ->
+      let sys = make ~seed ~n:5 () in
+      Reconfig.Stack.run_rounds sys 20;
+      let eng = Reconfig.Stack.engine sys in
+      let written = ref 0 (* the newest completed write *)
+      and returned = ref 0 (* the newest value a completed read returned *)
+      and floor = ref 0 in
+      let start_read rid =
+        floor := max !written !returned;
+        Register_service.read (app sys (2 + (rid mod 2))) ~rid "m"
+      in
+      Register_service.write (app sys 1) ~rid:1 "m" 1;
+      start_read 1;
+      (* reads go on until one started after the last write completed *)
+      let rec go rid steps =
+        if steps = 0 then Alcotest.failf "seed %d: operations stalled" seed;
+        ignore (Engine.step eng);
+        if !written < writes && Register_service.write_done (app sys 1) ~rid:(!written + 1)
+        then begin
+          incr written;
+          if !written < writes then
+            Register_service.write (app sys 1) ~rid:(!written + 1) "m" (!written + 1)
+        end;
+        match Register_service.find_read (app sys (2 + (rid mod 2))) ~rid with
+        | None -> go rid (steps - 1)
+        | Some result ->
+          let v = Option.value result ~default:0 in
+          if v < !floor then
+            Alcotest.failf "seed %d: read %d returned %d, older than %d" seed rid v !floor;
+          returned := max !returned v;
+          if rid < reads || !floor < writes then begin
+            start_read (rid + 1);
+            go (rid + 1) (steps - 1)
+          end
+      in
+      go 1 3_000_000;
+      Alcotest.(check int) "last read sees the last write" writes !returned)
+    [ 1; 2; 3; 4 ]
 
 let suites =
   [
@@ -194,5 +362,11 @@ let suites =
         Alcotest.test_case "joiner can use register" `Quick test_joiner_can_use_register;
         Alcotest.test_case "write reaches a member majority" `Quick
           test_write_reaches_member_majority;
+        Alcotest.test_case "fast read skips the write-back" `Quick test_fast_read;
+        Alcotest.test_case "read writes back a missing value" `Quick test_write_back;
+        Alcotest.test_case "rounds start in the completing step" `Quick
+          test_pipelined_rounds;
+        Alcotest.test_case "monotonic reads, concurrent writer" `Quick
+          test_monotonic_reads_concurrent_writer;
       ] );
   ]

@@ -80,9 +80,11 @@ let lo_hi_msg =
   in
   Alcotest.testable pp ( = )
 
-(* upper state = (lower log, upper log); the upper's tick, merge and
-   corrupt record how many lower events they observed, so the
-   lower-runs-first contract is observable. *)
+(* upper state = (lower log, upper log); the upper's tick, receipt, merge
+   and corrupt record how many lower events they observed, so the order
+   of the two layers is observable. The upper's tick also asks something
+   of the lower layer by writing into its state, as the register asks the
+   counter for a tag. *)
 let stacked () =
   let lower = probe "lo" in
   let saw what lo = Printf.sprintf "hi.%s(saw %d lo events)" what (List.length !lo) in
@@ -92,12 +94,13 @@ let stacked () =
       p_tick =
         (fun v (lo, hi) ->
           hi := saw "tick" lo :: !hi;
+          lo := "hi.asks" :: !lo;
           v.Stack.v_send 9 (`Hi "h1"));
       p_recv =
-        (fun _v ~from m (_, hi) ->
+        (fun _v ~from m (lo, hi) ->
           match m with
           | `Hi s -> hi := Printf.sprintf "hi.recv.%d.%s" from s :: !hi
-          | `Lo _ -> hi := "hi.MUST_NOT_SEE_LO" :: !hi);
+          | `Lo s -> hi := saw (Printf.sprintf "recv.%d.lo.%s" from s) lo :: !hi);
       p_merge = (fun ~self:_ (lo, hi) _ -> hi := saw "merge" lo :: !hi);
       p_corrupt = (fun _ (lo, hi) -> hi := saw "corrupt" lo :: !hi);
     }
@@ -120,15 +123,16 @@ let test_stack_ordering () =
   Alcotest.(check (list string)) "lower initialised" [ "lo.init.1" ] !lo;
   p.Stack.p_tick v st;
   Alcotest.(check (list (pair int lo_hi_msg)))
-    "wrapped lower messages precede the upper's"
-    [ (2, `Lo "lo.m1"); (3, `Lo "lo.m2"); (9, `Hi "h1") ]
+    "the upper's messages precede the wrapped lower messages"
+    [ (9, `Hi "h1"); (2, `Lo "lo.m1"); (3, `Lo "lo.m2") ]
     (sent ());
-  Alcotest.(check (list string)) "lower ticked" [ "lo.tick"; "lo.init.1" ] !lo;
-  (* 2 events: the upper observed the lower's post-tick state *)
+  (* 1 event: the upper ticked before the lower *)
   Alcotest.(check (list string))
-    "upper saw the post-tick lower state"
-    [ "hi.tick(saw 2 lo events)"; "hi.init.1" ]
-    !hi
+    "upper ticked first" [ "hi.tick(saw 1 lo events)"; "hi.init.1" ] !hi;
+  Alcotest.(check (list string))
+    "lower ticked on the upper's post-tick state"
+    [ "lo.tick"; "hi.asks"; "lo.init.1" ]
+    !lo
 
 let test_stack_routing () =
   let p = stacked () in
@@ -136,13 +140,17 @@ let test_stack_routing () =
   let ((lo, hi) as st) = p.Stack.p_init 1 in
   p.Stack.p_recv v ~from:4 (`Lo "ping") st;
   Alcotest.(check (list string))
-    "Lo routed to the lower alone" [ "lo.recv.4.ping"; "lo.init.1" ] !lo;
-  Alcotest.(check (list string)) "upper untouched" [ "hi.init.1" ] !hi;
-  Alcotest.(check (list (pair int lo_hi_msg))) "lower replies re-wrapped" [] (sent ());
+    "Lo handled by the lower" [ "lo.recv.4.ping"; "lo.init.1" ] !lo;
+  (* 2 events: the upper got the receipt after the lower handled it *)
+  Alcotest.(check (list string))
+    "then passed, still wrapped, to the upper"
+    [ "hi.recv.4.lo.ping(saw 2 lo events)"; "hi.init.1" ]
+    !hi;
+  Alcotest.(check (list (pair int lo_hi_msg))) "no sends" [] (sent ());
   let ((lo, hi) as st) = p.Stack.p_init 1 in
   p.Stack.p_recv v ~from:4 (`Hi "yo") st;
   Alcotest.(check (list string)) "lower untouched" [ "lo.init.1" ] !lo;
-  Alcotest.(check (list string)) "Hi routed to the upper" [ "hi.recv.4.yo"; "hi.init.1" ] !hi
+  Alcotest.(check (list string)) "Hi routed to the upper alone" [ "hi.recv.4.yo"; "hi.init.1" ] !hi
 
 let test_stack_merge_corrupt () =
   let p = stacked () in

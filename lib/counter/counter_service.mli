@@ -8,7 +8,13 @@
     configuration members; requests during a reconfiguration are refused
     (the paper's Abort) and the operation returns ⊥ (here: is aborted and
     retried while the request flag stays up). Each phase is one
-    {!Quorum.Phase} round. *)
+    {!Quorum.Phase} round.
+
+    A caller that stores the counter itself asks with {!request_next}: the
+    operation ends after its majRead, and the caller's own majority round
+    carries the counter and has each member {!store} it. The register
+    service does this, so in the register the
+    [counter.op_seconds{op=increment}] span covers the majRead only. *)
 
 type state
 type msg
@@ -29,9 +35,26 @@ val hooks :
     retries after aborts until it succeeds. *)
 val request_increment : state -> unit
 
+(** [request_next st] — raise the increment flag for an increment that
+    ends after its majRead: {!increment_result} becomes the next counter
+    ⟨lbl, seqn + 1, self⟩, already in this node's storage when it is a
+    member. The caller must store it at a majority of members before it
+    relies on it, through a round whose receivers call {!store}: until
+    then no later increment is sure to see it. *)
+val request_next : state -> unit
+
 (** The counter returned by the increment requested last: [None] from
-    {!request_increment} until that increment completes. *)
+    {!request_increment} or {!request_next} until that increment
+    completes. *)
 val increment_result : state -> Counter.t option
+
+(** [store view st ~from c] — the receipt of a majWrite of [c] from
+    [from]: a configuration member merges [c] into its counter storage and
+    returns [true]; a non-member, or any node while a reconfiguration is
+    taking place, stores nothing and returns [false] (the counter's own
+    majWrite then refuses). [st] is a state of this module's plugin, so the
+    storage it creates uses that plugin's bounds. *)
+val store : _ Reconfig.Stack.scheme_view -> state -> from:Sim.Pid.t -> Counter.t -> bool
 
 (** [request_read st] — raise the read flag: a majority read of the
     current maximal counter without incrementing it (the first phase of

@@ -1017,9 +1017,10 @@ let e16_register_comparison ?(jobs = 1) p =
   Table.make ~id:"E16" ~title:"shared-memory emulations: SMR vs quorum register"
     ~claim:
       "Section 4.3: both emulation routes provide atomic MWMR registers; \
-       the quorum route pays three majority round trips per write (the \
-       counter's majRead and majWrite for the tag, then the update, each \
-       started in the step that completes the one before) and one per read \
+       the quorum route pays two majority round trips per write (the \
+       counter's majRead for the tag, then the update, which also stores \
+       the tag as the counter's majWrite and starts in the step that \
+       delivers the tag) and one per read \
        when every replier already holds the newest value (two otherwise: \
        query, then write-back) while the SMR route pays a multicast round, \
        so their costs converge but the SMR route suspends during \

@@ -12,8 +12,14 @@ module Phase = Quorum.Phase
 type request = Wreq of int * reg * value | Rreq of int * reg
 
 (* A query asks the members for their copy of a register; an update stores
-   an entry and is answered with a bare acknowledgment ([None]). *)
-type req = Query of reg | Update of reg * tagged
+   an entry and is answered with a bare acknowledgment ([None]). A write's
+   update also carries the counter's majWrite: each member stores the tag
+   in its counter storage too. It names the writer's configuration, whose
+   members' acknowledgments count. *)
+type req =
+  | Query of reg
+  | Update of reg * tagged
+  | Write of reg * tagged * Pid.Set.t
 type round = (req, tagged option) Phase.t
 
 (* A client operation: a write first waits for its tag, then runs its
@@ -128,8 +134,13 @@ let rec run_round view st ~rid ~reg ~goal ~conf ?targets req self_reply =
 and start_update (view : msg Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal =
   view.Stack.v_emit "register.update" reg;
   merge_entry st reg entry;
-  run_round view st ~rid ~reg ~goal ~conf
-    ~targets:(Stack.View.participants view) (Update (reg, entry)) None
+  let req =
+    match goal with
+    | `Write _ -> Write (reg, entry, conf)
+    | `Query | `Read_back _ -> Update (reg, entry)
+  in
+  run_round view st ~rid ~reg ~goal ~conf ~targets:(Stack.View.participants view)
+    req None
 
 and maybe_finish (view : msg Stack.scheme_view) st =
   match st.op with
@@ -185,7 +196,7 @@ let tick (view : msg Stack.scheme_view) st =
       match next_request st with
       | Some (Wreq (rid, reg, value)) ->
         st.op <- Get_tag { rid; reg; value };
-        Counter_service.request_increment st.cnt
+        Counter_service.request_next st.cnt
       | Some (Rreq (rid, reg)) ->
         run_round view st ~rid ~reg ~goal:`Query ~conf (Query reg)
           (Reg_map.find_opt reg st.store)
@@ -201,6 +212,18 @@ let recv (view : msg Stack.scheme_view) ~from m st =
     match Stack.View.current_members view with
     | Some c when Pid.Set.mem view.Stack.v_self c ->
       reply (Phase.Reply { id; rep = Reg_map.find_opt reg st.store })
+    | Some _ | None -> reply (Phase.Refuse { id }))
+  | Op (Phase.Request { id; req = Write (reg, entry, conf) }) -> (
+    (* the counter's majWrite: a member stores the tag as a counter too.
+       Refuse it during a reconfiguration, as the counter does, and where
+       the acknowledgment would count without the tag stored: at a node of
+       the writer's configuration that no longer serves the counter *)
+    match Stack.View.current_members view with
+    | Some _
+      when Counter_service.store view st.cnt ~from entry.tag
+           || not (Pid.Set.mem view.Stack.v_self conf) ->
+      merge_entry st reg entry;
+      reply (Phase.Reply { id; rep = None })
     | Some _ | None -> reply (Phase.Refuse { id }))
   | Op (Phase.Request { id; req = Update (reg, entry) }) ->
     (* every participant keeps a copy; only the members' acknowledgments

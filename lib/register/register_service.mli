@@ -9,9 +9,16 @@
     operations made of majority round trips, each one {!Quorum.Phase}
     round:
 
-    - {b write} (three round trips): obtain a fresh tag from the
-      counter-increment scheme (totally ordered, bounded; its majRead and
-      majWrite), then update a majority.
+    - {b write} (two round trips): obtain the next tag from the
+      counter-increment scheme's majRead (totally ordered, bounded;
+      {!Counters.Counter_service.request_next}), then update a majority.
+      The update also carries the counter's majWrite: each member that
+      receives it stores the tag in its counter storage
+      ({!Counters.Counter_service.store}) as well as the entry. A node in
+      a reconfiguration refuses it, and so does a node of the writer's
+      configuration (the update names it) that no longer serves the
+      counter. So when the write returns, its tag is stored as a counter at
+      a majority of members, as a separate majWrite would have left it.
     - {b read} (one round trip when every replier holds the newest entry,
       two otherwise): query a majority for the maximal ⟨tag, value⟩. If
       every reply carries that tag, a majority already stores it and every
@@ -21,7 +28,8 @@
 
     Each round starts, and sends its requests, in the step that completes
     the one before it: the counter's majRead in the tick that asks for a
-    tag, the update in the step that delivers the tag, the write-back in
+    tag, the update in the step that delivers the tag (the counter's
+    majRead completing), the write-back in
     the step that completes the query. Later ticks only retransmit to the
     targets that have not answered. The trace records ["register.query"]
     when a query completes, ["register.update"] when an update or

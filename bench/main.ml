@@ -56,8 +56,8 @@ let bench_channel =
          for i = 1 to 16 do
            Sim.Channel.send ch rng i
          done;
-         while Sim.Channel.take ch rng ~reorder:true <> None do
-           ()
+         while not (Sim.Channel.is_empty ch) do
+           ignore (Sim.Channel.take_nonempty ch rng)
          done))
 
 let bench_fd =

@@ -38,5 +38,5 @@ let () =
     (Stack_loop.uniform_config sys);
 
   let loop = Stack_loop.loop sys in
-  Format.printf "loop runtime: %d rounds, %.3fs of loop time, %d messages in flight@."
-    (Runtime.Loop.rounds loop) (Runtime.Loop.now loop) (Runtime.Loop.pending loop)
+  Format.printf "loop runtime: %d rounds, %d messages in flight@."
+    (Runtime.Loop.rounds loop) (Runtime.Loop.pending loop)

@@ -13,12 +13,9 @@ type state = {
   exhaust_bound : int;
   mutable algo : Counter_algo.t option;
   mutable phase : round option;
-  mutable read_only : bool; (* the running read is a read-only operation *)
   mutable skip_write : bool; (* the increment ends after its majRead *)
   mutable want_increment : bool;
-  mutable want_read : bool;
   mutable increment_result : Counter.t option;
-  mutable read_result : Counter.t option option;
   mutable abort_count : int;
   mutable next_id : int;
 }
@@ -33,12 +30,9 @@ let fresh_state ~in_transit_bound ~exhaust_bound _pid =
     exhaust_bound;
     algo = None;
     phase = None;
-    read_only = false;
     skip_write = false;
     want_increment = false;
-    want_read = false;
     increment_result = None;
-    read_result = None;
     abort_count = 0;
     next_id = 0;
   }
@@ -52,12 +46,7 @@ let request_next st =
   request_increment st;
   st.skip_write <- true
 
-let request_read st =
-  st.want_read <- true;
-  st.read_result <- None
-
 let increment_result st = st.increment_result
-let read_result st = st.read_result
 let aborts st = st.abort_count
 
 let ensure_algo (view : _ Stack.scheme_view) st members =
@@ -162,20 +151,23 @@ let finish_write (view : msg Stack.scheme_view) st cnt =
     ~name:"counter.op_seconds" ~key:view.Stack.v_self ~now:view.Stack.v_now;
   view.Stack.v_emit "counter.increment" (Format.asprintf "%a" Counter.pp cnt)
 
-let finish_read_only (view : msg Stack.scheme_view) st result =
-  st.phase <- None;
-  st.want_read <- false;
-  st.read_result <- Some result;
-  Telemetry.span_end view.Stack.v_telemetry ~labels:[ ("op", "read") ]
-    ~name:"counter.op_seconds" ~key:view.Stack.v_self ~now:view.Stack.v_now;
-  view.Stack.v_emit "counter.read"
-    (match result with
-    | Some c -> Format.asprintf "%a" Counter.pp c
-    | None -> "bottom")
+(* A member records its own answer when it starts a round. A corrupted
+   round may lack it and wait for it forever, so [tick] records it too, or
+   aborts the round when this node no longer serves the counter. *)
+let answer_self (view : msg Stack.scheme_view) st round =
+  let self = view.Stack.v_self in
+  if Pid.Set.mem self (Phase.conf round) && not (Pid.Map.mem self (Phase.replies round))
+  then
+    match (Phase.request round, serving view st) with
+    | Read, Some algo -> Phase.record round ~from:self (Counter_algo.local_max algo)
+    | Write cnt, Some algo ->
+      Counter_algo.merge algo ~from:self (Counter.pair_of cnt);
+      Phase.record round ~from:self None
+    | (Read | Write _), None -> abort_op view st
 
 (* Finish the running phase once a majority of members answered; a
-   finished majRead returns (read-only), returns the next counter
-   ([skip_write]) or moves on to its majWrite. *)
+   finished majRead returns the next counter ([skip_write]) or moves on to
+   its majWrite. *)
 let rec advance (view : msg Stack.scheme_view) st =
   match st.phase with
   | Some round when Phase.complete round -> (
@@ -197,10 +189,6 @@ let rec advance (view : msg Stack.scheme_view) st =
         | Some _ | None -> max_from_responses st round
       in
       match found with
-      | _ when st.read_only ->
-        (* the paper's two-phase read returns ⊥ when no comparable
-           maximum exists yet *)
-        finish_read_only view st found
       | Some m ->
         let cnt, stored = next_counter view st ~conf ~max_counter:m in
         if st.skip_write then finish_write view st cnt
@@ -230,14 +218,14 @@ let tick (view : msg Stack.scheme_view) st =
         Some algo
       end
     in
-    (* start a pending increment or read *)
+    (match st.phase with Some round -> answer_self view st round | None -> ());
+    (* start a pending increment *)
     let started =
-      if (st.want_increment || st.want_read) && st.phase = None then begin
-        (* quorum round-trip timing: the span closes in finish_write /
-           finish_read_only and is dropped on abort *)
+      if st.want_increment && st.phase = None then begin
+        (* quorum round-trip timing: the span closes in finish_write and
+           is dropped on abort *)
         Telemetry.span_begin view.Stack.v_telemetry ~name:"counter.op_seconds"
           ~key:self ~now:view.Stack.v_now;
-        st.read_only <- st.want_read && not st.want_increment;
         let round = Phase.start ~id:(fresh_id st) ~conf:members Read in
         st.phase <- Some round;
         (* a member answers its own read locally *)
@@ -327,10 +315,7 @@ let corrupt rng st =
     st.phase <-
       (match Rng.int rng 3 with
       | 0 -> None
-      | 1 ->
-        let id = Rng.int rng 1024 in
-        st.read_only <- Rng.bool rng;
-        Some (Phase.start ~id ~conf Read)
+      | 1 -> Some (Phase.start ~id:(Rng.int rng 1024) ~conf Read)
       | _ ->
         let cnt = (garbage (List.hd members)).Counter.mct in
         Some (Phase.start ~id:(Rng.int rng 1024) ~conf (Write cnt)));
@@ -340,7 +325,6 @@ let corrupt rng st =
       st.phase
   | None -> st.phase <- None);
   st.want_increment <- Rng.bool rng;
-  st.want_read <- Rng.bool rng;
   st.next_id <- Rng.int rng 1024;
   st.skip_write <- Rng.bool rng
 

@@ -56,16 +56,5 @@ val increment_result : state -> Counter.t option
     storage it creates uses that plugin's bounds. *)
 val store : _ Reconfig.Stack.scheme_view -> state -> from:Sim.Pid.t -> Counter.t -> bool
 
-(** [request_read st] — raise the read flag: a majority read of the
-    current maximal counter without incrementing it (the first phase of
-    the paper's two-phase operations, usable on its own for shared-memory
-    style reads). *)
-val request_read : state -> unit
-
-(** The result of the read requested last: [None] from {!request_read}
-    until that read completes, then [Some None] when it returned ⊥ (no
-    comparable maximum existed yet). *)
-val read_result : state -> Counter.t option option
-
 (** Number of aborted attempts at this node. *)
 val aborts : state -> int

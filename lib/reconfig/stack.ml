@@ -172,10 +172,7 @@ let declare_metrics tele =
   Telemetry.declare_histogram tele "recsa.replacement_seconds";
   Telemetry.declare_histogram tele "recsa.reset_recovery_seconds";
   Telemetry.declare_histogram tele "join.handshake_seconds";
-  List.iter
-    (fun op ->
-      Telemetry.declare_histogram tele ~labels:[ ("op", op) ] "counter.op_seconds")
-    [ "increment"; "read" ];
+  Telemetry.declare_histogram tele ~labels:[ ("op", "increment") ] "counter.op_seconds";
   Telemetry.declare_histogram tele "vs.view_change_seconds"
 
 (* Fold a scheme trace event into the telemetry registry: the stale types

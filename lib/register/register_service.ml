@@ -81,16 +81,19 @@ let merge_entry st reg (entry : tagged) =
     ()
   | Some _ | None -> st.store <- Reg_map.add reg entry st.store
 
+(* Re-queue the client request: operations retry after reconfigurations.
+   Only an operation that was running counts as aborted. *)
 let abort_op st =
-  (* re-queue the client request: operations retry after reconfigurations *)
-  (match st.op with
+  let requeue r =
+    st.front <- r :: st.front;
+    st.op <- Idle;
+    st.abort_count <- st.abort_count + 1
+  in
+  match st.op with
   | Idle -> ()
   | Get_tag { rid; reg; value } | Running { rid; reg; goal = `Write value; _ } ->
-    st.front <- Wreq (rid, reg, value) :: st.front
-  | Running { rid; reg; goal = `Query | `Read_back _; _ } ->
-    st.front <- Rreq (rid, reg) :: st.front);
-  st.op <- Idle;
-  st.abort_count <- st.abort_count + 1
+    requeue (Wreq (rid, reg, value))
+  | Running { rid; reg; goal = `Query | `Read_back _; _ } -> requeue (Rreq (rid, reg))
 
 let finish_read (view : msg Stack.scheme_view) st ~rid ~reg result =
   view.Stack.v_emit "register.read" reg;

@@ -83,5 +83,7 @@ val write_done : state -> rid:int -> bool
 (** [stored st reg] — this member's local copy (tests/monitoring). *)
 val stored : state -> reg -> tagged option
 
-(** Aborted attempts (operations retried after a reconfiguration). *)
+(** Aborted attempts: operations that were running when a refusal or a
+    corruption sent them back to the queue. Corrupting an idle node counts
+    none. *)
 val aborts : state -> int

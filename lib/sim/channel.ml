@@ -80,18 +80,11 @@ let remove_nth t n =
   t.len <- t.len - 1;
   x
 
-let take_at t idx =
-  let pkt = remove_nth t idx in
-  t.st.delivered <- t.st.delivered + 1;
-  pkt
-
 let take_nonempty t rng =
   if t.len = 0 then invalid_arg "Channel.take_nonempty: empty channel";
-  take_at t (Rng.int rng t.len)
-
-let take t rng ~reorder =
-  if t.len = 0 then None
-  else Some (take_at t (if reorder then Rng.int rng t.len else 0))
+  let pkt = remove_nth t (Rng.int rng t.len) in
+  t.st.delivered <- t.st.delivered + 1;
+  pkt
 
 let duplicate_head t =
   if t.len > 0 && t.len < t.cap then begin

@@ -33,13 +33,8 @@ val stats : 'a t -> stats
     the new packet is dropped or it replaces a random queued packet. *)
 val send : 'a t -> Rng.t -> 'a -> unit
 
-(** [take t rng ~reorder] removes one packet for delivery: the head, or a
-    uniformly random queued packet when [reorder]. [None] if empty. *)
-val take : 'a t -> Rng.t -> reorder:bool -> 'a option
-
-(** [take_nonempty t rng] is [take t rng ~reorder:true] on a non-empty
-    channel, without the option: the same single draw picks the same
-    packet, and nothing is allocated.
+(** [take_nonempty t rng] removes one uniformly random queued packet for
+    delivery (the channel is not FIFO), with one draw and no allocation.
     @raise Invalid_argument if [t] is empty. *)
 val take_nonempty : 'a t -> Rng.t -> 'a
 

@@ -217,53 +217,6 @@ let test_exhaustion_rollover_in_system () =
   Alcotest.(check bool) "no seqn beyond the bound + 1" true
     (List.for_all (fun (c : Counter.t) -> c.Counter.seqn <= 4) results)
 
-let test_read_only_operation () =
-  let sys = make_counter_system ~seed:6 () in
-  Reconfig.Stack.run_rounds sys 15;
-  (* establish a counter value first *)
-  Counter_service.request_increment (app sys 1);
-  Alcotest.(check bool) "increment completes" true
-    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.increment_result (app t 1) <> None));
-  let written = Option.get (Counter_service.increment_result (app sys 1)) in
-  (* a different node reads without incrementing *)
-  Counter_service.request_read (app sys 3);
-  Alcotest.(check bool) "read completes" true
-    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.read_result (app t 3) <> None));
-  (match Counter_service.read_result (app sys 3) with
-  | Some (Some c) ->
-    Alcotest.(check bool) "read sees at least the written counter" true
-      (Counter.equal c written || Counter.precedes written c)
-  | Some None -> Alcotest.fail "read returned bottom despite a completed write"
-  | None -> Alcotest.fail "expected a read result");
-  (* reads do not bump the counter *)
-  Counter_service.request_read (app sys 2);
-  Alcotest.(check bool) "second read completes" true
-    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.read_result (app t 2) <> None));
-  match Counter_service.read_result (app sys 2) with
-  | Some (Some c) ->
-    (* read-only operations must not advance the sequence number *)
-    Alcotest.(check int) "same seqn as written" written.Counter.seqn c.Counter.seqn
-  | _ -> Alcotest.fail "expected one read result"
-
-let test_non_member_read () =
-  let sys = make_counter_system ~seed:7 () in
-  Reconfig.Stack.run_rounds sys 15;
-  Counter_service.request_increment (app sys 2);
-  Alcotest.(check bool) "increment" true
-    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Counter_service.increment_result (app t 2) <> None));
-  Reconfig.Stack.add_joiner sys 9;
-  Alcotest.(check bool) "joined" true
-    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
-         Reconfig.Recsa.is_participant (Reconfig.Stack.node t 9).Reconfig.Stack.sa));
-  Counter_service.request_read (app sys 9);
-  Alcotest.(check bool) "non-member read completes" true
-    (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
-         Counter_service.read_result (app t 9) <> None))
-
 (* --- the fixed-point skip in find_max_counter is exact --- *)
 
 type cnt_op =
@@ -452,7 +405,5 @@ let suites =
         Alcotest.test_case "concurrent ordered" `Quick test_concurrent_increments_ordered;
         Alcotest.test_case "non-member increment" `Quick test_non_member_increment;
         Alcotest.test_case "exhaustion rollover" `Quick test_exhaustion_rollover_in_system;
-        Alcotest.test_case "read-only operation" `Quick test_read_only_operation;
-        Alcotest.test_case "non-member read" `Quick test_non_member_read;
       ] );
   ]

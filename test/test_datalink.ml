@@ -1,85 +1,7 @@
-(* Tests for the self-stabilizing data-link substrate: token exchange,
-   snap-stabilizing cleaning, reliable FIFO delivery. *)
+(* Tests for the snap-stabilizing link cleaning of the data-link substrate. *)
 
 open Sim
-module TL = Datalink.Token_link
 module SL = Datalink.Snap_link
-module FL = Datalink.Fifo_link
-
-let qtest = QCheck_alcotest.to_alcotest
-
-(* Drive one sender/receiver pair over two lossy bounded channels until the
-   predicate holds or the step budget runs out. *)
-let drive_token ~seed ~capacity ~loss ~steps sender receiver pred =
-  let rng = Rng.create seed in
-  let to_recv = Channel.create ~capacity and to_send = Channel.create ~capacity in
-  let rec go n =
-    if pred () then true
-    else if n = 0 then false
-    else begin
-      (* sender retransmits *)
-      Channel.send to_recv rng (TL.Sender.on_tick sender);
-      (* receiver drains, acks *)
-      (match Channel.take to_recv rng ~reorder:true with
-      | Some m when not (Rng.chance rng loss) -> (
-        let _, ack = TL.Receiver.on_msg receiver m in
-        match ack with Some a -> Channel.send to_send rng a | None -> ())
-      | Some _ | None -> ());
-      (* sender drains acks *)
-      (match Channel.take to_send rng ~reorder:true with
-      | Some m when not (Rng.chance rng loss) -> ignore (TL.Sender.on_msg sender m)
-      | Some _ | None -> ());
-      go (n - 1)
-    end
-  in
-  go steps
-
-let test_token_exchange_progress () =
-  let s = TL.Sender.create ~capacity:4 "hello" in
-  let r = TL.Receiver.create ~capacity:4 () in
-  let ok =
-    drive_token ~seed:5 ~capacity:4 ~loss:0.1 ~steps:20_000 s r (fun () ->
-        TL.Sender.tokens s >= 10)
-  in
-  Alcotest.(check bool) "10 tokens exchanged" true ok;
-  Alcotest.(check bool) "receiver delivered" true (TL.Receiver.delivered r >= 10)
-
-let test_token_payload_update () =
-  let s = TL.Sender.create ~capacity:2 0 in
-  let r = TL.Receiver.create ~capacity:2 () in
-  TL.Sender.offer s 42;
-  let ok =
-    drive_token ~seed:6 ~capacity:2 ~loss:0.0 ~steps:5_000 s r (fun () ->
-        TL.Sender.tokens s >= 2)
-  in
-  Alcotest.(check bool) "exchanges happened" true ok
-
-let test_token_survives_corruption () =
-  let s = TL.Sender.create ~capacity:4 "x" in
-  let r = TL.Receiver.create ~capacity:4 () in
-  TL.Sender.corrupt s ~seq:(-37) ~acks:9999;
-  TL.Receiver.corrupt r ~window:[ 0; 1; 2; 3; 99 ];
-  let ok =
-    drive_token ~seed:7 ~capacity:4 ~loss:0.05 ~steps:20_000 s r (fun () ->
-        TL.Sender.tokens s >= 5)
-  in
-  Alcotest.(check bool) "recovers from arbitrary state" true ok
-
-let prop_token_alternating_bit =
-  QCheck.Test.make ~name:"token seq advances exactly once per token"
-    QCheck.(int_range 1 6)
-    (fun capacity ->
-      let s = TL.Sender.create ~capacity 0 in
-      let seq0 = TL.Sender.seq s in
-      (* feed exactly 2*capacity+1 matching acks: one token *)
-      let rec feed n last =
-        if n = 0 then last
-        else feed (n - 1) (TL.Sender.on_msg s (TL.Ack { seq = TL.Sender.seq s }))
-      in
-      let last = feed ((2 * capacity) + 1) `Waiting in
-      last = `Token_returned
-      && TL.Sender.seq s = (seq0 + 1) mod TL.Sender.modulus s
-      && TL.Sender.tokens s = 1)
 
 let test_snap_link_completes () =
   let rng = Rng.create 8 in
@@ -94,14 +16,16 @@ let test_snap_link_completes () =
     else begin
       (match SL.on_tick a with Some m -> Channel.send ab rng m | None -> ());
       (match SL.on_tick b with Some m -> Channel.send ba rng m | None -> ());
-      (match Channel.take ab rng ~reorder:true with
-      | Some m -> (
-        match SL.on_msg b m with Some reply, _ -> Channel.send ba rng reply | None, _ -> ())
-      | None -> ());
-      (match Channel.take ba rng ~reorder:true with
-      | Some m -> (
-        match SL.on_msg a m with Some reply, _ -> Channel.send ab rng reply | None, _ -> ())
-      | None -> ());
+      if not (Channel.is_empty ab) then begin
+        match SL.on_msg b (Channel.take_nonempty ab rng) with
+        | Some reply, _ -> Channel.send ba rng reply
+        | None, _ -> ()
+      end;
+      if not (Channel.is_empty ba) then begin
+        match SL.on_msg a (Channel.take_nonempty ba rng) with
+        | Some reply, _ -> Channel.send ab rng reply
+        | None, _ -> ()
+      end;
       if SL.phase a = SL.Clean_done && SL.phase b = SL.Clean_done then ()
       else go (n - 1)
     end
@@ -129,116 +53,12 @@ let test_snap_link_wrong_nonce_acks_ignored () =
   done;
   Alcotest.(check bool) "still cleaning" true (SL.phase a = SL.Cleaning)
 
-(* Drive a FIFO link over lossy channels. *)
-let drive_fifo ~seed ~capacity ~loss ~steps link pred =
-  let rng = Rng.create seed in
-  let fwd = Channel.create ~capacity and back = Channel.create ~capacity in
-  let rec go n =
-    if pred () then true
-    else if n = 0 then false
-    else begin
-      Channel.send fwd rng (FL.sender_tick link);
-      (match Channel.take fwd rng ~reorder:true with
-      | Some m when not (Rng.chance rng loss) -> (
-        let _, ack = FL.receiver_on_msg link m in
-        match ack with Some a -> Channel.send back rng a | None -> ())
-      | Some _ | None -> ());
-      (match Channel.take back rng ~reorder:true with
-      | Some m when not (Rng.chance rng loss) -> FL.sender_on_msg link m
-      | Some _ | None -> ());
-      go (n - 1)
-    end
-  in
-  go steps
-
-let test_fifo_in_order_exactly_once () =
-  let link = FL.create ~capacity:3 in
-  let msgs = List.init 10 (fun i -> i) in
-  List.iter (FL.enqueue link) msgs;
-  let ok =
-    drive_fifo ~seed:9 ~capacity:3 ~loss:0.1 ~steps:100_000 link (fun () ->
-        List.length (FL.received link) >= 10)
-  in
-  Alcotest.(check bool) "all delivered" true ok;
-  Alcotest.(check (list int)) "in order, exactly once" msgs (FL.received link)
-
-let prop_fifo_delivers_prefix =
-  QCheck.Test.make ~name:"fifo delivery is always a prefix of the sends" ~count:30
-    QCheck.(pair (int_range 0 1000) (int_range 1 15))
-    (fun (seed, k) ->
-      let link = FL.create ~capacity:2 in
-      let msgs = List.init k (fun i -> i) in
-      List.iter (FL.enqueue link) msgs;
-      ignore (drive_fifo ~seed ~capacity:2 ~loss:0.15 ~steps:3_000 link (fun () -> false));
-      let got = FL.received link in
-      let rec is_prefix a b =
-        match (a, b) with
-        | [], _ -> true
-        | x :: a', y :: b' -> x = y && is_prefix a' b'
-        | _ :: _, [] -> false
-      in
-      is_prefix got msgs)
-
-(* --- link over the simulation engine --- *)
-
-module LR = Datalink.Link_runner
-
-let test_runner_delivers_over_engine () =
-  let lr = LR.create ~seed:13 ~loss:0.1 ~sender:1 ~receiver:2 () in
-  let msgs = List.init 8 (fun i -> i * 11) in
-  List.iter (LR.send lr) msgs;
-  Alcotest.(check bool) "all delivered over the engine" true
-    (LR.run_until lr ~max_steps:200_000 (fun t -> List.length (LR.received t) >= 8));
-  Alcotest.(check (list int)) "in order" msgs (LR.received lr);
-  Alcotest.(check bool) "tokens kept flowing" true (LR.tokens lr >= 8)
-
-let test_runner_survives_partition () =
-  let lr = LR.create ~seed:14 ~loss:0.05 ~sender:1 ~receiver:2 () in
-  LR.send lr 1;
-  Alcotest.(check bool) "first delivered" true
-    (LR.run_until lr ~max_steps:100_000 (fun t -> LR.received t = [ 1 ]));
-  (* cut the link both ways; nothing can move *)
-  Engine.partition (LR.engine lr) (Pid.set_of_list [ 1 ]);
-  LR.send lr 2;
-  LR.run_rounds lr 30;
-  Alcotest.(check (list int)) "nothing crossed the cut" [ 1 ] (LR.received lr);
-  (* heal: the retransmission machinery pushes it through *)
-  Engine.heal (LR.engine lr);
-  Alcotest.(check bool) "delivered after heal" true
-    (LR.run_until lr ~max_steps:200_000 (fun t -> LR.received t = [ 1; 2 ]))
-
-let test_runner_heartbeat_counts () =
-  let lr = LR.create ~seed:15 ~sender:3 ~receiver:4 () in
-  LR.run_rounds lr 60;
-  (* even with no application traffic the token keeps being exchanged,
-     providing the failure-detector heartbeat *)
-  Alcotest.(check bool) "tokens without messages" true (LR.tokens lr >= 3);
-  Alcotest.(check (list int)) "no spurious deliveries" [] (LR.received lr)
-
 let suites =
   [
-    ( "datalink.token",
-      [
-        Alcotest.test_case "exchange progresses over loss" `Quick test_token_exchange_progress;
-        Alcotest.test_case "payload update" `Quick test_token_payload_update;
-        Alcotest.test_case "survives corruption" `Quick test_token_survives_corruption;
-        qtest prop_token_alternating_bit;
-      ] );
     ( "datalink.snap",
       [
         Alcotest.test_case "handshake completes" `Quick test_snap_link_completes;
         Alcotest.test_case "foreign labels ignored" `Quick test_snap_link_ignores_foreign_labels;
         Alcotest.test_case "wrong nonce ignored" `Quick test_snap_link_wrong_nonce_acks_ignored;
-      ] );
-    ( "datalink.fifo",
-      [
-        Alcotest.test_case "in order exactly once" `Quick test_fifo_in_order_exactly_once;
-        qtest prop_fifo_delivers_prefix;
-      ] );
-    ( "datalink.runner",
-      [
-        Alcotest.test_case "delivers over engine" `Quick test_runner_delivers_over_engine;
-        Alcotest.test_case "survives partition" `Quick test_runner_survives_partition;
-        Alcotest.test_case "heartbeats without traffic" `Quick test_runner_heartbeat_counts;
       ] );
   ]

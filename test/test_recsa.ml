@@ -406,11 +406,20 @@ let test_closure_theorem () =
 
 (* --- partitions --- *)
 
+(* The data link across a cut: the stack keeps sending its heartbeat (the
+   token) to the suspected peer, and once the cut heals every node trusts
+   everyone again. *)
 let test_partition_minority_and_heal () =
   let sys = make_system ~seed:64 () in
   Stack.run_rounds sys 30;
+  let heartbeats () =
+    Telemetry.counter_value
+      (Engine.telemetry (Stack.engine sys))
+      ~labels:[ ("kind", "heartbeat") ] "stack.sent"
+  in
   (* isolate a minority; the majority side must keep the configuration *)
   Engine.partition (Stack.engine sys) (set [ 5 ]);
+  let heartbeats_at_cut = heartbeats () in
   Stack.run_rounds sys 60;
   let majority_config =
     match Recsa.config (Stack.node sys 1).Stack.sa with
@@ -419,9 +428,19 @@ let test_partition_minority_and_heal () =
   in
   Alcotest.(check (list int)) "majority side keeps the config" [ 1; 2; 3; 4; 5 ]
     majority_config;
+  Alcotest.(check bool) "1 suspects 5 across the cut" false
+    (Pid.Set.mem 5 (Stack.trusted_of sys 1));
+  Alcotest.(check bool) "heartbeats go to the suspected peer" true
+    (heartbeats () > heartbeats_at_cut);
   Engine.heal (Stack.engine sys);
   Alcotest.(check bool) "steady again after healing" true
-    (Stack.run_until sys ~max_steps:600_000 Stack.quiescent)
+    (Stack.run_until sys ~max_steps:600_000 Stack.quiescent);
+  let all = set [ 1; 2; 3; 4; 5 ] in
+  Alcotest.(check bool) "every node trusts everyone after healing" true
+    (Stack.run_until sys ~max_steps:600_000 (fun t ->
+         List.for_all
+           (fun p -> Pid.Set.subset all (Stack.trusted_of t p))
+           [ 1; 2; 3; 4; 5 ]))
 
 let test_partition_does_not_split_brain () =
   (* neither side of an even split can assemble a majority-backed delicate
@@ -515,7 +534,7 @@ let prop_channel_stats_conserved =
       let ch = Channel.create ~capacity:5 in
       for i = 1 to ops do
         if Rng.bool rng then Channel.send ch rng i
-        else ignore (Channel.take ch rng ~reorder:true)
+        else if not (Channel.is_empty ch) then ignore (Channel.take_nonempty ch rng)
       done;
       let st = Channel.stats ch in
       st.Channel.sent

@@ -239,6 +239,31 @@ let test_member_write_after_non_member_write () =
         (Some (Some 1)) (await_read sys 3 ~rid:1))
     [ 1; 2; 3; 4 ]
 
+(* Corruption aborts only an operation that is running: corrupting an idle
+   register counts no abort, and a write caught in its update round counts
+   one, goes back to the queue and still completes. Values read after a
+   corruption are not checked here. *)
+let test_corruption_counts_running_aborts () =
+  let corrupt = (Register_service.plugin ()).Reconfig.Stack.p_corrupt in
+  List.iter
+    (fun seed ->
+      let sys = make ~seed () in
+      Reconfig.Stack.run_rounds sys 20;
+      let rng = Rng.create seed in
+      corrupt rng (app sys 2);
+      Alcotest.(check int) "an idle register counts no abort" 0
+        (Register_service.aborts (app sys 2));
+      Register_service.write (app sys 1) ~rid:1 "c" 5;
+      ignore (step_to_event sys 1 "register.update");
+      let before = Register_service.aborts (app sys 1) in
+      corrupt rng (app sys 1);
+      Alcotest.(check int) "the running write counts one abort" (before + 1)
+        (Register_service.aborts (app sys 1));
+      await_write sys 1 ~rid:1;
+      Register_service.read (app sys 3) ~rid:1 "c";
+      ignore (await_read sys 3 ~rid:1))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 (* A read whose query finds the newest entry at every replier returns
    after that one round trip. Without loss every member stores the write
    once it settled, so the read must not write back. *)
@@ -410,5 +435,7 @@ let suites =
           test_monotonic_reads_concurrent_writer;
         Alcotest.test_case "a member's write after a non-member's write wins" `Quick
           test_member_write_after_non_member_write;
+        Alcotest.test_case "corruption aborts only a running operation" `Quick
+          test_corruption_counts_running_aborts;
       ] );
   ]

@@ -174,43 +174,6 @@ let test_channel_capacity () =
   Alcotest.(check int) "sent counted" 20 (Channel.stats ch).Channel.sent;
   Alcotest.(check bool) "drops counted" true ((Channel.stats ch).Channel.dropped >= 16)
 
-let test_channel_fifo_without_reorder () =
-  let rng = Rng.create 2 in
-  let ch = Channel.create ~capacity:10 in
-  List.iter (Channel.send ch rng) [ 1; 2; 3 ];
-  let take () = Channel.take ch rng ~reorder:false in
-  Alcotest.(check (option int)) "first" (Some 1) (take ());
-  Alcotest.(check (option int)) "second" (Some 2) (take ());
-  Alcotest.(check (option int)) "third" (Some 3) (take ());
-  Alcotest.(check (option int)) "empty" None (take ())
-
-(* [take_nonempty] is [take ~reorder:true] without the option: on the same
-   stream it removes the same packet with the same draw. *)
-let test_channel_take_nonempty_matches_take () =
-  List.iter
-    (fun seed ->
-      let rng_a = Rng.create seed and rng_b = Rng.create seed in
-      let ops = Rng.create (seed + 1) in
-      let a = Channel.create ~capacity:5 and b = Channel.create ~capacity:5 in
-      for i = 1 to 2_000 do
-        if Rng.bool ops then begin
-          Channel.send a rng_a i;
-          Channel.send b rng_b i
-        end
-        else if Channel.is_empty a then
-          Alcotest.check_raises "empty" (Invalid_argument "Channel.take_nonempty: empty channel")
-            (fun () -> ignore (Channel.take_nonempty a rng_a))
-        else
-          Alcotest.(check (option int)) "same packet"
-            (Channel.take b rng_b ~reorder:true)
-            (Some (Channel.take_nonempty a rng_a));
-        Alcotest.(check (list int)) "same contents" (Channel.contents b) (Channel.contents a)
-      done;
-      Alcotest.(check int64) "same draws" (Rng.bits64 rng_b) (Rng.bits64 rng_a);
-      Alcotest.(check int) "delivered counted" (Channel.stats b).Channel.delivered
-        (Channel.stats a).Channel.delivered)
-    [ 3; 77 ]
-
 let test_channel_corrupt_and_clear () =
   let ch = Channel.create ~capacity:3 in
   Channel.corrupt ch [ 9; 8; 7; 6; 5 ];
@@ -452,13 +415,11 @@ module Ref_channel = struct
       if Rng.bool rng then t.q <- replace_nth t.q (Rng.int rng len) pkt
     end
 
-  let take t rng ~reorder =
+  let take t rng =
     match t.q with
     | [] -> None
     | _ ->
-      let len = List.length t.q in
-      let idx = if reorder then Rng.int rng len else 0 in
-      let pkt, rest = remove_nth t.q idx in
+      let pkt, rest = remove_nth t.q (Rng.int rng (List.length t.q)) in
       t.q <- rest;
       t.delivered <- t.delivered + 1;
       Some pkt
@@ -486,6 +447,33 @@ module Ref_channel = struct
     t.q <- take_n t.cap pkts
 end
 
+(* [take_nonempty] is the reference model's random [take] without the
+   option: on the same stream it removes the same packet with the same draw,
+   and it raises on an empty channel instead of returning [None]. *)
+let test_channel_take_nonempty_matches_take () =
+  List.iter
+    (fun seed ->
+      let rng_a = Rng.create seed and rng_b = Rng.create seed in
+      let ops = Rng.create (seed + 1) in
+      let a = Channel.create ~capacity:5 and b = Ref_channel.create ~capacity:5 in
+      for i = 1 to 2_000 do
+        if Rng.bool ops then begin
+          Channel.send a rng_a i;
+          Ref_channel.send b rng_b i
+        end
+        else if Channel.is_empty a then
+          Alcotest.check_raises "empty" (Invalid_argument "Channel.take_nonempty: empty channel")
+            (fun () -> ignore (Channel.take_nonempty a rng_a))
+        else
+          Alcotest.(check (option int)) "same packet" (Ref_channel.take b rng_b)
+            (Some (Channel.take_nonempty a rng_a));
+        Alcotest.(check (list int)) "same contents" b.Ref_channel.q (Channel.contents a)
+      done;
+      Alcotest.(check int64) "same draws" (Rng.bits64 rng_b) (Rng.bits64 rng_a);
+      Alcotest.(check int) "delivered counted" b.Ref_channel.delivered
+        (Channel.stats a).Channel.delivered)
+    [ 3; 77 ]
+
 let test_channel_matches_list_model () =
   List.iter
     (fun seed ->
@@ -494,19 +482,18 @@ let test_channel_matches_list_model () =
       let ring = Channel.create ~capacity:4 in
       let refc = Ref_channel.create ~capacity:4 in
       for i = 1 to 2_000 do
-        (match Rng.int ops 8 with
+        (match Rng.int ops 7 with
         | 0 | 1 | 2 | 3 ->
           Channel.send ring rng_ring i;
           Ref_channel.send refc rng_ref i
-        | 4 ->
-          let a = Channel.take ring rng_ring ~reorder:true in
-          let b = Ref_channel.take refc rng_ref ~reorder:true in
-          Alcotest.(check (option int)) "take reorder" b a
+        | 4 -> (
+          match Ref_channel.take refc rng_ref with
+          | None ->
+            Alcotest.check_raises "take on empty"
+              (Invalid_argument "Channel.take_nonempty: empty channel") (fun () ->
+                ignore (Channel.take_nonempty ring rng_ring))
+          | b -> Alcotest.(check (option int)) "take" b (Some (Channel.take_nonempty ring rng_ring)))
         | 5 ->
-          let a = Channel.take ring rng_ring ~reorder:false in
-          let b = Ref_channel.take refc rng_ref ~reorder:false in
-          Alcotest.(check (option int)) "take fifo" b a
-        | 6 ->
           Channel.duplicate_head ring;
           Ref_channel.duplicate_head refc
         | _ ->
@@ -524,7 +511,8 @@ let test_channel_matches_list_model () =
       Alcotest.(check int) "sent" refc.Ref_channel.sent st.Channel.sent;
       Alcotest.(check int) "dropped" refc.Ref_channel.dropped st.Channel.dropped;
       Alcotest.(check int) "delivered" refc.Ref_channel.delivered st.Channel.delivered;
-      Alcotest.(check int) "duplicated" refc.Ref_channel.duplicated st.Channel.duplicated)
+      Alcotest.(check int) "duplicated" refc.Ref_channel.duplicated st.Channel.duplicated;
+      Alcotest.(check int64) "same draws" (Rng.bits64 rng_ref) (Rng.bits64 rng_ring))
     [ 1; 17; 4242 ]
 
 (* --- Event queue vs a sorted-list model, interleaved pushes and pops --- *)
@@ -599,7 +587,6 @@ let suites =
     ( "sim.channel",
       [
         Alcotest.test_case "capacity bound" `Quick test_channel_capacity;
-        Alcotest.test_case "fifo without reorder" `Quick test_channel_fifo_without_reorder;
         Alcotest.test_case "corrupt and clear" `Quick test_channel_corrupt_and_clear;
         Alcotest.test_case "take_nonempty matches take" `Quick
           test_channel_take_nonempty_matches_take;

@@ -40,8 +40,12 @@ let () =
      out, the members canceled it and minted a fresh epoch label. During a
      roll, concurrent increments may briefly use different epochs (the
      counters are then incomparable — exactly why Theorem 4.6 is an
-     *eventual* monotonicity result). Once the labeling algorithm settles
-     on the new maximal label, increments are strictly increasing again. *)
+     *eventual* monotonicity result). Once the labeling algorithm settles,
+     increments under one label are strictly increasing, and the label
+     changes only right after a counter exhausted it. A roll may still
+     order the new epoch below the old one: a fresh label minted by a
+     lower-id creator does not succeed the exhausted label under the label
+     order, so the comparison across a roll is printed as it is. *)
   Format.printf "@.letting the labeling algorithm settle on one epoch...@.";
   Reconfig.Stack.run_rounds sys 40;
   let cs = List.init 3 (fun i -> increment sys (1 + (i mod 3))) in
@@ -51,10 +55,21 @@ let () =
       Format.printf "  seqn=%d wid=%a label-creator=%a@." c.Counter.seqn Pid.pp
         c.Counter.wid Pid.pp c.Counter.lbl.Label.creator)
     cs;
-  let rec mono = function
-    | a :: (b :: _ as rest) -> Counter.precedes a b && mono rest
+  let rec settled = function
+    | (a : Counter.t) :: (b :: _ as rest) ->
+      let ok =
+        if Label.equal a.Counter.lbl b.Counter.lbl then Counter.precedes a b
+        else begin
+          Format.printf "epoch roll after seqn=%d: new counter orders above the old: %b@."
+            a.Counter.seqn (Counter.precedes a b);
+          Counter.exhausted ~bound:exhaust_bound a
+        end
+      in
+      ok && settled rest
     | _ -> true
   in
-  Format.printf "strictly increasing after settling: %b@." (mono cs);
+  Format.printf
+    "strictly increasing under each label, label changed only after exhaustion: %b@."
+    (settled cs);
   Format.printf "bounded storage throughout: no sequence number ever exceeded %d@."
     exhaust_bound

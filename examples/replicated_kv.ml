@@ -59,6 +59,8 @@ let () =
   Vs_service.submit (app sys 1) (Put ("apples", 3));
   Vs_service.submit (app sys 2) (Put ("pears", 7));
   Vs_service.submit (app sys 3) (Put ("plums", 1));
+  ignore (wait_value sys "apples" (Some 3));
+  ignore (wait_value sys "pears" (Some 7));
   ignore (wait_value sys "plums" (Some 1));
   Format.printf "store at node 4: %a@." pp_kv (Vs_service.replica (app sys 4));
 

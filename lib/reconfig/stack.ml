@@ -3,10 +3,15 @@ open Sim
 type ('app, 'msg) message =
   | Heartbeat
   | Snap of Datalink.Snap_link.msg
-  | Sa of Recsa.message
+  | Sa of int * Recsa.message
   | Ma of Recma.message
   | Join of 'app Join.message
   | App of 'msg
+
+type sa_link = {
+  mutable sa_newest : int;
+  mutable sa_rejects : int;
+}
 
 type 'app node_state = {
   fd : Detector.Theta_fd.t;
@@ -20,6 +25,8 @@ type 'app node_state = {
   mutable tele_phase : Notification.phase;
   mutable fd_raw : Pid.Set.t; (* the detector's last trusted set *)
   mutable fd_trusted : Pid.Set.t; (* its interned copy *)
+  mutable sa_stamp : int;
+  mutable sa_in : sa_link Pid.Map.t;
 }
 
 (* The node's trusted set, interned once per change: the detector returns
@@ -147,6 +154,32 @@ let link_clean n peer =
   | Some s -> Datalink.Snap_link.phase s = Datalink.Snap_link.Clean_done
   | None -> false
 
+(* Newest-state delivery of recSA (Section 2: a link delivers the sender's
+   latest state). Each [Sa] packet carries its sender's link stamp, bumped
+   once per broadcast, and a receiver drops a packet not newer than the
+   newest it accepted from that peer (an older one or a duplicate), so a
+   random-pick channel cannot roll a stored view back. A channel never holds more than [capacity] packets,
+   so a legitimate execution never rejects [capacity] in a row: after that
+   many (or from a corrupted count) the receiver accepts unconditionally,
+   which bounds what a corrupted stamp, table or channel can delay to one
+   channel's worth of packets. Allocation-free once the peer's record
+   exists. *)
+let sa_fresh ~capacity n ~from stamp =
+  match Pid.Map.find from n.sa_in with
+  | l ->
+    if stamp > l.sa_newest || l.sa_rejects < 0 || l.sa_rejects >= capacity then begin
+      l.sa_newest <- stamp;
+      l.sa_rejects <- 0;
+      true
+    end
+    else begin
+      l.sa_rejects <- l.sa_rejects + 1;
+      false
+    end
+  | exception Not_found ->
+    n.sa_in <- Pid.Map.add from { sa_newest = stamp; sa_rejects = 0 } n.sa_in;
+    true
+
 (* a deterministic handshake instance identifier for the pair: the two pids
    packed side by side ([Pid.key_bits] each), collision-free over the whole
    pid range — a multiplicative mix would collide once pids reach the
@@ -231,18 +264,20 @@ let snap_instance ~capacity n ~self ~peer =
 
 (* --- the protocol core: one Step.behavior, run unchanged by every runtime --- *)
 
-(* [sent_counter kind] — the stack.sent{kind} series of the runtime's
-   registry, resolved on the kind's first send (so exports list only kinds
-   actually sent) and re-resolved if the registry changes *)
-let sent_counter kind =
+(* [kind_counter family kind] — the [family]{kind} series of the runtime's
+   registry, resolved on its first use (so exports list only kinds actually
+   counted) and re-resolved if the registry changes *)
+let kind_counter family kind =
   let cell = ref None in
   fun tele ->
     match !cell with
     | Some (registry, c) when registry == tele -> c
     | Some _ | None ->
-      let c = Telemetry.counter tele ~labels:[ ("kind", kind) ] "stack.sent" in
+      let c = Telemetry.counter tele ~labels:[ ("kind", kind) ] family in
       cell := Some (tele, c);
       c
+
+let sent_counter = kind_counter "stack.sent"
 
 let send_counted ctx sent dst m =
   Telemetry.incr (sent (Step.telemetry ctx));
@@ -251,6 +286,25 @@ let send_counted ctx sent dst m =
 (* protocol traffic is held back until the link's handshake completed *)
 let send_gated ctx n sent dst m =
   if link_clean n dst then send_counted ctx sent dst m
+
+(* a step's trace events, recorded and folded into the telemetry registry;
+   a step with none allocates nothing *)
+let emit_all ctx = function
+  | [] -> ()
+  | events ->
+    let tele = Step.telemetry ctx and self = Step.self ctx and now = Step.now ctx in
+    List.iter
+      (fun (tag, detail) ->
+        Step.emit ctx tag detail;
+        note_event tele ~self ~now (tag, detail))
+      events
+
+(* the line-29 broadcast, every packet stamped with [stamp] *)
+let rec send_sa ctx n sent stamp = function
+  | [] -> ()
+  | (dst, m) :: rest ->
+    send_gated ctx n sent dst (Sa (stamp, m));
+    send_sa ctx n sent stamp rest
 
 (* the plugin's view; its sends are gated and counted as [App] traffic *)
 let view_of ctx n sent_app =
@@ -270,7 +324,8 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
   and sent_ma = sent_counter "ma"
   and sent_join = sent_counter "join"
   and sent_app = sent_counter "app"
-  and sent_heartbeat = sent_counter "heartbeat" in
+  and sent_heartbeat = sent_counter "heartbeat"
+  and stale_dropped_sa = kind_counter "stack.stale_dropped" "sa" in
   let init p =
     let participant = Pid.Set.mem p members_set in
     let joiner = not participant in
@@ -290,6 +345,8 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
         tele_phase = Notification.P0;
         fd_raw = Pid.Set.empty;
         fd_trusted = Pid.Set.empty;
+        sa_stamp = 0;
+        sa_in = Pid.Map.empty;
       }
     in
     if joiner then
@@ -298,35 +355,30 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
   in
   let on_timer ctx n =
     let self = Step.self ctx in
-    (* flood pending cleaning handshakes *)
-    Pid.Map.iter
-      (fun peer s ->
-        match Datalink.Snap_link.on_tick s with
-        | Some m ->
-          (* keep the channel's pipe full: the handshake needs more than
-             the round-trip capacity of acknowledgments *)
-          for _ = 1 to max 1 (capacity / 2) do
-            send_counted ctx sent_snap peer (Snap m)
-          done
-        | None -> ())
-      n.snap;
+    (* flood pending cleaning handshakes (only a joiner runs any) *)
+    if not (Pid.Map.is_empty n.snap) then
+      Pid.Map.iter
+        (fun peer s ->
+          match Datalink.Snap_link.on_tick s with
+          | Some m ->
+            (* keep the channel's pipe full: the handshake needs more than
+               the round-trip capacity of acknowledgments *)
+            for _ = 1 to max 1 (capacity / 2) do
+              send_counted ctx sent_snap peer (Snap m)
+            done
+          | None -> ())
+        n.snap;
     (* interned: this set rides in every broadcast's [m_fd] and keys recSA's
        interface memo *)
     let trusted = trusted_set n in
-    let tele = Step.telemetry ctx in
-    let now = Step.now ctx in
-    let emit_all =
-      List.iter (fun (tag, detail) ->
-          Step.emit ctx tag detail;
-          note_event tele ~self ~now (tag, detail))
-    in
     (* recSA: one do-forever iteration, then the line-29 broadcast *)
-    emit_all (Recsa.tick n.sa ~trusted);
+    emit_all ctx (Recsa.tick n.sa ~trusted);
     (* time the delicate-replacement automaton: a span opens when this
        node's notification leaves phase 0 and closes when it returns
        (Figure 2's 0 -> 1 -> 2 -> 0 cycle) *)
     let phase = (Recsa.prp n.sa).Notification.phase in
     if phase <> n.tele_phase then begin
+      let tele = Step.telemetry ctx and now = Step.now ctx in
       (match (n.tele_phase, phase) with
       | Notification.P0, (Notification.P1 | Notification.P2) ->
         Telemetry.span_begin tele ~name:"recsa.replacement_seconds" ~key:self ~now
@@ -338,15 +390,19 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
       n.tele_phase <- phase
     end;
     let sa_msgs = Recsa.broadcast n.sa ~trusted in
-    List.iter (fun (dst, m) -> send_gated ctx n sent_sa dst (Sa m)) sa_msgs;
+    let broadcast = match sa_msgs with [] -> false | _ :: _ -> true in
+    if broadcast then begin
+      n.sa_stamp <- n.sa_stamp + 1;
+      send_sa ctx n sent_sa n.sa_stamp sa_msgs
+    end;
     (* recMA *)
-    emit_all
+    emit_all ctx
       (Recma.tick n.ma ~quorum ~trusted ~recsa:n.sa
          ~eval_conf:(fun members -> hooks.eval_conf ~self ~trusted members)
          ~send:(fun dst m -> send_gated ctx n sent_ma dst (Ma m))
          ());
     (* joining mechanism (joiner side) *)
-    emit_all
+    emit_all ctx
       (Join.tick n.join ~quorum ~trusted ~recsa:n.sa
          ~reset_vars:(fun () -> n.app <- hooks.plugin.p_init self)
          ~init_vars:(fun states -> hooks.plugin.p_merge ~self n.app states)
@@ -359,7 +415,6 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
        every trusted processor but self ([sa_msgs] was taken before Join.tick
        could make this node a participant); in steady state it covers them
        all, so look for an uncovered one before building the union *)
-    let broadcast = sa_msgs <> [] in
     let uncovered dst =
       (not (Pid.equal dst self)) && not (broadcast && Pid.Set.mem dst trusted)
     in
@@ -387,7 +442,9 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
     | _ when not (link_clean n from) -> () (* link not yet cleaned *)
     | Snap _ -> ()
     | Heartbeat -> ()
-    | Sa m -> Recsa.receive n.sa ~from m
+    | Sa (stamp, m) ->
+      if sa_fresh ~capacity n ~from stamp then Recsa.receive n.sa ~from m
+      else Telemetry.incr (stale_dropped_sa (Step.telemetry ctx))
     | Ma m -> Recma.receive n.ma ~from ~participant:(Recsa.is_participant n.sa) m
     | Join (Join.Join_request) ->
       let trusted = trusted_set n in
@@ -459,18 +516,23 @@ let random_notification rng pool =
   | 2 -> Notification.make Notification.P1 (random_pid_set rng pool)
   | _ -> Notification.make Notification.P2 (random_pid_set rng pool)
 
+(* a link stamp anywhere in the int range *)
+let random_stamp rng = Int64.to_int (Rng.bits64 rng)
+
 (* A stale recSA packet, as left behind by an arbitrary transient fault. *)
 let stale_sa rng pool =
   let trusted = random_pid_set rng pool in
+  let stamp = random_stamp rng in
   Sa
-    {
-      Recsa.m_fd = trusted;
-      m_part = random_pid_set rng pool;
-      m_config = random_config rng pool;
-      m_prp = random_notification rng pool;
-      m_all = Rng.bool rng;
-      m_echo = None;
-    }
+    ( stamp,
+      {
+        Recsa.m_fd = trusted;
+        m_part = random_pid_set rng pool;
+        m_config = random_config rng pool;
+        m_prp = random_notification rng pool;
+        m_all = Rng.bool rng;
+        m_echo = None;
+      } )
 
 let of_scenario ~hooks (sc : Scenario.t) =
   let members = sc.Scenario.sc_members in
@@ -541,7 +603,14 @@ let corrupt_state ~hooks ~pool ~rng n =
   let random_flags () = List.map (fun q -> (q, Rng.bool rng)) pool in
   Recma.corrupt n.ma ~no_maj:(random_flags ()) ~need_reconf:(random_flags ());
   Join.corrupt n.join ~rng ~pool;
-  hooks.plugin.p_corrupt rng n.app
+  hooks.plugin.p_corrupt rng n.app;
+  n.sa_stamp <- random_stamp rng;
+  n.sa_in <-
+    List.fold_left
+      (fun links q ->
+        let sa_newest = random_stamp rng in
+        Pid.Map.add q { sa_newest; sa_rejects = random_stamp rng } links)
+      Pid.Map.empty pool
 
 let corrupt_node t p ~rng =
   corrupt_state ~hooks:t.hooks ~pool:(Engine.pids t.eng) ~rng (node t p)

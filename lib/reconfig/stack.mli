@@ -20,10 +20,27 @@ type ('app, 'msg) message =
   | Heartbeat  (** the data-link token; keeps failure detectors fed *)
   | Snap of Datalink.Snap_link.msg
       (** snap-stabilizing link cleaning on new connections (Section 2) *)
-  | Sa of Recsa.message
+  | Sa of int * Recsa.message
+      (** a recSA broadcast, carrying its sender's link stamp: the receiver
+          drops a packet not newer than the newest it accepted from that
+          peer (see {!sa_link}) *)
   | Ma of Recma.message
   | Join of 'app Join.message
   | App of 'msg
+
+(** A receiver's newest-state record for the recSA packets of one peer.
+    A packet whose stamp is not newer than [sa_newest] is dropped (it is
+    still a detector heartbeat) and counted as
+    [stack.stale_dropped{kind="sa"}]. The link accepts unconditionally once
+    [sa_rejects] reaches the channel capacity, or holds a value outside
+    [0, capacity): a channel holds at most [capacity] packets, so only
+    corruption makes that many rejections in a row, and a corrupted stamp,
+    table or channel delays a view by at most one channel's worth of
+    packets. *)
+type sa_link = {
+  mutable sa_newest : int;  (** the newest stamp accepted from the peer *)
+  mutable sa_rejects : int;  (** consecutive rejections since then *)
+}
 
 type 'app node_state = {
   fd : Detector.Theta_fd.t;
@@ -43,6 +60,11 @@ type 'app node_state = {
   mutable fd_trusted : Pid.Set.t;
       (** its interned copy, refreshed only when the detector returns a new
           set *)
+  mutable sa_stamp : int;
+      (** the link stamp of this node's last recSA broadcast, bumped once per
+          broadcast (wrapping at [max_int]) *)
+  mutable sa_in : sa_link Pid.Map.t;
+      (** per peer, the newest-state record of its recSA packets *)
 }
 
 (** The scheme as the application plugin sees it — the [getConfig()] /
@@ -249,10 +271,17 @@ val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
 
 (** [corrupt_state ~hooks ~pool ~rng n] writes pseudo-random garbage,
     drawn over the processors in [pool], into one node's recSA, recMA and
-    join state and (through [hooks.plugin.p_corrupt]) its application
-    state. The one node-state corruptor of every runtime. *)
+    join state, (through [hooks.plugin.p_corrupt]) its application state,
+    and its link stamp and newest-state records (arbitrary ints). The one
+    node-state corruptor of every runtime. *)
 val corrupt_state :
   hooks:('app, 'msg) hooks -> pool:Pid.t list -> rng:Rng.t -> 'app node_state -> unit
+
+(** [stale_sa rng pool] — a recSA packet as left behind by an arbitrary
+    transient fault: garbage fields drawn over [pool], and a stamp anywhere
+    in the int range. Channel corruption and mangled packets are made of
+    these and heartbeats. *)
+val stale_sa : Rng.t -> Pid.t list -> ('app, 'msg) message
 
 (** [corrupt_node t p ~rng] — {!corrupt_state} on [p], over every pid the
     engine has seen. *)

@@ -245,8 +245,9 @@ let test_loop_crash () =
    begins is delivered (replies wait for the next round). Adding a runtime
    is exactly this — install a send in a Step.ctx, fill it, call on_timer /
    on_message — whatever moves the messages. *)
-let sync_run (b : ('s, 'm) Step.behavior) pids ~max_rounds until =
-  let ctx = Step.create ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ()) in
+let sync_run ?(telemetry = Telemetry.create ()) (b : ('s, 'm) Step.behavior) pids
+    ~max_rounds until =
+  let ctx = Step.create ~trace:(Trace.create ()) ~telemetry in
   let states = Hashtbl.create 8 in
   List.iter (fun p -> Hashtbl.replace states p (b.init p)) pids;
   let in_flight = ref [] in
@@ -422,6 +423,168 @@ let test_loop_self_send_later_step () =
   check_self_sends (Runtime.Loop.state t) [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
+(* Newest-state recSA delivery on the stack's link                     *)
+(* ------------------------------------------------------------------ *)
+
+let stale_dropped tele =
+  Telemetry.counter_value tele ~labels:[ ("kind", "sa") ] "stack.stale_dropped"
+
+let sa_view fd =
+  {
+    Recsa.m_fd = fd;
+    m_part = set [ 1; 2; 3 ];
+    m_config = Config_value.Set (set [ 1; 2; 3 ]);
+    m_prp = Notification.default;
+    m_all = false;
+    m_echo = None;
+  }
+
+let test_link_drops_stale_sa () =
+  let b =
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+      ~hooks:Stack.unit_hooks ~members_set:(set [ 1; 2; 3 ])
+      ~directory:(ref (set [ 1; 2; 3 ]))
+  in
+  let tele = Telemetry.create () in
+  let ctx = Step.create ~trace:(Trace.create ()) ~telemetry:tele in
+  ctx.Step.ctx_send <- (fun _ _ -> ());
+  ctx.Step.ctx_self <- 1;
+  let n = b.init 1 in
+  let deliver stamp fd = ignore (b.on_message ctx 2 (Stack.Sa (stamp, sa_view fd)) n) in
+  let stored () = Recsa.peer_fd n.Stack.sa 2 in
+  let fd = Alcotest.testable (Fmt.option Pid.pp_set) (Option.equal Pid.Set.equal) in
+  deliver 5 (set [ 1; 2; 3 ]);
+  Alcotest.check fd "newer packet stored" (Some (set [ 1; 2; 3 ])) (stored ());
+  deliver 4 (set [ 2 ]);
+  Alcotest.check fd "older packet leaves the view unchanged" (Some (set [ 1; 2; 3 ]))
+    (stored ());
+  Alcotest.(check int) "one stale_dropped" 1 (stale_dropped tele);
+  deliver 6 (set [ 2; 3 ]);
+  Alcotest.check fd "the next newer packet is stored" (Some (set [ 2; 3 ])) (stored ());
+  Alcotest.(check int) "no further drop" 1 (stale_dropped tele)
+
+(* Every node starts from a corrupted state, and [poison] then wrecks its
+   link stamps. The synchronous runner delivers each link's packets in send
+   order, so every rejection is the corruption's: gossip must resume after
+   at most [capacity] of them per link, and the scheme must still reach
+   agreement on the members. *)
+let link_recovers ~poison () =
+  let members = [ 1; 2; 3; 4 ] and capacity = 4 in
+  let rng = Rng.create 23 in
+  let b =
+    Stack.driver ~capacity ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+      ~hooks:Stack.unit_hooks ~members_set:(set members) ~directory:(ref (set members))
+  in
+  let init p =
+    let n = b.init p in
+    Stack.corrupt_state ~hooks:Stack.unit_hooks ~pool:members ~rng n;
+    poison n;
+    n
+  in
+  let agreed nodes =
+    Stack.quiescent_of nodes
+    && Option.equal Pid.Set.equal (Stack.uniform_config_of nodes) (Some (set members))
+    && List.for_all
+         (fun (p, n) ->
+           List.for_all
+             (fun q -> Pid.equal p q || Recsa.peer_fd n.Stack.sa q <> None)
+             members)
+         nodes
+  in
+  let telemetry = Telemetry.create () in
+  (match sync_run ~telemetry { b with init } members ~max_rounds:200 agreed with
+  | Some _ -> ()
+  | None -> Alcotest.fail "no agreement on the members within 200 synchronous rounds");
+  let links = List.length members * (List.length members - 1) in
+  let dropped = stale_dropped telemetry in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d drops, at most %d per link" dropped capacity)
+    true
+    (dropped > 0 && dropped <= capacity * links)
+
+let test_link_recovers_from_max_tables () =
+  link_recovers
+    ~poison:(fun n ->
+      n.Stack.sa_in <-
+        List.fold_left
+          (fun links q ->
+            Pid.Map.add q { Stack.sa_newest = max_int; sa_rejects = 0 } links)
+          Pid.Map.empty [ 1; 2; 3; 4 ])
+    ()
+
+let test_link_recovers_from_wrapping_stamp () =
+  (* reset tables, so the first packet of every link is accepted; the
+     sender's counter then wraps to [min_int] two broadcasts later *)
+  link_recovers
+    ~poison:(fun n ->
+      n.Stack.sa_in <- Pid.Map.empty;
+      n.Stack.sa_stamp <- max_int - 1)
+    ()
+
+let test_link_engine_replacement () =
+  (* on the engine, with every newest-stamp table at [max_int], a delicate
+     replacement still completes *)
+  let sys =
+    Stack.of_scenario ~hooks:Stack.unit_hooks
+      (Scenario.make ~seed:3 ~n_bound:16 ~members:[ 1; 2; 3; 4; 5 ] ())
+  in
+  Stack.run_rounds sys 20;
+  List.iter
+    (fun (_, n) -> Pid.Map.iter (fun _ l -> l.Stack.sa_newest <- max_int) n.Stack.sa_in)
+    (Stack.live_nodes sys);
+  let target = set [ 1; 2; 3; 4 ] in
+  Alcotest.(check bool) "replacement requested" true (Stack.estab sys 1 target);
+  Alcotest.(check bool) "replacement completes" true
+    (Stack.run_until sys ~max_steps:400_000 (fun t ->
+         Stack.quiescent t && Option.equal Pid.Set.equal (Stack.uniform_config t) (Some target)));
+  List.iter
+    (fun (p, n) ->
+      Pid.Map.iter
+        (fun q l ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d accepts from %d again" p q)
+            true (l.Stack.sa_newest < max_int))
+        n.Stack.sa_in)
+    (Stack.live_nodes sys)
+
+let test_link_corruption () =
+  let pool = [ 1; 2; 3; 4 ] in
+  let b =
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+      ~hooks:Stack.unit_hooks ~members_set:(set pool) ~directory:(ref (set pool))
+  in
+  let rng = Rng.create 5 in
+  let stamps =
+    List.concat_map
+      (fun _ ->
+        let n = b.init 1 in
+        Stack.corrupt_state ~hooks:Stack.unit_hooks ~pool ~rng n;
+        Alcotest.(check (list int)) "a record for every pid of the pool" pool
+          (List.map fst (Pid.Map.bindings n.Stack.sa_in));
+        n.Stack.sa_stamp
+        :: List.concat_map
+             (fun (_, l) -> [ l.Stack.sa_newest; l.Stack.sa_rejects ])
+             (Pid.Map.bindings n.Stack.sa_in))
+      (List.init 16 Fun.id)
+  in
+  let packets =
+    List.init 64 (fun _ ->
+        match Stack.stale_sa rng pool with
+        | Stack.Sa (stamp, _) -> stamp
+        | _ -> Alcotest.fail "stale_sa is not an Sa packet")
+  in
+  (* arbitrary: spread over the whole int range, both signs and far beyond
+     any count a run reaches *)
+  List.iter
+    (fun (what, l) ->
+      Alcotest.(check bool) (what ^ ": negative values") true (List.exists (fun x -> x < 0) l);
+      Alcotest.(check bool) (what ^ ": huge values") true
+        (List.exists (fun x -> x > 1 lsl 40) l);
+      Alcotest.(check int) (what ^ ": distinct") (List.length l)
+        (List.length (List.sort_uniq compare l)))
+    [ ("corrupt_state", stamps); ("stale_sa", packets) ]
+
+(* ------------------------------------------------------------------ *)
 (* Sim-vs-loop equivalence of the full stack                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -541,6 +704,19 @@ let suites =
           test_engine_self_send_later_step;
         Alcotest.test_case "loop: a self-send arrives in a later step" `Quick
           test_loop_self_send_later_step;
+      ] );
+    ( "runtime.link",
+      [
+        Alcotest.test_case "a stale Sa after a newer one is dropped" `Quick
+          test_link_drops_stale_sa;
+        Alcotest.test_case "gossip resumes after max_int tables" `Quick
+          test_link_recovers_from_max_tables;
+        Alcotest.test_case "gossip resumes after a wrapping stamp" `Quick
+          test_link_recovers_from_wrapping_stamp;
+        Alcotest.test_case "engine: replacement with max_int tables" `Quick
+          test_link_engine_replacement;
+        Alcotest.test_case "corruption scrambles stamps and tables" `Quick
+          test_link_corruption;
       ] );
     ( "runtime.equivalence",
       [

@@ -281,16 +281,33 @@ let test_shm_cas () =
   (* two contending CAS from the same base: exactly one wins *)
   Shared_memory.compare_and_set (app sys 2) ~writer:2 ~rid:1 "c" ~expected:(Some 5) 20;
   Shared_memory.compare_and_set (app sys 3) ~writer:3 ~rid:1 "c" ~expected:(Some 5) 30;
+  (* every value any replica holds from here on, checked at every step *)
+  let held = Hashtbl.create 4 in
+  let note t =
+    List.iter
+      (fun (p, _) ->
+        match Shared_memory.peek (app t p) "c" with
+        | Some v -> Hashtbl.replace held v ()
+        | None -> ())
+      (Reconfig.Stack.live_nodes t)
+  in
   Alcotest.(check bool) "both resolve" true
     (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+         note t;
          Shared_memory.cas_result (app t 2) ~writer:2 ~rid:1 <> None
          && Shared_memory.cas_result (app t 3) ~writer:3 ~rid:1 <> None));
   let r2 = Shared_memory.cas_result (app sys 2) ~writer:2 ~rid:1 in
   let r3 = Shared_memory.cas_result (app sys 3) ~writer:3 ~rid:1 in
   Alcotest.(check bool) "exactly one winner" true (r2 <> r3);
-  let final = Shared_memory.peek (app sys 4) "c" in
+  let winner, loser = if r2 = Some true then (20, 30) else (30, 20) in
+  (* [peek] is a local snapshot, not a linearizable read: node 4 may lag
+     the step in which the results resolve, so wait for it *)
   Alcotest.(check bool) "register holds the winner's value" true
-    ((r2 = Some true && final = Some 20) || (r3 = Some true && final = Some 30))
+    (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+         note t;
+         Shared_memory.peek (app t 4) "c" = Some winner));
+  Alcotest.(check bool) "no replica ever holds the loser's value" false
+    (Hashtbl.mem held loser)
 
 (* --- SMR facade: at-most-once client semantics --- *)
 

@@ -63,7 +63,7 @@ let bench_channel =
 let bench_fd =
   Test.make ~name:"detector.heartbeat_trusted"
     (Staged.stage (fun () ->
-         let fd = Detector.Theta_fd.create ~n_bound:16 ~self:0 () in
+         let fd = Detector.Theta_fd.create ~n_bound:16 ~theta:4 ~self:0 in
          for r = 1 to 8 do
            ignore r;
            for p = 1 to 8 do

@@ -51,9 +51,12 @@ let unlink t i =
   t.next.(t.prev.(i)) <- t.next.(i);
   t.prev.(t.next.(i)) <- t.prev.(i)
 
+(* the first slot from [cur] on that does not rank before [i]; a top-level
+   function, so a heartbeat allocates no closure *)
+let rec find t i cur = if cur <> 0 && before t cur i then find t i t.next.(cur) else cur
+
 let insert_sorted t i =
-  let rec find cur = if cur <> 0 && before t cur i then find t.next.(cur) else cur in
-  let succ = find t.next.(0) in
+  let succ = find t i t.next.(0) in
   let pred = t.prev.(succ) in
   t.next.(i) <- succ;
   t.prev.(i) <- pred;
@@ -99,7 +102,7 @@ let touch t p last =
     t.known_set <- Pid.Set.add p t.known_set;
     insert_sorted t i
 
-let create ~n_bound ?(theta = 4) ~self () =
+let create ~n_bound ~theta ~self =
   if n_bound <= 0 then invalid_arg "Theta_fd.create: n_bound";
   if theta < 2 then invalid_arg "Theta_fd.create: theta must be >= 2";
   let cap = 8 in

@@ -22,7 +22,7 @@ type t
     [c > theta * (prev + k)] with [prev] the preceding (smaller) count in
     the sorted vector and [k] the number of known processors. [self] is
     always trusted. *)
-val create : n_bound:int -> ?theta:int -> self:Pid.t -> unit -> t
+val create : n_bound:int -> theta:int -> self:Pid.t -> t
 
 val self : t -> Pid.t
 

@@ -1,48 +1,18 @@
-(** Quorum systems over a configuration set.
+(** The majority quorum rule over a configuration set.
 
-    The paper uses majorities — "the simplest form of a quorum system" — but
-    notes the scheme generalizes to any quorum system generated by a function
-    from a processor set (Section 1, Related work). [SYSTEM] captures that
-    function; [Majority] and [Grid] are two instances. *)
+    The paper runs the scheme on majorities, "the simplest form of a quorum
+    system", and majorities are the only system here: every {!Phase} round,
+    the virtual-synchrony service, recMA's collapse and prediction tests and
+    join admission all use {!has_majority}, so any two of their quorums
+    intersect. Another quorum system would have to replace this one in all of
+    those layers at once. *)
 
 open Sim
 
-module type SYSTEM = sig
-  (** [is_quorum ~config s] — does [s ∩ config] contain a quorum of
-      [config]? *)
-  val is_quorum : config:Pid.Set.t -> Pid.Set.t -> bool
-
-  (** A human-readable name for reports. *)
-  val name : string
-end
-
-(** Simple majority: a quorum is any set containing more than half of the
-    configuration (⌊|config|/2⌋ + 1 members). *)
-module Majority : SYSTEM
-
-(** Grid quorums: members arranged (by ascending identifier) in a
-    ⌈√v⌉-column grid; a quorum is a full row plus one element of every row
-    (here: row + column cover), demonstrating the pluggability the paper
-    claims. Degenerates gracefully for tiny configurations. *)
-module Grid : SYSTEM
-
-(** Crumbling walls (Peleg & Wool [21], cited in Related Work): members are
-    laid out in rows of increasing width (row i has ~i+1 elements); a
-    quorum is one full row plus one element from every row {e below} it.
-    Any two such quorums intersect: if they pick the same full row they
-    share it; otherwise the higher full row is crossed by the other
-    quorum's per-row representatives. *)
-module Wall : SYSTEM
-
-(** [majority_threshold n] is ⌊n/2⌋ + 1, the paper's [(|curConf|/2) + 1]. *)
-val majority_threshold : int -> int
-
-(** [has_majority ~config alive] — specialization of {!Majority.is_quorum},
-    used by {!Phase}, the virtual-synchrony service and the experiments. *)
+(** [has_majority ~config alive] — does [alive ∩ config] hold more than half
+    of [config], i.e. at least ⌊|config|/2⌋ + 1 members (the paper's
+    [(|curConf|/2) + 1])? Never for an empty [config]. *)
 val has_majority : config:Pid.Set.t -> Pid.Set.t -> bool
-
-(** [intersects q1 q2] — non-empty intersection (sanity checks in tests). *)
-val intersects : Pid.Set.t -> Pid.Set.t -> bool
 
 (** One majority round trip: the counter's majRead and majWrite (Algorithms
     4.4/4.5) and the register's query, update and write-back (Section 4.3).

@@ -20,9 +20,7 @@ let granted t members trusted =
     (fun p -> match Pid.Map.find_opt p t.passes with Some b -> b | None -> false)
     (Pid.Set.inter members trusted)
 
-let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
-    ~reset_vars ~init_vars ~send () =
-  let module Q = (val quorum : Quorum.SYSTEM) in
+let tick t ~trusted ~recsa ~reset_vars ~init_vars ~send =
   if Recsa.is_participant recsa then begin
     (* participants run none of the joiner loop; arm resetVars for a
        hypothetical later rejoin-as-transient-fault *)
@@ -42,8 +40,8 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
     (match Config_value.to_set (Recsa.get_config recsa ~trusted) with
     | Some members
       when Recsa.no_reco recsa ~trusted
-           && Q.is_quorum ~config:members (granted t members trusted) ->
-      (* line 10–12: a quorum of passes and no reconfiguration *)
+           && Quorum.has_majority ~config:members (granted t members trusted) ->
+      (* line 10–12: a majority of passes and no reconfiguration *)
       init_vars t.states;
       if Recsa.participate recsa ~trusted then begin
         t.joins <- t.joins + 1;

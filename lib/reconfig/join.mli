@@ -21,23 +21,21 @@ type 'app message =
 
 val create : self:Pid.t -> 'app t
 
-(** [tick t ~trusted ~recsa ~reset_vars ~init_vars ()] — the joiner side of
-    the do-forever loop; a no-op for participants. [reset_vars] is called
-    once when (re)entering the joining state; [init_vars] is called with
-    the collected member states just before [participate]; [quorum]
-    (default {!Quorum.Majority}) generalizes the quorum-of-passes admission
-    test. A joiner that is still not a participant then sends a request to
-    every other trusted processor through [send], in descending pid order.
+(** [tick t ~trusted ~recsa ~reset_vars ~init_vars ~send] — the joiner
+    side of the do-forever loop; a no-op for participants. [reset_vars] is
+    called once when (re)entering the joining state; [init_vars] is called
+    with the collected member states just before [participate], which needs
+    passes from a majority of the members ({!Quorum.has_majority}). A
+    joiner that is still not a participant then sends a request to every
+    other trusted processor through [send], in descending pid order.
     Returns the trace events. *)
 val tick :
   'app t ->
-  ?quorum:(module Quorum.SYSTEM) ->
   trusted:Pid.Set.t ->
   recsa:Recsa.t ->
   reset_vars:(unit -> unit) ->
   init_vars:('app Pid.Map.t -> unit) ->
   send:(Pid.t -> 'app message -> unit) ->
-  unit ->
   (string * string) list
 
 (** [on_request t ~self_app ~from ~trusted ~recsa ~pass_query] — the

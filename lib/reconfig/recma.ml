@@ -55,9 +55,7 @@ let trigger t ~trusted ~recsa reason events =
   end;
   flush_flags t
 
-let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
-    ~eval_conf ~send () =
-  let module Q = (val quorum : Quorum.SYSTEM) in
+let tick t ~trusted ~recsa ~eval_conf ~send =
   let events = ref [] in
   let part = Recsa.participants recsa ~trusted in
   if not (Pid.Set.mem t.ma_self part) then []
@@ -78,9 +76,8 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
        match Config_value.to_set cur_conf with
        | None -> ()
        | Some members ->
-         (* line 12: do we see a quorum of configuration members? (the
-            paper uses majorities; any intersecting quorum system works) *)
-         if not (Q.is_quorum ~config:members trusted) then
+         (* line 12: do we see a majority of configuration members? *)
+         if not (Quorum.has_majority ~config:members trusted) then
            t.no_maj <- Pid.Map.add t.ma_self true t.no_maj;
          (* [core] and the supporters are pure, so each is built only
             under the guard that reads it *)
@@ -96,7 +93,7 @@ let tick t ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ~trusted ~recsa
            t.need_reconf <- Pid.Map.add t.ma_self wants t.need_reconf;
            if
              wants
-             && Q.is_quorum ~config:members
+             && Quorum.has_majority ~config:members
                   (Pid.Set.filter
                      (fun p -> flag t.need_reconf p)
                      (Pid.Set.inter members trusted))

@@ -21,23 +21,19 @@ type message = { m_no_maj : bool; m_need_reconf : bool }
 
 val create : self:Pid.t -> t
 
-(** [tick t ~trusted ~recsa ~eval_conf ()] is one iteration of the
+(** [tick t ~trusted ~recsa ~eval_conf ~send] is one iteration of the
     do-forever loop. [eval_conf config] is the prediction function
-    (evaluated only when needed). [quorum] generalizes the majority tests
-    (default {!Quorum.Majority}): "no quorum of members trusted" triggers
-    the collapse path, a quorum of supporters triggers the prediction path
-    — the generalization the paper describes in Related Work. Calls
-    [Recsa.estab] on triggering, then sends its flags to every other
-    trusted participant through [send], in descending pid order. Returns
-    the trace events. *)
+    (evaluated only when needed). "No majority of members trusted"
+    ({!Quorum.has_majority}) triggers the collapse path, a majority of
+    supporters triggers the prediction path. Calls [Recsa.estab] on
+    triggering, then sends its flags to every other trusted participant
+    through [send], in descending pid order. Returns the trace events. *)
 val tick :
   t ->
-  ?quorum:(module Quorum.SYSTEM) ->
   trusted:Pid.Set.t ->
   recsa:Recsa.t ->
   eval_conf:(Pid.Set.t -> bool) ->
   send:(Pid.t -> message -> unit) ->
-  unit ->
   (string * string) list
 
 val receive : t -> from:Pid.t -> participant:bool -> message -> unit

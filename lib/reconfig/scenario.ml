@@ -7,13 +7,12 @@ type t = {
   sc_loss : float;
   sc_theta : int;
   sc_n_bound : int;
-  sc_quorum : (module Quorum.SYSTEM);
 }
 
 let default_members n = List.init n (fun i -> i + 1)
 
 let make ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4) ?n_bound
-    ?(quorum = (module Quorum.Majority : Quorum.SYSTEM)) ?nodes () =
+    ?nodes () =
   let members =
     match (members, nodes) with
     | Some l, _ -> l
@@ -38,7 +37,6 @@ let make ?members ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ?(theta = 4) ?n_bo
     sc_loss = loss;
     sc_theta = theta;
     sc_n_bound = n_bound;
-    sc_quorum = quorum;
   }
 
 let nodes t = List.length t.sc_members

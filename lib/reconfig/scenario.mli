@@ -21,7 +21,6 @@ type t = {
   sc_loss : float;  (** global message-loss probability (simulator) *)
   sc_theta : int;  (** failure-detector threshold *)
   sc_n_bound : int;  (** the paper's [N]: bound on processor count *)
-  sc_quorum : (module Quorum.SYSTEM);
 }
 
 val default_members : int -> Pid.t list
@@ -34,13 +33,11 @@ val make :
   ?loss:float ->
   ?theta:int ->
   ?n_bound:int ->
-  ?quorum:(module Quorum.SYSTEM) ->
   ?nodes:int ->
   unit ->
   t
 (** Defaults: [seed 42], [capacity 8], [loss 0.02], [theta 4],
-    [quorum Majority], [members = default_members nodes],
-    [n_bound = 2 * nodes]. At least one of [nodes] and [members] must be
+    [members = default_members nodes], [n_bound = 2 * nodes]. At least one of [nodes] and [members] must be
     given. Raises [Invalid_argument] when neither is, [nodes] is negative,
     the member list is empty or repeats a pid, [capacity] is not positive,
     [loss] lies outside [\[0,1\]], [theta] is below 2, or [n_bound] is not

@@ -318,7 +318,7 @@ let view_of ctx n sent_app =
     v_telemetry = Step.telemetry ctx;
   }
 
-let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
+let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
   let sent_snap = sent_counter "snap"
   and sent_sa = sent_counter "sa"
   and sent_ma = sent_counter "ma"
@@ -331,7 +331,7 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
     let joiner = not participant in
     let n =
       {
-        fd = Detector.Theta_fd.create ~n_bound ~theta ~self:p ();
+        fd = Detector.Theta_fd.create ~n_bound ~theta ~self:p;
         sa =
           Recsa.create ~self:p ~participant
             ?initial_config:(if participant then Some members_set else None)
@@ -397,17 +397,15 @@ let driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set ~directory =
     end;
     (* recMA *)
     emit_all ctx
-      (Recma.tick n.ma ~quorum ~trusted ~recsa:n.sa
+      (Recma.tick n.ma ~trusted ~recsa:n.sa
          ~eval_conf:(fun members -> hooks.eval_conf ~self ~trusted members)
-         ~send:(fun dst m -> send_gated ctx n sent_ma dst (Ma m))
-         ());
+         ~send:(fun dst m -> send_gated ctx n sent_ma dst (Ma m)));
     (* joining mechanism (joiner side) *)
     emit_all ctx
-      (Join.tick n.join ~quorum ~trusted ~recsa:n.sa
+      (Join.tick n.join ~trusted ~recsa:n.sa
          ~reset_vars:(fun () -> n.app <- hooks.plugin.p_init self)
          ~init_vars:(fun states -> hooks.plugin.p_merge ~self n.app states)
-         ~send:(fun dst m -> send_gated ctx n sent_join dst (Join m))
-         ());
+         ~send:(fun dst m -> send_gated ctx n sent_join dst (Join m)));
     (* application plugin *)
     hooks.plugin.p_tick (view_of ctx n sent_app) n.app;
     (* heartbeats (the data-link token) to every known processor not already
@@ -540,7 +538,7 @@ let of_scenario ~hooks (sc : Scenario.t) =
   let directory = ref members_set in
   let behavior =
     driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound ~theta:sc.sc_theta
-      ~quorum:sc.sc_quorum ~hooks ~members_set ~directory
+      ~hooks ~members_set ~directory
   in
   let eng =
     Engine.create ~seed:sc.sc_seed ~capacity:sc.sc_capacity ~loss:sc.sc_loss

@@ -185,18 +185,16 @@ val declare_metrics : Telemetry.t -> unit
 
 (** {2 The runtime-agnostic protocol core} *)
 
-(** [driver ~capacity ~n_bound ~theta ~quorum ~hooks ~members_set
-    ~directory] — the scheme's node automaton, for any runtime that
-    executes {!Sim.Step} behaviors. Nodes in [members_set] start as
-    participants holding that configuration. [directory] is read at
-    node-init time: a node created after system start treats the
-    processors then present as its seeds and runs the cleaning handshake
-    against them. *)
+(** [driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory] —
+    the scheme's node automaton, for any runtime that executes {!Sim.Step}
+    behaviors. Nodes in [members_set] start as participants holding that
+    configuration. [directory] is read at node-init time: a node created
+    after system start treats the processors then present as its seeds and
+    runs the cleaning handshake against them. *)
 val driver :
   capacity:int ->
   n_bound:int ->
   theta:int ->
-  quorum:(module Quorum.SYSTEM) ->
   hooks:('app, 'msg) hooks ->
   members_set:Pid.Set.t ->
   directory:Pid.Set.t ref ->
@@ -219,10 +217,7 @@ val of_scenario : hooks:('app, 'msg) hooks -> Scenario.t -> ('app, 'msg) t
 (** The primary constructor. The initial participants [sc_members] start
     with the agreed configuration [sc_members] (a steady config state);
     other processors enter later via [add_joiner] or a plan's [Join]
-    events. [sc_quorum] generalizes recMA's collapse / prediction tests
-    and the joining admission test to any intersecting quorum system — the
-    generalization the paper claims in Related Work. A fault plan is
-    applied by {!run_plan}. *)
+    events. A fault plan is applied by {!run_plan}. *)
 
 val engine : ('app, 'msg) t -> ('app node_state, ('app, 'msg) message) Engine.t
 

@@ -13,7 +13,7 @@ let of_scenario ~hooks (sc : Scenario.t) =
   let directory = ref members_set in
   let behavior =
     Stack.driver ~capacity:sc.sc_capacity ~n_bound:sc.sc_n_bound
-      ~theta:sc.sc_theta ~quorum:sc.sc_quorum ~hooks ~members_set ~directory
+      ~theta:sc.sc_theta ~hooks ~members_set ~directory
   in
   let loop = Loop.create ~seed:sc.sc_seed ~behavior ~pids:members () in
   Stack.declare_metrics (Loop.telemetry loop);

@@ -13,13 +13,13 @@ let feed fd live rounds =
   done
 
 let test_trusts_live () =
-  let fd = FD.create ~n_bound:10 ~self:0 () in
+  let fd = FD.create ~n_bound:10 ~theta:4 ~self:0 in
   feed fd [ 1; 2; 3 ] 5;
   Alcotest.(check bool) "all live trusted" true
     (Pid.Set.subset (set [ 0; 1; 2; 3 ]) (FD.trusted fd))
 
 let test_suspects_silent () =
-  let fd = FD.create ~n_bound:10 ~theta:4 ~self:0 () in
+  let fd = FD.create ~n_bound:10 ~theta:4 ~self:0 in
   (* p3 heartbeats for a while, then goes silent *)
   feed fd [ 1; 2; 3 ] 5;
   feed fd [ 1; 2 ] 200;
@@ -29,23 +29,23 @@ let test_suspects_silent () =
   Alcotest.(check bool) "3 suspected" false (Pid.Set.mem 3 trusted)
 
 let test_estimate_tracks_live_count () =
-  let fd = FD.create ~n_bound:32 ~self:0 () in
+  let fd = FD.create ~n_bound:32 ~theta:4 ~self:0 in
   feed fd [ 1; 2; 3; 4; 5 ] 10;
   Alcotest.(check int) "estimate" 6 (FD.estimate fd)
 
 let test_n_bound_cap () =
-  let fd = FD.create ~n_bound:3 ~self:0 () in
+  let fd = FD.create ~n_bound:3 ~theta:4 ~self:0 in
   feed fd [ 1; 2; 3; 4; 5; 6; 7 ] 10;
   Alcotest.(check bool) "estimate capped at N" true (FD.estimate fd <= 3)
 
 let test_self_always_trusted () =
-  let fd = FD.create ~n_bound:4 ~self:9 () in
+  let fd = FD.create ~n_bound:4 ~theta:4 ~self:9 in
   Alcotest.(check bool) "self trusted initially" true (Pid.Set.mem 9 (FD.trusted fd));
   feed fd [ 1; 2 ] 50;
   Alcotest.(check bool) "self still trusted" true (Pid.Set.mem 9 (FD.trusted fd))
 
 let test_recovers_from_corruption () =
-  let fd = FD.create ~n_bound:10 ~self:0 () in
+  let fd = FD.create ~n_bound:10 ~theta:4 ~self:0 in
   (* arbitrary garbage counts: live processors appear crashed and vice
      versa *)
   FD.corrupt fd [ (1, 100_000); (2, 50_000); (42, 0) ];
@@ -56,7 +56,7 @@ let test_recovers_from_corruption () =
   Alcotest.(check bool) "ghost suspected eventually" false (Pid.Set.mem 42 trusted)
 
 let test_rejoining_heartbeat_restores_trust () =
-  let fd = FD.create ~n_bound:10 ~self:0 () in
+  let fd = FD.create ~n_bound:10 ~theta:4 ~self:0 in
   feed fd [ 1; 2; 3 ] 5;
   feed fd [ 1; 2 ] 200;
   Alcotest.(check bool) "suspected while silent" false (Pid.Set.mem 3 (FD.trusted fd));
@@ -64,7 +64,7 @@ let test_rejoining_heartbeat_restores_trust () =
   Alcotest.(check bool) "trusted again after heartbeats" true (Pid.Set.mem 3 (FD.trusted fd))
 
 let test_known_and_forget () =
-  let fd = FD.create ~n_bound:10 ~self:0 () in
+  let fd = FD.create ~n_bound:10 ~theta:4 ~self:0 in
   feed fd [ 4; 5 ] 1;
   Alcotest.(check bool) "known contains heard" true
     (Pid.Set.subset (set [ 0; 4; 5 ]) (FD.known fd));
@@ -76,7 +76,7 @@ let prop_trusted_subset_of_known =
     (QCheck.Test.make ~name:"trusted is always a subset of known + self"
        QCheck.(small_list (pair (int_range 1 20) (int_range 0 1000)))
        (fun events ->
-         let fd = FD.create ~n_bound:8 ~self:0 () in
+         let fd = FD.create ~n_bound:8 ~theta:4 ~self:0 in
          List.iter
            (fun (p, reps) ->
              for _ = 1 to reps mod 7 do
@@ -154,7 +154,7 @@ let prop_trusted_matches_sort_and_walk =
        QCheck.(triple (int_range 0 100_000) (int_range 1 10) (int_range 2 5))
        (fun (seed, n_bound, theta) ->
          let rs = Random.State.make [| seed |] in
-         let fd = FD.create ~n_bound ~theta ~self:0 () in
+         let fd = FD.create ~n_bound ~theta ~self:0 in
          let reference = Sorted_fd.create ~n_bound ~theta ~self:0 in
          let prev = ref (FD.trusted fd) in
          List.for_all
@@ -193,7 +193,7 @@ let prop_trusted_matches_sort_and_walk =
            (List.init 400 (fun _ -> gen_fd_op rs))))
 
 let test_trusted_physically_stable () =
-  let fd = FD.create ~n_bound:10 ~self:0 () in
+  let fd = FD.create ~n_bound:10 ~theta:4 ~self:0 in
   feed fd [ 1; 2; 3 ] 20;
   let before = FD.trusted fd in
   feed fd [ 1; 2; 3 ] 20;
@@ -201,6 +201,19 @@ let test_trusted_physically_stable () =
   feed fd [ 1; 2 ] 200;
   Alcotest.(check bool) "suspecting 3 yields a new set" true
     (Pid.Set.equal (FD.trusted fd) (set [ 0; 1; 2 ]))
+
+let test_heartbeat_allocation_free () =
+  (* a heartbeat from an already-known peer only relinks slots: it must
+     allocate nothing, since one runs on every received packet *)
+  let fd = FD.create ~n_bound:16 ~theta:4 ~self:0 in
+  let peers = [| 1; 2; 3; 4; 5; 6; 7; 8 |] in
+  Array.iter (FD.heartbeat fd) peers;
+  let before = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    FD.heartbeat fd peers.(k land 7)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10 000 heartbeats" 0. words
 
 let suites =
   [
@@ -218,5 +231,7 @@ let suites =
         prop_trusted_matches_sort_and_walk;
         Alcotest.test_case "trusted set physically stable" `Quick
           test_trusted_physically_stable;
+        Alcotest.test_case "heartbeat allocates nothing" `Quick
+          test_heartbeat_allocation_free;
       ] );
   ]

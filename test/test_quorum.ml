@@ -1,33 +1,36 @@
-(* Tests for the quorum systems: majority and grid. *)
+(* Tests for the majority quorum rule and one quorum round (Quorum.Phase). *)
 
 open Sim
 
 let qtest = QCheck_alcotest.to_alcotest
 let set = Pid.set_of_list
 
-let test_majority_threshold () =
-  Alcotest.(check int) "n=1" 1 (Quorum.majority_threshold 1);
-  Alcotest.(check int) "n=2" 2 (Quorum.majority_threshold 2);
-  Alcotest.(check int) "n=3" 2 (Quorum.majority_threshold 3);
-  Alcotest.(check int) "n=4" 3 (Quorum.majority_threshold 4);
-  Alcotest.(check int) "n=5" 3 (Quorum.majority_threshold 5)
+let test_majority_boundary () =
+  (* of n members, the first ⌊n/2⌋+1 are a majority and one fewer is not *)
+  for n = 1 to 5 do
+    let config = set (List.init n (fun i -> i + 1)) in
+    let first k = set (List.init k (fun i -> i + 1)) in
+    let t = (n / 2) + 1 in
+    Alcotest.(check bool) (Printf.sprintf "%d of %d" t n) true
+      (Quorum.has_majority ~config (first t));
+    Alcotest.(check bool) (Printf.sprintf "%d of %d" (t - 1) n) false
+      (Quorum.has_majority ~config (first (t - 1)))
+  done
 
 let test_majority_is_quorum () =
   let config = set [ 1; 2; 3; 4; 5 ] in
-  Alcotest.(check bool) "3 of 5" true (Quorum.Majority.is_quorum ~config (set [ 1; 2; 3 ]));
-  Alcotest.(check bool) "2 of 5" false (Quorum.Majority.is_quorum ~config (set [ 1; 2 ]));
+  Alcotest.(check bool) "3 of 5" true (Quorum.has_majority ~config (set [ 1; 2; 3 ]));
+  Alcotest.(check bool) "2 of 5" false (Quorum.has_majority ~config (set [ 1; 2 ]));
   Alcotest.(check bool) "outsiders don't count" false
-    (Quorum.Majority.is_quorum ~config (set [ 6; 7; 8; 9 ]));
-  Alcotest.(check bool) "mixed" true
-    (Quorum.Majority.is_quorum ~config (set [ 3; 4; 5; 9 ]))
+    (Quorum.has_majority ~config (set [ 6; 7; 8; 9 ]));
+  Alcotest.(check bool) "mixed" true (Quorum.has_majority ~config (set [ 3; 4; 5; 9 ]))
 
 let test_majority_empty_config () =
-  Alcotest.(check bool) "empty config has no quorum... " false
-    (Quorum.Majority.is_quorum ~config:Pid.Set.empty Pid.Set.empty |> not |> not
-    |> fun b -> b && false);
-  (* an empty set against an empty config: threshold is 1, present is 0 *)
-  Alcotest.(check bool) "no quorum of empty config" false
-    (Quorum.Majority.is_quorum ~config:Pid.Set.empty (set [ 1 ]))
+  (* the threshold of an empty config is 1, and nothing in it is present *)
+  Alcotest.(check bool) "empty config has no majority" false
+    (Quorum.has_majority ~config:Pid.Set.empty Pid.Set.empty);
+  Alcotest.(check bool) "outsiders make no majority of an empty config" false
+    (Quorum.has_majority ~config:Pid.Set.empty (set [ 1 ]))
 
 let gen_config_and_subsets =
   QCheck.make
@@ -42,57 +45,12 @@ let gen_config_and_subsets =
       let pick l = List.filter_map (fun (p, keep) -> if keep then Some p else None) l in
       return (config, pick a, pick b))
 
-let prop_quorum_intersection (module Q : Quorum.SYSTEM) name =
-  QCheck.Test.make ~name:(name ^ ": two quorums intersect") gen_config_and_subsets
+let prop_majority_intersection =
+  QCheck.Test.make ~name:"majority: two quorums intersect" gen_config_and_subsets
     (fun (c, a, b) ->
       let config = set c and qa = set a and qb = set b in
-      if Q.is_quorum ~config qa && Q.is_quorum ~config qb then
-        Quorum.intersects (Pid.Set.inter qa config) (Pid.Set.inter qb config)
-      else true)
-
-let test_grid_basic () =
-  (* 9 members in a 3x3 grid: a full row + one per row is a quorum *)
-  let config = set [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ] in
-  (* rows: [1;2;3] [4;5;6] [7;8;9] *)
-  Alcotest.(check bool) "row+cover" true
-    (Quorum.Grid.is_quorum ~config (set [ 1; 2; 3; 4; 7 ]));
-  Alcotest.(check bool) "missing a row touch" false
-    (Quorum.Grid.is_quorum ~config (set [ 1; 2; 3; 4 ]));
-  Alcotest.(check bool) "no full row" false
-    (Quorum.Grid.is_quorum ~config (set [ 1; 5; 9 ]));
-  Alcotest.(check bool) "everything" true (Quorum.Grid.is_quorum ~config config)
-
-let test_grid_small_configs () =
-  Alcotest.(check bool) "singleton" true
-    (Quorum.Grid.is_quorum ~config:(set [ 1 ]) (set [ 1 ]));
-  Alcotest.(check bool) "pair needs both.. majority=2" true
-    (Quorum.Grid.is_quorum ~config:(set [ 1; 2 ]) (set [ 1; 2 ]));
-  Alcotest.(check bool) "pair single insufficient" false
-    (Quorum.Grid.is_quorum ~config:(set [ 1; 2 ]) (set [ 1 ]))
-
-let test_wall_basic () =
-  (* 10 members -> rows [1] [2;3] [4;5;6] [7;8;9;10] *)
-  let config = set [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
-  Alcotest.(check bool) "top row + reps below" true
-    (Quorum.Wall.is_quorum ~config (set [ 1; 2; 4; 7 ]));
-  Alcotest.(check bool) "full middle row + reps below" true
-    (Quorum.Wall.is_quorum ~config (set [ 4; 5; 6; 8 ]));
-  Alcotest.(check bool) "bottom row alone" true
-    (Quorum.Wall.is_quorum ~config (set [ 7; 8; 9; 10 ]));
-  Alcotest.(check bool) "no full row" false
-    (Quorum.Wall.is_quorum ~config (set [ 2; 4; 7 ]));
-  Alcotest.(check bool) "full row but a row below untouched" false
-    (Quorum.Wall.is_quorum ~config (set [ 2; 3; 7 ]))
-
-let test_wall_small_configs () =
-  Alcotest.(check bool) "singleton" true
-    (Quorum.Wall.is_quorum ~config:(set [ 1 ]) (set [ 1 ]));
-  Alcotest.(check bool) "pair single insufficient" false
-    (Quorum.Wall.is_quorum ~config:(set [ 1; 2 ]) (set [ 2 ]))
-
-let test_has_majority_alias () =
-  let config = set [ 1; 2; 3 ] in
-  Alcotest.(check bool) "alias works" true (Quorum.has_majority ~config (set [ 1; 2 ]))
+      (not (Quorum.has_majority ~config qa && Quorum.has_majority ~config qb))
+      || not (Pid.Set.is_empty (Pid.Set.inter (Pid.Set.inter qa qb) config)))
 
 (* --- one quorum round (Quorum.Phase) --- *)
 
@@ -159,14 +117,9 @@ let suites =
   [
     ( "quorum",
       [
-        Alcotest.test_case "majority threshold" `Quick test_majority_threshold;
+        Alcotest.test_case "majority threshold" `Quick test_majority_boundary;
         Alcotest.test_case "majority membership" `Quick test_majority_is_quorum;
         Alcotest.test_case "empty config" `Quick test_majority_empty_config;
-        Alcotest.test_case "grid basics" `Quick test_grid_basic;
-        Alcotest.test_case "grid small configs" `Quick test_grid_small_configs;
-        Alcotest.test_case "wall basics" `Quick test_wall_basic;
-        Alcotest.test_case "wall small configs" `Quick test_wall_small_configs;
-        Alcotest.test_case "has_majority alias" `Quick test_has_majority_alias;
         Alcotest.test_case "phase: only current members count" `Quick
           test_phase_only_current_members_count;
         Alcotest.test_case "phase: completes at a majority" `Quick
@@ -175,8 +128,6 @@ let suites =
           test_phase_retransmits_to_unanswered;
         Alcotest.test_case "phase: refusal of the current id only" `Quick
           test_phase_refusal_current_only;
-        qtest (prop_quorum_intersection (module Quorum.Majority) "majority");
-        qtest (prop_quorum_intersection (module Quorum.Grid) "grid");
-        qtest (prop_quorum_intersection (module Quorum.Wall) "wall");
+        qtest prop_majority_intersection;
       ] );
   ]

@@ -281,7 +281,7 @@ let test_sync_runner_drives_stack () =
   let members = [ 1; 2; 3; 4 ] in
   let rng = Rng.create 17 in
   let b =
-    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4
       ~hooks:Stack.unit_hooks ~members_set:(set members) ~directory:(ref (set members))
   in
   let corrupted p =
@@ -312,7 +312,7 @@ let test_joiner_app_waits_for_handshake () =
     }
   in
   let b =
-    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4
       ~hooks:{ Stack.unit_hooks with plugin } ~members_set:(set seeds)
       ~directory:(ref (set seeds))
   in
@@ -441,7 +441,7 @@ let sa_view fd =
 
 let test_link_drops_stale_sa () =
   let b =
-    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4
       ~hooks:Stack.unit_hooks ~members_set:(set [ 1; 2; 3 ])
       ~directory:(ref (set [ 1; 2; 3 ]))
   in
@@ -472,7 +472,7 @@ let link_recovers ~poison () =
   let members = [ 1; 2; 3; 4 ] and capacity = 4 in
   let rng = Rng.create 23 in
   let b =
-    Stack.driver ~capacity ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+    Stack.driver ~capacity ~n_bound:8 ~theta:4
       ~hooks:Stack.unit_hooks ~members_set:(set members) ~directory:(ref (set members))
   in
   let init p =
@@ -550,7 +550,7 @@ let test_link_engine_replacement () =
 let test_link_corruption () =
   let pool = [ 1; 2; 3; 4 ] in
   let b =
-    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~quorum:(module Quorum.Majority)
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4
       ~hooks:Stack.unit_hooks ~members_set:(set pool) ~directory:(ref (set pool))
   in
   let rng = Rng.create 5 in

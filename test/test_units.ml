@@ -54,7 +54,7 @@ let test_recma_no_trigger_in_steady_state () =
   let ma = Recma.create ~self:1 in
   for _ = 1 to 5 do
     let events =
-      Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) ~send:no_send ()
+      Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) ~send:no_send
     in
     Alcotest.(check (list (pair string string))) "no trigger events" [] events
   done;
@@ -65,7 +65,7 @@ let test_recma_messages_to_participants () =
   let sa = steady_recsa ~self:1 ~members in
   let ma = Recma.create ~self:1 in
   let send, sent = collecting_send () in
-  ignore (Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) ~send ());
+  ignore (Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> false) ~send);
   Alcotest.(check (list int)) "broadcast to other participants" [ 2; 3 ]
     (List.sort compare (List.map fst (sent ())))
 
@@ -75,7 +75,7 @@ let test_recma_prediction_needs_majority () =
   let ma = Recma.create ~self:1 in
   (* own vote only: 1 of 5 — no trigger *)
   let _ =
-    Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> true) ~send:no_send ()
+    Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> true) ~send:no_send
   in
   Alcotest.(check int) "no trigger on own vote" 0 (Recma.attempt_count ma);
   (* two more supporters: 3 of 5 — majority, trigger *)
@@ -84,7 +84,7 @@ let test_recma_prediction_needs_majority () =
   Recma.receive ma ~from:3 ~participant:true
     { Recma.m_no_maj = false; m_need_reconf = true };
   let _ =
-    Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> true) ~send:no_send ()
+    Recma.tick ma ~trusted:members ~recsa:sa ~eval_conf:(fun _ -> true) ~send:no_send
   in
   Alcotest.(check bool) "trigger attempted with majority" true
     (Recma.attempt_count ma >= 1)
@@ -98,7 +98,7 @@ let test_recma_non_participant_ignores_messages () =
   let sa = Recsa.create ~self:1 ~participant:false () in
   let send, sent = collecting_send () in
   let events =
-    Recma.tick ma ~trusted:(set [ 1; 2 ]) ~recsa:sa ~eval_conf:(fun _ -> true) ~send ()
+    Recma.tick ma ~trusted:(set [ 1; 2 ]) ~recsa:sa ~eval_conf:(fun _ -> true) ~send
   in
   Alcotest.(check bool) "no output as non-participant" true (sent () = [] && events = [])
 
@@ -157,7 +157,7 @@ let test_join_majority_required () =
   let tick () =
     Join.tick j ~trusted ~recsa:sa ~reset_vars:(fun () -> ())
       ~init_vars:(fun _ -> ())
-      ~send:no_send ()
+      ~send:no_send
   in
   ignore (tick ());
   Join.on_reply j ~from:1 ~participant:false ~pass:true ~app:();

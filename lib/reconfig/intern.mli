@@ -16,6 +16,9 @@
 
 open Sim
 
+(** The entry count at which a table resets. *)
+val cap : int
+
 (** [Make (H)] is an interning table over [H.t]: [intern x] returns the
     canonical physically-shared representative of [x]. *)
 module Make (H : Hashtbl.HashedType) : sig

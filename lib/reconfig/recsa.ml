@@ -36,6 +36,11 @@ type t = {
   mutable memo_config : Config_value.t option;
   mutable memo_broadcast : (Pid.t * message) list option;
   mutable memo_quiet : bool; (* a tick at this key changed nothing *)
+  (* [peer_views] at (views_version, views_part): one tick reads the views
+     in several tests, most often at one version and one participant set *)
+  mutable views_version : int;
+  mutable views_part : Pid.Set.t;
+  mutable views : (Pid.t * message) list;
 }
 
 let create ~self ~participant ?initial_config () =
@@ -63,6 +68,9 @@ let create ~self ~participant ?initial_config () =
     memo_config = None;
     memo_broadcast = None;
     memo_quiet = false;
+    views_version = -1;
+    views_part = Pid.Set.empty;
+    views = [];
   }
 
 let set_config t v =
@@ -181,14 +189,23 @@ let chs_config t ~trusted =
     (match smallest with Some s -> Config_value.Set s | None -> Config_value.Reset)
 
 let peer_views t ~part =
-  Pid.Set.fold
-    (fun p acc ->
-      if Pid.equal p t.sa_self then acc
-      else
-        match Pid.Map.find_opt p t.peers with
-        | Some pv -> (p, pv) :: acc
-        | None -> acc)
-    part []
+  if t.views_version = t.version && t.views_part == part then t.views
+  else begin
+    let views =
+      Pid.Set.fold
+        (fun p acc ->
+          if Pid.equal p t.sa_self then acc
+          else
+            match Pid.Map.find_opt p t.peers with
+            | Some pv -> (p, pv) :: acc
+            | None -> acc)
+        part []
+    in
+    t.views_version <- t.version;
+    t.views_part <- part;
+    t.views <- views;
+    views
+  end
 
 (* same(k): pk's most recently received (part, prp) match ours. *)
 let same t ~part pv =
@@ -539,17 +556,25 @@ let broadcast t ~trusted =
     t.memo_broadcast <- Some msgs;
     msgs
 
-(* Interned descriptors make [==] decide whether two views are the same. *)
-let same_view a b =
-  a.m_fd == b.m_fd && a.m_part == b.m_part && a.m_config == b.m_config
-  && a.m_prp == b.m_prp
-  && Bool.equal a.m_all b.m_all
-  &&
-  match (a.m_echo, b.m_echo) with
-  | None, None -> true
-  | Some e, Some e' ->
-    e.e_part == e'.e_part && e.e_prp == e'.e_prp && Bool.equal e.e_all e'.e_all
-  | Some _, None | None, Some _ -> false
+(* Value equality, whichever copies carry the fields. Interned descriptors
+   usually decide in one pointer compare each; which values share a
+   pointer depends on [Intern]'s table history, which no decision may
+   depend on. *)
+let equal_message a b =
+  a == b
+  || Intern.set_equal a.m_fd b.m_fd
+     && Intern.set_equal a.m_part b.m_part
+     && Config_value.equal a.m_config b.m_config
+     && Notification.equal a.m_prp b.m_prp
+     && Bool.equal a.m_all b.m_all
+     &&
+     match (a.m_echo, b.m_echo) with
+     | None, None -> true
+     | Some e, Some e' ->
+       Intern.set_equal e.e_part e'.e_part
+       && Notification.equal e.e_prp e'.e_prp
+       && Bool.equal e.e_all e'.e_all
+     | Some _, None | None, Some _ -> false
 
 (* Intern every descriptor as it comes off the wire: this is the single
    choke point that makes all downstream Definition 3.1 comparisons
@@ -573,21 +598,25 @@ let intern_view m =
     m_echo = echo }
 
 (* The stored view is the message itself, its notification normalized if
-   malformed. In the simulator a message carries the sender's own (interned)
-   descriptors, so a repeated message is usually physically the stored view:
-   nothing to intern. An unchanged view leaves [peers], and so the memo,
-   alone. *)
+   malformed and its descriptors interned. In the simulator a message
+   carries the sender's own (interned) descriptors, so a repeated message
+   usually equals the stored view field by field under [==]. An unchanged
+   view is not interned again and leaves [peers], and so the memo, alone. *)
 let receive t ~from m =
   let m =
     if Notification.malformed m.m_prp then { m with m_prp = Notification.default } else m
   in
   match Pid.Map.find_opt from t.peers with
-  | Some pv when same_view pv m -> ()
-  | stored -> (
-    let m = intern_view m in
-    match stored with
-    | Some pv when same_view pv m -> ()
-    | Some _ | None -> set_peers t (Pid.Map.add from m t.peers))
+  | Some pv when equal_message pv m -> ()
+  | Some _ | None -> set_peers t (Pid.Map.add from (intern_view m) t.peers)
+
+(* A notification is active (the sender's or ours) and no reset is in sight:
+   brute-force stabilization stays with the timer, whose one iteration per
+   tick bounds how often a node can restart a reset. *)
+let iterate_on_receipt t m =
+  Config_value.is_set m.m_config
+  && Config_value.is_set t.sa_config
+  && not (Notification.is_default m.m_prp && Notification.is_default t.sa_prp)
 
 let estab t ~trusted set =
   if

@@ -64,11 +64,25 @@ val self : t -> Pid.t
 val tick : t -> trusted:Pid.Set.t -> (string * string) list
 
 (** [broadcast t ~trusted] is the line-29 broadcast: one message per trusted
-    peer, empty when the processor is not a participant (config = ♯). *)
+    peer, in descending pid order, empty when the processor is not a
+    participant (config = ♯). *)
 val broadcast : t -> trusted:Pid.Set.t -> (Pid.t * message) list
 
 (** [receive t ~from m] stores the message fields (line 30). *)
 val receive : t -> from:Pid.t -> message -> unit
+
+(** [iterate_on_receipt t m] — after storing [m], run the next iteration
+    (and its line-29 messages) at once rather than at the next tick: a
+    delicate replacement is under way ([m]'s notification or ours is not
+    the default) and no reset is in sight (both [m]'s configuration and
+    ours are sets). The asynchronous model lets an iteration run at any
+    step; brute-force stabilization stays with the timer. *)
+val iterate_on_receipt : t -> message -> bool
+
+(** [equal_message a b] — the two messages carry equal fields. Structural
+    (with a pointer fast path), so the result does not depend on which
+    values the interning tables happened to share. *)
+val equal_message : message -> message -> bool
 
 (** {2 Interface functions (Figure 1)} *)
 

@@ -27,6 +27,7 @@ type 'app node_state = {
   mutable fd_trusted : Pid.Set.t; (* its interned copy *)
   mutable sa_stamp : int;
   mutable sa_in : sa_link Pid.Map.t;
+  mutable sa_sent : (Pid.t * Recsa.message) list;
 }
 
 (* The node's trusted set, interned once per change: the detector returns
@@ -156,9 +157,10 @@ let link_clean n peer =
 
 (* Newest-state delivery of recSA (Section 2: a link delivers the sender's
    latest state). Each [Sa] packet carries its sender's link stamp, bumped
-   once per broadcast, and a receiver drops a packet not newer than the
-   newest it accepted from that peer (an older one or a duplicate), so a
-   random-pick channel cannot roll a stored view back. A channel never holds more than [capacity] packets,
+   once per batch of line-29 messages (a broadcast, or a receipt's sends),
+   and a receiver drops a packet not newer than the newest it accepted from
+   that peer (an older one or a duplicate), so a random-pick channel cannot
+   roll a stored view back. A channel never holds more than [capacity] packets,
    so a legitimate execution never rejects [capacity] in a row: after that
    many (or from a corrupted count) the receiver accepts unconditionally,
    which bounds what a corrupted stamp, table or channel can delay to one
@@ -299,12 +301,65 @@ let emit_all ctx = function
         note_event tele ~self ~now (tag, detail))
       events
 
-(* the line-29 broadcast, every packet stamped with [stamp] *)
-let rec send_sa ctx n sent stamp = function
-  | [] -> ()
+(* [last] with the entries of peers above [dst] dropped *)
+let rec drop_above dst = function
+  | (q, _) :: rest when Pid.compare q dst > 0 -> drop_above dst rest
+  | last -> last
+
+(* The messages of [msgs] that differ from [last]'s message to the same
+   peer, stamped with [stamp]; true iff one went out. Both lists are
+   [Recsa.broadcast] results, so both list peers in descending pid order
+   and one walk pairs them up. *)
+let rec send_changed ctx n sent stamp ~last = function
+  | [] -> false
   | (dst, m) :: rest ->
-    send_gated ctx n sent dst (Sa (stamp, m));
-    send_sa ctx n sent stamp rest
+    let last = drop_above dst last in
+    let unchanged =
+      match last with
+      | (q, m') :: _ -> Pid.equal q dst && Recsa.equal_message m m'
+      | [] -> false
+    in
+    if unchanged then send_changed ctx n sent stamp ~last rest
+    else begin
+      send_gated ctx n sent dst (Sa (stamp, m));
+      ignore (send_changed ctx n sent stamp ~last rest);
+      true
+    end
+
+(* The line-29 messages [msgs] under a fresh link stamp, except those equal
+   to [last]'s ([~last:[]] sends them all); true iff one went out. They
+   become the last ones sent. *)
+let send_sa ctx n sent ~last msgs =
+  let stamp = n.sa_stamp + 1 in
+  let sent_any = send_changed ctx n sent stamp ~last msgs in
+  if sent_any then n.sa_stamp <- stamp;
+  n.sa_sent <- msgs;
+  sent_any
+
+(* Time the delicate-replacement automaton: a span opens when this node's
+   notification leaves phase 0 and closes when it returns (Figure 2's
+   0 -> 1 -> 2 -> 0 cycle). Run after every iteration of recSA, in the step
+   that moved the automaton. *)
+let note_phase ctx n =
+  let phase = (Recsa.prp n.sa).Notification.phase in
+  if phase <> n.tele_phase then begin
+    let tele = Step.telemetry ctx
+    and now = Step.now ctx
+    and self = Step.self ctx in
+    (match (n.tele_phase, phase) with
+    | Notification.P0, (Notification.P1 | Notification.P2) ->
+      Telemetry.span_begin tele ~name:"recsa.replacement_seconds" ~key:self ~now
+    | (Notification.P1 | Notification.P2), Notification.P0 ->
+      if Telemetry.span_open tele ~name:"recsa.replacement_seconds" ~key:self then
+        Telemetry.span_end tele ~name:"recsa.replacement_seconds" ~key:self ~now
+    | _ -> ());
+    n.tele_phase <- phase
+  end
+
+(* one do-forever iteration of recSA (lines 25-28) and its telemetry *)
+let recsa_iteration ctx n ~trusted =
+  emit_all ctx (Recsa.tick n.sa ~trusted);
+  note_phase ctx n
 
 (* the plugin's view; its sends are gated and counted as [App] traffic *)
 let view_of ctx n sent_app =
@@ -347,6 +402,7 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
         fd_trusted = Pid.Set.empty;
         sa_stamp = 0;
         sa_in = Pid.Map.empty;
+        sa_sent = [];
       }
     in
     if joiner then
@@ -372,29 +428,8 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
        interface memo *)
     let trusted = trusted_set n in
     (* recSA: one do-forever iteration, then the line-29 broadcast *)
-    emit_all ctx (Recsa.tick n.sa ~trusted);
-    (* time the delicate-replacement automaton: a span opens when this
-       node's notification leaves phase 0 and closes when it returns
-       (Figure 2's 0 -> 1 -> 2 -> 0 cycle) *)
-    let phase = (Recsa.prp n.sa).Notification.phase in
-    if phase <> n.tele_phase then begin
-      let tele = Step.telemetry ctx and now = Step.now ctx in
-      (match (n.tele_phase, phase) with
-      | Notification.P0, (Notification.P1 | Notification.P2) ->
-        Telemetry.span_begin tele ~name:"recsa.replacement_seconds" ~key:self ~now
-      | (Notification.P1 | Notification.P2), Notification.P0 ->
-        if Telemetry.span_open tele ~name:"recsa.replacement_seconds" ~key:self
-        then
-          Telemetry.span_end tele ~name:"recsa.replacement_seconds" ~key:self ~now
-      | _ -> ());
-      n.tele_phase <- phase
-    end;
-    let sa_msgs = Recsa.broadcast n.sa ~trusted in
-    let broadcast = match sa_msgs with [] -> false | _ :: _ -> true in
-    if broadcast then begin
-      n.sa_stamp <- n.sa_stamp + 1;
-      send_sa ctx n sent_sa n.sa_stamp sa_msgs
-    end;
+    recsa_iteration ctx n ~trusted;
+    let broadcast = send_sa ctx n sent_sa ~last:[] (Recsa.broadcast n.sa ~trusted) in
     (* recMA *)
     emit_all ctx
       (Recma.tick n.ma ~trusted ~recsa:n.sa
@@ -410,8 +445,8 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
     hooks.plugin.p_tick (view_of ctx n sent_app) n.app;
     (* heartbeats (the data-link token) to every known processor not already
        covered by a recSA broadcast, which, when this tick made one, went to
-       every trusted processor but self ([sa_msgs] was taken before Join.tick
-       could make this node a participant); in steady state it covers them
+       every trusted processor but self (it was taken before Join.tick could
+       make this node a participant); in steady state it covers them
        all, so look for an uncovered one before building the union *)
     let uncovered dst =
       (not (Pid.equal dst self)) && not (broadcast && Pid.Set.mem dst trusted)
@@ -441,7 +476,20 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
     | Snap _ -> ()
     | Heartbeat -> ()
     | Sa (stamp, m) ->
-      if sa_fresh ~capacity n ~from stamp then Recsa.receive n.sa ~from m
+      if sa_fresh ~capacity n ~from stamp then begin
+        Recsa.receive n.sa ~from m;
+        (* A delicate replacement moves on receipts: on one that
+           [Recsa.iterate_on_receipt] accepts, the do-forever iteration runs
+           in this step, and the line-29 message goes out at once, under a
+           fresh stamp, to each peer whose message changed since the last
+           one sent to it. The timer's broadcast stays the heartbeat and the
+           stabilization backbone; this only answers sooner. *)
+        if Recsa.iterate_on_receipt n.sa m then begin
+          let trusted = trusted_set n in
+          recsa_iteration ctx n ~trusted;
+          ignore (send_sa ctx n sent_sa ~last:n.sa_sent (Recsa.broadcast n.sa ~trusted))
+        end
+      end
       else Telemetry.incr (stale_dropped_sa (Step.telemetry ctx))
     | Ma m -> Recma.receive n.ma ~from ~participant:(Recsa.is_participant n.sa) m
     | Join (Join.Join_request) ->

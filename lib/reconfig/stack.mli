@@ -61,10 +61,17 @@ type 'app node_state = {
       (** its interned copy, refreshed only when the detector returns a new
           set *)
   mutable sa_stamp : int;
-      (** the link stamp of this node's last recSA broadcast, bumped once per
-          broadcast (wrapping at [max_int]) *)
+      (** the link stamp of this node's last recSA messages, bumped once per
+          broadcast and once per receipt that sends line-29 messages
+          (wrapping at [max_int]) *)
   mutable sa_in : sa_link Pid.Map.t;
       (** per peer, the newest-state record of its recSA packets *)
+  mutable sa_sent : (Pid.t * Recsa.message) list;
+      (** per peer, the last line-29 message sent to it. A receipt that
+          moves a delicate replacement re-sends only the messages that
+          differ from these. Every timer broadcast overwrites the list, so
+          a corrupted one lasts at most one tick and can only hold an
+          early send back. *)
 }
 
 (** The scheme as the application plugin sees it — the [getConfig()] /

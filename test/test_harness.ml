@@ -41,34 +41,66 @@ let test_pool_default_jobs () =
 (* --- deterministic tables across job counts ------------------------- *)
 
 (* E17 (the scale tier) carries wall-clock throughput columns — the one
-   documented exception to byte-identity — so renders exclude it here. *)
-let render tables =
-  tables
-  |> List.filter (fun t -> not (String.equal t.Table.id "E17"))
-  |> List.map (Format.asprintf "%a" Table.pp)
-  |> String.concat "\n"
+   documented exception to byte-identity — so comparisons skip it. *)
+let deterministic tables = List.filter (fun t -> not (String.equal t.Table.id "E17")) tables
+
+(* [first_difference a b] — the index of the first row where [a] and [b]
+   differ, with both rows ([None] past a list's end) *)
+let first_difference a b =
+  let rec go i = function
+    | [], [] -> None
+    | r :: rs, r' :: rs' ->
+      if List.equal String.equal r r' then go (i + 1) (rs, rs') else Some (i, Some r, Some r')
+    | r :: _, [] -> Some (i, Some r, None)
+    | [], r' :: _ -> Some (i, None, Some r')
+  in
+  go 0 (a, b)
+
+(* Table by table, so a mismatch names the experiment and its first
+   differing row instead of dumping both renders. Equal fields render to
+   equal bytes, since [Table.pp] reads nothing else. *)
+let check_tables what expected actual =
+  let expected = deterministic expected and actual = deterministic actual in
+  let ids = List.map (fun t -> t.Table.id) in
+  Alcotest.(check (list string)) (what ^ ": table ids") (ids expected) (ids actual);
+  List.iter2
+    (fun (e : Table.t) (a : Table.t) ->
+      let field name = Printf.sprintf "%s: %s %s" what e.id name in
+      Alcotest.(check string) (field "title") e.title a.title;
+      Alcotest.(check string) (field "claim") e.claim a.claim;
+      Alcotest.(check (list string)) (field "header") e.header a.header;
+      (match first_difference e.rows a.rows with
+      | None -> ()
+      | Some (i, r, r') ->
+        let show = function None -> "(no row)" | Some r -> String.concat " | " r in
+        Alcotest.failf "%s: %s differs first at row %d\n  expected: %s\n  actual:   %s" what
+          e.id i (show r) (show r'));
+      Alcotest.(check (list string)) (field "notes") e.notes a.notes)
+    expected actual
 
 let test_experiments_jobs_byte_identical () =
   let p = Experiments.quick_params in
-  let seq = render (Experiments.all ~jobs:1 p) in
-  let par = render (Experiments.all ~jobs:4 p) in
-  Alcotest.(check string) "experiment tables identical for jobs=1 and jobs=4" seq par
+  check_tables "jobs=1 vs jobs=4" (Experiments.all ~jobs:1 p) (Experiments.all ~jobs:4 p)
 
 let test_ablations_jobs_byte_identical () =
   let p = Experiments.quick_params in
-  let seq = render (Ablations.all ~jobs:1 p) in
-  let par = render (Ablations.all ~jobs:4 p) in
-  Alcotest.(check string) "ablation tables identical for jobs=1 and jobs=4" seq par
+  check_tables "jobs=1 vs jobs=4" (Ablations.all ~jobs:1 p) (Ablations.all ~jobs:4 p)
 
 let test_registry_matches_all () =
   let p = Experiments.quick_params in
   Alcotest.(check (list string)) "registry ids" Experiments.ids
     (List.map fst Experiments.registry);
-  let via_all = render (Experiments.all ~jobs:1 p) in
-  let via_registry =
-    render (List.map (fun (_, f) -> f ?jobs:(Some 1) p) Experiments.registry)
-  in
-  Alcotest.(check string) "registry produces the same tables as all" via_all via_registry
+  check_tables "all vs registry" (Experiments.all ~jobs:1 p)
+    (List.map (fun (_, f) -> f ?jobs:(Some 1) p) Experiments.registry)
+
+let test_first_difference () =
+  let rows = [ [ "4"; "true" ]; [ "6"; "true" ] ] in
+  Alcotest.(check bool) "equal rows" true (first_difference rows rows = None);
+  Alcotest.(check bool) "a differing cell" true
+    (first_difference rows [ [ "4"; "true" ]; [ "6"; "false" ] ]
+    = Some (1, Some [ "6"; "true" ], Some [ "6"; "false" ]));
+  Alcotest.(check bool) "a missing row" true
+    (first_difference rows [ [ "4"; "true" ] ] = Some (1, Some [ "6"; "true" ], None))
 
 let suites =
   [
@@ -87,5 +119,6 @@ let suites =
         Alcotest.test_case "ablations byte-identical across jobs" `Slow
           test_ablations_jobs_byte_identical;
         Alcotest.test_case "registry matches all" `Slow test_registry_matches_all;
+        Alcotest.test_case "first differing row" `Quick test_first_difference;
       ] );
   ]

@@ -885,6 +885,198 @@ let test_quiet_tick_reads_allseen () =
   Alcotest.(check bool) "in phase 2" true
     ((Recsa.prp sa).Notification.phase = Notification.P2)
 
+(* --- the delicate replacement answers receipts in the same step --- *)
+
+let sa_sent tele = Telemetry.counter_value tele ~labels:[ ("kind", "sa") ] "stack.sent"
+
+(* [eager_system ~seed n] — members 1..n warmed up for 25 rounds, as the
+   experiments build their clusters *)
+let eager_system ~seed n =
+  let sys =
+    Stack.of_scenario ~hooks:Stack.unit_hooks
+      (Scenario.make ~seed ~n_bound:(2 * n) ~members:(List.init n (fun i -> i + 1)) ())
+  in
+  Stack.run_rounds sys 25;
+  sys
+
+(* E2's single proposal: node 1 proposes to drop itself; the rounds until
+   every participant installed it and the system is quiescent again *)
+let single_replacement ~seed n =
+  let sys = eager_system ~seed n in
+  let target = Pid.Set.remove 1 (set (List.init n (fun i -> i + 1))) in
+  Alcotest.(check bool) "estab accepted" true (Stack.estab sys 1 target);
+  let eng = Stack.engine sys in
+  let start = Engine.rounds eng in
+  let settled t =
+    Stack.quiescent t && Option.equal Pid.Set.equal (Stack.uniform_config t) (Some target)
+  in
+  Alcotest.(check bool) "replacement installed" true
+    (Stack.run_until sys ~max_steps:2_000_000 settled);
+  (sys, Engine.rounds eng - start)
+
+let test_steady_sends_only_on_ticks () =
+  (* no notification, so no receipt runs an iteration: recSA sends exactly
+     N-1 messages per timer step and none from a receipt *)
+  let n = 8 in
+  let members = set (List.init n (fun i -> i + 1)) in
+  let b =
+    Stack.driver ~capacity:8 ~n_bound:(2 * n) ~theta:4 ~hooks:Stack.unit_hooks
+      ~members_set:members ~directory:(ref members)
+  in
+  let ticks = ref 0 and receipt_sends = ref 0 in
+  let on_timer ctx st =
+    incr ticks;
+    b.on_timer ctx st
+  in
+  let on_message ctx from m st =
+    let before = sa_sent (Step.telemetry ctx) in
+    let st = b.on_message ctx from m st in
+    receipt_sends := !receipt_sends + sa_sent (Step.telemetry ctx) - before;
+    st
+  in
+  let eng =
+    Engine.create ~seed:1 ~loss:0.0 ~behavior:{ b with on_timer; on_message }
+      ~pids:(Pid.Set.elements members) ()
+  in
+  Engine.run_rounds eng 25;
+  let sent0 = sa_sent (Engine.telemetry eng) and ticks0 = !ticks in
+  Engine.run_rounds eng 20;
+  let tele = Engine.telemetry eng in
+  Alcotest.(check int) "no recSA message from a receipt" 0 !receipt_sends;
+  Alcotest.(check int) "N-1 recSA messages per timer step"
+    ((n - 1) * (!ticks - ticks0))
+    (sa_sent tele - sent0);
+  Alcotest.(check bool) "every node ticked every round" true (!ticks - ticks0 >= 20 * n)
+
+let test_single_proposal_installs_fast () =
+  (* a timer-paced automaton needs 25 rounds here; answering each receipt in
+     its own step cuts that to 12-16 *)
+  List.iter
+    (fun seed ->
+      let _, rounds = single_replacement ~seed 8 in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: installed in %d rounds, at most 18" seed rounds)
+        true (rounds <= 18))
+    [ 1; 2; 3 ]
+
+let trace_text sys =
+  Trace.fold (Engine.trace (Stack.engine sys)) ~init:[] (fun acc e ->
+      Trace.entry_json e :: acc)
+  |> List.rev |> String.concat "\n"
+
+let test_replacement_independent_of_interning () =
+  (* which values share a pointer depends on the interning tables' history;
+     the run must not: refill every table past its cap (which resets it)
+     and replay *)
+  let first, _ = single_replacement ~seed:5 8 in
+  for i = 0 to Intern.cap do
+    let s = Pid.Set.singleton (1_000 + i) in
+    ignore (Intern.pid_set s);
+    ignore (Config_value.of_set s);
+    ignore (Notification.intern (Notification.make Notification.P1 s))
+  done;
+  let second, _ = single_replacement ~seed:5 8 in
+  Alcotest.(check string) "byte-identical traces" (trace_text first) (trace_text second)
+
+let test_replacement_span_closes_in_step () =
+  (* the replacement span is bookkept by every iteration, those run on a
+     receipt included: after any step, a node back in phase 0 has no open
+     span, and every node timed exactly one replacement *)
+  let sys = eager_system ~seed:2 8 in
+  let eng = Stack.engine sys in
+  let tele = Engine.telemetry eng in
+  let target = set [ 2; 3; 4; 5; 6; 7; 8 ] in
+  Alcotest.(check bool) "estab accepted" true (Stack.estab sys 1 target);
+  let name = "recsa.replacement_seconds" in
+  let settled () =
+    Stack.quiescent sys && Option.equal Pid.Set.equal (Stack.uniform_config sys) (Some target)
+  in
+  let rec go budget =
+    if settled () then ()
+    else if budget = 0 then Alcotest.fail "replacement did not settle"
+    else begin
+      ignore (Engine.step eng);
+      List.iter
+        (fun (p, n) ->
+          if (Recsa.prp n.Stack.sa).Notification.phase = Notification.P0 then
+            Alcotest.(check bool)
+              (Printf.sprintf "p%d in phase 0 at %.3f: span closed" p (Engine.time eng))
+              false
+              (Telemetry.span_open tele ~name ~key:p))
+        (Stack.live_nodes sys);
+      go (budget - 1)
+    end
+  in
+  go 2_000_000;
+  let timed =
+    match Telemetry.find_histogram tele name with
+    | Some h -> Telemetry.Histogram.count h
+    | None -> 0
+  in
+  Alcotest.(check int) "one replacement timed per node" 8 timed
+
+let test_receipt_resends_only_changes () =
+  (* node 1 of {1,2,3,4}: a receipt that moves the automaton sends the
+     line-29 message to the peers whose message changed, and only to them *)
+  let members = set [ 1; 2; 3; 4 ] in
+  let b =
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~hooks:Stack.unit_hooks
+      ~members_set:members ~directory:(ref members)
+  in
+  let ctx = Step.create ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ()) in
+  let sent = ref [] in
+  ctx.Step.ctx_send <-
+    (fun dst m -> match m with Stack.Sa _ -> sent := dst :: !sent | _ -> ());
+  ctx.Step.ctx_self <- 1;
+  let n = b.init 1 in
+  let sends f =
+    sent := [];
+    ignore (f ());
+    List.sort compare !sent
+  in
+  let view prp =
+    {
+      Recsa.m_fd = members;
+      m_part = members;
+      m_config = Config_value.Set members;
+      m_prp = prp;
+      m_all = false;
+      m_echo = None;
+    }
+  in
+  let deliver from stamp prp () = b.on_message ctx from (Stack.Sa (stamp, view prp)) n in
+  let proposal = Notification.make Notification.P1 (set [ 1; 2; 3 ]) in
+  Alcotest.(check (list int)) "no notification: no send on receipt" []
+    (sends (fun () ->
+         List.iter (fun p -> ignore (deliver p 1 Notification.default ())) [ 2; 3; 4 ]));
+  Alcotest.(check (list int)) "the tick broadcasts" [ 2; 3; 4 ] (sends (fun () -> b.on_timer ctx n));
+  Alcotest.(check (list int)) "adopting a proposal changes every message" [ 2; 3; 4 ]
+    (sends (deliver 2 2 proposal));
+  Alcotest.(check (list int)) "a peer's new notification changes only its echo" [ 3 ]
+    (sends (deliver 3 2 proposal));
+  Alcotest.(check (list int)) "an unchanged view changes nothing" []
+    (sends (deliver 3 3 proposal))
+
+let test_message_equality_by_value () =
+  let asc = set [ 1; 2; 3; 4; 5; 6; 7 ] in
+  let desc = List.fold_left (fun s p -> Pid.Set.add p s) Pid.Set.empty [ 7; 6; 5; 4; 3; 2; 1 ] in
+  let msg fd part =
+    {
+      Recsa.m_fd = fd;
+      m_part = part;
+      m_config = Config_value.Set part;
+      m_prp = Notification.make Notification.P1 part;
+      m_all = true;
+      m_echo = Some { Recsa.e_part = part; e_prp = Notification.default; e_all = false };
+    }
+  in
+  Alcotest.(check bool) "distinct copies of equal values" true
+    (Recsa.equal_message (msg asc asc) (msg desc desc));
+  Alcotest.(check bool) "a differing echo" false
+    (Recsa.equal_message (msg asc asc) { (msg asc asc) with Recsa.m_echo = None });
+  Alcotest.(check bool) "a differing set" false
+    (Recsa.equal_message (msg asc asc) (msg asc (set [ 1; 2 ])))
+
 let suites =
   [
     ( "reconfig.values",
@@ -947,4 +1139,18 @@ let suites =
         Alcotest.test_case "no split brain" `Quick test_partition_does_not_split_brain;
       ] );
     ("reconfig.chaos", [ qtest prop_chaos_convergence ]);
+    ( "reconfig.eager",
+      [
+        Alcotest.test_case "steady: recSA sends only on ticks" `Quick
+          test_steady_sends_only_on_ticks;
+        Alcotest.test_case "single proposal installs within 18 rounds" `Quick
+          test_single_proposal_installs_fast;
+        Alcotest.test_case "replacement independent of interning" `Quick
+          test_replacement_independent_of_interning;
+        Alcotest.test_case "replacement span closes in its step" `Quick
+          test_replacement_span_closes_in_step;
+        Alcotest.test_case "a receipt re-sends only changed messages" `Quick
+          test_receipt_resends_only_changes;
+        Alcotest.test_case "message equality by value" `Quick test_message_equality_by_value;
+      ] );
   ]

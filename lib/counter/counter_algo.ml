@@ -222,11 +222,24 @@ let settle t =
     c
   | None -> fresh_epoch t
 
+(* staleInfo (Algorithm 4.2 line 20): some queue holds a pair whose label
+   its index did not create. Only corruption misfiles a pair: [store_add]
+   files each under its label's creator. [misfiled] is closed, so the walk
+   over the store allocates nothing. *)
+let rec misfiled j = function
+  | [] -> false
+  | (p : Counter.pair) :: rest ->
+    (not (Pid.equal p.Counter.mct.Counter.lbl.Label.creator j)) || misfiled j rest
+
+(* A full run starts with line 20's flush, so a fixed point's store was
+   checked when the fixed point was recorded and a skipped run skips no
+   flush. *)
 let find_max_counter t =
   match t.fixed with
   | Some fp when fp.fp_max == t.max && fp.fp_store == t.store -> fp.fp_result
   | Some _ | None ->
     let max0 = t.max and store0 = t.store in
+    if Pid.Map.exists misfiled t.store then t.store <- Pid.Map.empty;
     cancel_exhausted t;
     cancel_dominated t;
     sync_cancellations t;
@@ -267,9 +280,10 @@ let rebuild t ~members =
     (match own with Some p -> Pid.Map.singleton t.ca_self p | None -> Pid.Map.empty);
   ignore (find_max_counter t)
 
-let corrupt t ~max_entries =
+let corrupt t ~max_entries ~stored_entries =
   t.fixed <- None;
-  List.iter (fun (j, p) -> t.max <- Pid.Map.add j p t.max) max_entries
+  List.iter (fun (j, p) -> t.max <- Pid.Map.add j p t.max) max_entries;
+  List.iter (fun (j, q) -> t.store <- Pid.Map.add j q t.store) stored_entries
 
 let pp fmt t =
   Format.fprintf fmt "counters(p%a) max=%a" Pid.pp t.ca_self

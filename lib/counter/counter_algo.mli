@@ -1,11 +1,17 @@
-(** Counter management for configuration members — Algorithm 4.3's state
-    maintenance (the counter analogue of {!Labels.Label_algo}).
+(** The label storage — Algorithm 4.2's [max\[\]] and [storedLabels\[\]],
+    kept as Algorithm 4.3's [maxC\[\]] and [storedCnts\[\]] of counter
+    pairs, and the one implementation of Algorithm 4.2 in the repository.
 
-    Keeps [maxC\[\]] and [storedCnts\[\]] with the same bounds as the
-    labeling algorithm; counter pairs sharing a label are merged keeping
-    the greatest ⟨seqn, wid⟩ (a canceled copy wins, so cancellations are
-    never lost); exhausted counters are canceled and a fresh epoch label is
-    created when no legit counter survives. *)
+    Run by configuration members. Each member keeps, per member [j], the
+    last counter pair received from [j] ([max\[j\]]) and a bounded queue of
+    the pairs whose label [j] created: [v + m] entries for other members'
+    labels and [v(v² + m) + v] for its own, with [v = |members|] and [m]
+    the bound on pairs in transit. Counter pairs sharing a label are merged
+    keeping the greatest ⟨seqn, wid⟩ (a canceled copy wins, so
+    cancellations are never lost); dominated or incomparable same-creator
+    labels and exhausted counters are canceled, and a fresh epoch label is
+    created when no legit counter survives. PROTOCOLS.md lists where this
+    departs from Algorithm 4.2. *)
 
 open Sim
 
@@ -35,9 +41,11 @@ val stored : t -> Pid.t -> Counter.pair list
 (** Labels created by this node (counts toward Theorem 4.4's bound). *)
 val label_creations : t -> int
 
-(** [find_max_counter t] — Algorithm 4.4's [findMaxCounter]: cancel
-    exhausted counters, settle the structures, and return a legit,
-    non-exhausted maximal counter (creating a new epoch if necessary). *)
+(** [find_max_counter t] — Algorithm 4.4's [findMaxCounter]: flush every
+    queue when one holds a pair filed under the wrong creator (Algorithm
+    4.2's staleInfo, line 20), cancel exhausted counters, settle the
+    structures, and return a legit, non-exhausted maximal counter (creating
+    a new epoch if necessary). *)
 val find_max_counter : t -> Counter.t
 
 (** [merge t ~from pair] — incorporate a counter pair received from [from]
@@ -45,7 +53,9 @@ val find_max_counter : t -> Counter.t
 val merge : t -> from:Pid.t -> Counter.pair -> unit
 
 (** [receipt_action t ~sent_max ~last_sent ~from] — the gossip receipt
-    action of Algorithm 4.3. *)
+    action of Algorithm 4.3 (Algorithm 4.2's [labelReceiptAction] on counter
+    pairs): record the sender's maximum, adopt an echoed cancellation of
+    our own, then [find_max_counter] (lines 20 and 22–27). *)
 val receipt_action :
   t ->
   sent_max:Counter.pair option ->
@@ -61,5 +71,13 @@ val rebuild : t -> members:Pid.Set.t -> unit
     member. *)
 val clean_pair : t -> Counter.pair -> Counter.pair option
 
-val corrupt : t -> max_entries:(Pid.t * Counter.pair) list -> unit
+(** Arbitrary-state injection: overwrite entries of [max\[\]] and whole
+    queues ([stored_entries] pairs a queue's index with its contents, which
+    need not be labels of that creator). *)
+val corrupt :
+  t ->
+  max_entries:(Pid.t * Counter.pair) list ->
+  stored_entries:(Pid.t * Counter.pair list) list ->
+  unit
+
 val pp : Format.formatter -> t -> unit

@@ -306,7 +306,8 @@ let corrupt rng st =
       Counter.pair_of (Counter.make ~lbl ~seqn:(Rng.int rng 8) ~wid:j)
     in
     Counter_algo.corrupt algo
-      ~max_entries:(List.map (fun j -> (j, garbage j)) members);
+      ~max_entries:(List.map (fun j -> (j, garbage j)) members)
+      ~stored_entries:[];
     let conf =
       match Rng.subset rng members with
       | [] -> Pid.set_of_list members
@@ -339,3 +340,29 @@ let plugin ~in_transit_bound ~exhaust_bound =
 
 let hooks ~in_transit_bound ~exhaust_bound =
   { Stack.unit_hooks with plugin = plugin ~in_transit_bound ~exhaust_bound }
+
+let algo st = st.algo
+
+let max_label st =
+  match Option.bind st.algo Counter_algo.local_max with
+  | Some p when Counter.legit p -> Some p.Counter.mct.Counter.lbl
+  | Some _ | None -> None
+
+let agreed_label sys =
+  let members = Option.value ~default:Pid.Set.empty (Stack.uniform_config sys) in
+  match
+    List.filter_map
+      (fun (p, n) -> if Pid.Set.mem p members then Some (max_label n.Stack.app) else None)
+      (Stack.live_nodes sys)
+  with
+  | [] -> None
+  | first :: rest ->
+    if List.for_all (Option.equal Labels.Label.equal first) rest then first else None
+
+let label_creations sys =
+  List.fold_left
+    (fun acc (_, n) ->
+      match n.Stack.app.algo with
+      | Some algo -> acc + Counter_algo.label_creations algo
+      | None -> acc)
+    0 (Stack.live_nodes sys)

@@ -58,3 +58,16 @@ val store : _ Reconfig.Stack.scheme_view -> state -> from:Sim.Pid.t -> Counter.t
 
 (** Number of aborted attempts at this node. *)
 val aborts : state -> int
+
+(** {2 Observation} *)
+
+(** The node's label storage; [None] until the node first serves as a
+    configuration member. *)
+val algo : state -> Counter_algo.t option
+
+(** [agreed_label sys] — [Some l] iff every live configuration member's
+    maximal counter pair is legit and carries label [l]. *)
+val agreed_label : (state, msg) Reconfig.Stack.t -> Labels.Label.t option
+
+(** Labels created by the live nodes so far — Theorem 4.4's quantity. *)
+val label_creations : (state, msg) Reconfig.Stack.t -> int

@@ -339,31 +339,38 @@ let e5_joining ?(jobs = 1) p =
 
 let e6_label_creations ?(jobs = 1) p =
   Pool.with_pool ~jobs @@ fun pool ->
+  let open Counters in
   let m_bound = 8 in
   let run n seed =
-    let hooks = Labels.Label_service.hooks ~in_transit_bound:m_bound in
+    (* the counter service with no increment requests: members gossip and
+       settle their label storage only *)
+    let hooks =
+      Counter_service.hooks ~in_transit_bound:m_bound ~exhaust_bound:(1 lsl 30)
+    in
     let sys = warm_system_with ~hooks ~seed n in
-    let agreed t = Labels.Label_service.agreed_max t <> None in
+    let agreed t = Counter_service.agreed_label t <> None in
     ignore (Stack.run_until sys ~max_steps:2_000_000 agreed);
-    (* (a) arbitrary label state: plant incomparable same-creator
-       labels everywhere *)
+    (* (a) arbitrary label state: at every member, max[j] holds a label of
+       j and queue j two labels of j incomparable with each other *)
+    let garbage j ~sting ~antisting =
+      let lbl = Labels.Label.make ~creator:j ~sting ~antistings:[ antisting ] in
+      Counter.pair_of (Counter.make ~lbl ~seqn:0 ~wid:j)
+    in
     List.iter
       (fun (pid, node) ->
-        match node.Stack.app.Labels.Label_service.algo with
+        match Counter_service.algo node.Stack.app with
         | Some algo ->
-          let garbage j =
-            Labels.Label.pair_of
-              (Labels.Label.make ~creator:j ~sting:(1000 + pid)
-                 ~antistings:[ 2000 + pid ])
-          in
-          Labels.Label_algo.corrupt algo
-            ~max_entries:(List.map (fun j -> (j, garbage j)) (members_of n))
-            ~stored_entries:[]
+          let first j = garbage j ~sting:(1000 + pid) ~antisting:(2000 + pid) in
+          let second j = garbage j ~sting:(3000 + pid) ~antisting:(4000 + pid) in
+          Counter_algo.corrupt algo
+            ~max_entries:(List.map (fun j -> (j, first j)) (members_of n))
+            ~stored_entries:
+              (List.map (fun j -> (j, [ first j; second j ])) (members_of n))
         | None -> ())
       (Stack.live_nodes sys);
-    let before = Labels.Label_service.total_creations sys in
+    let before = Counter_service.label_creations sys in
     ignore (Stack.run_until sys ~max_steps:2_000_000 agreed);
-    let corrupt_creations = Labels.Label_service.total_creations sys - before in
+    let corrupt_creations = Counter_service.label_creations sys - before in
     (* (b) after a delicate reconfiguration *)
     let rec propose tries =
       if tries = 0 then ()
@@ -373,14 +380,14 @@ let e6_label_creations ?(jobs = 1) p =
       end
     in
     propose 100;
-    let before = Labels.Label_service.total_creations sys in
+    let before = Counter_service.label_creations sys in
     ignore
       (Stack.run_until sys ~max_steps:2_000_000 (fun t ->
            (match Stack.uniform_config t with
            | Some c -> Pid.Set.cardinal c = n - 1
            | None -> false)
            && agreed t));
-    let reconfig_creations = Labels.Label_service.total_creations sys - before in
+    let reconfig_creations = Counter_service.label_creations sys - before in
     (float_of_int corrupt_creations, float_of_int reconfig_creations)
   in
   let rows =

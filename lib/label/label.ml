@@ -32,22 +32,6 @@ let compare_total l1 l2 =
       let c = Int.compare l1.sting l2.sting in
       if c <> 0 then c else Int_set.compare l1.antistings l2.antistings
 
-let max_legit labels =
-  match labels with
-  | [] -> None
-  | _ ->
-    (* keep the ≺lb-maximal elements, then tiebreak deterministically *)
-    let maximal =
-      List.filter
-        (fun l -> not (List.exists (fun l' -> precedes l l') labels))
-        labels
-    in
-    let pool = match maximal with [] -> labels | _ -> maximal in
-    Some
-      (List.fold_left
-         (fun best l -> if compare_total l best > 0 then l else best)
-         (List.hd pool) (List.tl pool))
-
 let next_label ~creator ~known =
   let excluded =
     List.fold_left (fun acc l -> Int_set.union acc l.antistings) Int_set.empty known
@@ -65,22 +49,3 @@ let pp fmt l =
        ~pp_sep:(fun fmt () -> Format.fprintf fmt ",")
        Format.pp_print_int)
     (Int_set.elements l.antistings)
-
-type pair = { ml : t; cl : t option }
-
-let pair_of l = { ml = l; cl = None }
-let legit p = p.cl = None
-let cancel p ~by = { p with cl = Some by }
-
-let pair_equal p1 p2 =
-  equal p1.ml p2.ml
-  &&
-  match (p1.cl, p2.cl) with
-  | None, None -> true
-  | Some a, Some b -> equal a b
-  | None, Some _ | Some _, None -> false
-
-let pp_pair fmt p =
-  match p.cl with
-  | None -> Format.fprintf fmt "<%a, _>" pp p.ml
-  | Some c -> Format.fprintf fmt "<%a, X %a>" pp p.ml pp c

@@ -6,7 +6,8 @@
     creator identifier; between labels of the same creator,
     ℓ1 ≺ ℓ2 ⟺ ℓ1.sting ∈ ℓ2.antistings ∧ ℓ2.sting ∉ ℓ1.antistings —
     which makes same-creator labels possibly {e incomparable} (exactly the
-    situation the cancellation machinery of Algorithm 4.2 resolves).
+    situation the cancellation machinery of Algorithm 4.2 resolves; the
+    label storage that runs it is [Counters.Counter_algo]).
 
     Given any bounded set of labels, a processor can create a label greater
     than all of them: choose a sting outside every antisting set seen and
@@ -34,12 +35,9 @@ val precedes : t -> t -> bool
 val comparable : t -> t -> bool
 
 (** A deterministic total tiebreak (creator, sting, antistings) used only to
-    choose among ≺lb-maximal elements; NOT the semantic order. *)
+    choose among ≺lb-maximal elements (via [Counters.Counter.compare_total]);
+    NOT the semantic order. *)
 val compare_total : t -> t -> int
-
-(** [max_legit labels] — a ≺lb-maximal element of [labels] (ties broken by
-    [compare_total]); [None] on empty input. *)
-val max_legit : t list -> t option
 
 (** [next_label ~creator ~known] creates a label by [creator] strictly
     greater (under ≺lb) than every label in [known] — sting outside all
@@ -47,22 +45,3 @@ val max_legit : t list -> t option
 val next_label : creator:Pid.t -> known:t list -> t
 
 val pp : Format.formatter -> t -> unit
-
-(** {2 Label pairs}
-
-    A pair ⟨ml, cl⟩ where [cl] cancels [ml] when present: a canceled label
-    can never again be adopted as maximal. *)
-
-type pair = {
-  ml : t;
-  cl : t option;
-}
-
-val pair_of : t -> pair
-
-(** [legit p] — not canceled. *)
-val legit : pair -> bool
-
-val cancel : pair -> by:t -> pair
-val pair_equal : pair -> pair -> bool
-val pp_pair : Format.formatter -> pair -> unit

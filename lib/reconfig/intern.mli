@@ -3,9 +3,9 @@
     recSA carries [Pid.Set.t] configuration descriptors (and values built
     from them) in every gossip message, and the Definition 3.1 conflict
     checks compare them on every one of the O(N²) messages per round. By
-    interning each descriptor into a per-domain weak table, repeated values
-    share one physical representation and the comparisons reduce to pointer
-    equality in the common case.
+    interning each descriptor into a per-domain bounded table, repeated
+    values share one physical representation and the comparisons reduce to
+    pointer equality in the common case.
 
     Interning is semantics-preserving: a value that misses the table is
     returned unchanged, so callers may rely only on structural equality.

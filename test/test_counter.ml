@@ -34,6 +34,14 @@ let prop_counter_total_order_same_label =
       let c2 = Counter.make ~lbl:(lbl 1) ~seqn:s2 ~wid:w2 in
       Counter.equal c1 c2 || Counter.precedes c1 c2 || Counter.precedes c2 c1)
 
+let test_pair_cancellation () =
+  let p = Counter.pair_of (Counter.make ~lbl:(lbl 1) ~seqn:0 ~wid:1) in
+  Alcotest.(check bool) "fresh pair legit" true (Counter.legit p);
+  let p' = Counter.cancel p in
+  Alcotest.(check bool) "canceled" false (Counter.legit p');
+  Alcotest.(check bool) "canceled by its own counter" true
+    (Option.equal Counter.equal p'.Counter.cct (Some p.Counter.mct))
+
 (* max_of as first written: the compare_total-largest of the counters no
    other counter follows (all counters when each is followed) *)
 let reference_max_of counters =
@@ -82,6 +90,55 @@ let test_algo_initial_counter () =
   Alcotest.(check int) "starts at 0" 0 c.Counter.seqn;
   Alcotest.(check int) "own label" 1 c.Counter.lbl.Label.creator
 
+(* The first findMaxCounter creates the node's first label: one legit pair
+   of its own, and one creation. *)
+let test_algo_creates_initial_label () =
+  let a = mk_algo 1 in
+  let c = Counter_algo.find_max_counter a in
+  (match Counter_algo.local_max a with
+  | Some p ->
+    Alcotest.(check bool) "legit" true (Counter.legit p);
+    Alcotest.(check int) "own creator" 1 p.Counter.mct.Counter.lbl.Label.creator;
+    Alcotest.(check bool) "local max is the new counter" true (Counter.equal p.Counter.mct c)
+  | None -> Alcotest.fail "no local max");
+  Alcotest.(check int) "one creation" 1 (Counter_algo.label_creations a)
+
+let pair_by creator =
+  Counter.pair_of (Counter.make ~lbl:(lbl creator) ~seqn:0 ~wid:creator)
+
+let test_algo_adopts_greater_label () =
+  let a = mk_algo 1 in
+  ignore (Counter_algo.find_max_counter a);
+  Counter_algo.receipt_action a ~sent_max:(Some (pair_by 3)) ~last_sent:None ~from:3;
+  match Counter_algo.local_max a with
+  | Some p ->
+    Alcotest.(check bool) "legit" true (Counter.legit p);
+    Alcotest.(check int) "adopted creator-3 label" 3 p.Counter.mct.Counter.lbl.Label.creator
+  | None -> Alcotest.fail "no local max"
+
+(* A peer echoing our maximum back canceled makes us drop it and settle on
+   a fresh label. *)
+let test_algo_cancellation_echo () =
+  let a = mk_algo 3 in
+  ignore (Counter_algo.find_max_counter a);
+  let mine = Option.get (Counter_algo.local_max a) in
+  Counter_algo.receipt_action a ~sent_max:None ~last_sent:(Some (Counter.cancel mine))
+    ~from:2;
+  (match Counter_algo.local_max a with
+  | Some p ->
+    Alcotest.(check bool) "new max legit" true (Counter.legit p);
+    Alcotest.(check bool) "new max has another label" false
+      (Label.equal p.Counter.mct.Counter.lbl mine.Counter.mct.Counter.lbl)
+  | None -> Alcotest.fail "no local max");
+  Alcotest.(check int) "created a replacement" 2 (Counter_algo.label_creations a)
+
+let test_algo_voids_non_member_labels () =
+  let a = mk_algo 1 in
+  Alcotest.(check bool) "cleanLP voids foreigners" true
+    (Counter_algo.clean_pair a (pair_by 9) = None);
+  Alcotest.(check bool) "cleanLP keeps members" true
+    (Counter_algo.clean_pair a (pair_by 2) <> None)
+
 let test_algo_merge_keeps_greatest () =
   let a = mk_algo 1 in
   let l = lbl 2 in
@@ -110,6 +167,75 @@ let test_algo_rebuild_voids_non_members () =
   Counter_algo.rebuild a ~members:(set [ 1; 2 ]);
   let c = Counter_algo.find_max_counter a in
   Alcotest.(check bool) "label by member" true (c.Counter.lbl.Label.creator <> 3)
+
+(* A member that leaves takes its labels along: after the rebuild neither
+   the local maximum nor any queue holds one of them. *)
+let test_algo_rebuild_drops_departed () =
+  let a = mk_algo 1 in
+  ignore (Counter_algo.find_max_counter a);
+  Counter_algo.receipt_action a ~sent_max:(Some (pair_by 3)) ~last_sent:None ~from:3;
+  Alcotest.(check int) "own max by member 3" 3
+    (Counter_algo.find_max_counter a).Counter.lbl.Label.creator;
+  (* reconfigure: 3 leaves the configuration *)
+  Counter_algo.rebuild a ~members:(set [ 1; 2 ]);
+  ignore (Counter_algo.find_max_counter a);
+  (match Counter_algo.local_max a with
+  | Some p ->
+    Alcotest.(check bool) "max not by departed member" true
+      (p.Counter.mct.Counter.lbl.Label.creator <> 3)
+  | None -> Alcotest.fail "no local max after rebuild");
+  Alcotest.(check int) "queue of departed emptied" 0
+    (List.length (Counter_algo.stored a 3))
+
+(* Queues hold v + m pairs of another member's labels and v(v^2 + m) + v of
+   our own (v = 3 members, m = 4 in transit). *)
+let test_algo_bounded_queues () =
+  let a = mk_algo 1 in
+  let distinct creator i =
+    Counter.pair_of
+      (Counter.make
+         ~lbl:(Label.make ~creator ~sting:(i * 2) ~antistings:[ (i * 2) + 1 ])
+         ~seqn:0 ~wid:creator)
+  in
+  for i = 0 to 99 do
+    Counter_algo.receipt_action a ~sent_max:(Some (distinct 2 i)) ~last_sent:None ~from:2;
+    Counter_algo.receipt_action a ~sent_max:(Some (distinct 1 i)) ~last_sent:None ~from:3
+  done;
+  Alcotest.(check int) "other queue at v + m" 7 (List.length (Counter_algo.stored a 2));
+  Alcotest.(check int) "own queue at v(v^2 + m) + v" 42
+    (List.length (Counter_algo.stored a 1))
+
+(* Two members exchanging their maxima converge to one legit maximal
+   counter, from any interleaving of exchanges. *)
+let prop_algo_two_party_agreement =
+  QCheck.Test.make ~name:"two-member label agreement" ~count:50
+    QCheck.(int_range 0 1000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let members = set [ 1; 2 ] in
+      let mk self =
+        Counter_algo.create ~self ~members ~in_transit_bound:2 ~exhaust_bound:1000
+      in
+      let a = mk 1 and b = mk 2 in
+      ignore (Counter_algo.find_max_counter a);
+      ignore (Counter_algo.find_max_counter b);
+      let a_to_b () =
+        Counter_algo.receipt_action b ~sent_max:(Counter_algo.local_max a)
+          ~last_sent:(Counter_algo.max_of a 2) ~from:1
+      and b_to_a () =
+        Counter_algo.receipt_action a ~sent_max:(Counter_algo.local_max b)
+          ~last_sent:(Counter_algo.max_of b 1) ~from:2
+      in
+      for _ = 1 to 40 do
+        if Rng.bool rng then a_to_b () else b_to_a ()
+      done;
+      (* a final full round trip settles both *)
+      a_to_b ();
+      b_to_a ();
+      match (Counter_algo.local_max a, Counter_algo.local_max b) with
+      | Some pa, Some pb ->
+        Counter.legit pa && Counter.legit pb && Counter.equal pa.Counter.mct pb.Counter.mct
+      | _ -> false)
 
 (* --- full-stack increments --- *)
 
@@ -222,7 +348,7 @@ let test_exhaustion_rollover_in_system () =
 type cnt_op =
   | Merge of Pid.t * Counter.pair
   | Receipt of Pid.t * Counter.pair option * Counter.pair option
-  | Corrupt_max of (Pid.t * Counter.pair) list
+  | Corrupt of (Pid.t * Counter.pair) list * (Pid.t * Counter.pair list) list
   | Find
 
 let pair_equal (a : Counter.pair) (b : Counter.pair) =
@@ -268,7 +394,10 @@ let gen_cnt_ops rs n =
       match Random.State.int rs 10 with
       | 0 | 1 -> Merge (member (), pair ())
       | 2 ->
-        Corrupt_max (List.init (Random.State.int rs 3) (fun _ -> (member (), pair ())))
+        (* stored entries are mostly misfiled, so the staleInfo flush runs *)
+        let queue () = List.init (1 + Random.State.int rs 2) (fun _ -> pair ()) in
+        let max_entries = List.init (Random.State.int rs 3) (fun _ -> (member (), pair ())) in
+        Corrupt (max_entries, List.init (Random.State.int rs 2) (fun _ -> (member (), queue ())))
       | 3 -> Find
       | _ -> Receipt (member (), opt (), opt ()))
 
@@ -276,9 +405,9 @@ let mk_fixed_algo () =
   Counter_algo.create ~self:1 ~members:(set [ 1; 2; 3 ]) ~in_transit_bound:2
     ~exhaust_bound:4
 
-(* [corrupt ~max_entries:[]] changes no entry but forgets the fixed point,
+(* [corrupt] with no entries changes nothing but forgets the fixed point,
    so the reference runs the full findMaxCounter on every call. *)
-let force_dirty b = Counter_algo.corrupt b ~max_entries:[]
+let force_dirty b = Counter_algo.corrupt b ~max_entries:[] ~stored_entries:[]
 
 let prop_fixed_point_skip_exact =
   qtest
@@ -297,9 +426,9 @@ let prop_fixed_point_skip_exact =
                Counter_algo.receipt_action a ~sent_max ~last_sent ~from;
                force_dirty b;
                Counter_algo.receipt_action b ~sent_max ~last_sent ~from
-             | Corrupt_max entries ->
-               Counter_algo.corrupt a ~max_entries:entries;
-               Counter_algo.corrupt b ~max_entries:entries
+             | Corrupt (max_entries, stored_entries) ->
+               Counter_algo.corrupt a ~max_entries ~stored_entries;
+               Counter_algo.corrupt b ~max_entries ~stored_entries
              | Find -> ());
              let ca = Counter_algo.find_max_counter a in
              force_dirty b;
@@ -346,7 +475,7 @@ let prop_merge_store_matches_reference =
                    List.equal pair_equal (Counter_algo.stored a j)
                      (Option.value ~default:[] (Pid.Map.find_opt j !store)))
                  [ 1; 2; 3 ]
-             | Receipt _ | Corrupt_max _ | Find -> true)
+             | Receipt _ | Corrupt _ | Find -> true)
            (gen_cnt_ops rs 120)))
 
 (* A corrupted state on which findMaxCounter is not idempotent: the first
@@ -362,7 +491,8 @@ let test_not_idempotent_after_corruption () =
   Counter_algo.merge a ~from:3 (Counter.pair_of (Counter.make ~lbl:l1 ~seqn:1 ~wid:2));
   Counter_algo.corrupt a
     ~max_entries:
-      [ (3, Counter.cancel (Counter.pair_of (Counter.make ~lbl:l2 ~seqn:0 ~wid:2))) ];
+      [ (3, Counter.cancel (Counter.pair_of (Counter.make ~lbl:l2 ~seqn:0 ~wid:2))) ]
+    ~stored_entries:[];
   let first = Counter_algo.find_max_counter a in
   Alcotest.(check bool) "first run settles on the dominated label" true
     (Label.equal first.Counter.lbl l1);
@@ -378,25 +508,129 @@ let test_not_idempotent_after_corruption () =
     | Some p -> Counter.legit p && Counter.equal p.Counter.mct second
     | None -> false)
 
+(* staleInfo (Algorithm 4.2 line 20): a legit creator-3 counter filed under
+   queue 2 escapes the cancellation its canceled copy in queue 3 carries,
+   and without the flush findMaxCounter serves the canceled label on every
+   call. A receipt flushes the queues, so a fresh label replaces it. *)
+let test_stale_info_flushes_queues () =
+  let a = mk_algo 1 in
+  let c3 = Counter.make ~lbl:(lbl 3) ~seqn:0 ~wid:3 in
+  Counter_algo.corrupt a ~max_entries:[]
+    ~stored_entries:
+      [ (2, [ Counter.pair_of c3 ]); (3, [ Counter.cancel (Counter.pair_of c3) ]) ];
+  Counter_algo.receipt_action a ~sent_max:None ~last_sent:None ~from:2;
+  for _ = 1 to 3 do
+    let c = Counter_algo.find_max_counter a in
+    Alcotest.(check bool) "canceled label not served" false
+      (Label.equal c.Counter.lbl c3.Counter.lbl)
+  done;
+  Alcotest.(check int) "one fresh label" 1 (Counter_algo.label_creations a);
+  Alcotest.(check int) "misfiled queues flushed" 0
+    (List.length (Counter_algo.stored a 2) + List.length (Counter_algo.stored a 3))
+
+(* --- the label storage over the full stack, no increments --- *)
+
+let test_service_label_agreement () =
+  let sys = make_counter_system () in
+  Reconfig.Stack.run_rounds sys 10;
+  Alcotest.(check bool) "members agree on a maximal label" true
+    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
+         Counter_service.agreed_label t <> None))
+
+let test_service_label_agreement_after_reconfig () =
+  let sys = make_counter_system ~seed:5 () in
+  Reconfig.Stack.run_rounds sys 10;
+  Alcotest.(check bool) "initial agreement" true
+    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
+         Counter_service.agreed_label t <> None));
+  (* delicate reconfiguration to a smaller member set (retry until the
+     scheme is momentarily quiet enough to accept the proposal) *)
+  let rec propose n =
+    if n = 0 then Alcotest.fail "estab never accepted"
+    else if not (Reconfig.Stack.estab sys 1 (set [ 1; 2; 3 ])) then begin
+      Reconfig.Stack.run_rounds sys 2;
+      propose (n - 1)
+    end
+  in
+  propose 50;
+  let settled t =
+    match Reconfig.Stack.uniform_config t with
+    | Some c -> Pid.Set.equal c (set [ 1; 2; 3 ]) && Counter_service.agreed_label t <> None
+    | None -> false
+  in
+  Alcotest.(check bool) "agreement in the new configuration" true
+    (Reconfig.Stack.run_until sys ~max_steps:600_000 settled)
+
+(* Every member's max[j] and queue j hold labels of j that are pairwise
+   incomparable, so all of them must be canceled and replaced. *)
+let test_service_recovers_from_corrupt_labels () =
+  let sys = make_counter_system ~seed:6 () in
+  Reconfig.Stack.run_rounds sys 10;
+  Alcotest.(check bool) "initial agreement" true
+    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
+         Counter_service.agreed_label t <> None));
+  let garbage j ~sting ~antisting =
+    Counter.pair_of
+      (Counter.make ~lbl:(Label.make ~creator:j ~sting ~antistings:[ antisting ]) ~seqn:0
+         ~wid:j)
+  in
+  List.iter
+    (fun (p, n) ->
+      match Counter_service.algo n.Reconfig.Stack.app with
+      | Some algo ->
+        let first j = garbage j ~sting:(1000 + p) ~antisting:(2000 + p) in
+        let second j = garbage j ~sting:(3000 + p) ~antisting:(4000 + p) in
+        let members = [ 1; 2; 3; 4 ] in
+        Counter_algo.corrupt algo
+          ~max_entries:(List.map (fun j -> (j, first j)) members)
+          ~stored_entries:(List.map (fun j -> (j, [ first j; second j ])) members)
+      | None -> ())
+    (Reconfig.Stack.live_nodes sys);
+  let before = Counter_service.label_creations sys in
+  Alcotest.(check bool) "re-agreement after corruption" true
+    (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+         Counter_service.agreed_label t <> None));
+  Alcotest.(check bool) "fresh labels created" true
+    (Counter_service.label_creations sys > before);
+  match Counter_service.agreed_label sys with
+  | Some l ->
+    (* every planted sting is at least 1000 *)
+    Alcotest.(check bool) "agreed label is a fresh one" true (l.Label.sting < 1000)
+  | None -> Alcotest.fail "no agreed label"
+
 let suites =
   [
     ( "counter.structure",
       [
         Alcotest.test_case "order" `Quick test_counter_order;
         Alcotest.test_case "exhaustion" `Quick test_counter_exhaustion;
+        Alcotest.test_case "pair cancellation" `Quick test_pair_cancellation;
         qtest prop_counter_total_order_same_label;
         qtest prop_max_of_matches_reference;
       ] );
     ( "counter.algo",
       [
         Alcotest.test_case "initial counter" `Quick test_algo_initial_counter;
+        Alcotest.test_case "adopts greater label" `Quick test_algo_adopts_greater_label;
+        Alcotest.test_case "cancellation echo" `Quick test_algo_cancellation_echo;
+        Alcotest.test_case "voids non-members" `Quick test_algo_voids_non_member_labels;
         Alcotest.test_case "merge keeps greatest" `Quick test_algo_merge_keeps_greatest;
         Alcotest.test_case "exhaustion forces epoch" `Quick test_algo_exhaustion_forces_new_epoch;
         Alcotest.test_case "rebuild voids non-members" `Quick test_algo_rebuild_voids_non_members;
+        Alcotest.test_case "bounded queues" `Quick test_algo_bounded_queues;
+        qtest prop_algo_two_party_agreement;
+        Alcotest.test_case "staleInfo flushes misfiled queues" `Quick
+          test_stale_info_flushes_queues;
         prop_fixed_point_skip_exact;
         prop_merge_store_matches_reference;
         Alcotest.test_case "findMaxCounter not idempotent after corruption" `Quick
           test_not_idempotent_after_corruption;
+      ] );
+    (* the label storage of Algorithm 4.2, which the counter storage holds *)
+    ( "label.algo",
+      [
+        Alcotest.test_case "creates initial label" `Quick test_algo_creates_initial_label;
+        Alcotest.test_case "rebuild drops departed" `Quick test_algo_rebuild_drops_departed;
       ] );
     ( "counter.service",
       [
@@ -405,5 +639,10 @@ let suites =
         Alcotest.test_case "concurrent ordered" `Quick test_concurrent_increments_ordered;
         Alcotest.test_case "non-member increment" `Quick test_non_member_increment;
         Alcotest.test_case "exhaustion rollover" `Quick test_exhaustion_rollover_in_system;
+        Alcotest.test_case "label agreement" `Quick test_service_label_agreement;
+        Alcotest.test_case "label agreement after reconfig" `Quick
+          test_service_label_agreement_after_reconfig;
+        Alcotest.test_case "recovery from corrupt labels" `Quick
+          test_service_recovers_from_corrupt_labels;
       ] );
   ]

@@ -1,26 +1,15 @@
-(* Benchmark harness.
-
-   Two parts:
-
-   1. bechamel micro-benchmarks of the core primitives (one Test.make per
-      primitive), so the cost of each building block is tracked;
-   2. the experiment tables E1-E18 (DESIGN.md Section 5 / EXPERIMENTS.md),
-      which regenerate the measurable content of every theorem and figure
-      of the paper on the simulation substrate.
+(* Micro-benchmarks of the core primitives: one bechamel Test.make per
+   primitive, so the cost of each building block is tracked.
 
    Usage:
-     bench/main.exe            micro-benches + quick experiment tables
-     bench/main.exe --full     micro-benches + full experiment tables
-     bench/main.exe --quick    micro-benches + quick tables (explicit)
-     bench/main.exe --tables   experiment tables only
-     bench/main.exe --micro    micro-benches only
-     bench/main.exe --jobs N   run experiment cells on N domains
-                               (default: Domain.recommended_domain_count;
-                               table output is byte-identical for any N)
-     bench/main.exe --json     emit one machine-readable JSON blob
-                               ({name -> ns/run} for the micro-benches,
-                               wall-clock seconds per experiment table)
-                               instead of human-readable output *)
+     bench/main.exe          ns/run per subject, one line each
+     bench/main.exe --json   the same figures as one JSON object:
+                             {"schema": "ssreconf-bench/2",
+                              "micro_ns_per_run": {name -> ns/run}}
+
+   The paper's tables (E1-E18, A1-A4) come from
+   `reconfig-sim experiments|ablations`, and telemetry summaries from
+   `reconfig-sim scenario ... --metrics-jsonl`. *)
 
 open Bechamel
 open Toolkit
@@ -208,153 +197,26 @@ let print_micro rows =
   Format.printf "@.== micro-benchmarks (monotonic clock, ns/run) ==@.";
   List.iter (fun (name, est) -> Format.printf "%-40s %12.1f ns/run@." name est) rows
 
-(* --- experiment tables ---------------------------------------------- *)
+(* --- JSON output ------------------------------------------------------ *)
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* Run every registered table, returning (id, table, wall_seconds). *)
-let run_registry registry ~jobs params =
-  List.map
-    (fun (id, f) ->
-      let table, dt = timed (fun () -> f ?jobs:(Some jobs) params) in
-      (id, table, dt))
-    registry
-
-let print_tables timed_tables =
-  List.iter
-    (fun (_, t, _) -> Format.printf "%a@." Harness.Table.pp t)
-    timed_tables
-
-(* --- telemetry summaries --------------------------------------------- *)
-
-(* A short transient-fault recovery under the simulator runtime: the
-   resulting protocol-level latency histograms (replacement phases, reset
-   recovery, join handshakes) ride along in the --json blob so they can be
-   tracked next to the ns/run numbers. Deterministic for the fixed seed. *)
-let run_telemetry () =
-  let n = 5 and seed = 7 in
-  let members = List.init n (fun i -> i + 1) in
-  let sys =
-    Reconfig.Stack.of_scenario ~hooks:Reconfig.Stack.unit_hooks
-      (Reconfig.Scenario.make ~seed ~loss:0.02 ~n_bound:(2 * n) ~members ())
+let print_json rows =
+  let module E = Telemetry.Export in
+  let pairs =
+    List.map
+      (fun (name, est) -> Printf.sprintf "\"%s\": %s" (E.json_escape name) (E.json_float est))
+      rows
   in
-  Reconfig.Stack.run_rounds sys 30;
-  Reconfig.Stack.corrupt_everything sys ~rng:(Sim.Rng.create (seed + 1));
-  ignore (Reconfig.Stack.run_until_quiescent sys ~max_rounds:500);
-  Sim.Engine.telemetry (Reconfig.Stack.engine sys)
-
-(* --- JSON output ----------------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_number f =
-  if Float.is_nan f || Float.is_integer f && Float.abs f > 1e15 then "null"
-  else Printf.sprintf "%.6g" f
-
-let json_num_obj pairs =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (json_number v)) pairs)
-  ^ "}"
-
-(* One histogram as {"count": n, "sum": s, "p50": x, "p90": x, "p99": x},
-   keyed "name{k=v,...}" like the Prometheus series identity. *)
-let json_histograms tele =
-  let series (name, labels, h) =
-    let key =
-      match labels with
-      | [] -> name
-      | labels ->
-        name ^ "{"
-        ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-        ^ "}"
-    in
-    let module H = Telemetry.Histogram in
-    let q p = Option.value ~default:nan (H.quantile h p) in
-    Printf.sprintf "\"%s\": %s" (json_escape key)
-      (json_num_obj
-         [
-           ("count", float_of_int (H.count h));
-           ("sum", H.sum h);
-           ("p50", q 0.5);
-           ("p90", q 0.9);
-           ("p99", q 0.99);
-         ])
-  in
-  "{" ^ String.concat ", " (List.map series (Telemetry.histograms tele)) ^ "}"
-
-let print_json ~jobs ~mode ~micro ~experiments ~ablations ~telemetry ~total_s =
-  let wall_pairs timed_tables = List.map (fun (id, _, dt) -> (id, dt)) timed_tables in
-  Format.printf
-    "{@.  \"schema\": \"ssreconf-bench/1\",@.  \"jobs\": %d,@.  \"mode\": \"%s\",@.  \
-     \"micro_ns_per_run\": %s,@.  \"experiments_wall_s\": %s,@.  \
-     \"ablations_wall_s\": %s,@.  \"telemetry_histograms\": %s,@.  \
-     \"total_wall_s\": %s@.}@."
-    jobs mode
-    (json_num_obj micro)
-    (json_num_obj (wall_pairs experiments))
-    (json_num_obj (wall_pairs ablations))
-    (json_histograms telemetry)
-    (json_number total_s)
-
-(* --- driver ---------------------------------------------------------- *)
-
-let parse_jobs args =
-  let rec go = function
-    | "--jobs" :: v :: _ -> int_of_string v
-    | [ "--jobs" ] -> failwith "--jobs requires an argument"
-    | arg :: rest ->
-      (match String.index_opt arg '=' with
-      | Some i when String.sub arg 0 i = "--jobs" ->
-        int_of_string (String.sub arg (i + 1) (String.length arg - i - 1))
-      | _ -> go rest)
-    | [] -> Harness.Pool.default_jobs ()
-  in
-  go args
+  Format.printf "{@.  \"schema\": \"ssreconf-bench/2\",@.  \"micro_ns_per_run\": {%s}@.}@."
+    (String.concat ", " pairs)
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let full = List.mem "--full" args in
-  let tables_only = List.mem "--tables" args in
-  let micro_only = List.mem "--micro" args in
-  let skip_ablations = List.mem "--no-ablations" args in
-  let json = List.mem "--json" args in
-  let jobs = parse_jobs args in
-  let params =
-    if full then Harness.Experiments.default_params else Harness.Experiments.quick_params
+  let json =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> false
+    | [ "--json" ] -> true
+    | _ ->
+      prerr_endline "usage: main.exe [--json]";
+      exit 2
   in
-  let t0 = Unix.gettimeofday () in
-  let micro = if not tables_only then run_micro () else [] in
-  let experiments =
-    if not micro_only then run_registry Harness.Experiments.registry ~jobs params else []
-  in
-  let ablations =
-    if (not micro_only) && not skip_ablations then
-      run_registry Harness.Ablations.registry ~jobs params
-    else []
-  in
-  let total_s = Unix.gettimeofday () -. t0 in
-  if json then begin
-    let telemetry = run_telemetry () in
-    print_json ~jobs ~mode:(if full then "full" else "quick") ~micro ~experiments
-      ~ablations ~telemetry ~total_s
-  end
-  else begin
-    if not tables_only then print_micro micro;
-    print_tables experiments;
-    print_tables ablations
-  end
+  let rows = run_micro () in
+  if json then print_json rows else print_micro rows

@@ -292,8 +292,10 @@ let recv (view : msg Stack.scheme_view) ~from m st =
       | `Ignored -> ()))
 
 (* Arbitrary-state injection: garbage counter-pair storage plus a scrambled
-   in-flight operation. Unmatched telemetry spans this leaves behind are
-   counted, not fatal. *)
+   in-flight operation. Each queue j gets a garbage label of j and one of a
+   randomly drawn member, so both the cancellations and the staleInfo flush
+   of a misfiled queue are reachable. Unmatched telemetry spans this leaves
+   behind are counted, not fatal. *)
 let corrupt rng st =
   (match st.algo with
   | Some algo ->
@@ -305,9 +307,16 @@ let corrupt rng st =
       in
       Counter.pair_of (Counter.make ~lbl ~seqn:(Rng.int rng 8) ~wid:j)
     in
-    Counter_algo.corrupt algo
-      ~max_entries:(List.map (fun j -> (j, garbage j)) members)
-      ~stored_entries:[];
+    let max_entries = List.map (fun j -> (j, garbage j)) members in
+    let stored_entries =
+      List.map
+        (fun j ->
+          let own = garbage j in
+          let other = garbage (Rng.pick rng members) in
+          (j, [ own; other ]))
+        members
+    in
+    Counter_algo.corrupt algo ~max_entries ~stored_entries;
     let conf =
       match Rng.subset rng members with
       | [] -> Pid.set_of_list members

@@ -8,8 +8,7 @@ type ops = {
   o_join : Pid.t -> unit;
   o_corrupt_node : Rng.t -> Pid.t -> unit;
   o_corrupt_link : (Rng.t -> src:Pid.t -> dst:Pid.t -> unit) option;
-  o_set_link_profile :
-    (src:Pid.t -> dst:Pid.t -> Fault_plan.link_profile option -> unit) option;
+  o_set_link_profile : src:Pid.t -> dst:Pid.t -> Fault_plan.link_profile option -> unit;
   o_partition : Pid.Set.t -> unit;
   o_heal : unit -> unit;
   o_telemetry : Telemetry.t;
@@ -87,28 +86,21 @@ let apply t (e : Fault_plan.entry) =
         (fun (src, dst) -> corrupt_link t.rng ~src ~dst)
         (directed_pairs victims victims);
       note t kind (pid_list_to_string victims))
-  | Fault_plan.Degrade_links { src; dst; profile } -> (
-    match t.ops.o_set_link_profile with
-    | None -> skip t kind
-    | Some set_profile ->
-      let srcs = resolve t src and dsts = resolve t dst in
-      List.iter
-        (fun (src, dst) -> set_profile ~src ~dst (Some profile))
-        (directed_pairs srcs dsts);
-      note t kind
-        (Printf.sprintf "%s->%s drop=%g dup=%g flip=%g" (pid_list_to_string srcs)
-           (pid_list_to_string dsts) profile.Fault_plan.lp_drop
-           profile.Fault_plan.lp_dup profile.Fault_plan.lp_flip))
-  | Fault_plan.Restore_links { src; dst } -> (
-    match t.ops.o_set_link_profile with
-    | None -> skip t kind
-    | Some set_profile ->
-      let srcs = resolve t src and dsts = resolve t dst in
-      List.iter
-        (fun (src, dst) -> set_profile ~src ~dst None)
-        (directed_pairs srcs dsts);
-      note t kind
-        (Printf.sprintf "%s->%s" (pid_list_to_string srcs) (pid_list_to_string dsts)))
+  | Fault_plan.Degrade_links { src; dst; profile } ->
+    let srcs = resolve t src and dsts = resolve t dst in
+    List.iter
+      (fun (src, dst) -> t.ops.o_set_link_profile ~src ~dst (Some profile))
+      (directed_pairs srcs dsts);
+    note t kind
+      (Printf.sprintf "%s->%s drop=%g dup=%g flip=%g" (pid_list_to_string srcs)
+         (pid_list_to_string dsts) profile.Fault_plan.lp_drop profile.Fault_plan.lp_dup
+         profile.Fault_plan.lp_flip)
+  | Fault_plan.Restore_links { src; dst } ->
+    let srcs = resolve t src and dsts = resolve t dst in
+    List.iter
+      (fun (src, dst) -> t.ops.o_set_link_profile ~src ~dst None)
+      (directed_pairs srcs dsts);
+    note t kind (Printf.sprintf "%s->%s" (pid_list_to_string srcs) (pid_list_to_string dsts))
   | Fault_plan.Partition { group; heal_after } ->
     let group_set = Pid.set_of_list (resolve t group) in
     t.ops.o_partition group_set;

@@ -26,10 +26,8 @@ type ops = {
   o_corrupt_link : (Rng.t -> src:Pid.t -> dst:Pid.t -> unit) option;
       (** fill one directed channel with stale packets; [None] when the
           runtime has no channel state *)
-  o_set_link_profile :
-    (src:Pid.t -> dst:Pid.t -> Fault_plan.link_profile option -> unit) option;
-      (** install/remove a per-link fault profile; [None] when
-          unsupported *)
+  o_set_link_profile : src:Pid.t -> dst:Pid.t -> Fault_plan.link_profile option -> unit;
+      (** install/remove a per-link fault profile *)
   o_partition : Pid.Set.t -> unit;
   o_heal : unit -> unit;  (** remove every block and link profile *)
   o_telemetry : Telemetry.t;

@@ -226,14 +226,6 @@ let a4_brute_vs_delicate ?(jobs = 1) p =
     ~header:[ "N"; "technique"; "completed"; "rounds(mean)" ]
     rows
 
-let all ?jobs p =
-  [
-    a1_theta_sweep ?jobs p;
-    a2_loss_sweep ?jobs p;
-    a3_capacity_sweep ?jobs p;
-    a4_brute_vs_delicate ?jobs p;
-  ]
-
 let registry =
   [
     ("A1", a1_theta_sweep);
@@ -241,3 +233,5 @@ let registry =
     ("A3", a3_capacity_sweep);
     ("A4", a4_brute_vs_delicate);
   ]
+
+let all ?jobs p = List.map (fun (_, f) -> f ?jobs p) registry

@@ -16,12 +16,8 @@
     As in {!Experiments}, [?jobs] runs the sweep cells on a domain pool
     with deterministic (byte-identical) table output for any job count. *)
 
-val a1_theta_sweep : ?jobs:int -> Experiments.params -> Table.t
-val a2_loss_sweep : ?jobs:int -> Experiments.params -> Table.t
-val a3_capacity_sweep : ?jobs:int -> Experiments.params -> Table.t
-val a4_brute_vs_delicate : ?jobs:int -> Experiments.params -> Table.t
-
-val all : ?jobs:int -> Experiments.params -> Table.t list
-
-(** The (id, ablation) pairs behind {!all}, in order. *)
+(** The (id, ablation) pairs, in order. *)
 val registry : (string * (?jobs:int -> Experiments.params -> Table.t)) list
+
+(** All ablations in {!registry} order. *)
+val all : ?jobs:int -> Experiments.params -> Table.t list

@@ -1244,28 +1244,6 @@ let e18_faults ?(jobs = 1) p =
       ]
     rows
 
-let all ?jobs p =
-  [
-    e1_convergence ?jobs p;
-    e2_delicate_replacement ?jobs p;
-    e3_recma_trigger_bound ?jobs p;
-    e4_recma_liveness ?jobs p;
-    e5_joining ?jobs p;
-    e6_label_creations ?jobs p;
-    e7_counter_increments ?jobs p;
-    e8_vs_smr ?jobs p;
-    e9_baseline_comparison ?jobs p;
-    e10_interface_contract ?jobs p;
-    e11_shared_memory ?jobs p;
-    e12_churn ?jobs p;
-    e13_fd_estimate ?jobs p;
-    e14_partitions ?jobs p;
-    e15_message_overhead ?jobs p;
-    e16_register_comparison ?jobs p;
-    e17_scale ?jobs p;
-    e18_faults ?jobs p;
-  ]
-
 let registry =
   [
     ("E1", e1_convergence);
@@ -1288,5 +1266,6 @@ let registry =
     ("E18", e18_faults);
   ]
 
+let all ?jobs p = List.map (fun (_, f) -> f ?jobs p) registry
 let by_id id = List.assoc_opt (String.uppercase_ascii id) registry
 let ids = List.map fst registry

@@ -38,50 +38,21 @@ val product : 'a list -> 'b list -> ('a * 'b) list
     [pool] and returns one result group per key, seeds in order. *)
 val per_seed : Pool.t -> params -> ('k -> int -> 'r) -> 'k list -> 'r list list
 
-val e1_convergence : ?jobs:int -> params -> Table.t
-val e2_delicate_replacement : ?jobs:int -> params -> Table.t
-val e3_recma_trigger_bound : ?jobs:int -> params -> Table.t
-val e4_recma_liveness : ?jobs:int -> params -> Table.t
-val e5_joining : ?jobs:int -> params -> Table.t
-val e6_label_creations : ?jobs:int -> params -> Table.t
-val e7_counter_increments : ?jobs:int -> params -> Table.t
-val e8_vs_smr : ?jobs:int -> params -> Table.t
-val e9_baseline_comparison : ?jobs:int -> params -> Table.t
-val e10_interface_contract : ?jobs:int -> params -> Table.t
-val e11_shared_memory : ?jobs:int -> params -> Table.t
-val e12_churn : ?jobs:int -> params -> Table.t
-val e13_fd_estimate : ?jobs:int -> params -> Table.t
-val e14_partitions : ?jobs:int -> params -> Table.t
-val e15_message_overhead : ?jobs:int -> params -> Table.t
-val e16_register_comparison : ?jobs:int -> params -> Table.t
+(** {2 Tables}
 
-(** The scale tier (E17): recovery and steady-state throughput at
-    N ∈ {16, 32, 64}. The recovered/rounds columns are deterministic per
-    seed; the wall-clock throughput columns are not — they are the one
-    exception to table byte-identity. *)
-val e17_scale : ?jobs:int -> params -> Table.t
-
-(** The sizes the scale tier measures (16, 32, 64). *)
-val scale_sizes : int list
-
-(** Fault-plan sweep (E18): stabilization time vs. fault intensity
-    (corruption-storm rate x partition duration x churn) at N ∈ {8, 16, 32},
-    with p50/p95 reset-recovery latencies from the telemetry histogram.
-    Every cell replays one declarative {!Faults.Fault_plan} through
+    E1..E16 regenerate one paper claim each. E17 is the scale tier:
+    recovery and steady-state throughput at N ∈ {16, 32, 64}; its
+    recovered/rounds columns are deterministic per seed, its wall-clock
+    throughput columns are not — the one exception to table byte-identity.
+    E18 sweeps stabilization time against fault intensity at
+    N ∈ {8, 16, 32}, each cell replaying one {!Faults.Fault_plan} through
     [Stack.run_plan]. *)
-val e18_faults : ?jobs:int -> params -> Table.t
 
-(** The sizes (8, 16, 32) and composite intensity levels E18 sweeps. *)
-val fault_sizes : int list
-
-val fault_levels : (string * float * int * bool) list
-
-(** All experiments in order. *)
-val all : ?jobs:int -> params -> Table.t list
-
-(** The (id, experiment) pairs behind {!all}, in order — for callers that
-    need per-experiment timing or selection. *)
+(** The (id, experiment) pairs, in order. *)
 val registry : (string * (?jobs:int -> params -> Table.t)) list
+
+(** All experiments in {!registry} order. *)
+val all : ?jobs:int -> params -> Table.t list
 
 (** [by_id id] — lookup an experiment by its "E<n>" identifier. *)
 val by_id : string -> (?jobs:int -> params -> Table.t) option

@@ -688,7 +688,7 @@ let fault_ops t =
     o_join = (fun p -> add_joiner t p);
     o_corrupt_node = (fun rng p -> corrupt_node t p ~rng);
     o_corrupt_link = Some (fun rng ~src ~dst -> corrupt_link t ~src ~dst ~rng);
-    o_set_link_profile = Some (Engine.set_link_profile t.eng);
+    o_set_link_profile = Engine.set_link_profile t.eng;
     o_partition = (fun group -> Engine.partition t.eng group);
     o_heal =
       (fun () ->

@@ -59,7 +59,7 @@ let fault_ops t =
     (* mailboxes hold typed values a transient fault cannot fabricate, and
        per-link profiles are installed on the loop runtime itself *)
     o_corrupt_link = None;
-    o_set_link_profile = Some (Loop.set_link_profile t.loop);
+    o_set_link_profile = Loop.set_link_profile t.loop;
     o_partition = (fun group -> Loop.partition t.loop group);
     o_heal =
       (fun () ->

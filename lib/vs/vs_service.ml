@@ -38,8 +38,7 @@ type ('st, 'cmd) state = {
   cnt : Counter_service.state; (* the inc() provider (Section 4.2) *)
   mutable me : ('st, 'cmd) report;
   mutable peers : ('st, 'cmd) report Pid.Map.t;
-  mutable pending : 'cmd list;
-  mutable delivered_rev : 'cmd list;
+  pending : 'cmd Queue.t;
   mutable batches_rev : (view * (Pid.t * 'cmd) list) list;
       (* per-batch delivery journal, newest first (virtual-synchrony audit) *)
   mutable awaiting_vid : bool; (* a view identifier was requested *)
@@ -52,10 +51,10 @@ type ('st, 'cmd) msg =
   | Cnt of Counter_service.msg
   | Vs of ('st, 'cmd) report
 
-let submit st cmd = st.pending <- st.pending @ [ cmd ]
+let submit st cmd = Queue.push cmd st.pending
 let replica st = st.me.r_replica
-let delivered st = List.rev st.delivered_rev
 let delivered_batches st = List.rev st.batches_rev
+let delivered st = List.concat_map (fun (_, b) -> List.map snd b) (delivered_batches st)
 let current_view st = st.me.r_view
 let status_of st = st.me.r_status
 let installs st = st.view_installs
@@ -107,12 +106,16 @@ let valid_coordinator (v : _ Stack.scheme_view) st =
 
 let is_coordinator st = st.i_am_coordinator
 
-let fetch st =
-  match st.pending with
-  | [] -> None
-  | c :: rest ->
-    st.pending <- rest;
-    Some c
+let fetch st = Queue.take_opt st.pending
+
+(* [all_report st ~self vset pred] — every member of [vset] but [self] has
+   a report satisfying [pred] *)
+let all_report st ~self vset pred =
+  Pid.Set.for_all
+    (fun p ->
+      Pid.equal p self
+      || match Pid.Map.find_opt p st.peers with Some r -> pred r | None -> false)
+    vset
 
 (* synchState/synchMsgs: adopt the most advanced replica among the reports
    of the proposed view's members. *)
@@ -131,14 +134,14 @@ let synch_state st vset =
   in
   best.r_replica
 
-let apply_batch machine st batch =
+(* Journal a multicast round's message array in delivery (sender) order. *)
+let record_batch st batch =
   let sorted = List.sort (fun (a, _) (b, _) -> Pid.compare a b) batch in
-  List.iter (fun (_, cmd) -> st.delivered_rev <- cmd :: st.delivered_rev) sorted;
   if sorted <> [] then st.batches_rev <- (st.me.r_view, sorted) :: st.batches_rev;
-  List.fold_left (fun acc (_, cmd) -> machine.apply acc cmd) st.me.r_replica sorted
+  sorted
 
 (* Follower adoption of the coordinator's report (lines 18-23). *)
-let follow machine (v : _ Stack.scheme_view) st (rep : ('st, 'cmd) report) =
+let follow (v : _ Stack.scheme_view) st (rep : ('st, 'cmd) report) =
   (* a Propose/Install report for a view we already entered is a stale
      (reordered or duplicated) packet; ignore it *)
   let already_entered = view_equal st.me.r_view rep.r_propv && st.me.r_status = Multicast in
@@ -202,11 +205,9 @@ let follow machine (v : _ Stack.scheme_view) st (rep : ('st, 'cmd) report) =
         }
     end
     else if rep.r_rnd > st.me.r_rnd then begin
-      (* a new multicast round: apply the batch for its side effects *)
-      if rep.r_rnd = st.me.r_rnd + 1 then begin
-        let _ = apply_batch machine st rep.r_batch in
-        ()
-      end;
+      (* a new multicast round: deliver its batch; the replica is the
+         coordinator's *)
+      if rep.r_rnd = st.me.r_rnd + 1 then ignore (record_batch st rep.r_batch);
       let input_consumed =
         List.exists (fun (p, _) -> Pid.equal p v.Stack.v_self) rep.r_batch
       in
@@ -230,47 +231,19 @@ let follow machine (v : _ Stack.scheme_view) st (rep : ('st, 'cmd) report) =
 let coordinate machine ~eval_config (v : _ Stack.scheme_view) st =
   let self = v.Stack.v_self in
   let no_reco = Recsa.no_reco v.Stack.v_recsa ~trusted:v.Stack.v_trusted in
-  let echoes_propose vset =
-    Pid.Set.for_all
-      (fun p ->
-        Pid.equal p self
-        ||
-        match Pid.Map.find_opt p st.peers with
-        | Some r -> view_equal r.r_propv st.me.r_propv && r.r_status = Propose
-        | None -> false)
-      vset
-  in
-  let echoes_install vset =
-    Pid.Set.for_all
-      (fun p ->
-        Pid.equal p self
-        ||
-        match Pid.Map.find_opt p st.peers with
-        | Some r -> view_equal r.r_propv st.me.r_propv && r.r_status = Install
-        | None -> false)
-      vset
-  in
-  let echoes_round () =
-    Pid.Set.for_all
-      (fun p ->
-        Pid.equal p self
-        ||
-        match Pid.Map.find_opt p st.peers with
-        | Some r ->
-          view_equal r.r_view st.me.r_view && r.r_status = Multicast
-          && r.r_rnd = st.me.r_rnd
-        | None -> false)
-      st.me.r_view.vset
+  let echoes status =
+    all_report st ~self st.me.r_propv.vset (fun r ->
+        view_equal r.r_propv st.me.r_propv && r.r_status = status)
   in
   match st.me.r_status with
   | Propose ->
-    if echoes_propose st.me.r_propv.vset then begin
+    if echoes Propose then begin
       let replica = synch_state st st.me.r_propv.vset in
       st.me <- { st.me with r_status = Install; r_replica = replica; r_rnd = 0 };
       v.Stack.v_emit "vs.install" (Format.asprintf "%a" pp_view st.me.r_propv)
     end
   | Install ->
-    if echoes_install st.me.r_propv.vset then begin
+    if echoes Install then begin
       st.view_installs <- st.view_installs + 1;
       st.me <-
         {
@@ -292,7 +265,24 @@ let coordinate machine ~eval_config (v : _ Stack.scheme_view) st =
       v.Stack.v_emit "vs.new_view" (Format.asprintf "%a" pp_view st.me.r_view)
     end
   | Multicast ->
-    if no_reco && echoes_round () then begin
+    (* only corruption puts a member's round in this view ahead of ours,
+       and followers adopt only higher rounds: catch up with it *)
+    let highest =
+      Pid.Set.fold
+        (fun p acc ->
+          match Pid.Map.find_opt p st.peers with
+          | Some r when r.r_status = Multicast && view_equal r.r_view st.me.r_view ->
+            max acc r.r_rnd
+          | Some _ | None -> acc)
+        st.me.r_view.vset st.me.r_rnd
+    in
+    if highest > st.me.r_rnd then st.me <- { st.me with r_rnd = highest; r_batch = [] };
+    if
+      no_reco
+      && all_report st ~self st.me.r_view.vset (fun r ->
+             view_equal r.r_view st.me.r_view && r.r_status = Multicast
+             && r.r_rnd = st.me.r_rnd)
+    then begin
       (* Algorithm 4.6: the coordinator alone decides on delicate
          reconfiguration *)
       let members =
@@ -313,17 +303,8 @@ let coordinate machine ~eval_config (v : _ Stack.scheme_view) st =
         v.Stack.v_emit "vs.resume" ""
       end;
       if st.me.r_suspend then begin
-        let all_suspended =
-          Pid.Set.for_all
-            (fun p ->
-              Pid.equal p self
-              ||
-              match Pid.Map.find_opt p st.peers with
-              | Some r -> r.r_suspend
-              | None -> false)
-            st.me.r_view.vset
-        in
-        if all_suspended then st.reconf_ready <- true;
+        if all_report st ~self st.me.r_view.vset (fun r -> r.r_suspend) then
+          st.reconf_ready <- true;
         if st.reconf_ready then begin
           let proposal = Stack.View.participants v in
           let useful =
@@ -360,7 +341,11 @@ let coordinate machine ~eval_config (v : _ Stack.scheme_view) st =
             st.me.r_view.vset []
         in
         if batch <> [] || st.me.r_rnd = 0 then begin
-          let replica = apply_batch machine st batch in
+          let replica =
+            List.fold_left
+              (fun acc (_, cmd) -> machine.apply acc cmd)
+              st.me.r_replica (record_batch st batch)
+          in
           let input =
             if List.exists (fun (p, _) -> Pid.equal p self) batch then fetch st
             else if st.me.r_input = None then fetch st
@@ -419,6 +404,11 @@ let vs_tick machine ~eval_config (v : _ Stack.scheme_view) st =
   let self = v.Stack.v_self in
   if Recsa.is_participant v.Stack.v_recsa then begin
     let part = Stack.View.participants v in
+    (* 0. a Propose/Install status for the view already entered is left
+       over from corruption: followers ignore such reports as stale, so a
+       coordinator would wait on them forever *)
+    if st.me.r_status <> Multicast && view_equal st.me.r_propv st.me.r_view then
+      st.me <- { st.me with r_status = Multicast };
     (* 1. track coordinator existence *)
     let val_crd = valid_coordinator v st in
     let no_crd = val_crd = None in
@@ -464,7 +454,7 @@ let vs_tick machine ~eval_config (v : _ Stack.scheme_view) st =
     (* 4. act as coordinator or follower *)
     (match val_crd with
     | Some (owner, _, _) when Pid.equal owner self -> coordinate machine ~eval_config v st
-    | Some (owner, _, rep) -> if not (Pid.equal owner self) then follow machine v st rep
+    | Some (owner, _, rep) -> if not (Pid.equal owner self) then follow v st rep
     | None -> ());
     (* 5. broadcast the state record (lines 24-25) *)
     Pid.Set.iter (fun p -> if not (Pid.equal p self) then v.Stack.v_send p (Vs st.me)) part
@@ -510,8 +500,7 @@ let plugin ~machine ?(eval_config = default_eval) () =
             cnt = counter_plugin.Stack.p_init p;
             me = fresh_report machine.initial;
             peers = Pid.Map.empty;
-            pending = [];
-            delivered_rev = [];
+            pending = Queue.create ();
             batches_rev = [];
             awaiting_vid = false;
             reconf_ready = false;

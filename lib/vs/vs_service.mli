@@ -17,14 +17,17 @@
       until every view member echoes its (view, status, round), then
       collects their fetched inputs into the message array, applies it to
       the replica and starts the next round. Followers adopt the
-      coordinator's state and apply the message array for its side effects
-      (delivery).
+      coordinator's replica and journal its message array (delivery).
     - Coordinator-led delicate reconfiguration (Algorithm 4.6): when the
       [eval_config] predicate says so, the coordinator raises [suspend],
       waits for the whole view to suspend (the replicas are then
       synchronized), and calls recSA's [estab] directly. Multicast rounds
       resume in the first view of the new configuration with the replica
       state preserved (Theorem 4.13).
+    - Two recovery rules beyond the pseudocode, for states only corruption
+      creates: a Propose/Install status for the view already entered
+      returns to Multicast, and a coordinator in Multicast catches up with
+      the highest round a member of its view reports for that view.
 
     ['st] is the replica state, ['cmd] the commands clients submit. *)
 
@@ -77,7 +80,8 @@ val submit : ('st, 'cmd) state -> 'cmd -> unit
 (** The node's current replica state. *)
 val replica : ('st, 'cmd) state -> 'st
 
-(** Commands applied at this node, in application order. *)
+(** Commands delivered at this node, in delivery order: the
+    {!delivered_batches} concatenated. *)
 val delivered : ('st, 'cmd) state -> 'cmd list
 
 (** The per-batch delivery journal: each multicast round's message array

@@ -598,6 +598,33 @@ let test_service_recovers_from_corrupt_labels () =
     Alcotest.(check bool) "agreed label is a fresh one" true (l.Label.sting < 1000)
   | None -> Alcotest.fail "no agreed label"
 
+(* The plugin's own corruption (what [corrupt_everything] and the fault
+   plans inject) reaches the queues, not only max[]: some queue holds a
+   pair it did not hold before, and the members agree on a label again. *)
+let test_service_corruption_reaches_queues () =
+  let sys = make_counter_system ~seed:7 () in
+  Alcotest.(check bool) "initial agreement" true
+    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
+         Counter_service.agreed_label t <> None));
+  let algo_of p = Option.get (Counter_service.algo (app sys p)) in
+  let members = [ 1; 2; 3; 4 ] in
+  let queues p = List.map (Counter_algo.stored (algo_of p)) members in
+  let before = List.map (fun p -> (p, queues p)) members in
+  List.iter (fun p -> Reconfig.Stack.corrupt_node sys p ~rng:(Rng.create p)) members;
+  let new_pair =
+    List.exists
+      (fun (p, qs) ->
+        List.exists2
+          (fun old now ->
+            List.exists (fun x -> not (List.exists (pair_equal x) old)) now)
+          qs (queues p))
+      before
+  in
+  Alcotest.(check bool) "a queue holds a new pair" true new_pair;
+  Alcotest.(check bool) "re-agreement after corruption" true
+    (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+         Counter_service.agreed_label t <> None))
+
 let suites =
   [
     ( "counter.structure",
@@ -644,5 +671,7 @@ let suites =
           test_service_label_agreement_after_reconfig;
         Alcotest.test_case "recovery from corrupt labels" `Quick
           test_service_recovers_from_corrupt_labels;
+        Alcotest.test_case "corruption reaches the queues" `Quick
+          test_service_corruption_reaches_queues;
       ] );
   ]

@@ -223,13 +223,15 @@ let make_shm ?(seed = 42) ?(n = 4) () =
   Reconfig.Stack.of_scenario ~hooks:(Shared_memory.hooks ())
     (Reconfig.Scenario.make ~seed ~n_bound:16 ~members ())
 
-let shm_wait_view sys =
-  Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
-      List.for_all
-        (fun (_, n) ->
-          Vs_service.status_of n.Reconfig.Stack.app = Vs_service.Multicast
-          && (Vs_service.current_view n.Reconfig.Stack.app).Vs_service.vid <> None)
-        (Reconfig.Stack.live_nodes t))
+let all_in_multicast_view t =
+  List.for_all
+    (fun (_, n) ->
+      let st = n.Reconfig.Stack.app in
+      Vs_service.status_of st = Vs_service.Multicast
+      && (Vs_service.current_view st).Vs_service.vid <> None)
+    (Reconfig.Stack.live_nodes t)
+
+let shm_wait_view sys = Reconfig.Stack.run_until sys ~max_steps:600_000 all_in_multicast_view
 
 let test_shm_write_read () =
   let sys = make_shm () in
@@ -372,6 +374,60 @@ let test_smr_retry_after_coordinator_crash () =
              Smr.inner rs = 10 && Smr.applied_up_to rs ~client:1 = 2)
            (Reconfig.Stack.live_nodes t)))
 
+(* --- recovery from total corruption --- *)
+
+(* Five write/read pairs on register "x", rids from [base]. A write is
+   committed once its writer's own read returns it; another node's read,
+   submitted in the same step, may be ordered before or after the write.
+   Returns the last committed value, or [None] at the first pair that
+   stalls or reads something else. *)
+let committed_pairs sys ~base ~last =
+  let rec go k last =
+    if k > 5 then Some last
+    else begin
+      let writer = k and reader = k + 1 in
+      let value = base + k and rid = base + k in
+      Shared_memory.write (app sys writer) ~writer "x" value;
+      Shared_memory.read (app sys writer) ~reader:writer ~rid "x";
+      Shared_memory.read (app sys reader) ~reader ~rid "x";
+      let own t = Shared_memory.read_result (app t writer) ~reader:writer ~rid in
+      let other t = Shared_memory.read_result (app t reader) ~reader ~rid in
+      let done_ =
+        Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t ->
+            own t <> None && other t <> None)
+      in
+      if
+        done_
+        && own sys = Some (Some value)
+        && (other sys = Some (Some value) || other sys = Some last)
+      then go (k + 1) (Some value)
+      else None
+    end
+  in
+  go 1 last
+
+(* Total corruption of an N = 8 shared memory: the VS layer must return to
+   a common view and commit writes again. Seeds 2 and 7 stall unless a
+   participant drops a Propose/Install status for the view it already
+   entered (followers ignore such reports as stale, so the coordinator
+   waits on them forever); seeds 4 and 7 stall after recovery unless the
+   coordinator catches up with a member's corrupted, higher round (it
+   waits for every member to echo its own round). *)
+let test_recovers_from_total_corruption seed () =
+  let sys =
+    Reconfig.Stack.of_scenario ~hooks:(Shared_memory.hooks ())
+      (Reconfig.Scenario.make ~seed ~n_bound:16 ~members:(List.init 8 (fun i -> i + 1)) ())
+  in
+  Alcotest.(check bool) "view" true (shm_wait_view sys);
+  let last = committed_pairs sys ~base:100 ~last:None in
+  Alcotest.(check bool) "committed before corruption" true (last <> None);
+  Reconfig.Stack.corrupt_everything sys ~rng:(Rng.create seed);
+  Alcotest.(check bool) "recovered" true
+    (Reconfig.Stack.run_until sys ~max_steps:1_000_000 (fun t ->
+         Reconfig.Stack.quiescent t && all_in_multicast_view t));
+  Alcotest.(check bool) "committed after corruption" true
+    (committed_pairs sys ~base:200 ~last:(Option.get last) <> None)
+
 (* --- baseline comparator --- *)
 
 let test_baseline_works_coherently () =
@@ -448,6 +504,11 @@ let suites =
         Alcotest.test_case "retry across coordinator crash" `Quick
           test_smr_retry_after_coordinator_crash;
       ] );
+    ( "vs.corruption",
+      List.init 10 (fun i ->
+          let seed = i + 1 in
+          Alcotest.test_case (Printf.sprintf "recovers, seed %d" seed) `Quick
+            (test_recovers_from_total_corruption seed)) );
     ( "baseline",
       [
         Alcotest.test_case "works from coherent start" `Quick test_baseline_works_coherently;

@@ -91,6 +91,33 @@ let bench_counter_order =
   Test.make ~name:"counter.precedes"
     (Staged.stage (fun () -> Counters.Counter.precedes c1 c2))
 
+(* one gossip receipt of a raised counter at a warm 8-member storage: the
+   gossip after every increment, which a member receives from each other
+   member; each run raises the counter of the label every member holds *)
+let bench_counter_gossip_receipt =
+  let members = set (List.init 8 (fun i -> i + 1)) in
+  let algo =
+    Counters.Counter_algo.create ~self:1 ~members ~in_transit_bound:8
+      ~exhaust_bound:max_int
+  in
+  let lbl = (Counters.Counter_algo.find_max_counter algo).Counters.Counter.lbl in
+  let seqn = ref 0 in
+  let raised from =
+    incr seqn;
+    Counters.Counter.pair_of (Counters.Counter.make ~lbl ~seqn:!seqn ~wid:from)
+  in
+  for from = 2 to 8 do
+    Counters.Counter_algo.receipt_action algo ~sent_max:(Some (raised from)) ~last_sent:None
+      ~from
+  done;
+  (* a run that changes nothing records the fixed point receipts start from *)
+  ignore (Counters.Counter_algo.find_max_counter algo);
+  Test.make ~name:"counter.gossip_receipt_8"
+    (Staged.stage (fun () ->
+         let from = 2 + (!seqn mod 7) in
+         Counters.Counter_algo.receipt_action algo ~sent_max:(Some (raised from))
+           ~last_sent:(Counters.Counter_algo.local_max algo) ~from))
+
 let bench_recsa_tick =
   (* one do-forever iteration of a warm 8-node recSA instance *)
   let trusted = set (List.init 8 (fun i -> i + 1)) in
@@ -167,6 +194,7 @@ let micro_tests =
       bench_label_order;
       bench_label_next;
       bench_counter_order;
+      bench_counter_gossip_receipt;
       bench_recsa_tick;
       bench_engine_round;
       bench_engine_round_16;

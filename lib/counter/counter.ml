@@ -59,7 +59,7 @@ let pp fmt c = Format.fprintf fmt "<%a, %d, w%a>" Label.pp c.lbl c.seqn Pid.pp c
 type pair = { mct : t; cct : t option }
 
 let pair_of c = { mct = c; cct = None }
-let legit p = p.cct = None
+let legit p = match p.cct with None -> true | Some _ -> false
 let cancel p = { p with cct = Some p.mct }
 
 let pp_pair fmt p =

@@ -8,11 +8,16 @@ open Labels
    return the same counter and change nothing, and [fixed] remembers that.
    A run that changed anything is no fixed point — on corrupted states
    [sync_cancellations] can swap a just-settled max for its canceled twin —
-   so only a run that changed nothing may mark the state clean. *)
+   so only a run that changed nothing may mark the state clean.
+
+   A same-label raise ([raise_in_label]) keeps the record valid with one
+   step pending: while both maps are the recorded ones, a full run would
+   change at most max[self], which [settle] sets to [fp_result], and the
+   state it leaves is a fixed point. [settle_fixed] takes that step. *)
 type fixed_point = {
-  fp_max : Counter.pair Pid.Map.t;
-  fp_store : Counter.pair list Pid.Map.t;
-  fp_result : Counter.t;
+  mutable fp_max : Counter.pair Pid.Map.t;
+  mutable fp_store : Counter.pair list Pid.Map.t;
+  mutable fp_result : Counter.t;
 }
 
 type t = {
@@ -42,14 +47,25 @@ let create ~self ~members ~in_transit_bound ~exhaust_bound =
 
 let self t = t.ca_self
 let members t = t.ca_members
+
+(* An equal set replaces the stored one, so the next check against the
+   caller's set is one pointer comparison and allocates nothing. *)
+let has_members t members =
+  members == t.ca_members
+  || Pid.Set.equal members t.ca_members
+     && begin
+       t.ca_members <- members;
+       true
+     end
+
 let exhaust_bound t = t.exhaust
 let local_max t = Pid.Map.find_opt t.ca_self t.max
 let max_of t j = Pid.Map.find_opt j t.max
 let label_creations t = t.label_creations
-let stored t j = match Pid.Map.find_opt j t.store with Some q -> q | None -> []
+let stored t j = match Pid.Map.find j t.store with q -> q | exception Not_found -> []
 
 let queue_bound t j =
-  let v = max 1 t.n_members in
+  let v = Int.max 1 t.n_members in
   if Pid.equal j t.ca_self then (v * ((v * v) + t.m_bound)) + v else v + t.m_bound
 
 let truncate n l =
@@ -96,20 +112,35 @@ let merge_pair (a : Counter.pair) (b : Counter.pair) =
     else if Counter.precedes b.Counter.mct a.Counter.mct then a
     else a
 
+(* [List.exists (same_label p)], allocating no closure *)
+let rec label_in (p : Counter.pair) = function
+  | [] -> false
+  | h :: rest -> same_label p h || label_in p rest
+
+(* The pair's label heads its creator's queue [q] and appears nowhere else
+   in it, and [q] is within its bound: adding the pair then merges into the
+   head alone. *)
+let heads_queue t (p : Counter.pair) q =
+  match q with
+  | h :: rest ->
+    same_label p h
+    && (not (label_in p rest))
+    && List.compare_length_with q (queue_bound t p.Counter.mct.Counter.lbl.Label.creator)
+       <= 0
+  | [] -> false
+
 let store_add t (p : Counter.pair) =
   let creator = p.Counter.mct.Counter.lbl.Label.creator in
   let q = stored t creator in
-  let bound = queue_bound t creator in
   match q with
-  | h :: rest
-    when same_label p h
-         && pair_equal (merge_pair p h) h
-         && (not (List.exists (same_label p) rest))
-         && List.compare_length_with q bound <= 0 ->
-    (* the pair's label already heads the queue with this value: adding it
-       would rebuild the same queue *)
-    ()
+  | h :: rest when heads_queue t p q ->
+    (* the partition below would rebuild [merged :: rest]; an unchanged
+       head leaves the queue alone *)
+    let merged = merge_pair p h in
+    if not (pair_equal merged h) then
+      t.store <- Pid.Map.add creator (merged :: rest) t.store
   | _ ->
+    let bound = queue_bound t creator in
     let q' =
       match List.partition (same_label p) q with
       | [], rest -> truncate bound (p :: rest)
@@ -119,11 +150,15 @@ let store_add t (p : Counter.pair) =
     in
     t.store <- Pid.Map.add creator q' t.store
 
-let clean_pair t (p : Counter.pair) =
-  if Pid.Set.mem p.Counter.mct.Counter.lbl.Label.creator t.ca_members then Some p
-  else None
+(* cleanLP: a pair is kept iff its label's creator is a member *)
+let keeps t (p : Counter.pair) =
+  Pid.Set.mem p.Counter.mct.Counter.lbl.Label.creator t.ca_members
 
-let clean_max t = t.max <- Pid.Map.filter_map (fun _ p -> clean_pair t p) t.max
+let clean t = function
+  | Some p as kept when keeps t p -> kept
+  | Some _ | None -> None
+
+let clean_max t = t.max <- Pid.Map.filter (fun _ p -> keeps t p) t.max
 
 (* Cancel pairs whose counter is exhausted, both in max[] and the store. *)
 let cancel_exhausted t =
@@ -231,12 +266,23 @@ let rec misfiled j = function
   | (p : Counter.pair) :: rest ->
     (not (Pid.equal p.Counter.mct.Counter.lbl.Label.creator j)) || misfiled j rest
 
+(* The one step a full run at a recorded fixed point can still take:
+   [settle]'s update of max[self]. *)
+let settle_fixed t fp =
+  let c = fp.fp_result in
+  (match Pid.Map.find t.ca_self t.max with
+  | mine when Counter.legit mine && Counter.equal mine.Counter.mct c -> ()
+  | _ | (exception Not_found) ->
+    t.max <- Pid.Map.add t.ca_self (Counter.pair_of c) t.max;
+    fp.fp_max <- t.max);
+  c
+
 (* A full run starts with line 20's flush, so a fixed point's store was
    checked when the fixed point was recorded and a skipped run skips no
    flush. *)
 let find_max_counter t =
   match t.fixed with
-  | Some fp when fp.fp_max == t.max && fp.fp_store == t.store -> fp.fp_result
+  | Some fp when fp.fp_max == t.max && fp.fp_store == t.store -> settle_fixed t fp
   | Some _ | None ->
     let max0 = t.max and store0 = t.store in
     if Pid.Map.exists misfiled t.store then t.store <- Pid.Map.empty;
@@ -250,7 +296,7 @@ let find_max_counter t =
        else None);
     c
 
-let merge t ~from p =
+let merge_full t ~from p =
   (match Pid.Map.find_opt from t.max with
   | Some existing when existing == p -> () (* gossip repeating itself *)
   | Some existing when same_label existing p ->
@@ -258,9 +304,9 @@ let merge t ~from p =
   | Some _ | None -> t.max <- Pid.Map.add from p t.max);
   store_add t p
 
-let receipt_action t ~sent_max ~last_sent ~from =
+let receipt_action_full t ~sent_max ~last_sent ~from =
   (match sent_max with
-  | Some p -> merge t ~from p
+  | Some p -> merge_full t ~from p
   | None -> if not (Pid.equal from t.ca_self) then t.max <- Pid.Map.remove from t.max);
   (match (last_sent, local_max t) with
   | Some ls, Some mine when (not (Counter.legit ls)) && same_label ls mine ->
@@ -268,6 +314,71 @@ let receipt_action t ~sent_max ~last_sent ~from =
     store_add t ls
   | _ -> ());
   ignore (find_max_counter t)
+
+(* Adding [p] to the store changes nothing: it merges into the head of its
+   creator's queue, which keeps its value. *)
+let store_keeps t (p : Counter.pair) =
+  let q = stored t p.Counter.mct.Counter.lbl.Label.creator in
+  match q with
+  | h :: _ -> heads_queue t p q && pair_equal (merge_pair p h) h
+  | [] -> false
+
+(* The same-label raise at fixed point [fp] with result [c]: [p], legit
+   and not exhausted, carries [c]'s label, and so do [old], the stored
+   legit max[from], and the legit head of the label's queue, the only
+   entry of that queue with the label. Merging [p] then changes no label
+   and no cancellation, only the ⟨seqn, wid⟩ of counters of [c]'s label,
+   and [c] was the greatest of those. So every cancellation step of a full
+   run would change nothing, and [settle] would choose [c] or [p.mct],
+   whichever is greater: merge, and record that result with the new maps,
+   max[self] not yet settled. (At a fixed point a legit [old] and a legit
+   head of its label imply each other, through [sync_cancellations];
+   both are tested, as the argument reads both.) *)
+let raise_in_label t fp ~from ~(old : Counter.pair) (p : Counter.pair) =
+  let c = fp.fp_result in
+  let lbl = p.Counter.mct.Counter.lbl in
+  Counter.legit p
+  && (not (Counter.exhausted ~bound:t.exhaust p.Counter.mct))
+  && Label.equal lbl c.Counter.lbl
+  && Counter.legit old
+  && same_label old p
+  &&
+  match stored t lbl.Label.creator with
+  | h :: rest as q when Counter.legit h && heads_queue t p q ->
+    let m = merge_pair old p in
+    if m != old then t.max <- Pid.Map.add from m t.max;
+    let merged = merge_pair p h in
+    if not (pair_equal merged h) then
+      t.store <- Pid.Map.add lbl.Label.creator (merged :: rest) t.store;
+    if Counter.precedes c p.Counter.mct then fp.fp_result <- p.Counter.mct;
+    fp.fp_max <- t.max;
+    fp.fp_store <- t.store;
+    true
+  | _ -> false
+
+(* Merge [p] from [from] in constant time, keeping the fixed point, when
+   the state is at one and [p] repeats the stored max[from] (and adding it
+   keeps the store) or raises it within the result's label. *)
+let absorb t ~from (p : Counter.pair) =
+  match t.fixed with
+  | Some fp when fp.fp_max == t.max && fp.fp_store == t.store -> (
+    match Pid.Map.find from t.max with
+    | old -> (old == p && store_keeps t p) || raise_in_label t fp ~from ~old p
+    | exception Not_found -> false)
+  | Some _ | None -> false
+
+let merge t ~from p = if not (absorb t ~from p) then merge_full t ~from p
+
+(* A receipt that echoes no cancellation and whose pair [absorb] takes
+   leaves the fixed point valid, so its findMaxCounter is [settle_fixed]. *)
+let receipt_action t ~sent_max ~last_sent ~from =
+  let absorbed =
+    match (sent_max, last_sent) with
+    | Some p, (None | Some { Counter.cct = None; _ }) -> absorb t ~from p
+    | _ -> false
+  in
+  if absorbed then ignore (find_max_counter t)
+  else receipt_action_full t ~sent_max ~last_sent ~from
 
 let rebuild t ~members =
   t.ca_members <- members;

@@ -26,6 +26,12 @@ val create :
 
 val self : t -> Pid.t
 val members : t -> Pid.Set.t
+
+(** [has_members t members] — is [members] the member set? An equal set
+    is kept in place of the stored one, so checking the same set again
+    is a pointer comparison. *)
+val has_members : t -> Pid.Set.t -> bool
+
 val exhaust_bound : t -> int
 
 (** The locally maximal counter pair ([maxC\[i\]]). *)
@@ -49,14 +55,35 @@ val label_creations : t -> int
 val find_max_counter : t -> Counter.t
 
 (** [merge t ~from pair] — incorporate a counter pair received from [from]
-    (gossip or majWrite), keeping per-label maxima. *)
+    (gossip or majWrite), keeping per-label maxima. At a recorded fixed
+    point, a pair that repeats the stored [max\[from\]] or raises it within
+    the label of the current maximum keeps the fixed point, so the next
+    [find_max_counter] only settles [max\[self\]]. *)
 val merge : t -> from:Pid.t -> Counter.pair -> unit
 
 (** [receipt_action t ~sent_max ~last_sent ~from] — the gossip receipt
     action of Algorithm 4.3 (Algorithm 4.2's [labelReceiptAction] on counter
     pairs): record the sender's maximum, adopt an echoed cancellation of
-    our own, then [find_max_counter] (lines 20 and 22–27). *)
+    our own, then [find_max_counter] (lines 20 and 22–27).
+
+    At a recorded fixed point, two receipts that echo no cancellation
+    settle in constant time and leave the state {!receipt_action_full}
+    would: a repeat of the stored [max\[from\]] that the store already
+    holds changes nothing, and a legit pair that raises [max\[from\]]
+    within the label of the current maximum moves that maximum without a
+    full [find_max_counter] run. *)
 val receipt_action :
+  t ->
+  sent_max:Counter.pair option ->
+  last_sent:Counter.pair option ->
+  from:Pid.t ->
+  unit
+
+(** The receipt action without the constant-time paths: the merge in full,
+    then [find_max_counter], which skips its run only while both maps are
+    those of a recorded fixed point. The reference {!receipt_action} is
+    tested against. *)
+val receipt_action_full :
   t ->
   sent_max:Counter.pair option ->
   last_sent:Counter.pair option ->
@@ -67,9 +94,9 @@ val receipt_action :
     queues, non-member counters voided. *)
 val rebuild : t -> members:Pid.Set.t -> unit
 
-(** [clean_pair t p] — [None] when the pair's label creator is not a
-    member. *)
-val clean_pair : t -> Counter.pair -> Counter.pair option
+(** [clean t p] — [None] when the pair's label creator is not a member,
+    else [p] itself. *)
+val clean : t -> Counter.pair option -> Counter.pair option
 
 (** Arbitrary-state injection: overwrite entries of [max\[\]] and whole
     queues ([stored_entries] pairs a queue's index with its contents, which

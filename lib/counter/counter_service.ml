@@ -18,6 +18,8 @@ type state = {
   mutable increment_result : Counter.t option;
   mutable abort_count : int;
   mutable next_id : int;
+  mutable gossip_of : Pid.Set.t; (* the member set [gossip_to] lists *)
+  mutable gossip_to : Pid.t array; (* its other members, descending *)
 }
 
 type msg =
@@ -35,6 +37,8 @@ let fresh_state ~in_transit_bound ~exhaust_bound _pid =
     increment_result = None;
     abort_count = 0;
     next_id = 0;
+    gossip_of = Pid.Set.empty;
+    gossip_to = [||];
   }
 
 let request_increment st =
@@ -51,7 +55,7 @@ let aborts st = st.abort_count
 
 let ensure_algo (view : _ Stack.scheme_view) st members =
   match st.algo with
-  | Some algo when Pid.equal_sets (Counter_algo.members algo) members -> algo
+  | Some algo when Counter_algo.has_members algo members -> algo
   | Some algo ->
     Counter_algo.rebuild algo ~members;
     view.Stack.v_emit "counter.rebuild" "";
@@ -246,17 +250,20 @@ let tick (view : msg Stack.scheme_view) st =
     Option.iter (send_requests view) st.phase;
     Option.iter (send_requests view) started;
     (* ... and gossip the maximal counter to the other members, in
-       descending pid order *)
+       descending pid order; the order is listed once per member set *)
     Option.iter
       (fun algo ->
-        let clean p = Option.bind p (Counter_algo.clean_pair algo) in
-        let sent_max = clean (Counter_algo.local_max algo) in
-        Seq.iter
+        if members != st.gossip_of then begin
+          st.gossip_of <- members;
+          st.gossip_to <-
+            Array.of_list (List.rev (Pid.Set.elements (Pid.Set.remove self members)))
+        end;
+        let sent_max = Counter_algo.clean algo (Counter_algo.local_max algo) in
+        Array.iter
           (fun pk ->
-            if not (Pid.equal pk self) then
-              view.Stack.v_send pk
-                (Gossip { sent_max; last_sent = clean (Counter_algo.max_of algo pk) }))
-          (Pid.Set.to_rev_seq members))
+            let last_sent = Counter_algo.clean algo (Counter_algo.max_of algo pk) in
+            view.Stack.v_send pk (Gossip { sent_max; last_sent }))
+          st.gossip_to)
       algo;
     advance view st
 
@@ -268,9 +275,8 @@ let recv (view : msg Stack.scheme_view) ~from m st =
     | Some members
       when Pid.Set.mem from members && Pid.Set.mem view.Stack.v_self members ->
       let algo = ensure_algo view st members in
-      let clean p = Option.bind p (Counter_algo.clean_pair algo) in
-      Counter_algo.receipt_action algo ~sent_max:(clean sent_max)
-        ~last_sent:(clean last_sent) ~from
+      Counter_algo.receipt_action algo ~sent_max:(Counter_algo.clean algo sent_max)
+        ~last_sent:(Counter_algo.clean algo last_sent) ~from
     | Some _ | None -> ())
   | Op (Phase.Request { id; req = Read }) -> (
     match serving view st with

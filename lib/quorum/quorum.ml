@@ -1,7 +1,7 @@
 open Sim
 
-let has_majority ~config alive =
-  Pid.Set.cardinal (Pid.Set.inter config alive) >= (Pid.Set.cardinal config / 2) + 1
+let majority config = (Pid.Set.cardinal config / 2) + 1
+let has_majority ~config alive = Pid.inter_cardinal config alive >= majority config
 
 module Phase = struct
   type ('req, 'rep) msg =
@@ -32,9 +32,11 @@ module Phase = struct
     | Refuse { id } when id = t.id -> `Refused
     | Request _ | Reply _ | Refuse _ -> `Ignored
 
+  (* the members among the repliers, counted in place *)
   let complete t =
-    has_majority ~config:t.conf
-      (Pid.Map.fold (fun p _ acc -> Pid.Set.add p acc) t.replies Pid.Set.empty)
+    let conf = t.conf in
+    Pid.Map.fold (fun p _ n -> if Pid.Set.mem p conf then n + 1 else n) t.replies 0
+    >= majority conf
 
   let send_requests ~self t send =
     let m = Request { id = t.id; req = t.req } in

@@ -2,6 +2,19 @@ open Sim
 
 type message = { m_no_maj : bool; m_need_reconf : bool }
 
+(* the four messages there are, built once *)
+let message_ff = { m_no_maj = false; m_need_reconf = false }
+let message_ft = { m_no_maj = false; m_need_reconf = true }
+let message_tf = { m_no_maj = true; m_need_reconf = false }
+let message_tt = { m_no_maj = true; m_need_reconf = true }
+
+let message ~no_maj ~need_reconf =
+  match (no_maj, need_reconf) with
+  | false, false -> message_ff
+  | false, true -> message_ft
+  | true, false -> message_tf
+  | true, true -> message_tt
+
 type t = {
   ma_self : Pid.t;
   mutable no_maj : bool Pid.Map.t; (* noMaj[] *)
@@ -72,7 +85,9 @@ let tick t ~trusted ~recsa ~eval_conf ~send =
       flush_flags t
     | Some _ | None -> ());
     (if Recsa.no_reco recsa ~trusted then begin
-       t.prev_config <- Some cur_conf;
+       (match t.prev_config with
+       | Some prev when prev == cur_conf -> ()
+       | Some _ | None -> t.prev_config <- Some cur_conf);
        match Config_value.to_set cur_conf with
        | None -> ()
        | Some members ->
@@ -101,10 +116,8 @@ let tick t ~trusted ~recsa ~eval_conf ~send =
          end
      end);
     let msg =
-      {
-        m_no_maj = flag t.no_maj t.ma_self;
-        m_need_reconf = flag t.need_reconf t.ma_self;
-      }
+      message ~no_maj:(flag t.no_maj t.ma_self)
+        ~need_reconf:(flag t.need_reconf t.ma_self)
     in
     Pid.iter_desc (fun p -> if not (Pid.equal p t.ma_self) then send p msg) part;
     List.rev !events

@@ -36,6 +36,9 @@ type t = {
   mutable memo_config : Config_value.t option;
   mutable memo_broadcast : (Pid.t * message) list option;
   mutable memo_quiet : bool; (* a tick at this key changed nothing *)
+  (* the last broadcast computed, kept across versions: a new one reuses
+     each of its messages whose fields are all still current *)
+  mutable last_broadcast : (Pid.t * message) list;
   (* [peer_views] at (views_version, views_part): one tick reads the views
      in several tests, most often at one version and one participant set *)
   mutable views_version : int;
@@ -68,6 +71,7 @@ let create ~self ~participant ?initial_config () =
     memo_config = None;
     memo_broadcast = None;
     memo_quiet = false;
+    last_broadcast = [];
     views_version = -1;
     views_part = Pid.Set.empty;
     views = [];
@@ -520,31 +524,61 @@ let tick t ~trusted =
     events
   end
 
+let echo_of t p =
+  match Pid.Map.find p t.peers with
+  | pv -> Some { e_part = pv.m_part; e_prp = pv.m_prp; e_all = pv.m_all }
+  | exception Not_found -> None
+
+(* [echo] is physically [echo_of t p]'s fields *)
+let echo_current t p echo =
+  match (Pid.Map.find p t.peers, echo) with
+  | pv, Some e -> e.e_part == pv.m_part && e.e_prp == pv.m_prp && Bool.equal e.e_all pv.m_all
+  | _, None -> false
+  | exception Not_found -> Option.is_none echo
+
+(* [List.map] that returns [l] itself when [f] keeps every element *)
+let rec map_same f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = f x in
+    let rest' = map_same f rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
+(* One message per trusted peer but self, in descending pid order. When
+   the last broadcast was built from the same trusted set, participant
+   set, configuration, notification and all flag (physically), it lists
+   the same peers in the same order, and only the echoes of peers whose
+   view changed since need new messages: a receipt that changed one view
+   rebuilds one message. *)
 let compute_broadcast t ~trusted =
   if not (is_participant t) then []
   else begin
     let part = participants t ~trusted in
-    Pid.Set.fold
-      (fun p acc ->
-        if Pid.equal p t.sa_self then acc
-        else
-          let echo =
-            match Pid.Map.find_opt p t.peers with
-            | Some pv ->
-              Some { e_part = pv.m_part; e_prp = pv.m_prp; e_all = pv.m_all }
-            | None -> None
-          in
-          ( p,
-            {
-              m_fd = trusted;
-              m_part = part;
-              m_config = t.sa_config;
-              m_prp = t.sa_prp;
-              m_all = t.sa_all;
-              m_echo = echo;
-            } )
-          :: acc)
-      trusted []
+    match t.last_broadcast with
+    | (_, m) :: _
+      when m.m_fd == trusted && m.m_part == part && m.m_config == t.sa_config
+           && m.m_prp == t.sa_prp && Bool.equal m.m_all t.sa_all ->
+      map_same
+        (fun ((p, m) as sent) ->
+          if echo_current t p m.m_echo then sent else (p, { m with m_echo = echo_of t p }))
+        t.last_broadcast
+    | _ ->
+      Pid.Set.fold
+        (fun p acc ->
+          if Pid.equal p t.sa_self then acc
+          else
+            ( p,
+              {
+                m_fd = trusted;
+                m_part = part;
+                m_config = t.sa_config;
+                m_prp = t.sa_prp;
+                m_all = t.sa_all;
+                m_echo = echo_of t p;
+              } )
+            :: acc)
+        trusted []
   end
 
 let broadcast t ~trusted =
@@ -554,6 +588,7 @@ let broadcast t ~trusted =
   | None ->
     let msgs = compute_broadcast t ~trusted in
     t.memo_broadcast <- Some msgs;
+    t.last_broadcast <- msgs;
     msgs
 
 (* Value equality, whichever copies carry the fields. Interned descriptors

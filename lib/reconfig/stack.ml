@@ -139,7 +139,7 @@ let default_eval_conf () ~self:_ ~trusted members =
   let total = Pid.Set.cardinal members in
   if total = 0 then false
   else
-    let missing = total - Pid.Set.cardinal (Pid.Set.inter members trusted) in
+    let missing = total - Pid.inter_cardinal members trusted in
     float_of_int missing >= 0.25 *. float_of_int total
 
 (* A joiner uses a link only once its cleaning handshake completed

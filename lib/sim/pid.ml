@@ -40,3 +40,7 @@ let compare_sets_lex a b =
     go (Set.to_seq a) (Set.to_seq b)
 
 let equal_sets a b = a == b || Set.equal a b
+
+let inter_cardinal a b =
+  if a == b then Set.cardinal a
+  else Set.fold (fun p n -> if Set.mem p b then n + 1 else n) a 0

@@ -37,3 +37,7 @@ val compare_sets_lex : Set.t -> Set.t -> int
 (** Set equality with a physical-equality fast path; interned sets
     ([Reconfig.Intern.pid_set]) usually decide in one pointer compare. *)
 val equal_sets : Set.t -> Set.t -> bool
+
+(** [inter_cardinal a b] = [Set.cardinal (Set.inter a b)], counted without
+    building the intersection. *)
+val inter_cardinal : Set.t -> Set.t -> int

@@ -135,9 +135,10 @@ let test_algo_cancellation_echo () =
 let test_algo_voids_non_member_labels () =
   let a = mk_algo 1 in
   Alcotest.(check bool) "cleanLP voids foreigners" true
-    (Counter_algo.clean_pair a (pair_by 9) = None);
-  Alcotest.(check bool) "cleanLP keeps members" true
-    (Counter_algo.clean_pair a (pair_by 2) <> None)
+    (Counter_algo.clean a (Some (pair_by 9)) = None);
+  let kept = Some (pair_by 2) in
+  Alcotest.(check bool) "cleanLP keeps members, allocating nothing" true
+    (Counter_algo.clean a kept == kept)
 
 let test_algo_merge_keeps_greatest () =
   let a = mk_algo 1 in
@@ -436,6 +437,149 @@ let prop_fixed_point_skip_exact =
              Counter.equal ca cb && algo_state_equal a b)
            (gen_cnt_ops rs 80)))
 
+(* --- the incremental receipt action is exact --- *)
+
+(* A receipt-heavy run over members {1..4}: gossip of pool pairs, raises
+   (member [j] sends one past what we store from it, the gossip after an
+   increment), repeats (the stored max[j] sent again, physically), echoed
+   cancellations, majWrite merges, corruption, rebuilds and findMaxCounter
+   calls. [a] takes [receipt_action] and [merge]; [b] forgets its fixed
+   point before every step and takes [receipt_action_full], so it runs
+   every step in full. After every step the two storages must agree on
+   max[], the queues and the label count, and every findMaxCounter on its
+   result. Labels come from a small per-run pool, most of one creator's
+   chain, so runs settle and the constant-time paths are often taken. *)
+let prop_incremental_receipt_exact =
+  qtest
+    (QCheck.Test.make ~name:"incremental receipt = full findMaxCounter path" ~count:300
+       QCheck.(int_range 0 100_000)
+       (fun seed ->
+         let rs = Random.State.make [| seed |] in
+         let int n = Random.State.int rs n in
+         let mk () =
+           Counter_algo.create ~self:1 ~members:(set [ 1; 2; 3 ]) ~in_transit_bound:2
+             ~exhaust_bound:12
+         in
+         let a = mk () and b = mk () in
+         let labels =
+           Array.init 4 (fun i ->
+               if i < 3 then Label.make ~creator:2 ~sting:i ~antistings:(List.init i Fun.id)
+               else
+                 Label.make ~creator:(1 + int 4) ~sting:(int 4)
+                   ~antistings:(List.filter (fun _ -> Random.State.bool rs) [ 0; 1; 2; 3 ]))
+         in
+         let member () = 1 + int 4 in
+         let gen_pair () =
+           let p =
+             Counter.pair_of
+               (Counter.make ~lbl:labels.(int 4) ~seqn:(int 6) ~wid:(member ()))
+           in
+           if int 6 = 0 then Counter.cancel p else p
+         in
+         let pool = Array.init 6 (fun _ -> gen_pair ()) in
+         let pair () = if int 4 = 0 then gen_pair () else pool.(int 6) in
+         (* one past what we store from [j], or past our own max, whatever
+            label [j]'s stored pair carries *)
+         let raised j =
+           let base =
+             match (Counter_algo.max_of a j, Counter_algo.local_max a) with
+             | Some p, Some mine -> if Random.State.bool rs then mine else p
+             | Some p, None | None, Some p -> p
+             | None, None -> pair ()
+           in
+           let c = base.Counter.mct in
+           Counter.pair_of
+             (Counter.make ~lbl:c.Counter.lbl ~seqn:(c.Counter.seqn + int 3) ~wid:j)
+         in
+         (* what the sender last stored from us: usually our max, legit *)
+         let last_sent () =
+           match (int 8, Counter_algo.local_max a) with
+           | 0, _ -> None
+           | 1, Some mine -> Some (Counter.cancel mine)
+           | 2, _ -> Some (pair ())
+           | _, mine -> mine
+         in
+         let receipt from sent_max last_sent =
+           Counter_algo.receipt_action a ~sent_max ~last_sent ~from;
+           Counter_algo.receipt_action_full b ~sent_max ~last_sent ~from;
+           true
+         in
+         let merge from p =
+           Counter_algo.merge a ~from p;
+           Counter_algo.merge b ~from p;
+           true
+         in
+         let step () =
+           force_dirty b;
+           match int 22 with
+           | 0 -> merge (member ()) (pair ())
+           | 1 ->
+             let max_entries = List.init (int 3) (fun _ -> (member (), pair ())) in
+             let stored_entries =
+               List.init (int 2) (fun _ -> (member (), List.init (1 + int 2) (fun _ -> pair ())))
+             in
+             Counter_algo.corrupt a ~max_entries ~stored_entries;
+             Counter_algo.corrupt b ~max_entries ~stored_entries;
+             true
+           | 2 ->
+             let members = set (1 :: List.filter (fun _ -> Random.State.bool rs) [ 2; 3; 4 ]) in
+             Counter_algo.rebuild a ~members;
+             Counter_algo.rebuild b ~members;
+             true
+           | 3 ->
+             Counter.equal (Counter_algo.find_max_counter a) (Counter_algo.find_max_counter b)
+           | 4 ->
+             (* a majWrite of the raised pair, or our own next counter *)
+             let from = 1 + int 4 in
+             merge from (raised from)
+           | 5 | 6 ->
+             let from = member () in
+             receipt from (if int 5 = 0 then None else Some (pair ())) (last_sent ())
+           | 7 | 8 | 9 | 10 | 11 ->
+             let from = 2 + int 3 in
+             receipt from (Counter_algo.max_of a from) (last_sent ())
+           | _ ->
+             let from = 2 + int 3 in
+             receipt from (Some (raised from)) (last_sent ())
+         in
+         List.for_all
+           (fun () ->
+             step ()
+             && Counter_algo.label_creations a = Counter_algo.label_creations b
+             && List.for_all
+                  (fun j ->
+                    Option.equal pair_equal (Counter_algo.max_of a j) (Counter_algo.max_of b j)
+                    && List.equal pair_equal (Counter_algo.stored a j)
+                         (Counter_algo.stored b j))
+                  [ 1; 2; 3; 4 ])
+           (List.init 150 (fun _ -> ()))))
+
+(* The same-label raise needs the raised label to be the maximum's own. Here
+   three same-creator labels form a ≺ cycle (a ≺ b ≺ c ≺ a), none is
+   maximal, and the total tiebreak settles on c. A raise of a, which c
+   precedes, keeps c: the full path's tiebreak never looks at seqns of a. *)
+let test_raise_outside_max_label () =
+  let a =
+    Counter_algo.create ~self:1 ~members:(set [ 1; 2; 3; 4 ]) ~in_transit_bound:2
+      ~exhaust_bound:64
+  in
+  let la = Label.make ~creator:2 ~sting:0 ~antistings:[ 2 ] in
+  let lb = Label.make ~creator:2 ~sting:1 ~antistings:[ 0 ] in
+  let lc = Label.make ~creator:2 ~sting:2 ~antistings:[ 1 ] in
+  let pair lbl seqn = Counter.pair_of (Counter.make ~lbl ~seqn ~wid:2) in
+  Counter_algo.merge a ~from:2 (pair la 1);
+  Counter_algo.corrupt a ~max_entries:[ (3, pair lb 0); (4, pair lc 0) ] ~stored_entries:[];
+  ignore (Counter_algo.find_max_counter a);
+  let settled = Counter_algo.find_max_counter a in
+  Alcotest.(check bool) "settled on c" true (Label.equal settled.Counter.lbl lc);
+  Alcotest.(check bool) "c precedes the raise" true
+    (Counter.precedes settled (pair la 2).Counter.mct);
+  Counter_algo.receipt_action a ~sent_max:(Some (pair la 2)) ~last_sent:None ~from:2;
+  Alcotest.(check bool) "still c" true
+    (match Counter_algo.local_max a with
+    | Some p -> Counter.equal p.Counter.mct settled
+    | None -> false)
+
 (* storedCnts as first written: partition out the pair's label, merge
    (a canceled copy wins, else the greater <seqn, wid>), push to the front,
    truncate to the queue bound. [merge] must keep exactly these queues even
@@ -649,6 +793,9 @@ let suites =
         Alcotest.test_case "staleInfo flushes misfiled queues" `Quick
           test_stale_info_flushes_queues;
         prop_fixed_point_skip_exact;
+        prop_incremental_receipt_exact;
+        Alcotest.test_case "raise outside the maximum's label" `Quick
+          test_raise_outside_max_label;
         prop_merge_store_matches_reference;
         Alcotest.test_case "findMaxCounter not idempotent after corruption" `Quick
           test_not_idempotent_after_corruption;

@@ -2,10 +2,10 @@
 
    Every subcommand that runs a system is configured the same way: the
    flags below build one Reconfig.Scenario.t (topology, seed, channel
-   model), and the subcommand hands it to Stack.of_scenario /
-   Stack_loop.of_scenario; the sink flags build a [sinks] record that
-   [export] writes once the run is over. Adding a knob means adding it
-   here once, not in five argument lists. *)
+   model), and the subcommand hands it to Stack.of_scenario; the sink
+   flags build a [sinks] record that [export] writes once the run is
+   over. Adding a knob means adding it here once, not in five argument
+   lists. *)
 
 open Cmdliner
 open Reconfig
@@ -94,10 +94,12 @@ let plan_term =
   in
   Term.(ret (const build $ plan_file $ plan_json))
 
-(* Write the run's telemetry/trace to whichever sinks are named. On the
-   simulator all three renderings are deterministic for a fixed seed: the
-   registry reads only virtual time and exports are sorted. *)
-let export ~tele ~trace sinks =
+(* Write the run's telemetry/trace to whichever sinks are named. All
+   three renderings are deterministic for a fixed seed: the registry reads
+   only virtual time and exports are sorted. *)
+let export sys sinks =
+  let eng = Stack.engine sys in
+  let tele = Sim.Engine.telemetry eng and trace = Sim.Engine.trace eng in
   let dump path render =
     match path with
     | None -> ()

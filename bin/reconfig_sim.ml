@@ -4,7 +4,7 @@
    Subcommands:
      experiments   regenerate the paper-claim tables (E1..E18)
      scenario      run a named scenario and print what happened
-     faults        replay a declarative fault plan on either runtime
+     faults        replay a declarative fault plan on the simulator
      trace         run a transient-fault recovery and dump the event trace
 
    Every run-flavoured subcommand is configured through one
@@ -78,10 +78,6 @@ let pp_config fmt sys =
   match Stack.uniform_config sys with
   | Some c -> Pid.pp_set fmt c
   | None -> Format.fprintf fmt "(no agreement yet)"
-
-let export_sys sys sinks =
-  let eng = Stack.engine sys in
-  Cli_common.export ~tele:(Engine.telemetry eng) ~trace:(Engine.trace eng) sinks
 
 let scenario_steady (sc : Scenario.t) =
   let n = Scenario.nodes sc in
@@ -202,7 +198,7 @@ let scenario_cmd =
       | `Churn -> scenario_churn sc
       | `Scale -> scenario_scale sc
     in
-    export_sys sys sinks
+    Cli_common.export sys sinks
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a named scenario and narrate the outcome.")
@@ -229,69 +225,39 @@ let demo_plan n seed =
       Fp.at 62 (Fp.Join [ n + 1; n + 2 ]);
     ]
 
-let fault_counters tele =
+let faults_applied tele =
   List.fold_left
-    (fun (applied, skipped) (name, labels, v) ->
-      if name <> "fault.injected" then (applied, skipped)
-      else if List.mem_assoc "kind" labels && List.assoc "kind" labels = "skipped"
-      then (applied, skipped + v)
-      else (applied + v, skipped))
-    (0, 0) (Telemetry.counters tele)
-
-let report_plan_outcome ~tele ~recovery =
-  let applied, skipped = fault_counters tele in
-  Format.printf "fault events applied: %d, skipped: %d@." applied skipped;
-  match recovery with
-  | Some rounds -> Format.printf "quiescent %d rounds after the last fault@." rounds
-  | None -> Format.printf "did not stabilize within budget@."
+    (fun acc (name, _, v) -> if name = "fault.injected" then acc + v else acc)
+    0 (Telemetry.counters tele)
 
 let faults_cmd =
-  let runtime =
-    Arg.(
-      value
-      & opt (enum [ ("sim", `Sim); ("loop", `Loop) ]) `Sim
-      & info [ "runtime" ] ~docv:"RT"
-          ~doc:
-            "Which runtime interprets the plan: the discrete-event simulator \
-             ($(b,sim)) or the real-time event loop ($(b,loop)). The loop has \
-             no channel state to corrupt; such events are counted as skipped.")
-  in
-  let run sc sinks plan runtime =
+  let run sc sinks plan =
     let plan =
       match plan with
       | Some p -> p
       | None -> demo_plan (Scenario.nodes sc) sc.Scenario.sc_seed
     in
     Format.printf "%a@." Faults.Fault_plan.pp plan;
-    match runtime with
-    | `Sim ->
-      let sys = Stack.of_scenario ~hooks:Stack.unit_hooks sc in
-      let recovery = Stack.run_plan sys ~plan ~max_rounds:2000 in
-      let tele = Engine.telemetry (Stack.engine sys) in
-      report_plan_outcome ~tele ~recovery;
-      Format.printf "final config: %a (resets: %d)@." pp_config sys
-        (Stack.total_resets sys);
-      export_sys sys sinks
-    | `Loop ->
-      let sys = Stack_loop.of_scenario ~hooks:Stack.unit_hooks sc in
-      let recovery = Stack_loop.run_plan sys ~plan ~max_rounds:2000 in
-      let loop = Stack_loop.loop sys in
-      let tele = Runtime.Loop.telemetry loop in
-      report_plan_outcome ~tele ~recovery;
-      (match Stack_loop.uniform_config sys with
-      | Some c -> Format.printf "final config: %a@." Pid.pp_set c
-      | None -> Format.printf "final config: (no agreement yet)@.");
-      Cli_common.export ~tele ~trace:(Runtime.Loop.trace loop) sinks
+    let sys = Stack.of_scenario ~hooks:Stack.unit_hooks sc in
+    let recovery = Stack.run_plan sys ~plan ~max_rounds:2000 in
+    Format.printf "fault events applied: %d@."
+      (faults_applied (Engine.telemetry (Stack.engine sys)));
+    (match recovery with
+    | Some rounds -> Format.printf "quiescent %d rounds after the last fault@." rounds
+    | None -> Format.printf "did not stabilize within budget@.");
+    Format.printf "final config: %a (resets: %d)@." pp_config sys
+      (Stack.total_resets sys);
+    Cli_common.export sys sinks
   in
   Cmd.v
     (Cmd.info "faults"
        ~doc:
-         "Replay a declarative fault plan (JSON) on either runtime and \
-          report stabilization.")
+         "Replay a declarative fault plan (JSON) on the simulator and report \
+          stabilization.")
     Term.(
       const run
       $ Cli_common.scenario_term $ Cli_common.sinks_term
-      $ Cli_common.plan_term $ runtime)
+      $ Cli_common.plan_term)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                                *)
@@ -319,7 +285,7 @@ let trace_cmd =
       Format.printf "final config: %a@."
         (fun fmt () -> pp_config fmt sys) ()
     end;
-    export_sys sys sinks
+    Cli_common.export sys sinks
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Dump the protocol event trace of a transient-fault recovery.")

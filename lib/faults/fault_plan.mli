@@ -4,11 +4,10 @@
     an {e arbitrary} state (Definition 3.1) and then suffer benign failures:
     transient state corruption, fair-lossy links, crashes, joins, and
     temporary partitions. A {!t} is a seeded, serializable schedule of
-    exactly those fault classes, expressed against {e rounds} (asynchronous
-    rounds on the simulator, loop rounds on the real-time runtime) so the
-    same plan drives both runtimes. Interpretation is the job of
-    {!Injector}; this module is pure data — building, validating and
-    (de)serializing plans.
+    exactly those fault classes, expressed against the simulator's
+    asynchronous {e rounds}. Interpretation is the job of {!Injector}, on
+    the simulator only; this module is pure data — building, validating
+    and (de)serializing plans.
 
     Determinism: a plan carries its own [seed]. Every random choice made
     while {e interpreting} the plan (picking [Sample] victims, drawing
@@ -48,8 +47,7 @@ type event =
           [corrupt] hooks) *)
   | Corrupt_channels of target
       (** fill every directed channel among the victims with stale
-          protocol packets (simulator only; mailbox runtimes have no
-          channel state to corrupt) *)
+          protocol packets *)
   | Degrade_links of { src : target; dst : target; profile : link_profile }
       (** install [profile] on every directed link src→dst *)
   | Restore_links of { src : target; dst : target }

@@ -7,7 +7,7 @@ type ops = {
   o_crash : Pid.t -> unit;
   o_join : Pid.t -> unit;
   o_corrupt_node : Rng.t -> Pid.t -> unit;
-  o_corrupt_link : (Rng.t -> src:Pid.t -> dst:Pid.t -> unit) option;
+  o_corrupt_link : Rng.t -> src:Pid.t -> dst:Pid.t -> unit;
   o_set_link_profile : src:Pid.t -> dst:Pid.t -> Fault_plan.link_profile option -> unit;
   o_partition : Pid.Set.t -> unit;
   o_heal : unit -> unit;
@@ -25,7 +25,7 @@ type t = {
 let declare_metrics tele =
   List.iter
     (fun k -> Telemetry.declare_counter tele ~labels:[ ("kind", k) ] "fault.injected")
-    (Fault_plan.kinds @ [ "skipped" ])
+    Fault_plan.kinds
 
 let create ~plan ~ops =
   declare_metrics ops.o_telemetry;
@@ -43,7 +43,7 @@ let pid_list_to_string pids =
 
 (* [Sample k] resolves against the live set through the plan RNG; the live
    set itself is fully determined by the plan (crashes and joins are plan
-   events), so the same plan picks the same victims on every runtime. *)
+   events), so the same plan picks the same victims on every replay. *)
 let resolve t target =
   match target with
   | Fault_plan.All -> t.ops.o_live ()
@@ -56,10 +56,6 @@ let resolve t target =
 let note t kind detail =
   Telemetry.inc t.ops.o_telemetry ~labels:[ ("kind", kind) ] "fault.injected";
   t.ops.o_emit ~tag:("fault." ^ kind) ~detail
-
-let skip t kind =
-  Telemetry.inc t.ops.o_telemetry ~labels:[ ("kind", "skipped") ] "fault.injected";
-  t.ops.o_emit ~tag:"fault.skipped" ~detail:kind
 
 let live_filter t pids =
   let live = Pid.set_of_list (t.ops.o_live ()) in
@@ -77,15 +73,12 @@ let apply t (e : Fault_plan.entry) =
     let victims = live_filter t (resolve t tg) in
     List.iter (fun p -> t.ops.o_corrupt_node t.rng p) victims;
     note t kind (pid_list_to_string victims)
-  | Fault_plan.Corrupt_channels tg -> (
-    match t.ops.o_corrupt_link with
-    | None -> skip t kind
-    | Some corrupt_link ->
-      let victims = live_filter t (resolve t tg) in
-      List.iter
-        (fun (src, dst) -> corrupt_link t.rng ~src ~dst)
-        (directed_pairs victims victims);
-      note t kind (pid_list_to_string victims))
+  | Fault_plan.Corrupt_channels tg ->
+    let victims = live_filter t (resolve t tg) in
+    List.iter
+      (fun (src, dst) -> t.ops.o_corrupt_link t.rng ~src ~dst)
+      (directed_pairs victims victims);
+    note t kind (pid_list_to_string victims)
   | Fault_plan.Degrade_links { src; dst; profile } ->
     let srcs = resolve t src and dsts = resolve t dst in
     List.iter

@@ -61,4 +61,3 @@ module Pid_set_table = Make (struct
 end)
 
 let pid_set = Pid_set_table.intern
-let set_equal = Pid.equal_sets

@@ -31,6 +31,3 @@ val set_hash : Pid.Set.t -> int
 
 (** [pid_set s] is the canonical representative of [s]. *)
 val pid_set : Pid.Set.t -> Pid.Set.t
-
-(** [set_equal] = {!Pid.equal_sets} — pointer-compare fast path. *)
-val set_equal : Pid.Set.t -> Pid.Set.t -> bool

@@ -37,7 +37,8 @@ type t = {
   mutable memo_broadcast : (Pid.t * message) list option;
   mutable memo_quiet : bool; (* a tick at this key changed nothing *)
   (* the last broadcast computed, kept across versions: a new one reuses
-     each of its messages whose fields are all still current *)
+     each of its messages whose fields are all still current, and the
+     stack re-sends on a receipt only the messages that differ from it *)
   mutable last_broadcast : (Pid.t * message) list;
   (* [peer_views] at (views_version, views_part): one tick reads the views
      in several tests, most often at one version and one participant set *)
@@ -168,7 +169,7 @@ let distinct_sets values =
     (fun acc v ->
       match v with
       | Config_value.Set s ->
-        if List.exists (Intern.set_equal s) acc then acc else s :: acc
+        if List.exists (Pid.equal_sets s) acc then acc else s :: acc
       | Config_value.Not_participant | Config_value.Reset -> acc)
     [] values
 
@@ -213,20 +214,20 @@ let peer_views t ~part =
 
 (* same(k): pk's most recently received (part, prp) match ours. *)
 let same t ~part pv =
-  Intern.set_equal pv.m_part part && Notification.equal pv.m_prp t.sa_prp
+  Pid.equal_sets pv.m_part part && Notification.equal pv.m_prp t.sa_prp
 
 (* echoNoAll: pk echoed our (part, prp). *)
 let echo_no_all t ~part pv =
   match pv.m_echo with
   | None -> false
-  | Some e -> Intern.set_equal e.e_part part && Notification.equal e.e_prp t.sa_prp
+  | Some e -> Pid.equal_sets e.e_part part && Notification.equal e.e_prp t.sa_prp
 
 (* echo(): pk echoed our full (part, prp, all) triple. *)
 let echo_full t ~part pv =
   match pv.m_echo with
   | None -> false
   | Some e ->
-    Intern.set_equal e.e_part part
+    Pid.equal_sets e.e_part part
     && Notification.equal e.e_prp t.sa_prp
     && Bool.equal e.e_all t.sa_all
 
@@ -246,7 +247,7 @@ let phase2_conflict t views =
   let collect acc (n : Notification.t) =
     match (n.phase, n.set) with
     | Notification.P2, Some s ->
-      if List.exists (Intern.set_equal s) acc then acc else s :: acc
+      if List.exists (Pid.equal_sets s) acc then acc else s :: acc
     | _ -> acc
   in
   List.length
@@ -261,7 +262,7 @@ let dead_config t ~trusted ~part views =
     && List.length views = Pid.Set.cardinal (Pid.Set.remove t.sa_self part)
     && List.for_all
          (fun (_, pv) ->
-           Intern.set_equal pv.m_fd trusted && Intern.set_equal pv.m_part part)
+           Pid.equal_sets pv.m_fd trusted && Pid.equal_sets pv.m_part part)
          views
     && Pid.Set.is_empty (Pid.Set.inter s part)
   | Config_value.Not_participant | Config_value.Reset -> false
@@ -276,13 +277,13 @@ let compute_no_reco t ~trusted =
   let no_conflict = not (config_conflict values) in
   let no_reset = not (exists_reset values) in
   let parts_stable =
-    List.for_all (fun (_, pv) -> Intern.set_equal pv.m_part part) views
+    List.for_all (fun (_, pv) -> Pid.equal_sets pv.m_part part) views
     (* peers can only echo our values if we broadcast, i.e. participate *)
     && ((not (is_participant t))
        || List.for_all
             (fun (_, pv) ->
               match pv.m_echo with
-              | Some e -> Intern.set_equal e.e_part part
+              | Some e -> Pid.equal_sets e.e_part part
               | None -> false)
             views)
   in
@@ -387,7 +388,7 @@ let brute_force t ~trusted events =
       Pid.Set.for_all
         (fun p ->
           match Pid.Map.find_opt p t.peers with
-          | Some pv -> Intern.set_equal pv.m_fd trusted
+          | Some pv -> Pid.equal_sets pv.m_fd trusted
           | None -> false)
         others
     in
@@ -591,14 +592,16 @@ let broadcast t ~trusted =
     t.last_broadcast <- msgs;
     msgs
 
+let last_broadcast t = t.last_broadcast
+
 (* Value equality, whichever copies carry the fields. Interned descriptors
    usually decide in one pointer compare each; which values share a
    pointer depends on [Intern]'s table history, which no decision may
    depend on. *)
 let equal_message a b =
   a == b
-  || Intern.set_equal a.m_fd b.m_fd
-     && Intern.set_equal a.m_part b.m_part
+  || Pid.equal_sets a.m_fd b.m_fd
+     && Pid.equal_sets a.m_part b.m_part
      && Config_value.equal a.m_config b.m_config
      && Notification.equal a.m_prp b.m_prp
      && Bool.equal a.m_all b.m_all
@@ -606,7 +609,7 @@ let equal_message a b =
      match (a.m_echo, b.m_echo) with
      | None, None -> true
      | Some e, Some e' ->
-       Intern.set_equal e.e_part e'.e_part
+       Pid.equal_sets e.e_part e'.e_part
        && Notification.equal e.e_prp e'.e_prp
        && Bool.equal e.e_all e'.e_all
      | Some _, None | None, Some _ -> false

@@ -68,6 +68,12 @@ val tick : t -> trusted:Pid.Set.t -> (string * string) list
     participant (config = ♯). *)
 val broadcast : t -> trusted:Pid.Set.t -> (Pid.t * message) list
 
+(** [last_broadcast t] is the list {!broadcast} last returned ([[]] before
+    the first). A receipt that moves a delicate replacement re-sends only
+    the messages of the next broadcast that differ from it
+    ({!equal_message}). *)
+val last_broadcast : t -> (Pid.t * message) list
+
 (** [receive t ~from m] stores the message fields (line 30). *)
 val receive : t -> from:Pid.t -> message -> unit
 

@@ -6,7 +6,7 @@
     and [Stack_loop.of_scenario] consume it directly; the [bin/]
     subcommands build one from shared flags ([Cli_common]); the harness
     derives per-cell scenarios from it. A fault plan is not part of the
-    scenario: it is handed to [Stack.run_plan] / [Stack_loop.run_plan].
+    scenario: it is handed to [Stack.run_plan], on the simulator only.
     Neither are the metrics/trace sink paths: only the CLI writes files,
     so they stay there. The record is deliberately concrete — a scenario
     is configuration data, and pattern matching on it is the point — with

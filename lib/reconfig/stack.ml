@@ -27,7 +27,6 @@ type 'app node_state = {
   mutable fd_trusted : Pid.Set.t; (* its interned copy *)
   mutable sa_stamp : int;
   mutable sa_in : sa_link Pid.Map.t;
-  mutable sa_sent : (Pid.t * Recsa.message) list;
 }
 
 (* The node's trusted set, interned once per change: the detector returns
@@ -327,13 +326,11 @@ let rec send_changed ctx n sent stamp ~last = function
     end
 
 (* The line-29 messages [msgs] under a fresh link stamp, except those equal
-   to [last]'s ([~last:[]] sends them all); true iff one went out. They
-   become the last ones sent. *)
+   to [last]'s ([~last:[]] sends them all); true iff one went out. *)
 let send_sa ctx n sent ~last msgs =
   let stamp = n.sa_stamp + 1 in
   let sent_any = send_changed ctx n sent stamp ~last msgs in
   if sent_any then n.sa_stamp <- stamp;
-  n.sa_sent <- msgs;
   sent_any
 
 (* Time the delicate-replacement automaton: a span opens when this node's
@@ -402,7 +399,6 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
         fd_trusted = Pid.Set.empty;
         sa_stamp = 0;
         sa_in = Pid.Map.empty;
-        sa_sent = [];
       }
     in
     if joiner then
@@ -482,12 +478,15 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
            [Recsa.iterate_on_receipt] accepts, the do-forever iteration runs
            in this step, and the line-29 message goes out at once, under a
            fresh stamp, to each peer whose message changed since the last
-           one sent to it. The timer's broadcast stays the heartbeat and the
-           stabilization backbone; this only answers sooner. *)
+           one sent to it (every broadcast is sent, so the last one sent is
+           [Recsa.last_broadcast]). The timer's broadcast stays the
+           heartbeat and the stabilization backbone; this only answers
+           sooner. *)
         if Recsa.iterate_on_receipt n.sa m then begin
           let trusted = trusted_set n in
           recsa_iteration ctx n ~trusted;
-          ignore (send_sa ctx n sent_sa ~last:n.sa_sent (Recsa.broadcast n.sa ~trusted))
+          let last = Recsa.last_broadcast n.sa in
+          ignore (send_sa ctx n sent_sa ~last (Recsa.broadcast n.sa ~trusted))
         end
       end
       else Telemetry.incr (stale_dropped_sa (Step.telemetry ctx))
@@ -687,7 +686,7 @@ let fault_ops t =
     o_crash = (fun p -> Engine.crash t.eng p);
     o_join = (fun p -> add_joiner t p);
     o_corrupt_node = (fun rng p -> corrupt_node t p ~rng);
-    o_corrupt_link = Some (fun rng ~src ~dst -> corrupt_link t ~src ~dst ~rng);
+    o_corrupt_link = (fun rng ~src ~dst -> corrupt_link t ~src ~dst ~rng);
     o_set_link_profile = Engine.set_link_profile t.eng;
     o_partition = (fun group -> Engine.partition t.eng group);
     o_heal =

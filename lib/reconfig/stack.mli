@@ -7,12 +7,13 @@
     simulator ({!Sim.Engine}) and the real-time event loop
     ([Runtime.Loop], see [Stack_loop]) both run unchanged. The
     [('app, 'msg) t] API below is the simulator-backed system used by the
-    tests and the experiment harness.
+    tests and the experiment harness, and the only one that runs fault
+    plans.
 
     ['app] is the application state (replicated to joiners by the joining
     mechanism); ['msg] is the application's own message type. The services
-    of Section 4 (labeling, counters, virtual synchrony) are plugins,
-    layered with {!Plugin.stack}. *)
+    of Section 4 (the counter, the register on top of it, virtual
+    synchrony) are plugins, layered with {!Plugin.stack}. *)
 
 open Sim
 
@@ -66,12 +67,6 @@ type 'app node_state = {
           (wrapping at [max_int]) *)
   mutable sa_in : sa_link Pid.Map.t;
       (** per peer, the newest-state record of its recSA packets *)
-  mutable sa_sent : (Pid.t * Recsa.message) list;
-      (** per peer, the last line-29 message sent to it. A receipt that
-          moves a delicate replacement re-sends only the messages that
-          differ from these. Every timer broadcast overwrites the list, so
-          a corrupted one lasts at most one tick and can only hold an
-          early send back. *)
 }
 
 (** The scheme as the application plugin sees it — the [getConfig()] /
@@ -296,8 +291,8 @@ val corrupt_everything : ('app, 'msg) t -> rng:Rng.t -> unit
 (** {2 Fault plans}
 
     Declarative adversaries ({!Faults.Fault_plan}) act on the system
-    through the injector capability record. The simulator supplies every
-    capability: state corruption (scheme layers, join bookkeeping and the
+    through the injector capability record. The simulator is the one
+    runtime that runs them, and it supplies every capability: state corruption (scheme layers, join bookkeeping and the
     plugin's [p_corrupt]), channel corruption, per-link fault profiles
     (with "bit flips" mangled into stale protocol packets), partitions,
     crashes and join churn. *)

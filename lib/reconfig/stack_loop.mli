@@ -3,10 +3,12 @@
     of the simulator — the proof that the core is runtime-agnostic, and the
     stepping stone toward a socket-backed runtime.
 
-    The API mirrors the observation/driving subset of {!Stack}, including
-    fault plans: the same serialized {!Faults.Fault_plan} drives either
-    runtime, with the loop declining the simulator-only channel-corruption
-    capability (those events are counted as skipped). *)
+    The API mirrors the observation/driving subset of {!Stack}. Fault
+    plans are not part of it: {!Stack.run_plan} on the simulator is the
+    one interpreter of {!Faults.Fault_plan}, the adversary of the paper's
+    Section 2 that corrupts processor state and channel contents alike.
+    A loop harness can still crash nodes, add joiners and corrupt the
+    states {!node} returns ({!Stack.corrupt_state}). *)
 
 open Sim
 
@@ -14,8 +16,9 @@ type ('app, 'msg) t
 
 val of_scenario : hooks:('app, 'msg) Stack.hooks -> Scenario.t -> ('app, 'msg) t
 (** Build a loop-backed stack from a {!Scenario.t}, on the loop's default
-    monotone clock. The scenario's simulator-only channel knobs
-    ([sc_loss]) are ignored; a fault plan is applied by {!run_plan}. *)
+    monotone clock. The scenario's simulator-only knobs ([sc_seed],
+    [sc_loss]) are ignored: the loop's delivery is reliable and draws no
+    randomness. *)
 
 (** The underlying loop runtime (for trace/telemetry/round access). *)
 val loop :
@@ -39,18 +42,3 @@ val run_rounds : ('app, 'msg) t -> int -> unit
 val run_until_quiescent : ('app, 'msg) t -> max_rounds:int -> int option
 
 val crash : ('app, 'msg) t -> Pid.t -> unit
-
-(** {2 Fault plans}
-
-    The loop supplies every injector capability except channel corruption
-    (its mailboxes hold typed values a transient fault cannot fabricate);
-    [Corrupt_channels] events are counted under
-    [fault.injected{kind="skipped"}], and link "bit flips" degrade to
-    drops. Everything else — state corruption, per-link loss profiles,
-    partitions, crashes, join churn — behaves as on the simulator. *)
-
-(** [run_plan t ~plan ~max_rounds] — apply [plan] round by round, then run
-    on until quiescence; rounds from last fault to quiescence, or [None]
-    on timeout. *)
-val run_plan :
-  ('app, 'msg) t -> plan:Faults.Fault_plan.t -> max_rounds:int -> int option

@@ -8,18 +8,11 @@ type ('s, 'm) node = {
 
 type ('s, 'm) t = {
   behavior : ('s, 'm) Step.behavior;
-  l_rng : Rng.t;
   clock : unit -> float;
   nodes : (Pid.t, ('s, 'm) node) Hashtbl.t;
   l_trace : Trace.t;
   l_telemetry : Telemetry.t;
   mutable l_rounds : int;
-  (* adversarial link state (fault plans): a blocked directed link drops
-     every message; an installed profile drops/duplicates probabilistically.
-     Both tables are empty by default, and the profile-free path draws no
-     randomness — existing runs are unaffected. *)
-  l_blocked : (Pid.t * Pid.t, unit) Hashtbl.t;
-  l_profiles : (Pid.t * Pid.t, Engine.link_profile) Hashtbl.t;
   (* one scratch step context, reused across every (sequential) step *)
   scratch : 'm Step.ctx;
 }
@@ -38,39 +31,21 @@ let monotonic_clock () =
    drains only as far as it was filled when [dst]'s drain began *)
 let send t src dst msg =
   match Hashtbl.find_opt t.nodes dst with
-  | Some n when not n.n_crashed ->
-    if not (Hashtbl.mem t.l_blocked (src, dst)) then begin
-      match Hashtbl.find_opt t.l_profiles (src, dst) with
-      | None -> Queue.add (src, msg) n.n_mailbox
-      | Some p ->
-        (* mailboxes have no bit representation to flip, so a "flipped"
-           message is unparseable, i.e. lost *)
-        if
-          (not (Rng.chance t.l_rng p.Engine.lp_drop))
-          && not (p.Engine.lp_flip > 0.0 && Rng.chance t.l_rng p.Engine.lp_flip)
-        then begin
-          Queue.add (src, msg) n.n_mailbox;
-          if Rng.chance t.l_rng p.Engine.lp_dup then Queue.add (src, msg) n.n_mailbox
-        end
-    end
+  | Some n when not n.n_crashed -> Queue.add (src, msg) n.n_mailbox
   | Some _ | None -> ()
 
-let create ?(seed = 42) ?clock ~behavior ~pids () =
+let create ?clock ~behavior ~pids () =
   let clock = match clock with Some c -> c | None -> monotonic_clock () in
-  let l_rng = Rng.create seed in
   let l_trace = Trace.create () in
   let l_telemetry = Telemetry.create () in
   let t =
     {
       behavior;
-      l_rng;
       clock;
       nodes = Hashtbl.create 16;
       l_trace;
       l_telemetry;
       l_rounds = 0;
-      l_blocked = Hashtbl.create 16;
-      l_profiles = Hashtbl.create 16;
       scratch = Step.create ~trace:l_trace ~telemetry:l_telemetry;
     }
   in
@@ -116,33 +91,6 @@ let crash t p =
   n.n_crashed <- true;
   Queue.clear n.n_mailbox;
   Trace.record t.l_trace ~time:(t.clock ()) ~node:p ~tag:"crash" ""
-
-(* --- adversarial link state (fault plans) --- *)
-
-let partition t group =
-  let all = pids t in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun q ->
-          if Pid.Set.mem p group <> Pid.Set.mem q group then begin
-            Hashtbl.replace t.l_blocked (p, q) ();
-            Hashtbl.replace t.l_blocked (q, p) ()
-          end)
-        all)
-    all;
-  Trace.record t.l_trace ~time:(t.clock ()) ~tag:"partition"
-    (Format.asprintf "%a" Pid.pp_set group)
-
-let heal t =
-  Hashtbl.reset t.l_blocked;
-  Trace.record t.l_trace ~time:(t.clock ()) ~tag:"heal" ""
-
-let set_link_profile t ~src ~dst = function
-  | Some p -> Hashtbl.replace t.l_profiles (src, dst) p
-  | None -> Hashtbl.remove t.l_profiles (src, dst)
-
-let clear_link_profiles t = Hashtbl.reset t.l_profiles
 
 (* begin a step of [p] on the scratch context *)
 let start_step t p =

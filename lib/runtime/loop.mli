@@ -5,9 +5,12 @@
     in-process mailboxes, and read a monotonic wall clock. Each step runs
     on one reused {!Sim.Step.ctx}, whose send appends to the destination's
     mailbox at once. There is no simulated schedule, no message loss,
-    duplication or reordering — the loop's job is to prove that the
-    protocol core is runtime-agnostic and to anchor the path toward a
-    socket-backed runtime.
+    duplication or reordering, and the loop draws no randomness — its job
+    is to prove that the protocol core is runtime-agnostic. It has no
+    adversary of its own: fault plans ([Faults.Fault_plan]) run on the
+    simulator, the one runtime whose channels a transient fault can
+    corrupt. A harness can still crash ({!crash}) and add ({!add_node})
+    nodes, and corrupt the node states {!state} returns in place.
 
     Execution is round-based: {!run_round} gives every live node one timer
     step (in pid order), then delivers every message that was in a mailbox
@@ -20,7 +23,6 @@ open Sim
 type ('s, 'm) t
 
 val create :
-  ?seed:int ->
   ?clock:(unit -> float) ->
   behavior:('s, 'm) Step.behavior ->
   pids:Pid.t list ->
@@ -28,8 +30,7 @@ val create :
   ('s, 'm) t
 (** [create ~behavior ~pids ()] starts one node per pid. [clock] defaults to
     seconds of wall clock elapsed since [create] (monotone by
-    construction); tests may inject a deterministic clock. [seed] feeds the
-    runtime's {!Sim.Rng} (default 42). *)
+    construction); tests may inject a deterministic clock. *)
 
 (** {2 Observation} *)
 
@@ -55,28 +56,6 @@ val add_node : ('s, 'm) t -> Pid.t -> unit
 
 (** [crash t p] stops [p] permanently and discards its mailbox. *)
 val crash : ('s, 'm) t -> Pid.t -> unit
-
-(** {2 Adversarial links (fault plans)}
-
-    The loop's default delivery is reliable; fault plans can degrade it.
-    A {!partition} blocks directed links, which then silently drop every
-    message; an installed {!Sim.Engine.link_profile} drops ([lp_drop]), duplicates ([lp_dup]) or
-    loses-as-unparseable ([lp_flip] — mailboxes carry typed values, so a
-    "bit-flipped" message is simply lost) probabilistically, drawing from
-    the loop's seeded RNG. With no blocks and no profiles, delivery is
-    exactly the historical reliable path with zero extra RNG draws. *)
-
-(** [partition t group] cuts every link between [group] and the rest, both
-    directions. *)
-val partition : ('s, 'm) t -> Pid.Set.t -> unit
-
-(** [heal t] removes every block. *)
-val heal : ('s, 'm) t -> unit
-
-val set_link_profile :
-  ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> Sim.Engine.link_profile option -> unit
-
-val clear_link_profiles : ('s, 'm) t -> unit
 
 (** {2 Running} *)
 

@@ -184,8 +184,10 @@ let send_one t ~src_slot dst msg =
   end
   else begin
     Channel.send ch t.e_rng msg;
-    (* duplication: occasionally schedule an extra delivery attempt; a
-       link profile overrides the rate but spends the same single draw *)
+    (* duplication: occasionally re-enqueue a copy of the channel's oldest
+       packet, which may not be [msg]; no event is scheduled for the copy,
+       which waits for a later delivery attempt. A link profile overrides
+       the rate but spends the same single draw *)
     let dup =
       match t.profiles.(src_slot).(dst_slot) with
       | None -> dup_rate
@@ -352,22 +354,10 @@ let add_node t p =
   schedule_timer t s;
   Trace.record t.e_trace ~time:t.e_time ~node:p ~tag:"join" ""
 
-let link_blocked t ~src ~dst =
-  let ss = find_slot t src in
-  if ss < 0 then false
-  else
-    let ds = find_slot t dst in
-    ds >= 0 && t.blocked.(ss).(ds)
-
 let block_link t ~src ~dst =
   let ss = ensure_slot t src in
   let ds = ensure_slot t dst in
   t.blocked.(ss).(ds) <- true
-
-let unblock_link t ~src ~dst =
-  let ss = find_slot t src in
-  let ds = find_slot t dst in
-  if ss >= 0 && ds >= 0 then t.blocked.(ss).(ds) <- false
 
 let partition t group =
   let all = pids t in
@@ -392,13 +382,6 @@ let set_link_profile t ~src ~dst profile =
   let ss = ensure_slot t src in
   let ds = ensure_slot t dst in
   t.profiles.(ss).(ds) <- profile
-
-let link_profile t ~src ~dst =
-  let ss = find_slot t src in
-  if ss < 0 then None
-  else
-    let ds = find_slot t dst in
-    if ds < 0 then None else t.profiles.(ss).(ds)
 
 let clear_link_profiles t =
   Array.iter (fun row -> Array.fill row 0 (Array.length row) None) t.profiles

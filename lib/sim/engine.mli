@@ -11,8 +11,8 @@
 
     Behaviors are {!Step.behavior}s; the engine runs each step on one
     reused {!Step.ctx}, whose send puts a message on its channel and
-    schedules its delivery at least 0.5 time units later, so no step
-    receives its own sends.
+    schedules a delivery attempt on that channel at least 0.5 time units
+    later, so no step receives its own sends.
 
     Transient faults are injected by rewriting channel contents
     ([corrupt_channel]) and by mutating the node states {!state} returns
@@ -34,10 +34,15 @@ val create :
   unit ->
   ('s, 'm) t
 (** Defaults: [seed 42], [capacity 8] (the paper's [cap]), per-delivery
-    [loss 0.02]. The rest of the model is fixed: each send is duplicated
-    with probability 0.02, channels deliver out of order, message delay is
-    uniform in [\[0.5, 2.0\]] and the timer period uniform in
-    [\[0.8, 1.2\]]. *)
+    [loss 0.02]. The rest of the model is fixed. Each send puts its packet
+    on the channel ({!Channel.send}) and schedules one delivery attempt
+    uniformly [\[0.5, 2.0\]] time units later. The attempt is not tied to
+    that packet: with probability [loss] it drops a uniformly random
+    queued packet, otherwise it delivers a uniformly random one (none if
+    the channel is empty). With probability 0.02 a send also re-enqueues
+    a copy of the channel's oldest packet, if capacity allows
+    ({!Channel.duplicate_head}), and schedules no attempt for it. The
+    timer period is uniform in [\[0.8, 1.2\]]. *)
 
 (** {2 Observation} *)
 
@@ -66,25 +71,16 @@ val crash : ('s, 'm) t -> Pid.t -> unit
 
 (** {2 Partitions}
 
-    A blocked directed link silently drops every packet sent over it —
-    a temporary violation of the fully-connected assumption, which the
-    scheme must survive once healed. *)
-
-(** [block_link t ~src ~dst] cuts the directed link. *)
-val block_link : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> unit
-
-(** [unblock_link t ~src ~dst] restores it. *)
-val unblock_link : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> unit
+    A cut link silently drops every packet sent over it — a temporary
+    violation of the fully-connected assumption, which the scheme must
+    survive once healed. *)
 
 (** [partition t group] cuts every link between [group] and the rest of
     the system, in both directions. *)
 val partition : ('s, 'm) t -> Pid.Set.t -> unit
 
-(** [heal t] removes every block. *)
+(** [heal t] removes every cut. *)
 val heal : ('s, 'm) t -> unit
-
-(** [link_blocked t ~src ~dst] — is the directed link currently cut? *)
-val link_blocked : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> bool
 
 (** {2 Per-link fault profiles}
 
@@ -106,8 +102,6 @@ type link_profile = {
 (** [set_link_profile t ~src ~dst p] installs ([Some]) or removes ([None])
     the profile on the directed link. *)
 val set_link_profile : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> link_profile option -> unit
-
-val link_profile : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> link_profile option
 
 (** [clear_link_profiles t] removes every installed profile. *)
 val clear_link_profiles : ('s, 'm) t -> unit

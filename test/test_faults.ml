@@ -2,7 +2,8 @@
    and validation, deterministic replay (byte-identical telemetry), the
    randomized self-stabilization property (a random fault burst is always
    recovered from within a bounded number of rounds), per-service corrupt
-   hooks, link profiles, and the real-time loop interpreter. *)
+   hooks, link profiles, and node-state corruption on the real-time
+   loop. *)
 
 open Sim
 open Reconfig
@@ -232,42 +233,13 @@ let test_dead_links_block_recovery () =
   Alcotest.(check bool) "healed links: recovers" true
     (Stack.run_plan sys ~plan:healed ~max_rounds:800 <> None)
 
-(* --- the real-time loop interpreter --- *)
-
-let test_loop_plan () =
-  let plan =
-    Fp.make ~seed:19
-      [
-        Fp.at 25 (Fp.Corrupt_nodes (Fp.Sample 2));
-        Fp.at 27 (Fp.Corrupt_channels Fp.All);
-        (* skipped: the loop has no channel state *)
-        Fp.at 30 (Fp.Partition { group = Fp.Sample 2; heal_after = 6 });
-      ]
-  in
-  let sc = scenario ~seed:14 () in
-  let sys = Stack_loop.of_scenario ~hooks:Stack.unit_hooks sc in
-  (match Stack_loop.run_plan sys ~plan ~max_rounds:1500 with
-  | Some _ -> ()
-  | None -> Alcotest.fail "loop did not stabilize after the plan");
-  let counters =
-    Telemetry.counters (Runtime.Loop.telemetry (Stack_loop.loop sys))
-  in
-  let total kind =
-    List.fold_left
-      (fun acc (name, labels, v) ->
-        if name = "fault.injected" && List.assoc_opt "kind" labels = Some kind
-        then acc + v
-        else acc)
-      0 counters
-  in
-  Alcotest.(check int) "corruptions applied" 1 (total "corrupt_nodes");
-  Alcotest.(check int) "channel corruption skipped" 1 (total "skipped");
-  Alcotest.(check int) "partition applied" 1 (total "partition")
+(* --- corruption on the real-time loop --- *)
 
 let test_loop_service_corrupt () =
-  (* the loop's Corrupt_nodes goes through the same node-state corruptor
-     as the simulator's, so a real service's [p_corrupt] must run on every
-     victim, and the counter service must recover and serve again *)
+  (* fault plans run on the simulator only, but the loop's nodes go through
+     the same node-state corruptor, so a real service's [p_corrupt] must
+     run on every node, and the counter service must recover and serve
+     again on the loop too *)
   let n = 4 in
   let corrupted = ref 0 in
   let base =
@@ -290,14 +262,20 @@ let test_loop_service_corrupt () =
     Stack_loop.of_scenario ~hooks
       (Scenario.make ~seed:21 ~n_bound:16 ~members:(members n) ())
   in
-  let plan = Fp.make ~seed:3 [ Fp.at 20 (Fp.Corrupt_nodes Fp.All) ] in
+  Stack_loop.run_rounds sys 20;
+  let loop = Stack_loop.loop sys in
+  let rng = Rng.create 3 in
+  List.iter
+    (fun p ->
+      Stack.corrupt_state ~hooks ~pool:(Runtime.Loop.pids loop) ~rng (Stack_loop.node sys p))
+    (Runtime.Loop.live_pids loop);
+  Alcotest.(check int) "p_corrupt ran on every node" n !corrupted;
   Alcotest.(check bool) "loop recovers from service corruption" true
-    (Stack_loop.run_plan sys ~plan ~max_rounds:1500 <> None);
-  Alcotest.(check int) "p_corrupt ran on every victim" n !corrupted;
+    (Stack_loop.run_until_quiescent sys ~max_rounds:1500 <> None);
   let app p = (Stack_loop.node sys p).Stack.app in
   Counters.Counter_service.request_increment (app 1);
   Alcotest.(check bool) "increment completes after corruption" true
-    (Runtime.Loop.run_until (Stack_loop.loop sys) ~max_rounds:1500 (fun _ ->
+    (Runtime.Loop.run_until loop ~max_rounds:1500 (fun _ ->
          Counters.Counter_service.increment_result (app 1) <> None))
 
 let suites =
@@ -326,7 +304,6 @@ let suites =
       ] );
     ( "faults.loop",
       [
-        Alcotest.test_case "loop interprets plan" `Quick test_loop_plan;
         Alcotest.test_case "loop service corruption recovers" `Quick
           test_loop_service_corrupt;
       ] );

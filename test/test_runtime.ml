@@ -630,6 +630,34 @@ let test_loop_stack_joiner () =
   Alcotest.(check bool) "joiner converges to trusting the members" true
     (Pid.Set.subset (set [ 1; 2; 3 ]) (Stack_loop.trusted_of lp 9))
 
+let test_loop_seed_independent () =
+  (* the loop draws no randomness: scenarios that differ only in their
+     seed record the same events and end in the same configuration *)
+  let run seed =
+    let lp =
+      Stack_loop.of_scenario ~hooks:Stack.unit_hooks
+        (Scenario.make ~seed ~n_bound:16 ~members:[ 1; 2; 3; 4 ] ())
+    in
+    Stack_loop.run_rounds lp 40;
+    Stack_loop.add_joiner lp 9;
+    Stack_loop.run_rounds lp 100;
+    Stack_loop.crash lp 2;
+    Stack_loop.run_rounds lp 200;
+    let events =
+      Trace.fold (Runtime.Loop.trace (Stack_loop.loop lp)) ~init:[] (fun acc e ->
+          (e.Trace.tag, e.Trace.node, e.Trace.detail) :: acc)
+    in
+    (List.rev events, Stack_loop.uniform_config lp)
+  in
+  let events_a, config_a = run 1 and events_b, config_b = run 977 in
+  Alcotest.(check bool) "the run records protocol events" true
+    (List.exists (fun (tag, _, _) -> tag <> "join" && tag <> "crash") events_a);
+  Alcotest.(check (list (triple string (option int) string)))
+    "same (tag, node, detail) sequence" events_a events_b;
+  Alcotest.(check bool) "an agreed configuration" true (config_a <> None);
+  Alcotest.(check bool) "same configuration" true
+    (Option.equal Pid.Set.equal config_a config_b)
+
 (* ------------------------------------------------------------------ *)
 (* Scenario validation                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -722,6 +750,8 @@ let suites =
       [
         Alcotest.test_case "stack on both runtimes" `Quick test_stack_on_both_runtimes;
         Alcotest.test_case "loop joiner" `Quick test_loop_stack_joiner;
+        Alcotest.test_case "loop runs are seed-independent" `Quick
+          test_loop_seed_independent;
       ] );
     ( "runtime.scenario",
       [

@@ -268,20 +268,6 @@ let test_engine_partition_blocks_gossip () =
   in
   Alcotest.(check bool) "heals" true (Engine.run_until eng ~max_steps:50_000 converged)
 
-let test_engine_block_directed_link () =
-  let pids = [ 1; 2 ] in
-  let eng = Engine.create ~seed:8 ~behavior:(gossip_behavior pids) ~pids () in
-  Engine.block_link eng ~src:2 ~dst:1;
-  Alcotest.(check bool) "blocked" true (Engine.link_blocked eng ~src:2 ~dst:1);
-  Alcotest.(check bool) "reverse open" false (Engine.link_blocked eng ~src:1 ~dst:2);
-  Engine.run_rounds eng 20;
-  Alcotest.(check int) "1 never hears from 2" 10 (Engine.state eng 1).value;
-  Alcotest.(check int) "2 hears from 1 fine" 20 (Engine.state eng 2).value;
-  Engine.unblock_link eng ~src:2 ~dst:1;
-  let converged t = (Engine.state t 1).value = 20 in
-  Alcotest.(check bool) "recovers once unblocked" true
-    (Engine.run_until eng ~max_steps:20_000 converged)
-
 let test_engine_timer_fairness () =
   (* every live node takes timer steps at roughly the same rate: after many
      steps no node lags the round count by more than a couple of ticks *)
@@ -605,7 +591,6 @@ let suites =
         Alcotest.test_case "crash stops node" `Quick test_engine_crash_stops_node;
         Alcotest.test_case "add node" `Quick test_engine_add_node;
         Alcotest.test_case "partition blocks gossip" `Quick test_engine_partition_blocks_gossip;
-        Alcotest.test_case "directed link block" `Quick test_engine_block_directed_link;
         Alcotest.test_case "timer fairness" `Quick test_engine_timer_fairness;
         Alcotest.test_case "determinism" `Quick test_engine_determinism;
         Alcotest.test_case "rounds: crash laggard" `Quick test_engine_rounds_crash_laggard;

@@ -183,6 +183,38 @@ let bench_stack_round_12 =
   Test.make ~name:"stack.round_12node_register"
     (Staged.stage (fun () -> Reconfig.Stack.run_rounds sys 1))
 
+(* one counter-gossip [App] receipt at node 1 of a warm N = 12 register
+   cluster (E16's 25 warm rounds) with an empty client queue, through the
+   stack's driver: the detector heartbeat, the counter's gossip receipt
+   (the gossip node 2's tick sent, repeated, so the storage takes it in
+   constant time) and the register's receipt, with no operation to start.
+   This is the bulk of a steady cluster's receipts. *)
+let bench_idle_receipt_12 =
+  let open Reconfig in
+  let hooks = Register.Register_service.hooks () in
+  let sc = Scenario.make ~seed:12 ~nodes:12 () in
+  let sys = Stack.of_scenario ~hooks sc in
+  Stack.run_rounds sys 25;
+  let members = set sc.Scenario.sc_members in
+  let b =
+    Stack.driver ~capacity:sc.Scenario.sc_capacity ~n_bound:sc.Scenario.sc_n_bound
+      ~theta:sc.Scenario.sc_theta ~hooks ~members_set:members ~directory:(ref members)
+  in
+  let ctx = Sim.Step.create ~trace:(Sim.Trace.create ()) ~telemetry:(Telemetry.create ()) in
+  let gossip = ref None in
+  ctx.Sim.Step.ctx_send <-
+    (fun dst m ->
+      match m with
+      | Stack.App _ when dst = 1 && Option.is_none !gossip -> gossip := Some m
+      | _ -> ());
+  ctx.Sim.Step.ctx_self <- 2;
+  ignore (b.Sim.Step.on_timer ctx (Stack.node sys 2));
+  let msg = Option.get !gossip and node = Stack.node sys 1 in
+  ctx.Sim.Step.ctx_send <- (fun _ _ -> ());
+  ctx.Sim.Step.ctx_self <- 1;
+  Test.make ~name:"register.idle_receipt_12"
+    (Staged.stage (fun () -> ignore (b.Sim.Step.on_message ctx 2 msg node)))
+
 let micro_tests =
   Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
     [
@@ -200,6 +232,7 @@ let micro_tests =
       bench_engine_round_16;
       bench_engine_round_64;
       bench_stack_round_12;
+      bench_idle_receipt_12;
     ]
 
 let run_micro () =

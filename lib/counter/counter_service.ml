@@ -50,6 +50,7 @@ let request_next st =
   request_increment st;
   st.skip_write <- true
 
+let pending st = match st.phase with None -> st.want_increment | Some _ -> false
 let increment_result st = st.increment_result
 let aborts st = st.abort_count
 
@@ -205,6 +206,39 @@ let rec advance (view : msg Stack.scheme_view) st =
         abort_op view st))
   | Some _ | None -> ()
 
+
+(* Algorithm 4.3: a member maintains the maximal counter; [None] at a
+   non-member. *)
+let maintained (view : msg Stack.scheme_view) st members =
+  if not (Pid.Set.mem view.Stack.v_self members) then None
+  else begin
+    let algo = ensure_algo view st members in
+    if Counter_algo.local_max algo = None then
+      ignore (Counter_algo.find_max_counter algo);
+    Some algo
+  end
+
+(* Start the pending increment's majRead (the do-forever loop of
+   Algorithm 4.4), on a tick or a receipt alike; a member answers its own
+   read locally. The requests leave twice: each delivery event takes a
+   random queued packet from its link, so a duplicate reaches the members
+   sooner. With one send instead, perfbench's steady workload (N=8, seed
+   7, 4 s) went from 2.53 to 2.80 sim-s at op p50, from 519 to 558 engine
+   steps per op and from 1.41 to 1.76 sim-s per majRead (--trace 1). *)
+let start_increment (view : msg Stack.scheme_view) st ~members algo =
+  let self = view.Stack.v_self in
+  (* quorum round-trip timing: the span closes in finish_write and is
+     dropped on abort *)
+  Telemetry.span_begin view.Stack.v_telemetry ~name:"counter.op_seconds" ~key:self
+    ~now:view.Stack.v_now;
+  let round = Phase.start ~id:(fresh_id st) ~conf:members Read in
+  st.phase <- Some round;
+  Option.iter
+    (fun algo -> Phase.record round ~from:self (Counter_algo.local_max algo))
+    algo;
+  send_requests view round;
+  send_requests view round
+
 (* Sends in a fixed order seeded runs rely on: the retransmission, the
    round started this tick, the gossip, then whatever [advance] starts. *)
 let tick (view : msg Stack.scheme_view) st =
@@ -212,43 +246,11 @@ let tick (view : msg Stack.scheme_view) st =
   match Stack.View.current_members view with
   | None -> () (* reconfiguration taking place *)
   | Some members ->
-    (* Algorithm 4.3: members maintain the maximal counter *)
-    let algo =
-      if not (Pid.Set.mem self members) then None
-      else begin
-        let algo = ensure_algo view st members in
-        if Counter_algo.local_max algo = None then
-          ignore (Counter_algo.find_max_counter algo);
-        Some algo
-      end
-    in
+    let algo = maintained view st members in
     (match st.phase with Some round -> answer_self view st round | None -> ());
-    (* start a pending increment *)
-    let started =
-      if st.want_increment && st.phase = None then begin
-        (* quorum round-trip timing: the span closes in finish_write and
-           is dropped on abort *)
-        Telemetry.span_begin view.Stack.v_telemetry ~name:"counter.op_seconds"
-          ~key:self ~now:view.Stack.v_now;
-        let round = Phase.start ~id:(fresh_id st) ~conf:members Read in
-        st.phase <- Some round;
-        (* a member answers its own read locally *)
-        Option.iter
-          (fun algo -> Phase.record round ~from:self (Counter_algo.local_max algo))
-          algo;
-        Some round
-      end
-      else None
-    in
-    (* retransmit in-flight requests (messages may be lost); a round
-       started this tick is thus sent twice. Keep the second send: each
-       delivery event takes a random queued packet from its link, so a
-       duplicate reaches the members sooner. Without it, perfbench's
-       steady workload (N=8) went from 3.21 to 3.47 sim-s at op p50
-       (seed 1) and from 636 to 684 engine steps per op (seed 7,
-       --trace 1), and the counter's majRead from 1.60 to 2.07 sim-s. *)
+    (* retransmit in-flight requests (messages may be lost) *)
     Option.iter (send_requests view) st.phase;
-    Option.iter (send_requests view) started;
+    if pending st then start_increment view st ~members algo;
     (* ... and gossip the maximal counter to the other members, in
        descending pid order; the order is listed once per member set *)
     Option.iter
@@ -266,6 +268,17 @@ let tick (view : msg Stack.scheme_view) st =
           st.gossip_to)
       algo;
     advance view st
+
+(* The receipt path's start: a pending increment starts in the first
+   receipt step after it was requested, unless a reconfiguration is taking
+   place. *)
+let start (view : msg Stack.scheme_view) st =
+  if pending st then
+    match Stack.View.current_members view with
+    | None -> ()
+    | Some members ->
+      start_increment view st ~members (maintained view st members);
+      advance view st
 
 let recv (view : msg Stack.scheme_view) ~from m st =
   let reply r = view.Stack.v_send from (Op r) in
@@ -349,6 +362,8 @@ let plugin ~in_transit_bound ~exhaust_bound =
     Stack.p_init = fresh_state ~in_transit_bound ~exhaust_bound;
     p_tick = tick;
     p_recv = recv;
+    p_pending = pending;
+    p_start = start;
     p_merge = (fun ~self:_ _ _ -> ());
     p_corrupt = corrupt;
   }

@@ -8,7 +8,11 @@
     configuration members; requests during a reconfiguration are refused
     (the paper's Abort) and the operation returns ⊥ (here: is aborted and
     retried while the request flag stays up). Each phase is one
-    {!Quorum.Phase} round.
+    {!Quorum.Phase} round. A requested increment, or one retried after an
+    abort, starts its majRead in the node's first step after the request:
+    the receipt of a service message or the tick, whichever comes first;
+    ticks retransmit the running phase to the members that have not
+    answered.
 
     A caller that stores the counter itself asks with {!request_next}: the
     operation ends after its majRead, and the caller's own majority round
@@ -42,6 +46,11 @@ val request_increment : state -> unit
     relies on it, through a round whose receivers call {!store}: until
     then no later increment is sure to see it. *)
 val request_next : state -> unit
+
+(** Is an increment waiting to start (requested, or aborted, and no phase
+    running)? A few field reads: a plugin that embeds this service reports
+    it in its own [p_pending]. *)
+val pending : state -> bool
 
 (** The counter returned by the increment requested last: [None] from
     {!request_increment} or {!request_next} until that increment

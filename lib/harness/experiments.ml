@@ -1029,9 +1029,9 @@ let e16_register_comparison ?(jobs = 1) p =
        the tag as the counter's majWrite and starts in the step that \
        delivers the tag) and one per read \
        when every replier already holds the newest value (two otherwise: \
-       query, then write-back) while the SMR route pays a multicast round, \
-       so their costs converge but the SMR route suspends during \
-       reconfigurations"
+       query, then write-back), each operation leaving in its node's first \
+       receipt or tick after it was queued, while the SMR route pays a \
+       multicast round and suspends during reconfigurations"
     ~header:[ "N"; "emulation"; "rounds per op (mean)" ]
     rows
 

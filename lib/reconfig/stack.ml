@@ -75,6 +75,8 @@ module Plugin = struct
     p_init : Pid.t -> 'app;
     p_tick : 'msg scheme_view -> 'app -> unit;
     p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
+    p_pending : 'app -> bool;
+    p_start : 'msg scheme_view -> 'app -> unit;
     p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
     p_corrupt : Rng.t -> 'app -> unit;
   }
@@ -84,6 +86,8 @@ module Plugin = struct
       p_init = (fun _ -> ());
       p_tick = (fun _ () -> ());
       p_recv = (fun _ ~from:_ _ () -> ());
+      p_pending = (fun () -> false);
+      p_start = (fun _ () -> ());
       p_merge = (fun ~self:_ () _ -> ());
       p_corrupt = (fun _ () -> ());
     }
@@ -102,6 +106,12 @@ module Plugin = struct
           | Some lm -> lower.p_recv (lower_view v) ~from lm (get st)
           | None -> ());
           upper.p_recv v ~from m st);
+      p_pending = upper.p_pending;
+      p_start =
+        (fun v st ->
+          upper.p_start v st;
+          let lst = get st in
+          if lower.p_pending lst then lower.p_start (lower_view v) lst);
       p_merge =
         (fun ~self st others ->
           lower.p_merge ~self (get st) (Pid.Map.map get others);
@@ -117,6 +127,8 @@ type ('app, 'msg) plugin = ('app, 'msg) Plugin.t = {
   p_init : Pid.t -> 'app;
   p_tick : 'msg scheme_view -> 'app -> unit;
   p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
+  p_pending : 'app -> bool;
+  p_start : 'msg scheme_view -> 'app -> unit;
   p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
   p_corrupt : Rng.t -> 'app -> unit;
 }
@@ -502,7 +514,12 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
       | None -> ())
     | Join (Join.Join_reply { pass; app }) ->
       Join.on_reply n.join ~from ~participant:(Recsa.is_participant n.sa) ~pass ~app
-    | App m -> hooks.plugin.p_recv (view_of ctx n sent_app) ~from m n.app);
+    | App m ->
+      hooks.plugin.p_recv (view_of ctx n sent_app) ~from m n.app;
+      (* an operation queued since this node's last step starts now, not
+         at its next tick *)
+      if hooks.plugin.p_pending n.app then
+        hooks.plugin.p_start (view_of ctx n sent_app) n.app);
     n
   in
   { Step.init; on_timer; on_message }

@@ -105,13 +105,25 @@ end
 
 (** Application plugins: ticked after the scheme layers on every timer
     step; receive every [App] message. Plugins keep their state in mutable
-    fields and update it in place; every field returns [unit], and a
-    plugin sends through its view's [v_send]. *)
+    fields and update it in place; every field but [p_pending] returns
+    [unit], and a plugin sends through its view's [v_send]. *)
 module Plugin : sig
   type ('app, 'msg) t = {
     p_init : Pid.t -> 'app;
     p_tick : 'msg scheme_view -> 'app -> unit;
     p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
+    p_pending : 'app -> bool;
+        (** is an operation waiting to start, in this plugin or in a layer
+            embedded in its state? The driver asks after every [App]
+            receipt, so it reads a few fields and calls nothing that
+            could be slow *)
+    p_start : 'msg scheme_view -> 'app -> unit;
+        (** start this plugin's own waiting operations, if any; the
+            driver runs it after an [App] receipt for which [p_pending]
+            holds, with the receipt's view. So an operation queued since
+            the node's last step leaves in its next receipt step or tick,
+            whichever comes first; the tick starts operations too, and
+            stays their retransmission path *)
     p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
         (** [initVars]: fold members' states into a fresh participant's
             state when joining completes *)
@@ -134,7 +146,12 @@ module Plugin : sig
       [upper] asks of [lower] starts in the same tick. A receipt that
       [unwrap] recognizes goes to [lower] and then, unchanged, to [upper],
       so [upper] can act in the same step on what [lower] just completed;
-      every other receipt goes to [upper] alone. [p_merge] hands [lower]
+      every other receipt goes to [upper] alone. [p_pending] is
+      [upper]'s, which must also report [lower]'s waiting operations (the
+      receipt path's check stays one call); [p_start] runs [upper]'s
+      start, then [lower]'s when [lower]'s [p_pending] holds, so an
+      operation [upper] starts and asks of [lower] starts in [lower] in
+      the same step, as on a tick. [p_merge] hands [lower]
       the others' states projected through [get], then runs [upper];
       [p_corrupt] corrupts [lower], then [upper]. This is how the register
       and virtual-synchrony services embed the counter service. *)
@@ -151,6 +168,8 @@ type ('app, 'msg) plugin = ('app, 'msg) Plugin.t = {
   p_init : Pid.t -> 'app;
   p_tick : 'msg scheme_view -> 'app -> unit;
   p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
+  p_pending : 'app -> bool;
+  p_start : 'msg scheme_view -> 'app -> unit;
   p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
   p_corrupt : Rng.t -> 'app -> unit;
 }

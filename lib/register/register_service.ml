@@ -181,6 +181,29 @@ let take_tag view st =
     | None -> ())
   | _ -> ()
 
+(* A queued operation is waiting to start: the node is idle with a
+   non-empty queue. *)
+let queued st =
+  match st.op with
+  | Idle -> st.front != [] || st.back != []
+  | Get_tag _ | Running _ -> false
+
+(* The plugin's [p_pending], asked on every receipt: field reads only, and
+   the embedded counter's pending increment counts too. *)
+let pending st = queued st || Counter_service.pending st.cnt
+
+(* Take the next queued operation: a write asks the counter for its tag, a
+   read starts its query. *)
+let start_next view st conf =
+  match next_request st with
+  | Some (Wreq (rid, reg, value)) ->
+    st.op <- Get_tag { rid; reg; value };
+    Counter_service.request_next st.cnt
+  | Some (Rreq (rid, reg)) ->
+    run_round view st ~rid ~reg ~goal:`Query ~conf (Query reg)
+      (Reg_map.find_opt reg st.store)
+  | None -> ()
+
 (* The register logic alone; the embedded counter service (write-tag
    provider) is layered underneath via {!Stack.Plugin.stack}, which runs
    its tick after this one — so a tag requested here is asked for in the
@@ -192,20 +215,19 @@ let tick (view : msg Stack.scheme_view) st =
   | Idle | Get_tag _ -> ());
   match Stack.View.current_members view with
   | None -> () (* reconfiguration in progress: hold *)
-  | Some conf -> (
-    (* start the next queued operation *)
-    (match st.op with
-    | Idle -> (
-      match next_request st with
-      | Some (Wreq (rid, reg, value)) ->
-        st.op <- Get_tag { rid; reg; value };
-        Counter_service.request_next st.cnt
-      | Some (Rreq (rid, reg)) ->
-        run_round view st ~rid ~reg ~goal:`Query ~conf (Query reg)
-          (Reg_map.find_opt reg st.store)
-      | None -> ())
-    | Get_tag _ | Running _ -> ());
-    take_tag view st)
+  | Some conf ->
+    if queued st then start_next view st conf;
+    take_tag view st
+
+(* The receipt path's start: a queued or aborted operation starts in the
+   first receipt step after it was queued, unless a reconfiguration is in
+   progress; the combinator then starts a write's majRead in the counter,
+   in the same step. *)
+let start (view : msg Stack.scheme_view) st =
+  if queued st then
+    match Stack.View.current_members view with
+    | Some conf -> start_next view st conf
+    | None -> ()
 
 let recv (view : msg Stack.scheme_view) ~from m st =
   let reply r = view.Stack.v_send from (Op r) in
@@ -287,6 +309,8 @@ let plugin () =
           });
       p_tick = tick;
       p_recv = recv;
+      p_pending = pending;
+      p_start = start;
       p_merge = merge_states;
       p_corrupt = corrupt_upper;
     }

@@ -26,15 +26,18 @@
       otherwise it writes the entry back to a majority (so later reads
       cannot see older values), then returns it.
 
-    Each round starts, and sends its requests, in the step that completes
-    the one before it: the counter's majRead in the tick that asks for a
-    tag, the update in the step that delivers the tag (the counter's
-    majRead completing), the write-back in
-    the step that completes the query. Later ticks only retransmit to the
-    targets that have not answered. The trace records ["register.query"]
-    when a query completes, ["register.update"] when an update or
-    write-back starts, and ["register.write"] / ["register.read"] when an
-    operation returns; each carries the register's name.
+    An operation starts in its node's first step after it was queued (or
+    re-queued by an abort): the receipt of a service message or the tick,
+    whichever comes first. A write's first round, the counter's majRead
+    for its tag, leaves in that same step. Each later round starts, and
+    sends its requests, in the step that completes the one before it: the
+    update in the step that delivers the tag (the counter's majRead
+    completing), the write-back in the step that completes the query.
+    Later ticks only retransmit to the targets that have not answered.
+    The trace records ["register.query"] when a query completes,
+    ["register.update"] when an update or write-back starts, and
+    ["register.write"] / ["register.read"] when an operation returns;
+    each carries the register's name.
 
     Operations issued during a reconfiguration are refused and retried.
     Values survive delicate reconfigurations because every {e participant}

@@ -509,6 +509,8 @@ let plugin ~machine ?(eval_config = default_eval) () =
           });
       p_tick = vs_tick machine ~eval_config;
       p_recv = vs_recv;
+      p_pending = (fun st -> Counter_service.pending st.cnt);
+      p_start = (fun _ _ -> ());
       p_merge = (fun ~self:_ _ _ -> ());
       p_corrupt = corrupt_upper;
     }

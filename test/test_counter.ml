@@ -248,6 +248,59 @@ let make_counter_system ?(seed = 42) ?(n = 4) ?(exhaust_bound = 1 lsl 30) () =
 
 let app sys p = (Reconfig.Stack.node sys p).Reconfig.Stack.app
 
+(* [probed plugin] — [plugin], instrumented: per node, the timer steps it
+   took and the service messages it sent in receipt steps (in its receipt
+   and in the start pass the driver runs after it). *)
+type probe = {
+  ticks : (Pid.t, int) Hashtbl.t;
+  receipt_sends : (Pid.t, int) Hashtbl.t;
+}
+
+let count tbl p = Option.value ~default:0 (Hashtbl.find_opt tbl p)
+let bump tbl p = Hashtbl.replace tbl p (count tbl p + 1)
+
+let probed (plugin : ('app, 'msg) Reconfig.Stack.plugin) =
+  let pr = { ticks = Hashtbl.create 8; receipt_sends = Hashtbl.create 8 } in
+  let counted (v : 'msg Reconfig.Stack.scheme_view) =
+    {
+      v with
+      Reconfig.Stack.v_send =
+        (fun dst m ->
+          bump pr.receipt_sends v.Reconfig.Stack.v_self;
+          v.Reconfig.Stack.v_send dst m);
+    }
+  in
+  ( pr,
+    {
+      plugin with
+      Reconfig.Stack.p_tick =
+        (fun v st ->
+          bump pr.ticks v.Reconfig.Stack.v_self;
+          plugin.Reconfig.Stack.p_tick v st);
+      p_recv = (fun v ~from m st -> plugin.Reconfig.Stack.p_recv (counted v) ~from m st);
+      p_start = (fun v st -> plugin.Reconfig.Stack.p_start (counted v) st);
+    } )
+
+(* Step [sys] through node [p]'s next timer step. *)
+let through_tick pr sys p =
+  let ticks = count pr.ticks p in
+  let rec go k =
+    if k = 0 then Alcotest.failf "node %d never ticked" p;
+    ignore (Engine.step (Reconfig.Stack.engine sys));
+    if count pr.ticks p = ticks then go (k - 1)
+  in
+  go 100_000
+
+(* [sent_between_ticks pr sys p submit] — run [submit] right after node
+   [p]'s tick; the messages [p] sent in receipt steps before its next tick
+   (that tick included). *)
+let sent_between_ticks pr sys p submit =
+  through_tick pr sys p;
+  let before = count pr.receipt_sends p in
+  submit ();
+  through_tick pr sys p;
+  count pr.receipt_sends p - before
+
 let test_member_increment () =
   let sys = make_counter_system () in
   Reconfig.Stack.run_rounds sys 15;
@@ -258,6 +311,28 @@ let test_member_increment () =
   match Counter_service.increment_result (app sys 1) with
   | Some c -> Alcotest.(check int) "writer id" 1 c.Counter.wid
   | None -> Alcotest.fail "expected a result"
+
+(* A bare increment (E7's and virtual synchrony's path) starts in the
+   first receipt step after it was requested, not at the next tick: the
+   majRead leaves twice to the 3 other members before node 1 ticks again,
+   and an idle node sends nothing from a receipt. *)
+let test_increment_starts_on_receipt () =
+  let pr, plugin =
+    probed (Counter_service.plugin ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30))
+  in
+  let sys =
+    Reconfig.Stack.of_scenario
+      ~hooks:{ Reconfig.Stack.unit_hooks with plugin }
+      (Reconfig.Scenario.make ~seed:6 ~n_bound:16 ~members:[ 1; 2; 3; 4 ] ())
+  in
+  Reconfig.Stack.run_rounds sys 15;
+  Alcotest.(check int) "an idle node sends nothing from receipts" 0
+    (sent_between_ticks pr sys 1 ignore);
+  Alcotest.(check int) "the majRead leaves from a receipt, twice to 3 members" 6
+    (sent_between_ticks pr sys 1 (fun () -> Counter_service.request_increment (app sys 1)));
+  Alcotest.(check bool) "increment completes" true
+    (Reconfig.Stack.run_until sys ~max_steps:400_000 (fun t ->
+         Counter_service.increment_result (app t 1) <> None))
 
 let test_sequential_increments_monotone () =
   let sys = make_counter_system ~seed:2 () in
@@ -809,6 +884,8 @@ let suites =
     ( "counter.service",
       [
         Alcotest.test_case "member increment" `Quick test_member_increment;
+        Alcotest.test_case "an increment starts on a receipt" `Quick
+          test_increment_starts_on_receipt;
         Alcotest.test_case "sequential monotone" `Quick test_sequential_increments_monotone;
         Alcotest.test_case "concurrent ordered" `Quick test_concurrent_increments_ordered;
         Alcotest.test_case "non-member increment" `Quick test_non_member_increment;

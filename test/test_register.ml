@@ -369,6 +369,40 @@ let test_pipelined_rounds () =
       await_written_back sys)
     write_back_seeds
 
+(* An operation starts in the first receipt step after it was queued:
+   submitted right after its node's tick, a write's majRead (twice to the
+   3 other members) and a read's query (to the 3 other members) leave
+   before that node's next tick. *)
+let test_ops_start_on_receipt () =
+  let pr, plugin = Test_counter.probed (Register_service.plugin ()) in
+  let sys = make ~seed:5 ~hooks:{ (Register_service.hooks ()) with plugin } () in
+  Reconfig.Stack.run_rounds sys 20;
+  let sent_between_ticks = Test_counter.sent_between_ticks pr sys in
+  Alcotest.(check int) "the write's majRead leaves from a receipt" 6
+    (sent_between_ticks 1 (fun () -> Register_service.write (app sys 1) ~rid:1 "x" 7));
+  await_write sys 1 ~rid:1;
+  (* let the write's last acknowledgments arrive: a quiet node again *)
+  Reconfig.Stack.run_rounds sys 5;
+  Alcotest.(check int) "the read's query leaves from a receipt" 3
+    (sent_between_ticks 3 (fun () -> Register_service.read (app sys 3) ~rid:1 "x"));
+  Alcotest.(check (option (option int))) "the read returns the write" (Some (Some 7))
+    (await_read sys 3 ~rid:1)
+
+(* A receipt with nothing to start sends nothing: over 20 quiet rounds of a
+   steady N = 8 register cluster, no node sends from a receipt step, and
+   the service traffic (the counter's gossip alone) is the 1134 messages
+   it was when operations started only at ticks. *)
+let test_idle_receipts_send_nothing () =
+  let pr, plugin = Test_counter.probed (Register_service.plugin ()) in
+  let sys = make ~seed:8 ~n:8 ~hooks:{ (Register_service.hooks ()) with plugin } () in
+  Reconfig.Stack.run_rounds sys 25;
+  let sent = app_sent sys in
+  Reconfig.Stack.run_rounds sys 20;
+  Alcotest.(check int) "service messages over 20 quiet rounds" 1134 (app_sent sys - sent);
+  Alcotest.(check (list int)) "no sends from receipt steps" []
+    (List.filter (fun p -> Test_counter.count pr.Test_counter.receipt_sends p > 0)
+       (List.init 8 (fun i -> i + 1)))
+
 (* One writer runs concurrently with two readers that take turns: no read
    may return a value older than a read that finished before it started,
    or than a write that completed before it started. *)
@@ -431,6 +465,9 @@ let suites =
         Alcotest.test_case "read writes back a missing value" `Quick test_write_back;
         Alcotest.test_case "rounds start in the completing step" `Quick
           test_pipelined_rounds;
+        Alcotest.test_case "operations start on a receipt" `Quick test_ops_start_on_receipt;
+        Alcotest.test_case "idle receipts send nothing" `Quick
+          test_idle_receipts_send_nothing;
         Alcotest.test_case "monotonic reads, concurrent writer" `Quick
           test_monotonic_reads_concurrent_writer;
         Alcotest.test_case "a member's write after a non-member's write wins" `Quick

@@ -62,6 +62,12 @@ let probe tag =
         v.Stack.v_send 2 (tag ^ ".m1");
         v.Stack.v_send 3 (tag ^ ".m2"));
     p_recv = (fun _v ~from m log -> note log (Printf.sprintf "%s.recv.%d.%s" tag from m));
+    (* something to start: the upper layer asked and nothing happened since *)
+    p_pending = (fun log -> match !log with "hi.asks" :: _ -> true | _ -> false);
+    p_start =
+      (fun v log ->
+        note log (tag ^ ".start");
+        v.Stack.v_send 2 (tag ^ ".s"));
     p_merge =
       (fun ~self:_ log others ->
         let heads =
@@ -88,6 +94,7 @@ let lo_hi_msg =
 let stacked () =
   let lower = probe "lo" in
   let saw what lo = Printf.sprintf "hi.%s(saw %d lo events)" what (List.length !lo) in
+  let queued hi = match !hi with "hi.queued" :: _ -> true | _ -> false in
   let upper =
     {
       Stack.p_init = (fun pid -> (lower.Stack.p_init pid, ref [ Printf.sprintf "hi.init.%d" pid ]));
@@ -101,6 +108,15 @@ let stacked () =
           match m with
           | `Hi s -> hi := Printf.sprintf "hi.recv.%d.%s" from s :: !hi
           | `Lo s -> hi := saw (Printf.sprintf "recv.%d.lo.%s" from s) lo :: !hi);
+      (* an upper layer reports the lower's waiting work too *)
+      p_pending = (fun (lo, hi) -> queued hi || lower.Stack.p_pending lo);
+      p_start =
+        (fun v (lo, hi) ->
+          if queued hi then begin
+            hi := saw "start" lo :: !hi;
+            lo := "hi.asks" :: !lo;
+            v.Stack.v_send 9 (`Hi "h2")
+          end);
       p_merge = (fun ~self:_ (lo, hi) _ -> hi := saw "merge" lo :: !hi);
       p_corrupt = (fun _ (lo, hi) -> hi := saw "corrupt" lo :: !hi);
     }
@@ -151,6 +167,32 @@ let test_stack_routing () =
   p.Stack.p_recv v ~from:4 (`Hi "yo") st;
   Alcotest.(check (list string)) "lower untouched" [ "lo.init.1" ] !lo;
   Alcotest.(check (list string)) "Hi routed to the upper alone" [ "hi.recv.4.yo"; "hi.init.1" ] !hi
+
+let test_stack_start_pass () =
+  let p = stacked () in
+  let v, sent = recording_view () in
+  let ((lo, hi) as st) = p.Stack.p_init 1 in
+  Alcotest.(check bool) "nothing pending at init" false (p.Stack.p_pending st);
+  hi := "hi.queued" :: !hi;
+  Alcotest.(check bool) "the upper's queue makes the stack pending" true (p.Stack.p_pending st);
+  p.Stack.p_start v st;
+  Alcotest.(check (list (pair int lo_hi_msg)))
+    "the upper starts first, then the lower, in the same pass"
+    [ (9, `Hi "h2"); (2, `Lo "lo.s") ]
+    (sent ());
+  Alcotest.(check (list string))
+    "upper started before the lower" [ "hi.start(saw 1 lo events)"; "hi.queued"; "hi.init.1" ]
+    !hi;
+  Alcotest.(check (list string))
+    "lower started on what the upper asked" [ "lo.start"; "hi.asks"; "lo.init.1" ] !lo;
+  Alcotest.(check bool) "nothing pending after the pass" false (p.Stack.p_pending st);
+  (* a lower layer with work alone: the upper starts nothing *)
+  let ((lo, hi) as st) = p.Stack.p_init 1 in
+  lo := "hi.asks" :: !lo;
+  Alcotest.(check bool) "the lower's work makes the stack pending" true (p.Stack.p_pending st);
+  p.Stack.p_start v st;
+  Alcotest.(check (list string)) "upper started nothing" [ "hi.init.1" ] !hi;
+  Alcotest.(check (list string)) "lower started" [ "lo.start"; "hi.asks"; "lo.init.1" ] !lo
 
 let test_stack_merge_corrupt () =
   let p = stacked () in
@@ -307,6 +349,8 @@ let test_joiner_app_waits_for_handshake () =
       Stack.p_init = (fun _ -> ());
       p_tick = (fun v () -> List.iter (fun p -> v.Stack.v_send p "hello") seeds);
       p_recv = (fun _ ~from:_ _ () -> ());
+      p_pending = (fun () -> false);
+      p_start = (fun _ () -> ());
       p_merge = (fun ~self:_ () _ -> ());
       p_corrupt = (fun _ () -> ());
     }
@@ -715,6 +759,7 @@ let suites =
       [
         Alcotest.test_case "stack ordering" `Quick test_stack_ordering;
         Alcotest.test_case "stack routing" `Quick test_stack_routing;
+        Alcotest.test_case "stack start pass" `Quick test_stack_start_pass;
         Alcotest.test_case "stack merge and corrupt" `Quick test_stack_merge_corrupt;
       ] );
     ( "runtime.loop",

@@ -49,6 +49,21 @@ let bench_channel =
            ignore (Sim.Channel.take_nonempty ch rng)
          done))
 
+(* the engine's duplicating send: every send also asks for a copy of the
+   packet just sent, which the channel enqueues while it has room *)
+let bench_channel_dup =
+  let rng = Sim.Rng.create 3 in
+  Test.make ~name:"channel.send_dup_take"
+    (Staged.stage (fun () ->
+         let ch = Sim.Channel.create ~capacity:8 in
+         for i = 1 to 16 do
+           Sim.Channel.send ch rng i;
+           ignore (Sim.Channel.duplicate_tail ch)
+         done;
+         while not (Sim.Channel.is_empty ch) do
+           ignore (Sim.Channel.take_nonempty ch rng)
+         done))
+
 let bench_fd =
   Test.make ~name:"detector.heartbeat_trusted"
     (Staged.stage (fun () ->
@@ -221,6 +236,7 @@ let micro_tests =
       bench_rng;
       bench_event_queue;
       bench_channel;
+      bench_channel_dup;
       bench_fd;
       bench_notification_max;
       bench_label_order;

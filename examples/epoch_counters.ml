@@ -30,11 +30,24 @@ let () =
   in
   Reconfig.Stack.run_rounds sys 20;
   Format.printf "counter bound per epoch label: %d@." exhaust_bound;
+  (* [roll prev c] prints how [c] orders against the counter issued before
+     it when the two carry different labels, and tells whether they do *)
+  let roll (prev : Counter.t option) (c : Counter.t) =
+    match prev with
+    | Some a when not (Label.equal a.Counter.lbl c.Counter.lbl) ->
+      Format.printf "epoch roll after seqn=%d: new counter orders above the old: %b@."
+        a.Counter.seqn (Counter.precedes a c);
+      true
+    | _ -> false
+  in
+  let prev = ref None in
   for i = 1 to 10 do
     let c = increment sys (1 + (i mod 3)) in
     Format.printf "increment %2d -> seqn=%d wid=%a label-creator=%a sting=%d@." i
       c.Counter.seqn Pid.pp c.Counter.wid Pid.pp c.Counter.lbl.Label.creator
-      c.Counter.lbl.Label.sting
+      c.Counter.lbl.Label.sting;
+    ignore (roll !prev c);
+    prev := Some c
   done;
   (* Epoch rolls are visible above: whenever a label's sequence numbers ran
      out, the members canceled it and minted a fresh epoch label. During a
@@ -45,7 +58,7 @@ let () =
      changes only right after a counter exhausted it. A roll may still
      order the new epoch below the old one: a fresh label minted by a
      lower-id creator does not succeed the exhausted label under the label
-     order, so the comparison across a roll is printed as it is. *)
+     order, so the comparison at every roll is printed as it is. *)
   Format.printf "@.letting the labeling algorithm settle on one epoch...@.";
   Reconfig.Stack.run_rounds sys 40;
   let cs = List.init 3 (fun i -> increment sys (1 + (i mod 3))) in
@@ -55,15 +68,12 @@ let () =
       Format.printf "  seqn=%d wid=%a label-creator=%a@." c.Counter.seqn Pid.pp
         c.Counter.wid Pid.pp c.Counter.lbl.Label.creator)
     cs;
+  ignore (roll !prev (List.hd cs));
   let rec settled = function
     | (a : Counter.t) :: (b :: _ as rest) ->
       let ok =
-        if Label.equal a.Counter.lbl b.Counter.lbl then Counter.precedes a b
-        else begin
-          Format.printf "epoch roll after seqn=%d: new counter orders above the old: %b@."
-            a.Counter.seqn (Counter.precedes a b);
-          Counter.exhausted ~bound:exhaust_bound a
-        end
+        if roll (Some a) b then Counter.exhausted ~bound:exhaust_bound a
+        else Counter.precedes a b
       in
       ok && settled rest
     | _ -> true

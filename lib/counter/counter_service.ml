@@ -220,11 +220,12 @@ let maintained (view : msg Stack.scheme_view) st members =
 
 (* Start the pending increment's majRead (the do-forever loop of
    Algorithm 4.4), on a tick or a receipt alike; a member answers its own
-   read locally. The requests leave twice: each delivery event takes a
-   random queued packet from its link, so a duplicate reaches the members
-   sooner. With one send instead, perfbench's steady workload (N=8, seed
-   7, 4 s) went from 2.53 to 2.80 sim-s at op p50, from 519 to 558 engine
-   steps per op and from 1.41 to 1.76 sim-s per majRead (--trace 1). *)
+   read locally. The requests leave twice: each delivery attempt takes a
+   random queued packet from its link, so a second copy reaches the
+   members sooner. With one send instead, perfbench's steady workload
+   (N=8, seed 7, 4 s) went from 2.29 to 2.53 sim-s at op p50, from 480 to
+   514 engine steps per op and from 1.24 to 1.58 sim-s per majRead
+   (--trace 1). *)
 let start_increment (view : msg Stack.scheme_view) st ~members algo =
   let self = view.Stack.v_self in
   (* quorum round-trip timing: the span closes in finish_write and is

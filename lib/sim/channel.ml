@@ -86,11 +86,13 @@ let take_nonempty t rng =
   t.st.delivered <- t.st.delivered + 1;
   pkt
 
-let duplicate_head t =
-  if t.len > 0 && t.len < t.cap then begin
-    t.buf.(slot t t.len) <- t.buf.(t.head);
+let duplicate_tail t =
+  if t.len = 0 || t.len = t.cap then false
+  else begin
+    t.buf.(slot t t.len) <- t.buf.(slot t (t.len - 1));
     t.len <- t.len + 1;
-    t.st.duplicated <- t.st.duplicated + 1
+    t.st.duplicated <- t.st.duplicated + 1;
+    true
   end
 
 let drop_one t rng =

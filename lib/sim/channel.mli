@@ -4,9 +4,12 @@
     packets. A send onto a full channel either omits the new packet or
     overwrites an already-queued one. Delivery may reorder, lose or duplicate
     packets, but fair communication holds: a packet re-sent infinitely often
-    is delivered infinitely often (the simulator schedules deliveries with a
-    loss probability strictly below one). After a transient fault a channel
-    may contain arbitrary stale packets; [corrupt] injects them.
+    is delivered infinitely often. The channel itself has no clock; the
+    simulator gives every packet it enqueues (a sent packet, a duplicate of
+    it, a planted one) a delivery attempt of its own, and each attempt takes
+    a uniformly random queued packet, losing it with a probability strictly
+    below one. After a transient fault a channel may contain arbitrary stale
+    packets; [corrupt] injects them.
 
     Implemented as a fixed-capacity ring buffer: send, overflow-victim
     replacement and head operations are O(1) and allocation-free, and both
@@ -20,7 +23,7 @@ type stats = {
   mutable sent : int;  (** packets offered to the channel *)
   mutable dropped : int;  (** packets lost to capacity or loss *)
   mutable delivered : int;  (** packets handed to the receiver *)
-  mutable duplicated : int;  (** extra deliveries of the same packet *)
+  mutable duplicated : int;  (** copies enqueued by {!duplicate_tail} *)
 }
 
 val create : capacity:int -> 'a t
@@ -38,9 +41,12 @@ val send : 'a t -> Rng.t -> 'a -> unit
     @raise Invalid_argument if [t] is empty. *)
 val take_nonempty : 'a t -> Rng.t -> 'a
 
-(** [duplicate_head t] re-enqueues a copy of the head packet if capacity
-    allows, counting it as a duplication. *)
-val duplicate_head : 'a t -> unit
+(** [duplicate_tail t] re-enqueues a copy of the newest queued packet if
+    capacity allows, counts it as a duplication and returns [true];
+    otherwise it changes nothing and returns [false]. Right after a {!send}
+    that found room, the newest packet is the one just sent; after a send
+    onto a full channel there is no room, so nothing is copied. *)
+val duplicate_tail : 'a t -> bool
 
 (** [drop_one t rng] removes a random packet (loss), if any. *)
 val drop_one : 'a t -> Rng.t -> unit

@@ -38,7 +38,11 @@ type link_profile = { lp_drop : float; lp_dup : float; lp_flip : float }
 
 (* The fixed network and scheduling model (see [create] in engine.mli):
    per-send duplication probability, message delay and timer period
-   bounds. Channels always deliver out of order. *)
+   bounds. Channels always deliver out of order. Every packet a channel
+   holds has a pending delivery attempt of its own (one per send, per
+   duplicate and per planted packet); attempts outnumber packets after an
+   overflow or a link cleaning, and a spare attempt on an empty channel
+   does nothing. *)
 let dup_rate = 0.02
 let min_delay = 0.5
 let max_delay = 2.0
@@ -184,17 +188,17 @@ let send_one t ~src_slot dst msg =
   end
   else begin
     Channel.send ch t.e_rng msg;
-    (* duplication: occasionally re-enqueue a copy of the channel's oldest
-       packet, which may not be [msg]; no event is scheduled for the copy,
-       which waits for a later delivery attempt. A link profile overrides
-       the rate but spends the same single draw *)
-    let dup =
+    (* duplication: occasionally enqueue a second copy of [msg], which gets
+       a delivery attempt of its own, drawn right after [msg]'s. A link
+       profile overrides the rate but spends the same single draw *)
+    let rate =
       match t.profiles.(src_slot).(dst_slot) with
       | None -> dup_rate
       | Some p -> p.lp_dup
     in
-    if Rng.chance t.e_rng dup then Channel.duplicate_head ch;
-    schedule_delivery t ~src_slot ~dst_slot
+    let dup = Rng.chance t.e_rng rate in
+    schedule_delivery t ~src_slot ~dst_slot;
+    if dup && Channel.duplicate_tail ch then schedule_delivery t ~src_slot ~dst_slot
   end
 
 let create ?(seed = 42) ?(capacity = 8) ?(loss = 0.02) ~behavior ~pids () =
@@ -312,7 +316,18 @@ let steps t = t.e_steps
 let corrupt_channel t ~src ~dst pkts =
   let ss = ensure_slot t src in
   let ds = ensure_slot t dst in
-  Channel.corrupt (channel_of_slots t ss ds) pkts
+  let ch = channel_of_slots t ss ds in
+  Channel.corrupt ch pkts;
+  (* every planted packet gets a delivery attempt, so it drains even from a
+     link that carries no other traffic *)
+  for _ = 1 to Channel.length ch do
+    schedule_delivery t ~src_slot:ss ~dst_slot:ds
+  done
+
+let queued t ~src ~dst =
+  let ss = find_slot t src and ds = find_slot t dst in
+  if ss < 0 || ds < 0 then 0
+  else match t.out.(ss).(ds) with Some ch -> Channel.length ch | None -> 0
 
 let crash t p =
   let n = node t p in

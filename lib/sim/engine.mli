@@ -5,9 +5,9 @@
     [do forever] loop) or the receipt of one packet. The engine schedules
     steps in virtual time under a seeded pseudo-random schedule that
     guarantees fair communication: every live node takes timer steps
-    infinitely often, and each send schedules a delivery attempt whose loss
-    probability is strictly below one, so a packet sent infinitely often is
-    received infinitely often.
+    infinitely often, and every enqueued packet gets a delivery attempt whose
+    loss probability is strictly below one, so a packet sent infinitely
+    often is received infinitely often.
 
     Behaviors are {!Step.behavior}s; the engine runs each step on one
     reused {!Step.ctx}, whose send puts a message on its channel and
@@ -34,14 +34,18 @@ val create :
   unit ->
   ('s, 'm) t
 (** Defaults: [seed 42], [capacity 8] (the paper's [cap]), per-delivery
-    [loss 0.02]. The rest of the model is fixed. Each send puts its packet
-    on the channel ({!Channel.send}) and schedules one delivery attempt
-    uniformly [\[0.5, 2.0\]] time units later. The attempt is not tied to
-    that packet: with probability [loss] it drops a uniformly random
-    queued packet, otherwise it delivers a uniformly random one (none if
-    the channel is empty). With probability 0.02 a send also re-enqueues
-    a copy of the channel's oldest packet, if capacity allows
-    ({!Channel.duplicate_head}), and schedules no attempt for it. The
+    [loss 0.02]. The rest of the model is fixed. Every packet on a link has
+    a pending delivery attempt of its own. Each send puts its packet on the
+    channel ({!Channel.send}) and schedules one delivery attempt uniformly
+    [\[0.5, 2.0\]] time units later. The attempt is not tied to that
+    packet: with probability [loss] it drops a uniformly random queued
+    packet, otherwise it delivers a uniformly random one (none if the
+    channel is empty), so the channel stays non-FIFO. With probability 0.02
+    a send also enqueues a second copy of the packet just sent, if the send
+    found room and capacity allows ({!Channel.duplicate_tail}); the copy
+    gets its own attempt, drawn right after the send's. [corrupt_channel]
+    schedules one attempt per planted packet. Attempts left over after an
+    overflow or a link cleaning find fewer packets and may do nothing. The
     timer period is uniform in [\[0.8, 1.2\]]. *)
 
 (** {2 Observation} *)
@@ -61,8 +65,14 @@ val rounds : ('s, 'm) t -> int
 (** [steps t] is the total number of atomic steps executed so far. *)
 val steps : ('s, 'm) t -> int
 
+(** [queued t ~src ~dst] is the number of packets on the directed link. *)
+val queued : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> int
+
 (** {2 Fault injection and dynamics} *)
 
+(** [corrupt_channel t ~src ~dst pkts] replaces the link's contents with
+    [pkts] (truncated to capacity) and schedules one delivery attempt per
+    planted packet. *)
 val corrupt_channel : ('s, 'm) t -> src:Pid.t -> dst:Pid.t -> 'm list -> unit
 
 (** [crash t p] stops [p] permanently (fail-stop; the paper models rejoins

@@ -410,12 +410,13 @@ module Ref_channel = struct
       t.delivered <- t.delivered + 1;
       Some pkt
 
-  let duplicate_head t =
-    match t.q with
-    | hd :: _ when List.length t.q < t.cap ->
-      t.q <- t.q @ [ hd ];
-      t.duplicated <- t.duplicated + 1
-    | _ -> ()
+  let duplicate_tail t =
+    match List.rev t.q with
+    | last :: _ when List.length t.q < t.cap ->
+      t.q <- t.q @ [ last ];
+      t.duplicated <- t.duplicated + 1;
+      true
+    | _ -> false
 
   let drop_one t rng =
     match t.q with
@@ -480,8 +481,15 @@ let test_channel_matches_list_model () =
                 ignore (Channel.take_nonempty ring rng_ring))
           | b -> Alcotest.(check (option int)) "take" b (Some (Channel.take_nonempty ring rng_ring)))
         | 5 ->
-          Channel.duplicate_head ring;
-          Ref_channel.duplicate_head refc
+          (* the engine's duplicating send: a send, then a copy of the
+             packet just sent when it found room *)
+          Channel.send ring rng_ring i;
+          Ref_channel.send refc rng_ref i;
+          let dup = Channel.duplicate_tail ring in
+          Alcotest.(check bool) "duplicated" (Ref_channel.duplicate_tail refc) dup;
+          if dup then
+            Alcotest.(check (list int)) "the copy is the packet just sent" [ i; i ]
+              (List.filteri (fun k _ -> k < 2) (List.rev (Channel.contents ring)))
         | _ ->
           Channel.drop_one ring rng_ring;
           Ref_channel.drop_one refc rng_ref);
@@ -545,6 +553,76 @@ let test_engine_pids_cache_invalidation () =
   Engine.crash eng 2;
   Alcotest.(check (list int)) "idempotent crash" [ 1; 3; 4 ] (Engine.live_pids eng)
 
+(* --- One delivery attempt per packet --- *)
+
+(* Each node sends [burst] distinct messages to every peer in its first
+   timer step and is silent afterwards; receivers log what they get. *)
+type burst = { mutable first : bool; mutable got : (Pid.t * int) list }
+
+let burst_behavior ~burst pids =
+  {
+    Step.init = (fun _ -> { first = true; got = [] });
+    on_timer =
+      (fun ctx s ->
+        if s.first then begin
+          s.first <- false;
+          List.iter
+            (fun q ->
+              if q <> ctx.Step.ctx_self then
+                for k = 1 to burst do
+                  Step.send ctx q k
+                done)
+            pids
+        end;
+        s);
+    on_message =
+      (fun _ctx from k s ->
+        s.got <- (from, k) :: s.got;
+        s);
+  }
+
+let links pids =
+  List.concat_map (fun p -> List.filter_map (fun q -> if p <> q then Some (p, q) else None) pids) pids
+
+(* Without loss, a burst below capacity reaches every receiver in full and
+   leaves every link empty: each send and each duplicate has an attempt of
+   its own. The seeds duplicate some packets (more receipts than sends), so
+   the duplicate path is exercised. *)
+let test_engine_burst_drains () =
+  let pids = [ 1; 2; 3; 4; 5; 6; 7; 8 ] and burst = 4 in
+  List.iter
+    (fun seed ->
+      let eng = Engine.create ~seed ~loss:0.0 ~behavior:(burst_behavior ~burst pids) ~pids () in
+      Engine.run_rounds eng 10;
+      let received = ref 0 in
+      List.iter
+        (fun (p, q) ->
+          let got = List.filter (fun (src, _) -> src = p) (Engine.state eng q).got in
+          received := !received + List.length got;
+          Alcotest.(check (list int))
+            (Printf.sprintf "seed %d: %d -> %d received every message" seed p q)
+            (List.init burst (fun k -> k + 1))
+            (List.sort_uniq Int.compare (List.map snd got));
+          Alcotest.(check int) (Printf.sprintf "seed %d: %d -> %d drained" seed p q) 0
+            (Engine.queued eng ~src:p ~dst:q))
+        (links pids);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: some packet was duplicated" seed)
+        true
+        (!received > burst * List.length (links pids)))
+    [ 1; 2; 3 ]
+
+(* Packets planted on a link that carries no traffic are delivered. *)
+let test_engine_planted_packets_drain () =
+  let pids = [ 1; 2 ] in
+  let eng = Engine.create ~seed:5 ~loss:0.0 ~behavior:(burst_behavior ~burst:0 pids) ~pids () in
+  Engine.corrupt_channel eng ~src:1 ~dst:2 [ 7; 8; 9 ];
+  Alcotest.(check int) "planted" 3 (Engine.queued eng ~src:1 ~dst:2);
+  Engine.run_rounds eng 5;
+  Alcotest.(check (list int)) "every planted packet delivered" [ 7; 8; 9 ]
+    (List.sort Int.compare (List.map snd (Engine.state eng 2).got));
+  Alcotest.(check int) "drained" 0 (Engine.queued eng ~src:1 ~dst:2)
+
 let suites =
   [
     ( "sim.pid",
@@ -599,5 +677,7 @@ let suites =
         Alcotest.test_case "run_rounds unchanged" `Quick test_engine_run_rounds_unchanged;
         Alcotest.test_case "pids cache invalidation" `Quick
           test_engine_pids_cache_invalidation;
+        Alcotest.test_case "a burst drains" `Quick test_engine_burst_drains;
+        Alcotest.test_case "planted packets drain" `Quick test_engine_planted_packets_drain;
       ] );
   ]

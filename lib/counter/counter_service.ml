@@ -26,7 +26,7 @@ type msg =
   | Gossip of { sent_max : Counter.pair option; last_sent : Counter.pair option }
   | Op of (req, Counter.pair option) Phase.msg
 
-let fresh_state ~in_transit_bound ~exhaust_bound _pid =
+let create ~in_transit_bound ~exhaust_bound _pid =
   {
     in_transit_bound;
     exhaust_bound;
@@ -83,16 +83,16 @@ let store view st ~from counter =
     true
   | None -> false
 
-let abort_op (view : msg Stack.scheme_view) st =
+let abort_op (view : _ Stack.scheme_view) st =
   st.phase <- None;
   st.abort_count <- st.abort_count + 1;
   Telemetry.span_drop view.Stack.v_telemetry ~name:"counter.op_seconds"
     ~key:view.Stack.v_self;
   Telemetry.inc view.Stack.v_telemetry "counter.aborts"
 
-let send_requests (view : msg Stack.scheme_view) round =
+let send_requests ~wrap (view : _ Stack.scheme_view) round =
   Phase.send_requests ~self:view.Stack.v_self round (fun p m ->
-      view.Stack.v_send p (Op m))
+      view.Stack.v_send p (wrap (Op m)))
 
 let fresh_id st =
   let id = st.next_id in
@@ -129,7 +129,7 @@ let max_from_responses st round =
 
 (* The counter after [max_counter], ⟨lbl, seqn + 1, self⟩; a member stores
    it at once, and says so. *)
-let next_counter (view : msg Stack.scheme_view) st ~conf ~max_counter =
+let next_counter (view : _ Stack.scheme_view) st ~conf ~max_counter =
   let self = view.Stack.v_self in
   let cnt =
     Counter.make ~lbl:max_counter.Counter.lbl ~seqn:(max_counter.Counter.seqn + 1)
@@ -141,14 +141,14 @@ let next_counter (view : msg Stack.scheme_view) st ~conf ~max_counter =
     (cnt, true)
   | Some _ | None -> (cnt, false)
 
-let start_write (view : msg Stack.scheme_view) st ~conf ~stored cnt =
+let start_write ~wrap (view : _ Stack.scheme_view) st ~conf ~stored cnt =
   let round = Phase.start ~id:(fresh_id st) ~conf (Write cnt) in
   st.phase <- Some round;
   (* a member that stored the counter counts as its own acknowledgment *)
   if stored then Phase.record round ~from:view.Stack.v_self None;
-  send_requests view round
+  send_requests ~wrap view round
 
-let finish_write (view : msg Stack.scheme_view) st cnt =
+let finish_write (view : _ Stack.scheme_view) st cnt =
   st.phase <- None;
   st.want_increment <- false;
   st.increment_result <- Some cnt;
@@ -159,7 +159,7 @@ let finish_write (view : msg Stack.scheme_view) st cnt =
 (* A member records its own answer when it starts a round. A corrupted
    round may lack it and wait for it forever, so [tick] records it too, or
    aborts the round when this node no longer serves the counter. *)
-let answer_self (view : msg Stack.scheme_view) st round =
+let answer_self (view : _ Stack.scheme_view) st round =
   let self = view.Stack.v_self in
   if Pid.Set.mem self (Phase.conf round) && not (Pid.Map.mem self (Phase.replies round))
   then
@@ -173,7 +173,7 @@ let answer_self (view : msg Stack.scheme_view) st round =
 (* Finish the running phase once a majority of members answered; a
    finished majRead returns the next counter ([skip_write]) or moves on to
    its majWrite. *)
-let rec advance (view : msg Stack.scheme_view) st =
+let rec advance ~wrap (view : _ Stack.scheme_view) st =
   match st.phase with
   | Some round when Phase.complete round -> (
     match Phase.request round with
@@ -198,8 +198,8 @@ let rec advance (view : msg Stack.scheme_view) st =
         let cnt, stored = next_counter view st ~conf ~max_counter:m in
         if st.skip_write then finish_write view st cnt
         else begin
-          start_write view st ~conf ~stored cnt;
-          advance view st
+          start_write ~wrap view st ~conf ~stored cnt;
+          advance ~wrap view st
         end
       | None ->
         (* incomparable or exhausted counters only: return ⊥ *)
@@ -209,7 +209,7 @@ let rec advance (view : msg Stack.scheme_view) st =
 
 (* Algorithm 4.3: a member maintains the maximal counter; [None] at a
    non-member. *)
-let maintained (view : msg Stack.scheme_view) st members =
+let maintained (view : _ Stack.scheme_view) st members =
   if not (Pid.Set.mem view.Stack.v_self members) then None
   else begin
     let algo = ensure_algo view st members in
@@ -226,7 +226,7 @@ let maintained (view : msg Stack.scheme_view) st members =
    (N=8, seed 7, 4 s) went from 2.29 to 2.53 sim-s at op p50, from 480 to
    514 engine steps per op and from 1.24 to 1.58 sim-s per majRead
    (--trace 1). *)
-let start_increment (view : msg Stack.scheme_view) st ~members algo =
+let start_increment ~wrap (view : _ Stack.scheme_view) st ~members algo =
   let self = view.Stack.v_self in
   (* quorum round-trip timing: the span closes in finish_write and is
      dropped on abort *)
@@ -237,12 +237,12 @@ let start_increment (view : msg Stack.scheme_view) st ~members algo =
   Option.iter
     (fun algo -> Phase.record round ~from:self (Counter_algo.local_max algo))
     algo;
-  send_requests view round;
-  send_requests view round
+  send_requests ~wrap view round;
+  send_requests ~wrap view round
 
 (* Sends in a fixed order seeded runs rely on: the retransmission, the
    round started this tick, the gossip, then whatever [advance] starts. *)
-let tick (view : msg Stack.scheme_view) st =
+let tick ~wrap (view : _ Stack.scheme_view) st =
   let self = view.Stack.v_self in
   match Stack.View.current_members view with
   | None -> () (* reconfiguration taking place *)
@@ -250,8 +250,8 @@ let tick (view : msg Stack.scheme_view) st =
     let algo = maintained view st members in
     (match st.phase with Some round -> answer_self view st round | None -> ());
     (* retransmit in-flight requests (messages may be lost) *)
-    Option.iter (send_requests view) st.phase;
-    if pending st then start_increment view st ~members algo;
+    Option.iter (send_requests ~wrap view) st.phase;
+    if pending st then start_increment ~wrap view st ~members algo;
     (* ... and gossip the maximal counter to the other members, in
        descending pid order; the order is listed once per member set *)
     Option.iter
@@ -265,24 +265,24 @@ let tick (view : msg Stack.scheme_view) st =
         Array.iter
           (fun pk ->
             let last_sent = Counter_algo.clean algo (Counter_algo.max_of algo pk) in
-            view.Stack.v_send pk (Gossip { sent_max; last_sent }))
+            view.Stack.v_send pk (wrap (Gossip { sent_max; last_sent })))
           st.gossip_to)
       algo;
-    advance view st
+    advance ~wrap view st
 
 (* The receipt path's start: a pending increment starts in the first
    receipt step after it was requested, unless a reconfiguration is taking
    place. *)
-let start (view : msg Stack.scheme_view) st =
+let start ~wrap (view : _ Stack.scheme_view) st =
   if pending st then
     match Stack.View.current_members view with
     | None -> ()
     | Some members ->
-      start_increment view st ~members (maintained view st members);
-      advance view st
+      start_increment ~wrap view st ~members (maintained view st members);
+      advance ~wrap view st
 
-let recv (view : msg Stack.scheme_view) ~from m st =
-  let reply r = view.Stack.v_send from (Op r) in
+let recv ~wrap (view : _ Stack.scheme_view) ~from m st =
+  let reply r = view.Stack.v_send from (wrap (Op r)) in
   match m with
   | Gossip { sent_max; last_sent } -> (
     match Stack.View.current_members view with
@@ -307,7 +307,7 @@ let recv (view : msg Stack.scheme_view) ~from m st =
     | None -> ()
     | Some round -> (
       match Phase.receive round ~from r with
-      | `Replied -> advance view st
+      | `Replied -> advance ~wrap view st
       | `Refused -> abort_op view st
       | `Ignored -> ()))
 
@@ -360,11 +360,12 @@ let corrupt rng st =
 
 let plugin ~in_transit_bound ~exhaust_bound =
   {
-    Stack.p_init = fresh_state ~in_transit_bound ~exhaust_bound;
-    p_tick = tick;
-    p_recv = recv;
-    p_pending = pending;
-    p_start = start;
+    Stack.p_init = create ~in_transit_bound ~exhaust_bound;
+    p_tick = tick ~wrap:Fun.id;
+    p_recv =
+      (fun view ~from m st ->
+        recv ~wrap:Fun.id view ~from m st;
+        start ~wrap:Fun.id view st);
     p_merge = (fun ~self:_ _ _ -> ());
     p_corrupt = corrupt;
   }

@@ -18,19 +18,62 @@
     operation ends after its majRead, and the caller's own majority round
     carries the counter and has each member {!store} it. The register
     service does this, so in the register the
-    [counter.op_seconds{op=increment}] span covers the majRead only. *)
+    [counter.op_seconds{op=increment}] span covers the majRead only.
+
+    {2 Embedding}
+
+    The service runs either as a plugin of its own ({!plugin}) or inside
+    a host service that calls [inc()]: the register and virtual synchrony
+    each keep a {!state} in their own and call {!tick}, {!recv}, {!start}
+    and {!corrupt} themselves. A host embeds the counter's messages in its
+    own message type, and each of these functions sends through the
+    host's view, applying [~wrap] (the host's constructor) to every
+    counter message; the plugin passes [Fun.id]. A host keeps this order,
+    on which seeded runs depend:
+    - a tick runs the host's own tick, then {!tick}, so an increment the
+      host requests in its tick starts in that tick;
+    - a receipt of a counter message runs {!recv}, then the host's own
+      handling, so the host can act in that step on an increment that
+      just completed;
+    - every receipt ends with the host's own start pass, then {!start},
+      so an increment the host requests there leaves in that step;
+    - a transient fault runs {!corrupt}, then corrupts the host. *)
 
 type state
 type msg
 
 (** [plugin ~in_transit_bound ~exhaust_bound] — the Stack plugin. Its
-    [p_corrupt] writes garbage counter-pair storage and scrambles the
-    in-flight operation. *)
+    [p_corrupt] is {!corrupt}. *)
 val plugin :
   in_transit_bound:int -> exhaust_bound:int -> (state, msg) Reconfig.Stack.plugin
 
 val hooks :
   in_transit_bound:int -> exhaust_bound:int -> (state, msg) Reconfig.Stack.hooks
+
+(** {2 Running the service inside a host} *)
+
+(** [create ~in_transit_bound ~exhaust_bound pid] — a fresh state for
+    node [pid]; the bounds are those of the label storage
+    ({!Counter_algo.create}). *)
+val create : in_transit_bound:int -> exhaust_bound:int -> Sim.Pid.t -> state
+
+(** [tick ~wrap view st] — one timer step: outside a reconfiguration, a
+    member maintains and gossips its maximal counter, the running phase
+    is retransmitted, and a pending increment starts. *)
+val tick : wrap:(msg -> 'm) -> 'm Reconfig.Stack.scheme_view -> state -> unit
+
+(** [recv ~wrap view ~from m st] — the receipt of a counter message. *)
+val recv :
+  wrap:(msg -> 'm) -> 'm Reconfig.Stack.scheme_view -> from:Sim.Pid.t -> msg -> state -> unit
+
+(** [start ~wrap view st] — the receipt path's start: a pending increment
+    starts its majRead, unless a reconfiguration is taking place. A few
+    field reads when none is pending. *)
+val start : wrap:(msg -> 'm) -> 'm Reconfig.Stack.scheme_view -> state -> unit
+
+(** [corrupt rng st] — transient fault: garbage counter-pair storage and a
+    scrambled in-flight operation. *)
+val corrupt : Sim.Rng.t -> state -> unit
 
 (** {2 Client API (drive via node state)} *)
 
@@ -46,11 +89,6 @@ val request_increment : state -> unit
     relies on it, through a round whose receivers call {!store}: until
     then no later increment is sure to see it. *)
 val request_next : state -> unit
-
-(** Is an increment waiting to start (requested, or aborted, and no phase
-    running)? A few field reads: a plugin that embeds this service reports
-    it in its own [p_pending]. *)
-val pending : state -> bool
 
 (** The counter returned by the increment requested last: [None] from
     {!request_increment} or {!request_next} until that increment

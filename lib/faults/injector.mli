@@ -2,7 +2,7 @@
 
     The injector never touches a runtime directly: it acts through an
     {!ops} capability record, which the simulator's harness
-    ([Reconfig.Stack.fault_ops]) supplies in full. The simulator is the
+    ([Reconfig.Stack.run_plan]) supplies in full. The simulator is the
     only runtime that runs fault plans, so every event of a plan is
     applied, channel corruption included: the paper's transient faults
     rewrite processor state and channel contents alike (see DESIGN.md §11

@@ -1,5 +1,4 @@
 type t = {
-  jobs : int;
   lock : Mutex.t;
   work_available : Condition.t;
   work_done : Condition.t;
@@ -10,7 +9,6 @@ type t = {
 }
 
 let default_jobs () = Domain.recommended_domain_count ()
-let jobs t = t.jobs
 
 (* Workers never see exceptions: [map] wraps every closure so that its
    result (or exception) lands in the caller's result slot. *)
@@ -35,7 +33,6 @@ let create ~jobs =
   let jobs = max 1 jobs in
   let t =
     {
-      jobs;
       lock = Mutex.create ();
       work_available = Condition.create ();
       work_done = Condition.create ();

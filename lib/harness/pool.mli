@@ -18,17 +18,10 @@ type t
     CLI-facing default for [--jobs]. *)
 val default_jobs : unit -> int
 
-(** [create ~jobs] spawns [max 1 jobs] worker domains ([jobs <= 1] spawns
-    none; [map] then runs inline on the caller). *)
-val create : jobs:int -> t
-
-val jobs : t -> int
-
-(** [shutdown t] drains the queue and joins all workers. Idempotent. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] runs [f] with a fresh pool, shutting it down on
-    return or exception. *)
+(** [with_pool ~jobs f] runs [f] with a fresh pool of [max 1 jobs] worker
+    domains ([jobs <= 1] spawns none; [map] then runs inline on the
+    caller), then drains its queue and joins its workers, on return or
+    exception. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 (** [map t f xs] applies [f] to every element of [xs] on the pool's

@@ -20,7 +20,6 @@ type t = {
 val default : t
 
 val make : phase -> Pid.Set.t -> t
-val phase_to_int : phase -> int
 
 (** [equal]/[compare] take a physical-equality fast path first; interned
     notifications ({!intern}) usually decide in one pointer compare. *)

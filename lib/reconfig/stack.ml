@@ -75,8 +75,6 @@ module Plugin = struct
     p_init : Pid.t -> 'app;
     p_tick : 'msg scheme_view -> 'app -> unit;
     p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
-    p_pending : 'app -> bool;
-    p_start : 'msg scheme_view -> 'app -> unit;
     p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
     p_corrupt : Rng.t -> 'app -> unit;
   }
@@ -86,40 +84,8 @@ module Plugin = struct
       p_init = (fun _ -> ());
       p_tick = (fun _ () -> ());
       p_recv = (fun _ ~from:_ _ () -> ());
-      p_pending = (fun () -> false);
-      p_start = (fun _ () -> ());
       p_merge = (fun ~self:_ () _ -> ());
       p_corrupt = (fun _ () -> ());
-    }
-
-  let stack ~lower ~get ~wrap ~unwrap upper =
-    let lower_view v = { v with v_send = (fun dst m -> v.v_send dst (wrap m)) } in
-    {
-      p_init = upper.p_init;
-      p_tick =
-        (fun v st ->
-          upper.p_tick v st;
-          lower.p_tick (lower_view v) (get st));
-      p_recv =
-        (fun v ~from m st ->
-          (match unwrap m with
-          | Some lm -> lower.p_recv (lower_view v) ~from lm (get st)
-          | None -> ());
-          upper.p_recv v ~from m st);
-      p_pending = upper.p_pending;
-      p_start =
-        (fun v st ->
-          upper.p_start v st;
-          let lst = get st in
-          if lower.p_pending lst then lower.p_start (lower_view v) lst);
-      p_merge =
-        (fun ~self st others ->
-          lower.p_merge ~self (get st) (Pid.Map.map get others);
-          upper.p_merge ~self st others);
-      p_corrupt =
-        (fun rng st ->
-          lower.p_corrupt rng (get st);
-          upper.p_corrupt rng st);
     }
 end
 
@@ -127,8 +93,6 @@ type ('app, 'msg) plugin = ('app, 'msg) Plugin.t = {
   p_init : Pid.t -> 'app;
   p_tick : 'msg scheme_view -> 'app -> unit;
   p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
-  p_pending : 'app -> bool;
-  p_start : 'msg scheme_view -> 'app -> unit;
   p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
   p_corrupt : Rng.t -> 'app -> unit;
 }
@@ -514,12 +478,7 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
       | None -> ())
     | Join (Join.Join_reply { pass; app }) ->
       Join.on_reply n.join ~from ~participant:(Recsa.is_participant n.sa) ~pass ~app
-    | App m ->
-      hooks.plugin.p_recv (view_of ctx n sent_app) ~from m n.app;
-      (* an operation queued since this node's last step starts now, not
-         at its next tick *)
-      if hooks.plugin.p_pending n.app then
-        hooks.plugin.p_start (view_of ctx n sent_app) n.app);
+    | App m -> hooks.plugin.p_recv (view_of ctx n sent_app) ~from m n.app);
     n
   in
   { Step.init; on_timer; on_message }

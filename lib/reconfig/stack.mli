@@ -12,8 +12,9 @@
 
     ['app] is the application state (replicated to joiners by the joining
     mechanism); ['msg] is the application's own message type. The services
-    of Section 4 (the counter, the register on top of it, virtual
-    synchrony) are plugins, layered with {!Plugin.stack}. *)
+    of Section 4 are plugins: the counter on its own, and the register and
+    virtual synchrony, each of which embeds a counter state and calls the
+    counter's functions itself (see [Counters.Counter_service]). *)
 
 open Sim
 
@@ -105,25 +106,18 @@ end
 
 (** Application plugins: ticked after the scheme layers on every timer
     step; receive every [App] message. Plugins keep their state in mutable
-    fields and update it in place; every field but [p_pending] returns
-    [unit], and a plugin sends through its view's [v_send]. *)
+    fields and update it in place, and send through their view's [v_send].
+    The driver handles an [App] receipt with one [p_recv] call, so a plugin
+    whose operations may wait for a step (a queued operation, a pending
+    counter increment) starts them at the end of its own [p_recv]: an
+    operation queued since the node's last step leaves in its next receipt
+    step or tick, whichever comes first. The tick starts operations too,
+    and stays their retransmission path. *)
 module Plugin : sig
   type ('app, 'msg) t = {
     p_init : Pid.t -> 'app;
     p_tick : 'msg scheme_view -> 'app -> unit;
     p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
-    p_pending : 'app -> bool;
-        (** is an operation waiting to start, in this plugin or in a layer
-            embedded in its state? The driver asks after every [App]
-            receipt, so it reads a few fields and calls nothing that
-            could be slow *)
-    p_start : 'msg scheme_view -> 'app -> unit;
-        (** start this plugin's own waiting operations, if any; the
-            driver runs it after an [App] receipt for which [p_pending]
-            holds, with the receipt's view. So an operation queued since
-            the node's last step leaves in its next receipt step or tick,
-            whichever comes first; the tick starts operations too, and
-            stays their retransmission path *)
     p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
         (** [initVars]: fold members' states into a fresh participant's
             state when joining completes *)
@@ -136,40 +130,12 @@ module Plugin : sig
 
   (** A do-nothing plugin for running the bare reconfiguration scheme. *)
   val null : (unit, unit) t
-
-  (** [stack ~lower ~get ~wrap ~unwrap upper] layers [upper] over [lower].
-      [upper.p_init] builds the whole state, [lower]'s embedded in it and
-      read back through [get]; [lower]'s messages are embedded through
-      [wrap]/[unwrap], and [lower] sends through a view whose [v_send]
-      wraps. Each tick runs [upper] first (its messages precede [lower]'s,
-      and [lower] observes the post-tick upper state), so an operation
-      [upper] asks of [lower] starts in the same tick. A receipt that
-      [unwrap] recognizes goes to [lower] and then, unchanged, to [upper],
-      so [upper] can act in the same step on what [lower] just completed;
-      every other receipt goes to [upper] alone. [p_pending] is
-      [upper]'s, which must also report [lower]'s waiting operations (the
-      receipt path's check stays one call); [p_start] runs [upper]'s
-      start, then [lower]'s when [lower]'s [p_pending] holds, so an
-      operation [upper] starts and asks of [lower] starts in [lower] in
-      the same step, as on a tick. [p_merge] hands [lower]
-      the others' states projected through [get], then runs [upper];
-      [p_corrupt] corrupts [lower], then [upper]. This is how the register
-      and virtual-synchrony services embed the counter service. *)
-  val stack :
-    lower:('a, 'ma) t ->
-    get:('b -> 'a) ->
-    wrap:('ma -> 'mb) ->
-    unwrap:('mb -> 'ma option) ->
-    ('b, 'mb) t ->
-    ('b, 'mb) t
 end
 
 type ('app, 'msg) plugin = ('app, 'msg) Plugin.t = {
   p_init : Pid.t -> 'app;
   p_tick : 'msg scheme_view -> 'app -> unit;
   p_recv : 'msg scheme_view -> from:Pid.t -> 'msg -> 'app -> unit;
-  p_pending : 'app -> bool;
-  p_start : 'msg scheme_view -> 'app -> unit;
   p_merge : self:Pid.t -> 'app -> 'app Pid.Map.t -> unit;
   p_corrupt : Rng.t -> 'app -> unit;
 }
@@ -315,9 +281,6 @@ val corrupt_everything : ('app, 'msg) t -> rng:Rng.t -> unit
     plugin's [p_corrupt]), channel corruption, per-link fault profiles
     (with "bit flips" mangled into stale protocol packets), partitions,
     crashes and join churn. *)
-
-(** [fault_ops t] — the full capability record for {!Faults.Injector}. *)
-val fault_ops : ('app, 'msg) t -> Faults.Injector.ops
 
 (** [run_plan t ~plan ~max_rounds] drives the system round by round,
     applying [plan]'s events at their scheduled rounds, then runs on until

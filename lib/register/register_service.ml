@@ -188,10 +188,6 @@ let queued st =
   | Idle -> st.front != [] || st.back != []
   | Get_tag _ | Running _ -> false
 
-(* The plugin's [p_pending], asked on every receipt: field reads only, and
-   the embedded counter's pending increment counts too. *)
-let pending st = queued st || Counter_service.pending st.cnt
-
 (* Take the next queued operation: a write asks the counter for its tag, a
    read starts its query. *)
 let start_next view st conf =
@@ -204,35 +200,41 @@ let start_next view st conf =
       (Reg_map.find_opt reg st.store)
   | None -> ()
 
-(* The register logic alone; the embedded counter service (write-tag
-   provider) is layered underneath via {!Stack.Plugin.stack}, which runs
-   its tick after this one — so a tag requested here is asked for in the
-   same tick — and hands every [Cnt] receipt to it, then to [recv]. *)
+(* The embedded counter service (the write-tag provider) sends through
+   this service's view, its messages wrapped in [Cnt]. *)
+let wrap m = Cnt m
+
+(* The register's own tick runs before the counter's, so a tag requested
+   here is asked for in the same tick. *)
 let tick (view : msg Stack.scheme_view) st =
   (* retransmit the running round to the targets that have not answered *)
   (match st.op with
   | Running { round; _ } -> send_requests view round
   | Idle | Get_tag _ -> ());
-  match Stack.View.current_members view with
+  (match Stack.View.current_members view with
   | None -> () (* reconfiguration in progress: hold *)
   | Some conf ->
     if queued st then start_next view st conf;
-    take_tag view st
+    take_tag view st);
+  Counter_service.tick ~wrap view st.cnt
 
 (* The receipt path's start: a queued or aborted operation starts in the
    first receipt step after it was queued, unless a reconfiguration is in
-   progress; the combinator then starts a write's majRead in the counter,
-   in the same step. *)
+   progress, and a write's majRead then starts in the counter, in the same
+   step. *)
 let start (view : msg Stack.scheme_view) st =
-  if queued st then
-    match Stack.View.current_members view with
-    | Some conf -> start_next view st conf
-    | None -> ()
+  (if queued st then
+     match Stack.View.current_members view with
+     | Some conf -> start_next view st conf
+     | None -> ());
+  Counter_service.start ~wrap view st.cnt
 
-let recv (view : msg Stack.scheme_view) ~from m st =
+let handle (view : msg Stack.scheme_view) ~from m st =
   let reply r = view.Stack.v_send from (Op r) in
   match m with
-  | Cnt _ -> take_tag view st (* the counter layer may have completed the tag *)
+  | Cnt cm ->
+    Counter_service.recv ~wrap view ~from cm st.cnt;
+    take_tag view st (* the counter may have completed the tag *)
   | Op (Phase.Request { id; req = Query reg }) -> (
     match Stack.View.current_members view with
     | Some c when Pid.Set.mem view.Stack.v_self c ->
@@ -268,6 +270,10 @@ let recv (view : msg Stack.scheme_view) ~from m st =
       | `Ignored -> ())
     | Idle | Get_tag _ -> ())
 
+let recv view ~from m st =
+  handle view ~from m st;
+  start view st
+
 let merge_states ~self:_ st others =
   (* joining state transfer (initVars): adopt the freshest copy of every
      register across the members' states *)
@@ -276,11 +282,11 @@ let merge_states ~self:_ st others =
       Reg_map.iter (fun reg entry -> merge_entry st reg entry) other.store)
     others
 
-(* Arbitrary-state injection for the register layer: forget a random subset
-   of stored entries and abort the in-flight operation (which re-queues the
-   client request, so liveness is preserved). The embedded counter state is
-   corrupted separately through the plugin composition. *)
-let corrupt_upper rng st =
+(* Arbitrary-state injection: corrupt the embedded counter, then forget a
+   random subset of stored entries and abort the in-flight operation (which
+   re-queues the client request, so liveness is preserved). *)
+let corrupt rng st =
+  Counter_service.corrupt rng st.cnt;
   let keys = Reg_map.fold (fun k _ acc -> k :: acc) st.store [] in
   List.iter
     (fun k -> if Rng.bool rng then st.store <- Reg_map.remove k st.store)
@@ -289,36 +295,24 @@ let corrupt_upper rng st =
   st.next_id <- Rng.int rng 1024
 
 let plugin () =
-  let counter_plugin =
-    Counter_service.plugin ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30)
-  in
-  let upper =
-    {
-      Stack.p_init =
-        (fun p ->
-          {
-            cnt = counter_plugin.Stack.p_init p;
-            store = Reg_map.empty;
-            op = Idle;
-            front = [];
-            back = [];
-            writes_done = Hashtbl.create 8;
-            reads_done = Hashtbl.create 8;
-            abort_count = 0;
-            next_id = 0;
-          });
-      p_tick = tick;
-      p_recv = recv;
-      p_pending = pending;
-      p_start = start;
-      p_merge = merge_states;
-      p_corrupt = corrupt_upper;
-    }
-  in
-  Stack.Plugin.stack ~lower:counter_plugin
-    ~get:(fun st -> st.cnt)
-    ~wrap:(fun m -> Cnt m)
-    ~unwrap:(function Cnt m -> Some m | _ -> None)
-    upper
+  {
+    Stack.p_init =
+      (fun p ->
+        {
+          cnt = Counter_service.create ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30) p;
+          store = Reg_map.empty;
+          op = Idle;
+          front = [];
+          back = [];
+          writes_done = Hashtbl.create 8;
+          reads_done = Hashtbl.create 8;
+          abort_count = 0;
+          next_id = 0;
+        });
+    p_tick = tick;
+    p_recv = recv;
+    p_merge = merge_states;
+    p_corrupt = corrupt;
+  }
 
 let hooks () = { Stack.unit_hooks with plugin = plugin () }

@@ -396,10 +396,12 @@ let should_propose (v : _ Stack.scheme_view) st =
         && not (Pid.Set.equal st.me.r_view.vset part)
     end
 
-(* The virtual-synchrony logic alone; the embedded counter service (the
-   inc() provider) is layered underneath via {!Stack.Plugin.stack}, which
-   runs its tick after this one — so an increment requested here starts in
-   the same tick — and routes every [Cnt] message to it. *)
+(* The embedded counter service (the inc() provider) sends through this
+   service's view, its messages wrapped in [Cnt]. *)
+let wrap m = Cnt m
+
+(* The virtual-synchrony logic; the counter's tick runs after it, so an
+   increment requested here starts in the same tick. *)
 let vs_tick machine ~eval_config (v : _ Stack.scheme_view) st =
   let self = v.Stack.v_self in
   if Recsa.is_participant v.Stack.v_recsa then begin
@@ -458,21 +460,26 @@ let vs_tick machine ~eval_config (v : _ Stack.scheme_view) st =
     | None -> ());
     (* 5. broadcast the state record (lines 24-25) *)
     Pid.Set.iter (fun p -> if not (Pid.equal p self) then v.Stack.v_send p (Vs st.me)) part
-  end
+  end;
+  Counter_service.tick ~wrap v st.cnt
 
-let vs_recv _v ~from m st =
-  match m with
-  | Cnt _ -> () (* handled by the counter layer; the tick reads its result *)
-  | Vs rep -> st.peers <- Pid.Map.add from rep st.peers
+(* A counter receipt goes to the counter (the tick reads its result); an
+   increment requested since the last step starts in this one. *)
+let vs_recv v ~from m st =
+  (match m with
+  | Cnt cm -> Counter_service.recv ~wrap v ~from cm st.cnt
+  | Vs rep -> st.peers <- Pid.Map.add from rep st.peers);
+  Counter_service.start ~wrap v st.cnt
 
 let default_eval ~self:_ ~trusted:_ _ = false
 
-(* Arbitrary-state injection for the VS layer: scramble the broadcast
-   report's control fields, forget all peer reports and the
+(* Arbitrary-state injection: corrupt the embedded counter, then scramble
+   the broadcast report's control fields, forget all peer reports and the
    counter-request bookkeeping. The replica state itself is left alone —
    virtual synchrony re-synchronizes it from the most advanced survivor at
    the next install, which is exactly the recovery path under test. *)
-let corrupt_upper rng st =
+let corrupt rng st =
+  Counter_service.corrupt rng st.cnt;
   let status =
     match Rng.int rng 3 with 0 -> Multicast | 1 -> Propose | _ -> Install
   in
@@ -489,37 +496,25 @@ let corrupt_upper rng st =
   st.reconf_ready <- Rng.bool rng
 
 let plugin ~machine ?(eval_config = default_eval) () =
-  let counter_plugin =
-    Counter_service.plugin ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30)
-  in
-  let upper =
-    {
-      Stack.p_init =
-        (fun p ->
-          {
-            cnt = counter_plugin.Stack.p_init p;
-            me = fresh_report machine.initial;
-            peers = Pid.Map.empty;
-            pending = Queue.create ();
-            batches_rev = [];
-            awaiting_vid = false;
-            reconf_ready = false;
-            view_installs = 0;
-            i_am_coordinator = false;
-          });
-      p_tick = vs_tick machine ~eval_config;
-      p_recv = vs_recv;
-      p_pending = (fun st -> Counter_service.pending st.cnt);
-      p_start = (fun _ _ -> ());
-      p_merge = (fun ~self:_ _ _ -> ());
-      p_corrupt = corrupt_upper;
-    }
-  in
-  Stack.Plugin.stack ~lower:counter_plugin
-    ~get:(fun st -> st.cnt)
-    ~wrap:(fun m -> Cnt m)
-    ~unwrap:(function Cnt m -> Some m | _ -> None)
-    upper
+  {
+    Stack.p_init =
+      (fun p ->
+        {
+          cnt = Counter_service.create ~in_transit_bound:8 ~exhaust_bound:(1 lsl 30) p;
+          me = fresh_report machine.initial;
+          peers = Pid.Map.empty;
+          pending = Queue.create ();
+          batches_rev = [];
+          awaiting_vid = false;
+          reconf_ready = false;
+          view_installs = 0;
+          i_am_coordinator = false;
+        });
+    p_tick = vs_tick machine ~eval_config;
+    p_recv = vs_recv;
+    p_merge = (fun ~self:_ _ _ -> ());
+    p_corrupt = corrupt;
+  }
 
 let hooks ~machine ?eval_config () =
   { Stack.unit_hooks with plugin = plugin ~machine ?eval_config () }

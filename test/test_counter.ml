@@ -278,7 +278,6 @@ let probed (plugin : ('app, 'msg) Reconfig.Stack.plugin) =
           bump pr.ticks v.Reconfig.Stack.v_self;
           plugin.Reconfig.Stack.p_tick v st);
       p_recv = (fun v ~from m st -> plugin.Reconfig.Stack.p_recv (counted v) ~from m st);
-      p_start = (fun v st -> plugin.Reconfig.Stack.p_start (counted v) st);
     } )
 
 (* Step [sys] through node [p]'s next timer step. *)

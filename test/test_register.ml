@@ -294,10 +294,10 @@ let test_fast_read () =
 (* Members 4 and 5 miss a write that completes on {1, 2, 3}, so a read at
    5 finds its own copy missing and must write the value back. Only that
    write-back can leave the value stored at 4, which is not the reader.
-   The service layers of 4 and 5 drop every message from node 1: the write
-   never reaches them, yet every link carries the scheme layers' traffic,
-   so no detector suspects anyone and the read is never held by a
-   reconfiguration. *)
+   The service layers of 4 and 5 drop every message from node 1 (a
+   dropped receipt runs no start pass either): the write never reaches
+   them, yet every link carries the scheme layers' traffic, so no detector
+   suspects anyone and the read is never held by a reconfiguration. *)
 let write_back_system seed =
   let hooks =
     let base = Register_service.hooks () in
@@ -451,6 +451,42 @@ let test_monotonic_reads_concurrent_writer () =
       Alcotest.(check int) "last read sees the last write" writes !returned)
     [ 1; 2; 3; 4 ]
 
+(* The register ticks before its embedded counter, so a write queued
+   before a tick asks for its tag in that tick, and the counter's majRead
+   leaves in that same tick: two copies to each other member (a freshly
+   started majRead is sent twice), besides the counter's gossip. Were the
+   counter to tick first, the tick would send the gossip alone and the
+   majRead would wait for the next step. *)
+let test_tick_order () =
+  let plugin = Register_service.plugin () in
+  let st = plugin.Reconfig.Stack.p_init 1 in
+  Register_service.write st ~rid:1 "a" 5;
+  let sent = Hashtbl.create 4 in
+  let members = set [ 1; 2; 3 ] in
+  let view =
+    {
+      Reconfig.Stack.v_self = 1;
+      v_trusted = members;
+      v_recsa = Reconfig.Recsa.create ~self:1 ~participant:true ~initial_config:members ();
+      v_send =
+        (fun dst _ ->
+          Hashtbl.replace sent dst (1 + Option.value ~default:0 (Hashtbl.find_opt sent dst)));
+      v_emit = (fun _ _ -> ());
+      v_now = 0.0;
+      v_telemetry = Telemetry.create ();
+    }
+  in
+  Alcotest.(check (option (list int)))
+    "the view's configuration is stable" (Some [ 1; 2; 3 ])
+    (Option.map Pid.Set.elements (Reconfig.Stack.View.current_members view));
+  plugin.Reconfig.Stack.p_tick view st;
+  Alcotest.(check bool)
+    "the write's increment started" true
+    (Telemetry.span_open view.Reconfig.Stack.v_telemetry ~name:"counter.op_seconds" ~key:1);
+  Alcotest.(check (list (pair int int)))
+    "majRead (twice) and gossip to each other member" [ (2, 3); (3, 3) ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq sent)))
+
 let suites =
   [
     ( "register",
@@ -477,5 +513,7 @@ let suites =
           test_member_write_after_non_member_write;
         Alcotest.test_case "corruption aborts only a running operation" `Quick
           test_corruption_counts_running_aborts;
+        Alcotest.test_case "a write's majRead leaves in its first tick" `Quick
+          test_tick_order;
       ] );
   ]

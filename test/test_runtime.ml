@@ -1,5 +1,5 @@
 (* Tests for the runtime-agnostic layer: the snap-nonce packing, the
-   plugin stacking combinator, the real-time loop runtime, a synchronous
+   real-time loop runtime, a synchronous
    runner built on Sim.Step alone, and the sim-vs-loop equivalence of the
    full stack. *)
 
@@ -33,187 +33,6 @@ let test_snap_nonce_injective () =
           Hashtbl.add tbl n (s, p))
         pids)
     pids
-
-(* ------------------------------------------------------------------ *)
-(* Plugin combinators                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let dummy_view ?(self = 1) ?(send = fun _ _ -> ()) () =
-  {
-    Stack.v_self = self;
-    v_trusted = set [ 1; 2; 3 ];
-    v_recsa = Recsa.create ~self ~participant:true ();
-    v_send = send;
-    v_emit = (fun _ _ -> ());
-    v_now = 0.0;
-    v_telemetry = Telemetry.create ();
-  }
-
-(* A plugin whose state is a newest-first log of everything that happened
-   to it, and whose tick always sends two tagged messages. Its merge logs
-   the first entry of each other state it was handed. *)
-let probe tag =
-  let note log event = log := event :: !log in
-  {
-    Stack.p_init = (fun pid -> ref [ Printf.sprintf "%s.init.%d" tag pid ]);
-    p_tick =
-      (fun v log ->
-        note log (tag ^ ".tick");
-        v.Stack.v_send 2 (tag ^ ".m1");
-        v.Stack.v_send 3 (tag ^ ".m2"));
-    p_recv = (fun _v ~from m log -> note log (Printf.sprintf "%s.recv.%d.%s" tag from m));
-    (* something to start: the upper layer asked and nothing happened since *)
-    p_pending = (fun log -> match !log with "hi.asks" :: _ -> true | _ -> false);
-    p_start =
-      (fun v log ->
-        note log (tag ^ ".start");
-        v.Stack.v_send 2 (tag ^ ".s"));
-    p_merge =
-      (fun ~self:_ log others ->
-        let heads =
-          List.map
-            (fun (p, other) -> Printf.sprintf "%d:%s" p (List.hd !other))
-            (Pid.Map.bindings others)
-        in
-        note log (Printf.sprintf "%s.merge(%s)" tag (String.concat "," heads)));
-    p_corrupt = (fun _ log -> note log (tag ^ ".corrupt"));
-  }
-
-let lo_hi_msg =
-  let pp fmt = function
-    | `Lo m -> Format.fprintf fmt "Lo %s" m
-    | `Hi m -> Format.fprintf fmt "Hi %s" m
-  in
-  Alcotest.testable pp ( = )
-
-(* upper state = (lower log, upper log); the upper's tick, receipt, merge
-   and corrupt record how many lower events they observed, so the order
-   of the two layers is observable. The upper's tick also asks something
-   of the lower layer by writing into its state, as the register asks the
-   counter for a tag. *)
-let stacked () =
-  let lower = probe "lo" in
-  let saw what lo = Printf.sprintf "hi.%s(saw %d lo events)" what (List.length !lo) in
-  let queued hi = match !hi with "hi.queued" :: _ -> true | _ -> false in
-  let upper =
-    {
-      Stack.p_init = (fun pid -> (lower.Stack.p_init pid, ref [ Printf.sprintf "hi.init.%d" pid ]));
-      p_tick =
-        (fun v (lo, hi) ->
-          hi := saw "tick" lo :: !hi;
-          lo := "hi.asks" :: !lo;
-          v.Stack.v_send 9 (`Hi "h1"));
-      p_recv =
-        (fun _v ~from m (lo, hi) ->
-          match m with
-          | `Hi s -> hi := Printf.sprintf "hi.recv.%d.%s" from s :: !hi
-          | `Lo s -> hi := saw (Printf.sprintf "recv.%d.lo.%s" from s) lo :: !hi);
-      (* an upper layer reports the lower's waiting work too *)
-      p_pending = (fun (lo, hi) -> queued hi || lower.Stack.p_pending lo);
-      p_start =
-        (fun v (lo, hi) ->
-          if queued hi then begin
-            hi := saw "start" lo :: !hi;
-            lo := "hi.asks" :: !lo;
-            v.Stack.v_send 9 (`Hi "h2")
-          end);
-      p_merge = (fun ~self:_ (lo, hi) _ -> hi := saw "merge" lo :: !hi);
-      p_corrupt = (fun _ (lo, hi) -> hi := saw "corrupt" lo :: !hi);
-    }
-  in
-  Stack.Plugin.stack ~lower
-    ~get:(fun (lo, _) -> lo)
-    ~wrap:(fun m -> `Lo m)
-    ~unwrap:(function `Lo m -> Some m | `Hi _ -> None)
-    upper
-
-(* a view recording every send, oldest first *)
-let recording_view () =
-  let sent = ref [] in
-  (dummy_view ~send:(fun dst m -> sent := (dst, m) :: !sent) (), fun () -> List.rev !sent)
-
-let test_stack_ordering () =
-  let p = stacked () in
-  let v, sent = recording_view () in
-  let ((lo, hi) as st) = p.Stack.p_init 1 in
-  Alcotest.(check (list string)) "lower initialised" [ "lo.init.1" ] !lo;
-  p.Stack.p_tick v st;
-  Alcotest.(check (list (pair int lo_hi_msg)))
-    "the upper's messages precede the wrapped lower messages"
-    [ (9, `Hi "h1"); (2, `Lo "lo.m1"); (3, `Lo "lo.m2") ]
-    (sent ());
-  (* 1 event: the upper ticked before the lower *)
-  Alcotest.(check (list string))
-    "upper ticked first" [ "hi.tick(saw 1 lo events)"; "hi.init.1" ] !hi;
-  Alcotest.(check (list string))
-    "lower ticked on the upper's post-tick state"
-    [ "lo.tick"; "hi.asks"; "lo.init.1" ]
-    !lo
-
-let test_stack_routing () =
-  let p = stacked () in
-  let v, sent = recording_view () in
-  let ((lo, hi) as st) = p.Stack.p_init 1 in
-  p.Stack.p_recv v ~from:4 (`Lo "ping") st;
-  Alcotest.(check (list string))
-    "Lo handled by the lower" [ "lo.recv.4.ping"; "lo.init.1" ] !lo;
-  (* 2 events: the upper got the receipt after the lower handled it *)
-  Alcotest.(check (list string))
-    "then passed, still wrapped, to the upper"
-    [ "hi.recv.4.lo.ping(saw 2 lo events)"; "hi.init.1" ]
-    !hi;
-  Alcotest.(check (list (pair int lo_hi_msg))) "no sends" [] (sent ());
-  let ((lo, hi) as st) = p.Stack.p_init 1 in
-  p.Stack.p_recv v ~from:4 (`Hi "yo") st;
-  Alcotest.(check (list string)) "lower untouched" [ "lo.init.1" ] !lo;
-  Alcotest.(check (list string)) "Hi routed to the upper alone" [ "hi.recv.4.yo"; "hi.init.1" ] !hi
-
-let test_stack_start_pass () =
-  let p = stacked () in
-  let v, sent = recording_view () in
-  let ((lo, hi) as st) = p.Stack.p_init 1 in
-  Alcotest.(check bool) "nothing pending at init" false (p.Stack.p_pending st);
-  hi := "hi.queued" :: !hi;
-  Alcotest.(check bool) "the upper's queue makes the stack pending" true (p.Stack.p_pending st);
-  p.Stack.p_start v st;
-  Alcotest.(check (list (pair int lo_hi_msg)))
-    "the upper starts first, then the lower, in the same pass"
-    [ (9, `Hi "h2"); (2, `Lo "lo.s") ]
-    (sent ());
-  Alcotest.(check (list string))
-    "upper started before the lower" [ "hi.start(saw 1 lo events)"; "hi.queued"; "hi.init.1" ]
-    !hi;
-  Alcotest.(check (list string))
-    "lower started on what the upper asked" [ "lo.start"; "hi.asks"; "lo.init.1" ] !lo;
-  Alcotest.(check bool) "nothing pending after the pass" false (p.Stack.p_pending st);
-  (* a lower layer with work alone: the upper starts nothing *)
-  let ((lo, hi) as st) = p.Stack.p_init 1 in
-  lo := "hi.asks" :: !lo;
-  Alcotest.(check bool) "the lower's work makes the stack pending" true (p.Stack.p_pending st);
-  p.Stack.p_start v st;
-  Alcotest.(check (list string)) "upper started nothing" [ "hi.init.1" ] !hi;
-  Alcotest.(check (list string)) "lower started" [ "lo.start"; "hi.asks"; "lo.init.1" ] !lo
-
-let test_stack_merge_corrupt () =
-  let p = stacked () in
-  let ((lo, hi) as st) = p.Stack.p_init 1 in
-  let others = Pid.Map.of_seq (List.to_seq [ (2, p.Stack.p_init 2); (3, p.Stack.p_init 3) ]) in
-  p.Stack.p_merge ~self:1 st others;
-  Alcotest.(check (list string))
-    "lower merged the others' lower states"
-    [ "lo.merge(2:lo.init.2,3:lo.init.3)"; "lo.init.1" ]
-    !lo;
-  Alcotest.(check (list string))
-    "upper merged after the lower" [ "hi.merge(saw 2 lo events)"; "hi.init.1" ] !hi;
-  p.Stack.p_corrupt (Rng.create 1) st;
-  Alcotest.(check (list string))
-    "lower corrupted"
-    [ "lo.corrupt"; "lo.merge(2:lo.init.2,3:lo.init.3)"; "lo.init.1" ]
-    !lo;
-  Alcotest.(check (list string))
-    "upper corrupted after the lower"
-    [ "hi.corrupt(saw 3 lo events)"; "hi.merge(saw 2 lo events)"; "hi.init.1" ]
-    !hi
 
 (* ------------------------------------------------------------------ *)
 (* The loop runtime                                                    *)
@@ -349,8 +168,6 @@ let test_joiner_app_waits_for_handshake () =
       Stack.p_init = (fun _ -> ());
       p_tick = (fun v () -> List.iter (fun p -> v.Stack.v_send p "hello") seeds);
       p_recv = (fun _ ~from:_ _ () -> ());
-      p_pending = (fun () -> false);
-      p_start = (fun _ () -> ());
       p_merge = (fun ~self:_ () _ -> ());
       p_corrupt = (fun _ () -> ());
     }
@@ -754,13 +571,6 @@ let suites =
       [
         Alcotest.test_case "regression" `Quick test_snap_nonce_regression;
         Alcotest.test_case "injective" `Quick test_snap_nonce_injective;
-      ] );
-    ( "runtime.plugin",
-      [
-        Alcotest.test_case "stack ordering" `Quick test_stack_ordering;
-        Alcotest.test_case "stack routing" `Quick test_stack_routing;
-        Alcotest.test_case "stack start pass" `Quick test_stack_start_pass;
-        Alcotest.test_case "stack merge and corrupt" `Quick test_stack_merge_corrupt;
       ] );
     ( "runtime.loop",
       [

@@ -617,6 +617,10 @@ let estab t p set = Recsa.estab (node t p).sa ~trusted:(trusted_of t p) set
 (* --- transient-fault injection --- *)
 
 let corrupt_state ~hooks ~pool ~rng n =
+  (* the detector: arbitrary heartbeat counts for an arbitrary subset of
+     the pool (the node's own count is always reset to 0) *)
+  Detector.Theta_fd.corrupt n.fd
+    (List.map (fun q -> (q, Rng.int rng 1024)) (Rng.subset rng pool));
   Recsa.corrupt n.sa ~config:(random_config rng pool)
     ~prp:(random_notification rng pool) ~all:(Rng.bool rng)
     ~allseen:(random_pid_set rng pool) ();

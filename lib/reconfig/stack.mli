@@ -252,8 +252,9 @@ val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
 (** {2 Transient faults} *)
 
 (** [corrupt_state ~hooks ~pool ~rng n] writes pseudo-random garbage,
-    drawn over the processors in [pool], into one node's recSA, recMA and
-    join state, (through [hooks.plugin.p_corrupt]) its application state,
+    drawn over the processors in [pool], into one node's failure detector
+    (heartbeat counts in [0, 1024) for a random subset of [pool]), recSA,
+    recMA and join state, (through [hooks.plugin.p_corrupt]) its application state,
     and its link stamp and newest-state records (arbitrary ints). The one
     node-state corruptor of every runtime. *)
 val corrupt_state :

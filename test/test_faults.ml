@@ -233,6 +233,31 @@ let test_dead_links_block_recovery () =
   Alcotest.(check bool) "healed links: recovers" true
     (Stack.run_plan sys ~plan:healed ~max_rounds:800 <> None)
 
+(* A transient fault may leave any state, the failure detector's
+   heartbeat counts included: node corruption rewrites them at every node,
+   and the system still stabilizes *)
+let test_corruption_reaches_detector () =
+  let n = 5 in
+  let pool = members n in
+  let sys = Stack.of_scenario ~hooks:Stack.unit_hooks (scenario ~seed:9 ~n ()) in
+  Stack.run_rounds sys 20;
+  let counts p =
+    let fd = (Stack.node sys p).Stack.fd in
+    List.map (Detector.Theta_fd.count fd) pool
+  in
+  let before = List.map counts pool in
+  let rng = Rng.create 11 in
+  List.iter (fun p -> Stack.corrupt_node sys p ~rng) pool;
+  List.iter2
+    (fun p counts_before ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d's detector counts rewritten" p)
+        true
+        (counts p <> counts_before))
+    pool before;
+  Alcotest.(check bool) "recovers" true
+    (Stack.run_until_quiescent sys ~max_rounds:800 <> None)
+
 (* --- corruption on the real-time loop --- *)
 
 let test_loop_service_corrupt () =
@@ -301,6 +326,8 @@ let suites =
           test_service_corrupt_recovers;
         Alcotest.test_case "dead links block recovery" `Quick
           test_dead_links_block_recovery;
+        Alcotest.test_case "node corruption reaches the detector" `Quick
+          test_corruption_reaches_detector;
       ] );
     ( "faults.loop",
       [

@@ -140,15 +140,16 @@ let bench_recsa_tick =
   List.iter
     (fun p ->
       if p <> 1 then
-        Reconfig.Recsa.receive sa ~from:p
-          {
-            Reconfig.Recsa.m_fd = trusted;
-            m_part = trusted;
-            m_config = Reconfig.Config_value.Set trusted;
-            m_prp = Reconfig.Notification.default;
-            m_all = false;
-            m_echo = None;
-          })
+        ignore
+          (Reconfig.Recsa.receive sa ~from:p
+             {
+               Reconfig.Recsa.m_fd = trusted;
+               m_part = trusted;
+               m_config = Reconfig.Config_value.Set trusted;
+               m_prp = Reconfig.Notification.default;
+               m_all = false;
+               m_echo = None;
+             }))
     (List.init 8 (fun i -> i + 1));
   Test.make ~name:"recsa.tick_warm_8"
     (Staged.stage (fun () -> Reconfig.Recsa.tick sa ~trusted))
@@ -230,6 +231,41 @@ let bench_idle_receipt_12 =
   Test.make ~name:"register.idle_receipt_12"
     (Staged.stage (fun () -> ignore (b.Sim.Step.on_message ctx 2 msg node)))
 
+(* one recSA [Sa] receipt at node 1 of the same warm N = 12 register
+   cluster, through the stack's driver: the line-29 message node 2's tick
+   sent, under a fresh link stamp each run, so the link accepts it and
+   recSA stores a view equal to the one it holds. No notification is
+   active, so no iteration runs; this is the bulk of a steady cluster's
+   recSA receipts. *)
+let bench_recsa_idle_receipt_12 =
+  let open Reconfig in
+  let hooks = Register.Register_service.hooks () in
+  let sc = Scenario.make ~seed:12 ~nodes:12 () in
+  let sys = Stack.of_scenario ~hooks sc in
+  Stack.run_rounds sys 25;
+  let members = set sc.Scenario.sc_members in
+  let b =
+    Stack.driver ~capacity:sc.Scenario.sc_capacity ~n_bound:sc.Scenario.sc_n_bound
+      ~theta:sc.Scenario.sc_theta ~hooks ~members_set:members ~directory:(ref members)
+  in
+  let ctx = Sim.Step.create ~trace:(Sim.Trace.create ()) ~telemetry:(Telemetry.create ()) in
+  let view = ref None in
+  ctx.Sim.Step.ctx_send <-
+    (fun dst m ->
+      match m with
+      | Stack.Sa (stamp, v) when dst = 1 && Option.is_none !view -> view := Some (stamp, v)
+      | _ -> ());
+  ctx.Sim.Step.ctx_self <- 2;
+  ignore (b.Sim.Step.on_timer ctx (Stack.node sys 2));
+  let stamp, v = Option.get !view and node = Stack.node sys 1 in
+  let stamp = ref stamp in
+  ctx.Sim.Step.ctx_send <- (fun _ _ -> ());
+  ctx.Sim.Step.ctx_self <- 1;
+  Test.make ~name:"recsa.idle_receipt_12"
+    (Staged.stage (fun () ->
+         incr stamp;
+         ignore (b.Sim.Step.on_message ctx 2 (Stack.Sa (!stamp, v)) node)))
+
 let micro_tests =
   Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
     [
@@ -242,32 +278,54 @@ let micro_tests =
       bench_label_order;
       bench_label_next;
       bench_counter_order;
-      bench_counter_gossip_receipt;
       bench_recsa_tick;
       bench_engine_round;
       bench_engine_round_16;
       bench_engine_round_64;
       bench_stack_round_12;
-      bench_idle_receipt_12;
     ]
+
+(* The receipt paths, 50-200 ns each, where a change to the driver
+   shows. They are measured apart. By default bechamel compacts the heap
+   before every sample; this heap holds every subject's warm cluster, so a
+   0.25 s quota fits only a few dozen samples of one or two runs each, and
+   the fit reads cold caches and the clock rather than the subject. On a
+   shared machine, other tenants also slow whole seconds of a run by up to
+   2x. So the receipt subjects skip the compaction, and each reports the
+   best of [receipt_fits] fits of 0.1 s: interference only ever adds
+   time. *)
+let receipt_tests =
+  Test.make_grouped ~name:"primitives" ~fmt:"%s %s"
+    [ bench_counter_gossip_receipt; bench_idle_receipt_12; bench_recsa_idle_receipt_12 ]
+
+let receipt_fits = 20
+
+let estimate ols =
+  match Analyze.OLS.estimates ols with Some (t :: _) -> t | Some [] | None -> nan
 
 let run_micro () =
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances micro_tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun name ols acc ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some (t :: _) -> t
-        | Some [] | None -> nan
-      in
-      (name, est) :: acc)
-    results []
+  let measure cfg tests =
+    Analyze.all ols Instance.monotonic_clock (Benchmark.all cfg instances tests)
+  in
+  let results =
+    measure (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None ()) micro_tests
+  in
+  let receipt_cfg =
+    Benchmark.cfg ~limit:100_000 ~quota:(Time.second 0.1) ~stabilize:false ~kde:None ()
+  in
+  for _ = 1 to receipt_fits do
+    Hashtbl.iter
+      (fun name fit ->
+        match Hashtbl.find_opt results name with
+        | Some best when estimate best <= estimate fit -> ()
+        | Some _ | None -> Hashtbl.replace results name fit)
+      (measure receipt_cfg receipt_tests)
+  done;
+  Hashtbl.fold (fun name ols acc -> (name, estimate ols) :: acc) results []
   |> List.sort compare
 
 let print_micro rows =

@@ -537,6 +537,17 @@ let echo_current t p echo =
   | _, None -> false
   | exception Not_found -> Option.is_none echo
 
+(* the line-29 message to [p]: our state and our echo of [p]'s view *)
+let message_for t ~trusted ~part p =
+  {
+    m_fd = trusted;
+    m_part = part;
+    m_config = t.sa_config;
+    m_prp = t.sa_prp;
+    m_all = t.sa_all;
+    m_echo = echo_of t p;
+  }
+
 (* [List.map] that returns [l] itself when [f] keeps every element *)
 let rec map_same f l =
   match l with
@@ -567,18 +578,7 @@ let compute_broadcast t ~trusted =
     | _ ->
       Pid.Set.fold
         (fun p acc ->
-          if Pid.equal p t.sa_self then acc
-          else
-            ( p,
-              {
-                m_fd = trusted;
-                m_part = part;
-                m_config = t.sa_config;
-                m_prp = t.sa_prp;
-                m_all = t.sa_all;
-                m_echo = echo_of t p;
-              } )
-            :: acc)
+          if Pid.equal p t.sa_self then acc else (p, message_for t ~trusted ~part p) :: acc)
         trusted []
   end
 
@@ -593,6 +593,12 @@ let broadcast t ~trusted =
     msgs
 
 let last_broadcast t = t.last_broadcast
+
+(* [p]'s entry of [broadcast t ~trusted], built alone *)
+let message_to t ~trusted p =
+  if (not (is_participant t)) || Pid.equal p t.sa_self || not (Pid.Set.mem p trusted)
+  then None
+  else Some (message_for t ~trusted ~part:(participants t ~trusted) p)
 
 (* Value equality, whichever copies carry the fields. Interned descriptors
    usually decide in one pointer compare each; which values share a
@@ -645,8 +651,10 @@ let receive t ~from m =
     if Notification.malformed m.m_prp then { m with m_prp = Notification.default } else m
   in
   match Pid.Map.find_opt from t.peers with
-  | Some pv when equal_message pv m -> ()
-  | Some _ | None -> set_peers t (Pid.Map.add from (intern_view m) t.peers)
+  | Some pv when equal_message pv m -> `Same
+  | held ->
+    set_peers t (Pid.Map.add from (intern_view m) t.peers);
+    if Option.is_some held then `Changed else `First
 
 (* A notification is active (the sender's or ours) and no reset is in sight:
    brute-force stabilization stays with the timer, whose one iteration per

@@ -22,7 +22,13 @@
     The module is a pure protocol core: [tick] is one iteration of the
     [do forever] loop given the current failure-detector output, [broadcast]
     produces the end-of-loop messages (line 29), and [receive] stores an
-    incoming message (line 30). All effects live in the caller. *)
+    incoming message (line 30). All effects live in the caller.
+
+    The caller may also run an iteration, or send line-29 messages, on a
+    receipt: {!iterate_on_receipt} says when a receipt runs one, and
+    {!receive}'s result and {!message_to} let it answer a peer whose view
+    changed with the one message the next broadcast would send it, without
+    building that broadcast. *)
 
 open Sim
 
@@ -74,8 +80,18 @@ val broadcast : t -> trusted:Pid.Set.t -> (Pid.t * message) list
     ({!equal_message}). *)
 val last_broadcast : t -> (Pid.t * message) list
 
-(** [receive t ~from m] stores the message fields (line 30). *)
-val receive : t -> from:Pid.t -> message -> unit
+(** [message_to t ~trusted p] is [p]'s entry of [broadcast t ~trusted]
+    (equal under {!equal_message}), built alone from the memoized
+    participant set and [p]'s stored view: [None] when this processor is
+    not a participant, [p] is itself or [p] is not trusted. *)
+val message_to : t -> trusted:Pid.Set.t -> Pid.t -> message option
+
+(** [receive t ~from m] stores the message fields (line 30) and says what
+    the store did: [`First] when no view of [from] was held (first
+    contact, or after the view was cleaned or cleared), [`Changed] when it
+    replaced a different view, [`Same] when the held view was equal (and
+    left alone). *)
+val receive : t -> from:Pid.t -> message -> [ `First | `Changed | `Same ]
 
 (** [iterate_on_receipt t m] — after storing [m], run the next iteration
     (and its line-29 messages) at once rather than at the next tick: a

@@ -449,14 +449,20 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
     | Heartbeat -> ()
     | Sa (stamp, m) ->
       if sa_fresh ~capacity n ~from stamp then begin
-        Recsa.receive n.sa ~from m;
+        let stored = Recsa.receive n.sa ~from m in
         (* A delicate replacement moves on receipts: on one that
            [Recsa.iterate_on_receipt] accepts, the do-forever iteration runs
            in this step, and the line-29 message goes out at once, under a
            fresh stamp, to each peer whose message changed since the last
-           one sent to it (every broadcast is sent, so the last one sent is
-           [Recsa.last_broadcast]). The timer's broadcast stays the
-           heartbeat and the stabilization backbone; this only answers
+           broadcast ([Recsa.last_broadcast]; every broadcast is sent).
+           Otherwise a receipt that changed the view of a peer already
+           heard from answers that peer alone, the same way, so the echoes
+           of (part, prp, all) that [noReco()] waits for move on receipts
+           too. A first contact answers nothing (at a cold start every pair
+           meets at once), nor does an unchanged view, so a steady cluster
+           sends only on ticks; no packet gets more than one answer. The
+           timer's broadcast stays the heartbeat and the stabilization
+           backbone, and it sends every message again; this only answers
            sooner. *)
         if Recsa.iterate_on_receipt n.sa m then begin
           let trusted = trusted_set n in
@@ -464,6 +470,14 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
           let last = Recsa.last_broadcast n.sa in
           ignore (send_sa ctx n sent_sa ~last (Recsa.broadcast n.sa ~trusted))
         end
+        else
+          match stored with
+          | `Changed -> (
+            match Recsa.message_to n.sa ~trusted:(trusted_set n) from with
+            | Some answer ->
+              ignore (send_sa ctx n sent_sa ~last:(Recsa.last_broadcast n.sa) [ (from, answer) ])
+            | None -> ())
+          | `First | `Same -> ()
       end
       else Telemetry.incr (stale_dropped_sa (Step.telemetry ctx))
     | Ma m -> Recma.receive n.ma ~from ~participant:(Recsa.is_participant n.sa) m

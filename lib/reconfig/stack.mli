@@ -177,7 +177,17 @@ val declare_metrics : Telemetry.t -> unit
     behaviors. Nodes in [members_set] start as participants holding that
     configuration. [directory] is read at node-init time: a node created
     after system start treats the processors then present as its seeds and
-    runs the cleaning handshake against them. *)
+    runs the cleaning handshake against them.
+
+    recSA runs one iteration and broadcasts on every timer step. A receipt
+    sends recSA messages in two cases, each under a fresh link stamp and
+    only messages that differ by value from the last broadcast's: one that
+    {!Recsa.iterate_on_receipt} accepts (a delicate replacement under way)
+    runs an iteration and sends every changed message; any other accepted
+    packet that changes the stored view of a peer already heard from
+    answers that peer alone ({!Recsa.message_to}). A peer's first packet
+    and an unchanged one answer nothing, so a steady cluster sends recSA
+    messages only on ticks, and no packet gets more than one answer. *)
 val driver :
   capacity:int ->
   n_bound:int ->

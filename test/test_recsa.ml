@@ -341,15 +341,16 @@ let test_stale_type3_detected () =
   let trusted = set [ 1; 2 ] in
   let sa = Recsa.create ~self:1 ~participant:true ~initial_config:trusted () in
   (* a peer reports a phase-2 notification for a different set than ours *)
-  Recsa.receive sa ~from:2
-    {
-      Recsa.m_fd = trusted;
-      m_part = trusted;
-      m_config = Config_value.Set trusted;
-      m_prp = Notification.make Notification.P2 (set [ 1; 2 ]);
-      m_all = false;
-      m_echo = None;
-    };
+  ignore
+    (Recsa.receive sa ~from:2
+       {
+         Recsa.m_fd = trusted;
+         m_part = trusted;
+         m_config = Config_value.Set trusted;
+         m_prp = Notification.make Notification.P2 (set [ 1; 2 ]);
+         m_all = false;
+         m_echo = None;
+       });
   Recsa.corrupt sa ~prp:(Notification.make Notification.P2 (set [ 1 ])) ();
   Alcotest.(check bool) "type-3 present" true
     (List.mem Recsa.Type3 (Recsa.stale_types sa ~trusted))
@@ -363,15 +364,16 @@ let test_stale_type4_detected () =
   let sa = Recsa.create ~self:1 ~participant:true ~initial_config:dead () in
   List.iter
     (fun from ->
-      Recsa.receive sa ~from
-        {
-          Recsa.m_fd = trusted;
-          m_part = trusted;
-          m_config = Config_value.Set dead;
-          m_prp = Notification.default;
-          m_all = false;
-          m_echo = None;
-        })
+      ignore
+        (Recsa.receive sa ~from
+           {
+             Recsa.m_fd = trusted;
+             m_part = trusted;
+             m_config = Config_value.Set dead;
+             m_prp = Notification.default;
+             m_all = false;
+             m_echo = None;
+           }))
     [ 2; 3 ];
   Alcotest.(check bool) "type-4 present" true
     (List.mem Recsa.Type4 (Recsa.stale_types sa ~trusted));
@@ -493,8 +495,8 @@ let test_pure_two_node_replacement () =
     ignore (Recsa.tick b ~trusted:members);
     let msgs_a = Recsa.broadcast a ~trusted:members in
     let msgs_b = Recsa.broadcast b ~trusted:members in
-    List.iter (fun (dst, m) -> if dst = 2 then Recsa.receive b ~from:1 m) msgs_a;
-    List.iter (fun (dst, m) -> if dst = 1 then Recsa.receive a ~from:2 m) msgs_b
+    List.iter (fun (dst, m) -> if dst = 2 then ignore (Recsa.receive b ~from:1 m)) msgs_a;
+    List.iter (fun (dst, m) -> if dst = 1 then ignore (Recsa.receive a ~from:2 m)) msgs_b
   in
   for _ = 1 to 4 do
     exchange ()
@@ -738,7 +740,7 @@ let sa_result_equal a b =
 
 let apply_sa_op sa = function
   | Receive (from, m) ->
-    Recsa.receive sa ~from m;
+    ignore (Recsa.receive sa ~from m);
     Done
   | Tick trusted -> Events (Recsa.tick sa ~trusted)
   | Broadcast trusted -> Sent (Recsa.broadcast sa ~trusted)
@@ -816,6 +818,43 @@ let prop_recsa_memo_exact =
          in
          steps 60 []))
 
+(* [message_to] is the broadcast's entry for one peer, built alone: after
+   every step of a random run, and for every pid and a trusted set drawn
+   from a pool (some without this node, some fresh copies), it equals that
+   peer's entry of [broadcast] and is [None] exactly when there is none *)
+let prop_message_to_is_broadcast_entry =
+  qtest
+    (QCheck.Test.make ~name:"message_to = the broadcast's entry for the peer" ~count:200
+       QCheck.(pair (int_range 0 100_000) bool)
+       (fun (seed, participant) ->
+         let rs = Random.State.make [| seed |] in
+         let sa =
+           Recsa.create ~self:1 ~participant
+             ?initial_config:(if participant then Some (set [ 1; 2; 3; 4 ]) else None)
+             ()
+         in
+         let sent = ref [] in
+         let rec steps k =
+           k = 0
+           ||
+           (ignore (apply_sa_op sa (gen_sa_op rs ~sent));
+            let trusted =
+              let s = sa_set_pool.(Random.State.int rs (Array.length sa_set_pool)) in
+              if Random.State.bool rs then s else set (Pid.Set.elements s)
+            in
+            let answers = List.init 6 (fun p -> (p, Recsa.message_to sa ~trusted p)) in
+            let msgs = Recsa.broadcast sa ~trusted in
+            List.for_all
+              (fun (p, answer) ->
+                match (answer, List.assoc_opt p msgs) with
+                | None, None -> true
+                | Some m, Some m' -> Recsa.equal_message m m'
+                | Some _, None | None, Some _ -> false)
+              answers)
+           && steps (k - 1)
+         in
+         steps 60))
+
 let stale_type_of_tag = function
   | "type-1" -> Some Recsa.Type1
   | "type-2" -> Some Recsa.Type2
@@ -867,15 +906,16 @@ let test_quiet_tick_reads_allseen () =
   let sa = Recsa.create ~self:1 ~participant:true ~initial_config:trusted () in
   let proposal = Notification.intern (Notification.make Notification.P1 (set [ 1 ])) in
   Recsa.corrupt sa ~prp:proposal ();
-  Recsa.receive sa ~from:2
-    {
-      Recsa.m_fd = trusted;
-      m_part = trusted;
-      m_config = Config_value.Set trusted;
-      m_prp = proposal;
-      m_all = false;
-      m_echo = Some { Recsa.e_part = trusted; e_prp = proposal; e_all = true };
-    };
+  ignore
+    (Recsa.receive sa ~from:2
+       {
+         Recsa.m_fd = trusted;
+         m_part = trusted;
+         m_config = Config_value.Set trusted;
+         m_prp = proposal;
+         m_all = false;
+         m_echo = Some { Recsa.e_part = trusted; e_prp = proposal; e_all = true };
+       });
   ignore (Recsa.tick sa ~trusted);
   Alcotest.(check (list (pair string string))) "waiting: quiet" [] (Recsa.tick sa ~trusted);
   Alcotest.(check (list (pair string string))) "still quiet" [] (Recsa.tick sa ~trusted);
@@ -915,8 +955,9 @@ let single_replacement ~seed n =
   (sys, Engine.rounds eng - start)
 
 let test_steady_sends_only_on_ticks () =
-  (* no notification, so no receipt runs an iteration: recSA sends exactly
-     N-1 messages per timer step and none from a receipt *)
+  (* no notification, so no receipt runs an iteration, and no view changes,
+     so no receipt answers: after the warm-up recSA sends exactly N-1
+     messages per timer step and none from a receipt *)
   let n = 8 in
   let members = set (List.init n (fun i -> i + 1)) in
   let b =
@@ -940,6 +981,7 @@ let test_steady_sends_only_on_ticks () =
   in
   Engine.run_rounds eng 25;
   let sent0 = sa_sent (Engine.telemetry eng) and ticks0 = !ticks in
+  receipt_sends := 0;
   Engine.run_rounds eng 20;
   let tele = Engine.telemetry eng in
   Alcotest.(check int) "no recSA message from a receipt" 0 !receipt_sends;
@@ -1057,6 +1099,116 @@ let test_receipt_resends_only_changes () =
   Alcotest.(check (list int)) "an unchanged view changes nothing" []
     (sends (deliver 3 3 proposal))
 
+(* node 1 of {1,2,3,4} after every peer's first packet and one tick, with
+   no notification anywhere: [deliver from stamp view] hands it a recSA
+   packet and returns the (destination, stamp) of each [Sa] packet the
+   receipt step sent *)
+let answering_node () =
+  let members = set [ 1; 2; 3; 4 ] in
+  let b =
+    Stack.driver ~capacity:8 ~n_bound:8 ~theta:4 ~hooks:Stack.unit_hooks
+      ~members_set:members ~directory:(ref members)
+  in
+  let ctx = Step.create ~trace:(Trace.create ()) ~telemetry:(Telemetry.create ()) in
+  let sent = ref [] in
+  ctx.Step.ctx_send <-
+    (fun dst m ->
+      match m with Stack.Sa (stamp, _) -> sent := (dst, stamp) :: !sent | _ -> ());
+  ctx.Step.ctx_self <- 1;
+  let n = b.init 1 in
+  let deliver from stamp view =
+    sent := [];
+    ignore (b.on_message ctx from (Stack.Sa (stamp, view)) n);
+    List.rev !sent
+  in
+  let view ?(fd = members) ?(part = members) () =
+    {
+      Recsa.m_fd = fd;
+      m_part = part;
+      m_config = Config_value.Set members;
+      m_prp = Notification.default;
+      m_all = false;
+      m_echo = None;
+    }
+  in
+  Alcotest.(check (list (pair int int))) "first contacts answer nothing" []
+    (List.concat_map (fun p -> deliver p 1 (view ())) [ 2; 3; 4 ]);
+  sent := [];
+  ignore (b.on_timer ctx n);
+  Alcotest.(check (list int)) "the tick broadcasts" [ 2; 3; 4 ]
+    (List.sort compare (List.map fst !sent));
+  (n, deliver, view, n.Stack.sa_stamp)
+
+let test_changed_view_answers_sender () =
+  let _, deliver, view, tick_stamp = answering_node () in
+  (* peer 3 no longer counts 4 as a participant: its echo of our part
+     changes, so our message to 3 does *)
+  Alcotest.(check (list (pair int int))) "one packet, to 3, under a fresh stamp"
+    [ (3, tick_stamp + 1) ]
+    (deliver 3 2 (view ~part:(set [ 1; 2; 3 ]) ()))
+
+let test_first_and_same_answer_nothing () =
+  let n, deliver, view, _ = answering_node () in
+  Alcotest.(check (list (pair int int))) "an unchanged packet answers nothing" []
+    (deliver 3 2 (view ()));
+  (* forgetting every view makes 3's next packet a first contact again;
+     our message to it changes (3 alone is a participant now), but a first
+     contact answers nothing *)
+  Recsa.clear_peers n.Stack.sa;
+  Alcotest.(check (list (pair int int))) "a first contact answers nothing" []
+    (deliver 3 3 (view ()));
+  Alcotest.(check (list (pair int int))) "the same packet again answers nothing" []
+    (deliver 3 4 (view ()));
+  Alcotest.(check (list int)) "a changed one answers" [ 3 ]
+    (List.map fst (deliver 3 5 (view ~part:(set [ 1; 2; 3 ]) ())))
+
+let test_change_keeping_message_answers_nothing () =
+  let _, deliver, view, _ = answering_node () in
+  (* 3's detector output is not echoed: the stored view changes, our
+     message to 3 does not *)
+  Alcotest.(check (list (pair int int))) "an equal message is not re-sent" []
+    (deliver 3 2 (view ~fd:(set [ 1; 2; 3 ]) ()));
+  Alcotest.(check (list int)) "a changed echo is" [ 3 ]
+    (List.map fst (deliver 3 3 (view ~fd:(set [ 1; 2; 3 ]) ~part:(set [ 1; 2; 3 ]) ())))
+
+(* sim-seconds from the joiner's [join.participate] until every live
+   participant of a steady N = 8 register cluster reports noReco again *)
+let outage_after_join ~seed =
+  let sys =
+    Stack.of_scenario ~hooks:(Register.Register_service.hooks ())
+      (Scenario.make ~seed ~nodes:8 ())
+  in
+  Stack.run_rounds sys 25;
+  Stack.add_joiner sys 9;
+  Alcotest.(check bool) "the joiner participates" true
+    (Stack.run_until sys ~max_steps:2_000_000 (fun t ->
+         Recsa.is_participant (Stack.node t 9).Stack.sa));
+  let eng = Stack.engine sys in
+  let start = Engine.time eng in
+  let no_reco t =
+    List.for_all
+      (fun (p, n) ->
+        (not (Recsa.is_participant n.Stack.sa))
+        || Recsa.no_reco n.Stack.sa ~trusted:(Stack.trusted_of t p))
+      (Stack.live_nodes t)
+  in
+  Alcotest.(check bool) "noReco again" true (Stack.run_until sys ~max_steps:2_000_000 no_reco);
+  Engine.time eng -. start
+
+let test_join_outage () =
+  (* The new participant's part and echoes must reach every pair. Seeds
+     1-3 take 7.41 / 7.62 / 7.64 sim-s when the echoes travel on ticks
+     only, and 6.36 / 7.03 / 7.05 when a changed view is answered in its
+     receipt step. Whole rounds (7 / 7 / 7 against 6 / 7 / 6, a timer
+     period being U[0.8, 1.2] sim-s) are too coarse to tell them apart. *)
+  List.iter
+    (fun seed ->
+      let outage = outage_after_join ~seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: noReco %.2f sim-s after the join, under 7.2" seed outage)
+        true (outage < 7.2))
+    [ 1; 2; 3 ]
+
 let test_message_equality_by_value () =
   let asc = set [ 1; 2; 3; 4; 5; 6; 7 ] in
   let desc = List.fold_left (fun s p -> Pid.Set.add p s) Pid.Set.empty [ 7; 6; 5; 4; 3; 2; 1 ] in
@@ -1130,6 +1282,7 @@ let suites =
         Alcotest.test_case "closure (Thm 3.16)" `Quick test_closure_theorem;
         Alcotest.test_case "descriptor interning" `Quick test_interning_physical_equality;
         prop_recsa_memo_exact;
+        prop_message_to_is_broadcast_entry;
         Alcotest.test_case "quiet tick reads allSeen" `Quick test_quiet_tick_reads_allseen;
         prop_tick_resets_on_stale_types;
       ] );
@@ -1151,6 +1304,13 @@ let suites =
           test_replacement_span_closes_in_step;
         Alcotest.test_case "a receipt re-sends only changed messages" `Quick
           test_receipt_resends_only_changes;
+        Alcotest.test_case "a changed view answers its sender alone" `Quick
+          test_changed_view_answers_sender;
+        Alcotest.test_case "first and unchanged packets answer nothing" `Quick
+          test_first_and_same_answer_nothing;
+        Alcotest.test_case "a change keeping the message answers nothing" `Quick
+          test_change_keeping_message_answers_nothing;
+        Alcotest.test_case "a join's outage" `Quick test_join_outage;
         Alcotest.test_case "message equality by value" `Quick test_message_equality_by_value;
       ] );
   ]

@@ -15,21 +15,22 @@ let steady_recsa ~self ~members =
   Pid.Set.iter
     (fun p ->
       if not (Pid.equal p self) then
-        Recsa.receive sa ~from:p
-          {
-            Recsa.m_fd = members;
-            m_part = members;
-            m_config = Config_value.Set members;
-            m_prp = Notification.default;
-            m_all = false;
-            m_echo =
-              Some
-                {
-                  Recsa.e_part = members;
-                  e_prp = Notification.default;
-                  e_all = false;
-                };
-          })
+        ignore
+          (Recsa.receive sa ~from:p
+             {
+               Recsa.m_fd = members;
+               m_part = members;
+               m_config = Config_value.Set members;
+               m_prp = Notification.default;
+               m_all = false;
+               m_echo =
+                 Some
+                   {
+                     Recsa.e_part = members;
+                     e_prp = Notification.default;
+                     e_all = false;
+                   };
+             }))
     members;
   sa
 
@@ -141,15 +142,16 @@ let test_join_majority_required () =
   (* teach the joiner the configuration through received messages *)
   Pid.Set.iter
     (fun p ->
-      Recsa.receive sa ~from:p
-        {
-          Recsa.m_fd = Pid.Set.add 9 members;
-          m_part = members;
-          m_config = Config_value.Set members;
-          m_prp = Notification.default;
-          m_all = false;
-          m_echo = None;
-        })
+      ignore
+        (Recsa.receive sa ~from:p
+           {
+             Recsa.m_fd = Pid.Set.add 9 members;
+             m_part = members;
+             m_config = Config_value.Set members;
+             m_prp = Notification.default;
+             m_all = false;
+             m_echo = None;
+           }))
     members;
   let j = Join.create ~self:9 in
   let trusted = Pid.Set.add 9 members in

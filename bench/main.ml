@@ -199,13 +199,11 @@ let bench_stack_round_12 =
   Test.make ~name:"stack.round_12node_register"
     (Staged.stage (fun () -> Reconfig.Stack.run_rounds sys 1))
 
-(* one counter-gossip [App] receipt at node 1 of a warm N = 12 register
-   cluster (E16's 25 warm rounds) with an empty client queue, through the
-   stack's driver: the detector heartbeat, the counter's gossip receipt
-   (the gossip node 2's tick sent, repeated, so the storage takes it in
-   constant time) and the register's receipt, with no operation to start.
-   This is the bulk of a steady cluster's receipts. *)
-let bench_idle_receipt_12 =
+(* A warm N = 12 register cluster (E16's 25 warm rounds) and the stack's
+   driver over it. Runs node 2's tick and returns the first message to
+   node 1 that [pick] selects, with a step context for node 1's receipts
+   that drops their sends. *)
+let receipt_at_node_1 pick =
   let open Reconfig in
   let hooks = Register.Register_service.hooks () in
   let sc = Scenario.make ~seed:12 ~nodes:12 () in
@@ -217,54 +215,41 @@ let bench_idle_receipt_12 =
       ~theta:sc.Scenario.sc_theta ~hooks ~members_set:members ~directory:(ref members)
   in
   let ctx = Sim.Step.create ~trace:(Sim.Trace.create ()) ~telemetry:(Telemetry.create ()) in
-  let gossip = ref None in
+  let picked = ref None in
   ctx.Sim.Step.ctx_send <-
-    (fun dst m ->
-      match m with
-      | Stack.App _ when dst = 1 && Option.is_none !gossip -> gossip := Some m
-      | _ -> ());
+    (fun dst m -> if dst = 1 && Option.is_none !picked then picked := pick m);
   ctx.Sim.Step.ctx_self <- 2;
   ignore (b.Sim.Step.on_timer ctx (Stack.node sys 2));
-  let msg = Option.get !gossip and node = Stack.node sys 1 in
   ctx.Sim.Step.ctx_send <- (fun _ _ -> ());
   ctx.Sim.Step.ctx_self <- 1;
+  (b, ctx, Option.get !picked, Stack.node sys 1)
+
+(* one counter-gossip [App] receipt at node 1 with an empty client queue:
+   the detector heartbeat, the counter's gossip receipt (the gossip node
+   2's tick sent, repeated, so the storage takes it in constant time) and
+   the register's receipt, with no operation to start. This is the bulk of
+   a steady cluster's receipts. *)
+let bench_idle_receipt_12 =
+  let b, ctx, msg, node =
+    receipt_at_node_1 (function Reconfig.Stack.App _ as m -> Some m | _ -> None)
+  in
   Test.make ~name:"register.idle_receipt_12"
     (Staged.stage (fun () -> ignore (b.Sim.Step.on_message ctx 2 msg node)))
 
-(* one recSA [Sa] receipt at node 1 of the same warm N = 12 register
-   cluster, through the stack's driver: the line-29 message node 2's tick
+(* one recSA [Sa] receipt at node 1: the line-29 message node 2's tick
    sent, under a fresh link stamp each run, so the link accepts it and
    recSA stores a view equal to the one it holds. No notification is
    active, so no iteration runs; this is the bulk of a steady cluster's
    recSA receipts. *)
 let bench_recsa_idle_receipt_12 =
-  let open Reconfig in
-  let hooks = Register.Register_service.hooks () in
-  let sc = Scenario.make ~seed:12 ~nodes:12 () in
-  let sys = Stack.of_scenario ~hooks sc in
-  Stack.run_rounds sys 25;
-  let members = set sc.Scenario.sc_members in
-  let b =
-    Stack.driver ~capacity:sc.Scenario.sc_capacity ~n_bound:sc.Scenario.sc_n_bound
-      ~theta:sc.Scenario.sc_theta ~hooks ~members_set:members ~directory:(ref members)
+  let b, ctx, (stamp, view), node =
+    receipt_at_node_1 (function Reconfig.Stack.Sa (stamp, v) -> Some (stamp, v) | _ -> None)
   in
-  let ctx = Sim.Step.create ~trace:(Sim.Trace.create ()) ~telemetry:(Telemetry.create ()) in
-  let view = ref None in
-  ctx.Sim.Step.ctx_send <-
-    (fun dst m ->
-      match m with
-      | Stack.Sa (stamp, v) when dst = 1 && Option.is_none !view -> view := Some (stamp, v)
-      | _ -> ());
-  ctx.Sim.Step.ctx_self <- 2;
-  ignore (b.Sim.Step.on_timer ctx (Stack.node sys 2));
-  let stamp, v = Option.get !view and node = Stack.node sys 1 in
   let stamp = ref stamp in
-  ctx.Sim.Step.ctx_send <- (fun _ _ -> ());
-  ctx.Sim.Step.ctx_self <- 1;
   Test.make ~name:"recsa.idle_receipt_12"
     (Staged.stage (fun () ->
          incr stamp;
-         ignore (b.Sim.Step.on_message ctx 2 (Stack.Sa (!stamp, v)) node)))
+         ignore (b.Sim.Step.on_message ctx 2 (Reconfig.Stack.Sa (!stamp, view)) node)))
 
 let micro_tests =
   Test.make_grouped ~name:"primitives" ~fmt:"%s %s"

@@ -1152,8 +1152,8 @@ let test_first_and_same_answer_nothing () =
   Alcotest.(check (list (pair int int))) "an unchanged packet answers nothing" []
     (deliver 3 2 (view ()));
   (* forgetting every view makes 3's next packet a first contact again;
-     our message to it changes (3 alone is a participant now), but a first
-     contact answers nothing *)
+     our message to it changes (only 3 and this node are participants
+     now), but a first contact answers nothing *)
   Recsa.clear_peers n.Stack.sa;
   Alcotest.(check (list (pair int int))) "a first contact answers nothing" []
     (deliver 3 3 (view ()));

@@ -20,26 +20,20 @@ type t = {
   mutable peers : message Pid.Map.t; (* the last message from each peer *)
   mutable resets : int;
   mutable installs : int;
-  (* Figure 1's interface — participants, noReco() and getConfig() —, the
-     broadcast and the tick are functions of (config, prp, all, allSeen,
-     peers, trusted) alone. [version] is bumped by every change to the
-     first five (through the [set_*] functions only), so all three are
-     memoized per (version, trusted): a service reading the interface per
-     delivered message pays a comparison, not a recomputation, an unchanged
-     state re-sends the very same messages, and a tick that emitted nothing
-     and changed nothing is a fixed point, skipped until the key changes. *)
+  (* Figure 1's interface — participants, noReco() and getConfig() — and
+     the tick are functions of (config, prp, all, allSeen, peers, trusted)
+     alone. [version] is bumped by every change to the first five (through
+     the [set_*] functions only), so both are memoized per (version,
+     trusted): a service reading the interface per delivered message pays a
+     comparison, not a recomputation, and a tick that emitted nothing and
+     changed nothing is a fixed point, skipped until the key changes. *)
   mutable version : int;
   mutable memo_version : int;
   mutable memo_trusted : Pid.Set.t;
   mutable memo_part : Pid.Set.t option;
   mutable memo_no_reco : bool option;
   mutable memo_config : Config_value.t option;
-  mutable memo_broadcast : (Pid.t * message) list option;
   mutable memo_quiet : bool; (* a tick at this key changed nothing *)
-  (* the last broadcast computed, kept across versions: a new one reuses
-     each of its messages whose fields are all still current, and the
-     stack re-sends on a receipt only the messages that differ from it *)
-  mutable last_broadcast : (Pid.t * message) list;
   (* [peer_views] at (views_version, views_part): one tick reads the views
      in several tests, most often at one version and one participant set *)
   mutable views_version : int;
@@ -70,9 +64,7 @@ let create ~self ~participant ?initial_config () =
     memo_part = None;
     memo_no_reco = None;
     memo_config = None;
-    memo_broadcast = None;
     memo_quiet = false;
-    last_broadcast = [];
     views_version = -1;
     views_part = Pid.Set.empty;
     views = [];
@@ -119,7 +111,6 @@ let memo_for t ~trusted =
     t.memo_part <- None;
     t.memo_no_reco <- None;
     t.memo_config <- None;
-    t.memo_broadcast <- None;
     t.memo_quiet <- false
   end
 
@@ -548,57 +539,22 @@ let message_for t ~trusted ~part p =
     m_echo = echo_of t p;
   }
 
-(* [List.map] that returns [l] itself when [f] keeps every element *)
-let rec map_same f l =
-  match l with
-  | [] -> l
-  | x :: rest ->
-    let x' = f x in
-    let rest' = map_same f rest in
-    if x' == x && rest' == rest then l else x' :: rest'
-
-(* One message per trusted peer but self, in descending pid order. When
-   the last broadcast was built from the same trusted set, participant
-   set, configuration, notification and all flag (physically), it lists
-   the same peers in the same order, and only the echoes of peers whose
-   view changed since need new messages: a receipt that changed one view
-   rebuilds one message. *)
-let compute_broadcast t ~trusted =
-  if not (is_participant t) then []
-  else begin
-    let part = participants t ~trusted in
-    match t.last_broadcast with
-    | (_, m) :: _
-      when m.m_fd == trusted && m.m_part == part && m.m_config == t.sa_config
-           && m.m_prp == t.sa_prp && Bool.equal m.m_all t.sa_all ->
-      map_same
-        (fun ((p, m) as sent) ->
-          if echo_current t p m.m_echo then sent else (p, { m with m_echo = echo_of t p }))
-        t.last_broadcast
-    | _ ->
-      Pid.Set.fold
-        (fun p acc ->
-          if Pid.equal p t.sa_self then acc else (p, message_for t ~trusted ~part p) :: acc)
-        trusted []
-  end
-
-let broadcast t ~trusted =
-  memo_for t ~trusted;
-  match t.memo_broadcast with
-  | Some msgs -> msgs
-  | None ->
-    let msgs = compute_broadcast t ~trusted in
-    t.memo_broadcast <- Some msgs;
-    t.last_broadcast <- msgs;
-    msgs
-
-let last_broadcast t = t.last_broadcast
-
-(* [p]'s entry of [broadcast t ~trusted], built alone *)
-let message_to t ~trusted p =
+(* [p]'s line-29 message, or [last] itself while all of its fields are
+   physically the current ones: an unchanged state re-sends the very same
+   message, and a steady tick allocates none *)
+let message_to t ~trusted ?last p =
   if (not (is_participant t)) || Pid.equal p t.sa_self || not (Pid.Set.mem p trusted)
   then None
-  else Some (message_for t ~trusted ~part:(participants t ~trusted) p)
+  else begin
+    let part = participants t ~trusted in
+    match last with
+    | Some m
+      when m.m_fd == trusted && m.m_part == part && m.m_config == t.sa_config
+           && m.m_prp == t.sa_prp && Bool.equal m.m_all t.sa_all
+           && echo_current t p m.m_echo ->
+      last
+    | Some _ | None -> Some (message_for t ~trusted ~part p)
+  end
 
 (* Value equality, whichever copies carry the fields. Interned descriptors
    usually decide in one pointer compare each; which values share a

@@ -20,15 +20,17 @@
       automaton of Figure 2).
 
     The module is a pure protocol core: [tick] is one iteration of the
-    [do forever] loop given the current failure-detector output, [broadcast]
-    produces the end-of-loop messages (line 29), and [receive] stores an
-    incoming message (line 30). All effects live in the caller.
+    [do forever] loop given the current failure-detector output,
+    [message_to] builds one peer's end-of-loop message (line 29), and
+    [receive] stores an incoming message (line 30). All effects live in
+    the caller.
 
-    The caller may also run an iteration, or send line-29 messages, on a
-    receipt: {!iterate_on_receipt} says when a receipt runs one, and
-    {!receive}'s result and {!message_to} let it answer a peer whose view
-    changed with the one message the next broadcast would send it, without
-    building that broadcast. *)
+    The caller keeps the last message it sent each peer and hands it back
+    to [message_to], which returns it while it is current. One rule then
+    covers every send: a tick sends every trusted peer its message; a
+    receipt that runs an iteration ({!iterate_on_receipt}), or that
+    changed the view of a peer already heard from ({!receive}), sends only
+    the messages that differ ({!equal_message}) from the last ones sent. *)
 
 open Sim
 
@@ -69,22 +71,14 @@ val self : t -> Pid.t
     Returns trace events emitted during the step. *)
 val tick : t -> trusted:Pid.Set.t -> (string * string) list
 
-(** [broadcast t ~trusted] is the line-29 broadcast: one message per trusted
-    peer, in descending pid order, empty when the processor is not a
-    participant (config = ♯). *)
-val broadcast : t -> trusted:Pid.Set.t -> (Pid.t * message) list
-
-(** [last_broadcast t] is the list {!broadcast} last returned ([[]] before
-    the first). A receipt that moves a delicate replacement re-sends only
-    the messages of the next broadcast that differ from it
-    ({!equal_message}). *)
-val last_broadcast : t -> (Pid.t * message) list
-
-(** [message_to t ~trusted p] is [p]'s entry of [broadcast t ~trusted]
-    (equal under {!equal_message}), built alone from the memoized
-    participant set and [p]'s stored view: [None] when this processor is
-    not a participant, [p] is itself or [p] is not trusted. *)
-val message_to : t -> trusted:Pid.Set.t -> Pid.t -> message option
+(** [message_to t ~trusted ?last p] is the line-29 message to [p]: this
+    processor's (FD, part, config, prp, all) and its echo of [p]'s stored
+    view; [None] when this processor is not a participant, [p] is itself or
+    [p] is not trusted. When every field of [last] is physically the one
+    the message would carry, it returns [last] itself (the very option), so
+    a caller that hands back the last message it sent re-sends the same
+    physical message while nothing changed, and allocates none. *)
+val message_to : t -> trusted:Pid.Set.t -> ?last:message -> Pid.t -> message option
 
 (** [receive t ~from m] stores the message fields (line 30) and says what
     the store did: [`First] when no view of [from] was held (first

@@ -27,6 +27,7 @@ type 'app node_state = {
   mutable fd_trusted : Pid.Set.t; (* its interned copy *)
   mutable sa_stamp : int;
   mutable sa_in : sa_link Pid.Map.t;
+  mutable sa_out : Recsa.message Pid.Map.t; (* the last message sent each peer *)
 }
 
 (* The node's trusted set, interned once per change: the detector returns
@@ -276,37 +277,52 @@ let emit_all ctx = function
         note_event tele ~self ~now (tag, detail))
       events
 
-(* [last] with the entries of peers above [dst] dropped *)
-let rec drop_above dst = function
-  | (q, _) :: rest when Pid.compare q dst > 0 -> drop_above dst rest
-  | last -> last
-
-(* The messages of [msgs] that differ from [last]'s message to the same
-   peer, stamped with [stamp]; true iff one went out. Both lists are
-   [Recsa.broadcast] results, so both list peers in descending pid order
-   and one walk pairs them up. *)
-let rec send_changed ctx n sent stamp ~last = function
-  | [] -> false
-  | (dst, m) :: rest ->
-    let last = drop_above dst last in
-    let unchanged =
-      match last with
-      | (q, m') :: _ -> Pid.equal q dst && Recsa.equal_message m m'
-      | [] -> false
-    in
-    if unchanged then send_changed ctx n sent stamp ~last rest
-    else begin
-      send_gated ctx n sent dst (Sa (stamp, m));
-      ignore (send_changed ctx n sent stamp ~last rest);
-      true
-    end
-
-(* The line-29 messages [msgs] under a fresh link stamp, except those equal
-   to [last]'s ([~last:[]] sends them all); true iff one went out. *)
-let send_sa ctx n sent ~last msgs =
+(* The one recSA send rule. To each of [targets] (trusted peers, in
+   descending pid order), its current line-29 message ([Recsa.message_to],
+   handed the last message sent it, which it returns while current): every
+   one on a tick ([~changed_only:false]), otherwise those that differ by
+   value from the last one sent. They go out under one fresh link stamp and
+   are recorded in [sa_out]; true iff one went out. *)
+let send_sa ctx n sent ~trusted ~changed_only targets =
   let stamp = n.sa_stamp + 1 in
-  let sent_any = send_changed ctx n sent stamp ~last msgs in
+  let rec go = function
+    | [] -> false
+    | dst :: rest -> (
+      let last = Pid.Map.find_opt dst n.sa_out in
+      match Recsa.message_to n.sa ~trusted ?last dst with
+      | Some m as current
+        when not
+               (changed_only
+               && match last with Some l -> Recsa.equal_message m l | None -> false) ->
+        send_gated ctx n sent dst (Sa (stamp, m));
+        if current != last then n.sa_out <- Pid.Map.add dst m n.sa_out;
+        ignore (go rest);
+        true
+      | Some _ | None -> go rest)
+  in
+  let sent_any = go targets in
   if sent_any then n.sa_stamp <- stamp;
+  sent_any
+
+(* The line-29 batch to every trusted peer, in descending pid order, after
+   which the record keeps those peers alone (none while this node is not a
+   participant), as recSA forgets the views of untrusted peers. The batch
+   recorded a message for each of them, so only a larger record holds
+   others. *)
+let send_sa_trusted ctx n sent ~trusted ~changed_only =
+  let sent_any =
+    send_sa ctx n sent ~trusted ~changed_only (Pid.Set.fold List.cons trusted [])
+  in
+  let participant = Recsa.is_participant n.sa and self = Recsa.self n.sa in
+  let recorded =
+    if participant then Pid.Set.cardinal trusted - Bool.to_int (Pid.Set.mem self trusted)
+    else 0
+  in
+  if Pid.Map.cardinal n.sa_out > recorded then
+    n.sa_out <-
+      Pid.Map.filter
+        (fun p _ -> participant && (not (Pid.equal p self)) && Pid.Set.mem p trusted)
+        n.sa_out;
   sent_any
 
 (* Time the delicate-replacement automaton: a span opens when this node's
@@ -375,6 +391,7 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
         fd_trusted = Pid.Set.empty;
         sa_stamp = 0;
         sa_in = Pid.Map.empty;
+        sa_out = Pid.Map.empty;
       }
     in
     if joiner then
@@ -399,9 +416,10 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
     (* interned: this set rides in every broadcast's [m_fd] and keys recSA's
        interface memo *)
     let trusted = trusted_set n in
-    (* recSA: one do-forever iteration, then the line-29 broadcast *)
+    (* recSA: one do-forever iteration, then its line-29 message to every
+       trusted peer *)
     recsa_iteration ctx n ~trusted;
-    let broadcast = send_sa ctx n sent_sa ~last:[] (Recsa.broadcast n.sa ~trusted) in
+    let broadcast = send_sa_trusted ctx n sent_sa ~trusted ~changed_only:false in
     (* recMA *)
     emit_all ctx
       (Recma.tick n.ma ~trusted ~recsa:n.sa
@@ -452,31 +470,28 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
         let stored = Recsa.receive n.sa ~from m in
         (* A delicate replacement moves on receipts: on one that
            [Recsa.iterate_on_receipt] accepts, the do-forever iteration runs
-           in this step, and the line-29 message goes out at once, under a
-           fresh stamp, to each peer whose message changed since the last
-           broadcast ([Recsa.last_broadcast]; every broadcast is sent).
+           in this step, and the line-29 message goes out at once to each
+           trusted peer whose message changed since the last one sent it.
            Otherwise a receipt that changed the view of a peer already
            heard from answers that peer alone, the same way, so the echoes
            of (part, prp, all) that [noReco()] waits for move on receipts
            too. A first contact answers nothing (at a cold start every pair
            meets at once), nor does an unchanged view, so a steady cluster
            sends only on ticks; no packet gets more than one answer. The
-           timer's broadcast stays the heartbeat and the stabilization
-           backbone, and it sends every message again; this only answers
-           sooner. *)
+           tick stays the heartbeat and the stabilization backbone, and it
+           sends every message again; this only answers sooner. *)
         if Recsa.iterate_on_receipt n.sa m then begin
           let trusted = trusted_set n in
           recsa_iteration ctx n ~trusted;
-          let last = Recsa.last_broadcast n.sa in
-          ignore (send_sa ctx n sent_sa ~last (Recsa.broadcast n.sa ~trusted))
+          ignore (send_sa_trusted ctx n sent_sa ~trusted ~changed_only:true)
         end
         else
           match stored with
-          | `Changed -> (
-            match Recsa.message_to n.sa ~trusted:(trusted_set n) from with
-            | Some answer ->
-              ignore (send_sa ctx n sent_sa ~last:(Recsa.last_broadcast n.sa) [ (from, answer) ])
-            | None -> ())
+          | `Changed ->
+            (* answers are not recorded yet *)
+            let out = n.sa_out in
+            ignore (send_sa ctx n sent_sa ~trusted:(trusted_set n) ~changed_only:true [ from ]);
+            n.sa_out <- out
           | `First | `Same -> ()
       end
       else Telemetry.incr (stale_dropped_sa (Step.telemetry ctx))

@@ -64,10 +64,13 @@ type 'app node_state = {
           set *)
   mutable sa_stamp : int;
       (** the link stamp of this node's last recSA messages, bumped once per
-          broadcast and once per receipt that sends line-29 messages
-          (wrapping at [max_int]) *)
+          batch of line-29 messages, a tick's or a receipt's (wrapping at
+          [max_int]) *)
   mutable sa_in : sa_link Pid.Map.t;
       (** per peer, the newest-state record of its recSA packets *)
+  mutable sa_out : Recsa.message Pid.Map.t;
+      (** per peer, the last recSA message sent it; a batch to every trusted
+          peer forgets the others *)
 }
 
 (** The scheme as the application plugin sees it — the [getConfig()] /
@@ -179,15 +182,19 @@ val declare_metrics : Telemetry.t -> unit
     after system start treats the processors then present as its seeds and
     runs the cleaning handshake against them.
 
-    recSA runs one iteration and broadcasts on every timer step. A receipt
-    sends recSA messages in two cases, each under a fresh link stamp and
-    only messages that differ by value from the last broadcast's: one that
-    {!Recsa.iterate_on_receipt} accepts (a delicate replacement under way)
-    runs an iteration and sends every changed message; any other accepted
-    packet that changes the stored view of a peer already heard from
-    answers that peer alone ({!Recsa.message_to}). A peer's first packet
-    and an unchanged one answer nothing, so a steady cluster sends recSA
-    messages only on ticks, and no packet gets more than one answer. *)
+    recSA sends by one rule: to each target peer, in descending pid order,
+    its current line-29 message ({!Recsa.message_to}, handed the last
+    message sent that peer, [sa_out], which it returns while current), all
+    of one batch under one fresh link stamp, each recorded as the last
+    one sent. A timer step runs one iteration and sends every trusted peer
+    its message. A receipt sends only the messages that differ by value
+    ({!Recsa.equal_message}) from the last ones sent, in two cases: one
+    that {!Recsa.iterate_on_receipt} accepts (a delicate replacement under
+    way) runs an iteration and targets every trusted peer; any other
+    accepted packet that changes the stored view of a peer already heard
+    from targets that peer alone. A peer's first packet and an unchanged
+    one answer nothing, so a steady cluster sends recSA messages only on
+    ticks, and no packet gets more than one answer. *)
 val driver :
   capacity:int ->
   n_bound:int ->

@@ -493,10 +493,10 @@ let test_pure_two_node_replacement () =
   let exchange () =
     ignore (Recsa.tick a ~trusted:members);
     ignore (Recsa.tick b ~trusted:members);
-    let msgs_a = Recsa.broadcast a ~trusted:members in
-    let msgs_b = Recsa.broadcast b ~trusted:members in
-    List.iter (fun (dst, m) -> if dst = 2 then ignore (Recsa.receive b ~from:1 m)) msgs_a;
-    List.iter (fun (dst, m) -> if dst = 1 then ignore (Recsa.receive a ~from:2 m)) msgs_b
+    let to_b = Recsa.message_to a ~trusted:members 2 in
+    let to_a = Recsa.message_to b ~trusted:members 1 in
+    Option.iter (fun m -> ignore (Recsa.receive b ~from:1 m)) to_b;
+    Option.iter (fun m -> ignore (Recsa.receive a ~from:2 m)) to_a
   in
   for _ = 1 to 4 do
     exchange ()
@@ -636,7 +636,7 @@ let test_interning_physical_equality () =
 type sa_op =
   | Receive of Pid.t * Recsa.message
   | Tick of Pid.Set.t
-  | Broadcast of Pid.Set.t
+  | Messages of Pid.Set.t
   | Estab of Pid.Set.t * Pid.Set.t
   | Participate of Pid.Set.t
   | Corrupt of Config_value.t option * Notification.t option * bool option * Pid.Set.t option
@@ -697,7 +697,7 @@ let gen_sa_op rs ~sent =
     in
     Receive (2 + Random.State.int rs 3, m)
   | 4 | 5 | 6 | 7 -> Tick (trusted ())
-  | 8 | 9 -> Broadcast (trusted ())
+  | 8 | 9 -> Messages (trusted ())
   | 10 -> Estab (trusted (), some_set ())
   | 11 -> Participate (trusted ())
   | 12 ->
@@ -738,12 +738,18 @@ let sa_result_equal a b =
   | Accepted a, Accepted b -> Bool.equal a b
   | (Done | Events _ | Sent _ | Accepted _), _ -> false
 
+(* the line-29 messages to pids 0..5, in descending pid order *)
+let messages_to sa ~trusted =
+  List.filter_map
+    (fun p -> Option.map (fun m -> (p, m)) (Recsa.message_to sa ~trusted p))
+    [ 5; 4; 3; 2; 1; 0 ]
+
 let apply_sa_op sa = function
   | Receive (from, m) ->
     ignore (Recsa.receive sa ~from m);
     Done
   | Tick trusted -> Events (Recsa.tick sa ~trusted)
-  | Broadcast trusted -> Sent (Recsa.broadcast sa ~trusted)
+  | Messages trusted -> Sent (messages_to sa ~trusted)
   | Estab (trusted, s) -> Accepted (Recsa.estab sa ~trusted s)
   | Participate trusted -> Accepted (Recsa.participate sa ~trusted)
   | Corrupt (config, prp, all, allseen) ->
@@ -753,16 +759,13 @@ let apply_sa_op sa = function
     Recsa.clear_peers sa;
     Done
 
-(* the interface, and the broadcast, which changes no state either *)
+(* the interface, which changes no state *)
 let sa_interface sa ~trusted =
-  ( Recsa.participants sa ~trusted,
-    Recsa.no_reco sa ~trusted,
-    Recsa.get_config sa ~trusted,
-    Recsa.broadcast sa ~trusted )
+  (Recsa.participants sa ~trusted, Recsa.no_reco sa ~trusted, Recsa.get_config sa ~trusted)
 
 (* Writing an equal but physically new notification bumps the state's
    version without changing any value, so the next interface query, tick
-   and broadcast are necessarily memo misses, i.e. full recomputations. *)
+   and message are necessarily memo misses, i.e. full recomputations. *)
 let force_dirty sa =
   let n = Recsa.prp sa in
   Recsa.corrupt sa ~prp:{ n with Notification.phase = n.Notification.phase } ()
@@ -773,7 +776,7 @@ let force_dirty sa =
    queries; every operation's result and every query must agree. *)
 let prop_recsa_memo_exact =
   qtest
-    (QCheck.Test.make ~name:"memoized recSA interface, tick and broadcast = fresh replay"
+    (QCheck.Test.make ~name:"memoized recSA interface, tick = fresh replay"
        ~count:150
        QCheck.(pair (int_range 0 100_000) bool)
        (fun (seed, participant) ->
@@ -805,55 +808,94 @@ let prop_recsa_memo_exact =
                Done (List.rev history)
            in
            let trusted = !query in
-           let part, no_reco, config, msgs = sa_interface sa ~trusted in
+           let part, no_reco, config = sa_interface sa ~trusted in
            force_dirty fresh;
-           let part', no_reco', config', msgs' = sa_interface fresh ~trusted in
+           let part', no_reco', config' = sa_interface fresh ~trusted in
            sa_result_equal result replayed
            && Pid.Set.equal part part' && Bool.equal no_reco no_reco'
            && Config_value.equal config config'
-           && List.equal message_equal msgs msgs'
            && Config_value.equal (Recsa.config sa) (Recsa.config fresh)
            && Notification.equal (Recsa.prp sa) (Recsa.prp fresh)
            && steps (k - 1) history
          in
          steps 60 []))
 
-(* [message_to] is the broadcast's entry for one peer, built alone: after
-   every step of a random run, and for every pid and a trusted set drawn
-   from a pool (some without this node, some fresh copies), it equals that
-   peer's entry of [broadcast] and is [None] exactly when there is none *)
-let prop_message_to_is_broadcast_entry =
+(* [a]'s fields are physically [b]'s *)
+let same_fields (a : Recsa.message) (b : Recsa.message) =
+  a.m_fd == b.m_fd && a.m_part == b.m_part && a.m_config == b.m_config
+  && a.m_prp == b.m_prp && Bool.equal a.m_all b.m_all
+  &&
+  match (a.m_echo, b.m_echo) with
+  | None, None -> true
+  | Some e, Some e' ->
+    e.e_part == e'.e_part && e.e_prp == e'.e_prp && Bool.equal e.e_all e'.e_all
+  | Some _, None | None, Some _ -> false
+
+(* [message_to] as the stack calls it, handed back the last message it
+   returned for the peer (sometimes another peer's, or none): after every
+   step of a random run, and for every pid and a trusted set drawn from a
+   pool (some without this node, some fresh copies), it equals the message
+   a fresh replay builds (forced dirty before every step, so nothing is
+   reused), and it is the handed-back message itself exactly when that
+   message's fields are physically those of a build from scratch *)
+let prop_message_to_fresh_build =
   qtest
-    (QCheck.Test.make ~name:"message_to = the broadcast's entry for the peer" ~count:200
+    (QCheck.Test.make ~name:"message_to = a fresh build; current handed-back message kept"
+       ~count:200
        QCheck.(pair (int_range 0 100_000) bool)
        (fun (seed, participant) ->
          let rs = Random.State.make [| seed |] in
-         let sa =
+         let create () =
            Recsa.create ~self:1 ~participant
              ?initial_config:(if participant then Some (set [ 1; 2; 3; 4 ]) else None)
              ()
          in
+         let sa = create () in
          let sent = ref [] in
-         let rec steps k =
+         let last = Array.make 6 None in
+         let rec steps k history =
            k = 0
            ||
-           (ignore (apply_sa_op sa (gen_sa_op rs ~sent));
-            let trusted =
-              let s = sa_set_pool.(Random.State.int rs (Array.length sa_set_pool)) in
-              if Random.State.bool rs then s else set (Pid.Set.elements s)
-            in
-            let answers = List.init 6 (fun p -> (p, Recsa.message_to sa ~trusted p)) in
-            let msgs = Recsa.broadcast sa ~trusted in
-            List.for_all
-              (fun (p, answer) ->
-                match (answer, List.assoc_opt p msgs) with
-                | None, None -> true
-                | Some m, Some m' -> Recsa.equal_message m m'
-                | Some _, None | None, Some _ -> false)
-              answers)
-           && steps (k - 1)
+           let op = gen_sa_op rs ~sent in
+           ignore (apply_sa_op sa op);
+           let history = op :: history in
+           let fresh = create () in
+           List.iter
+             (fun op ->
+               force_dirty fresh;
+               ignore (apply_sa_op fresh op))
+             (List.rev history);
+           force_dirty fresh;
+           let trusted =
+             let s = sa_set_pool.(Random.State.int rs (Array.length sa_set_pool)) in
+             if Random.State.bool rs then s else set (Pid.Set.elements s)
+           in
+           List.for_all
+             (fun p ->
+               let handed =
+                 match Random.State.int rs 4 with
+                 | 0 -> last.(Random.State.int rs 6)
+                 | 1 -> None
+                 | _ -> last.(p)
+               in
+               let m = Recsa.message_to sa ~trusted ?last:handed p in
+               let built = Recsa.message_to sa ~trusted p in
+               let reference = Recsa.message_to fresh ~trusted p in
+               if Option.is_some m then last.(p) <- m;
+               match (m, built, reference) with
+               | None, None, None -> true
+               | Some m, Some b, Some r ->
+                 let kept, current =
+                   match handed with
+                   | Some h -> (m == h, same_fields h b)
+                   | None -> (false, false)
+                 in
+                 message_equal (p, m) (p, r) && Bool.equal kept current
+               | _ -> false)
+             [ 0; 1; 2; 3; 4; 5 ]
+           && steps (k - 1) history
          in
-         steps 60))
+         steps 60 []))
 
 let stale_type_of_tag = function
   | "type-1" -> Some Recsa.Type1
@@ -1282,7 +1324,7 @@ let suites =
         Alcotest.test_case "closure (Thm 3.16)" `Quick test_closure_theorem;
         Alcotest.test_case "descriptor interning" `Quick test_interning_physical_equality;
         prop_recsa_memo_exact;
-        prop_message_to_is_broadcast_entry;
+        prop_message_to_fresh_build;
         Alcotest.test_case "quiet tick reads allSeen" `Quick test_quiet_tick_reads_allseen;
         prop_tick_resets_on_stale_types;
       ] );

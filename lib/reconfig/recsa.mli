@@ -26,11 +26,10 @@
     the caller.
 
     The caller keeps the last message it sent each peer and hands it back
-    to [message_to], which returns it while it is current. One rule then
-    covers every send: a tick sends every trusted peer its message; a
-    receipt that runs an iteration ({!iterate_on_receipt}), or that
-    changed the view of a peer already heard from ({!receive}), sends only
-    the messages that differ ({!equal_message}) from the last ones sent. *)
+    to [message_to]. One rule covers every send: a tick sends every trusted
+    peer its message; a receipt that runs an iteration
+    ({!iterate_on_receipt}) or changed a known peer's view ({!receive})
+    sends those that differ ({!equal_message}) from the last ones sent. *)
 
 open Sim
 
@@ -74,10 +73,9 @@ val tick : t -> trusted:Pid.Set.t -> (string * string) list
 (** [message_to t ~trusted ?last p] is the line-29 message to [p]: this
     processor's (FD, part, config, prp, all) and its echo of [p]'s stored
     view; [None] when this processor is not a participant, [p] is itself or
-    [p] is not trusted. When every field of [last] is physically the one
-    the message would carry, it returns [last] itself (the very option), so
-    a caller that hands back the last message it sent re-sends the same
-    physical message while nothing changed, and allocates none. *)
+    [p] is not trusted. While every field of [last] is physically current
+    it returns [last] itself, so an unchanged state re-sends the same
+    physical message and allocates none. *)
 val message_to : t -> trusted:Pid.Set.t -> ?last:message -> Pid.t -> message option
 
 (** [receive t ~from m] stores the message fields (line 30) and says what

@@ -277,12 +277,12 @@ let emit_all ctx = function
         note_event tele ~self ~now (tag, detail))
       events
 
-(* The one recSA send rule. To each of [targets] (trusted peers, in
-   descending pid order), its current line-29 message ([Recsa.message_to],
-   handed the last message sent it, which it returns while current): every
-   one on a tick ([~changed_only:false]), otherwise those that differ by
-   value from the last one sent. They go out under one fresh link stamp and
-   are recorded in [sa_out]; true iff one went out. *)
+(* The one recSA send rule. To each of [targets] (descending pid order),
+   its current line-29 message ([Recsa.message_to], handed the last one
+   sent it, which it returns while current): every one on a tick
+   ([~changed_only:false]), otherwise those that differ by value from the
+   last one sent. They go out under one fresh link stamp and are recorded
+   in [sa_out]; true iff one went out. *)
 let send_sa ctx n sent ~trusted ~changed_only targets =
   let stamp = n.sa_stamp + 1 in
   let rec go = function
@@ -302,27 +302,6 @@ let send_sa ctx n sent ~trusted ~changed_only targets =
   in
   let sent_any = go targets in
   if sent_any then n.sa_stamp <- stamp;
-  sent_any
-
-(* The line-29 batch to every trusted peer, in descending pid order, after
-   which the record keeps those peers alone (none while this node is not a
-   participant), as recSA forgets the views of untrusted peers. The batch
-   recorded a message for each of them, so only a larger record holds
-   others. *)
-let send_sa_trusted ctx n sent ~trusted ~changed_only =
-  let sent_any =
-    send_sa ctx n sent ~trusted ~changed_only (Pid.Set.fold List.cons trusted [])
-  in
-  let participant = Recsa.is_participant n.sa and self = Recsa.self n.sa in
-  let recorded =
-    if participant then Pid.Set.cardinal trusted - Bool.to_int (Pid.Set.mem self trusted)
-    else 0
-  in
-  if Pid.Map.cardinal n.sa_out > recorded then
-    n.sa_out <-
-      Pid.Map.filter
-        (fun p _ -> participant && (not (Pid.equal p self)) && Pid.Set.mem p trusted)
-        n.sa_out;
   sent_any
 
 (* Time the delicate-replacement automaton: a span opens when this node's
@@ -417,9 +396,13 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
        interface memo *)
     let trusted = trusted_set n in
     (* recSA: one do-forever iteration, then its line-29 message to every
-       trusted peer *)
+       trusted peer, after which the record keeps those peers alone *)
     recsa_iteration ctx n ~trusted;
-    let broadcast = send_sa_trusted ctx n sent_sa ~trusted ~changed_only:false in
+    let targets = Pid.Set.fold List.cons trusted [] in
+    let broadcast = send_sa ctx n sent_sa ~trusted ~changed_only:false targets in
+    n.sa_out <-
+      (if broadcast then Pid.Map.filter (fun p _ -> p <> self && Pid.Set.mem p trusted) n.sa_out
+       else Pid.Map.empty);
     (* recMA *)
     emit_all ctx
       (Recma.tick n.ma ~trusted ~recsa:n.sa
@@ -470,28 +453,23 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
         let stored = Recsa.receive n.sa ~from m in
         (* A delicate replacement moves on receipts: on one that
            [Recsa.iterate_on_receipt] accepts, the do-forever iteration runs
-           in this step, and the line-29 message goes out at once to each
-           trusted peer whose message changed since the last one sent it.
-           Otherwise a receipt that changed the view of a peer already
-           heard from answers that peer alone, the same way, so the echoes
-           of (part, prp, all) that [noReco()] waits for move on receipts
-           too. A first contact answers nothing (at a cold start every pair
-           meets at once), nor does an unchanged view, so a steady cluster
-           sends only on ticks; no packet gets more than one answer. The
-           tick stays the heartbeat and the stabilization backbone, and it
-           sends every message again; this only answers sooner. *)
+           in this step and its changed messages go out at once. Otherwise
+           a receipt that changed the view of a peer already heard from
+           answers that peer alone, so the echoes [noReco()] waits for move
+           on receipts too. A first contact (at a cold start every pair
+           meets at once) and an unchanged view answer nothing, so a steady
+           cluster sends only on ticks. *)
         if Recsa.iterate_on_receipt n.sa m then begin
           let trusted = trusted_set n in
           recsa_iteration ctx n ~trusted;
-          ignore (send_sa_trusted ctx n sent_sa ~trusted ~changed_only:true)
+          ignore
+            (send_sa ctx n sent_sa ~trusted ~changed_only:true
+               (Pid.Set.fold List.cons trusted []))
         end
         else
           match stored with
           | `Changed ->
-            (* answers are not recorded yet *)
-            let out = n.sa_out in
-            ignore (send_sa ctx n sent_sa ~trusted:(trusted_set n) ~changed_only:true [ from ]);
-            n.sa_out <- out
+            ignore (send_sa ctx n sent_sa ~trusted:(trusted_set n) ~changed_only:true [ from ])
           | `First | `Same -> ()
       end
       else Telemetry.incr (stale_dropped_sa (Step.telemetry ctx))
@@ -569,20 +547,19 @@ let random_notification rng pool =
 (* a link stamp anywhere in the int range *)
 let random_stamp rng = Int64.to_int (Rng.bits64 rng)
 
-(* A stale recSA packet, as left behind by an arbitrary transient fault. *)
+(* A recSA message, as left behind by an arbitrary transient fault. *)
+let random_sa_message rng pool =
+  let m_fd = random_pid_set rng pool in
+  let m_part = random_pid_set rng pool in
+  let m_config = random_config rng pool in
+  let m_prp = random_notification rng pool in
+  let m_all = Rng.bool rng in
+  { Recsa.m_fd; m_part; m_config; m_prp; m_all; m_echo = None }
+
+(* A stale recSA packet. *)
 let stale_sa rng pool =
-  let trusted = random_pid_set rng pool in
   let stamp = random_stamp rng in
-  Sa
-    ( stamp,
-      {
-        Recsa.m_fd = trusted;
-        m_part = random_pid_set rng pool;
-        m_config = random_config rng pool;
-        m_prp = random_notification rng pool;
-        m_all = Rng.bool rng;
-        m_echo = None;
-      } )
+  Sa (stamp, random_sa_message rng pool)
 
 let of_scenario ~hooks (sc : Scenario.t) =
   let members = sc.Scenario.sc_members in
@@ -664,6 +641,10 @@ let corrupt_state ~hooks ~pool ~rng n =
       (fun links q ->
         let sa_newest = random_stamp rng in
         Pid.Map.add q { sa_newest; sa_rejects = random_stamp rng } links)
+      Pid.Map.empty pool;
+  n.sa_out <-
+    List.fold_left
+      (fun out q -> Pid.Map.add q (random_sa_message rng pool) out)
       Pid.Map.empty pool
 
 let corrupt_node t p ~rng =

@@ -69,8 +69,8 @@ type 'app node_state = {
   mutable sa_in : sa_link Pid.Map.t;
       (** per peer, the newest-state record of its recSA packets *)
   mutable sa_out : Recsa.message Pid.Map.t;
-      (** per peer, the last recSA message sent it; a batch to every trusted
-          peer forgets the others *)
+      (** per peer, the last recSA message sent it; a tick keeps the
+          trusted peers alone *)
 }
 
 (** The scheme as the application plugin sees it — the [getConfig()] /
@@ -182,19 +182,16 @@ val declare_metrics : Telemetry.t -> unit
     after system start treats the processors then present as its seeds and
     runs the cleaning handshake against them.
 
-    recSA sends by one rule: to each target peer, in descending pid order,
-    its current line-29 message ({!Recsa.message_to}, handed the last
-    message sent that peer, [sa_out], which it returns while current), all
-    of one batch under one fresh link stamp, each recorded as the last
-    one sent. A timer step runs one iteration and sends every trusted peer
-    its message. A receipt sends only the messages that differ by value
-    ({!Recsa.equal_message}) from the last ones sent, in two cases: one
-    that {!Recsa.iterate_on_receipt} accepts (a delicate replacement under
-    way) runs an iteration and targets every trusted peer; any other
-    accepted packet that changes the stored view of a peer already heard
-    from targets that peer alone. A peer's first packet and an unchanged
-    one answer nothing, so a steady cluster sends recSA messages only on
-    ticks, and no packet gets more than one answer. *)
+    recSA sends by one rule: each target peer, in descending pid order,
+    gets its current line-29 message ({!Recsa.message_to}, handed the one
+    last sent it, [sa_out]), one fresh link stamp per batch, and every
+    message sent is recorded. A timer step runs one iteration and sends
+    every trusted peer its message. A receipt sends only the messages that
+    differ by value from the recorded ones: one that
+    {!Recsa.iterate_on_receipt} accepts runs an iteration and targets
+    every trusted peer; any other that changes the stored view of a peer
+    already heard from targets that peer. A first or unchanged packet
+    targets none, so a steady cluster sends recSA messages only on ticks. *)
 val driver :
   capacity:int ->
   n_bound:int ->
@@ -272,8 +269,9 @@ val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
     drawn over the processors in [pool], into one node's failure detector
     (heartbeat counts in [0, 1024) for a random subset of [pool]), recSA,
     recMA and join state, (through [hooks.plugin.p_corrupt]) its application state,
-    and its link stamp and newest-state records (arbitrary ints). The one
-    node-state corruptor of every runtime. *)
+    its link stamp and newest-state records (arbitrary ints), and its
+    [sa_out] record (messages drawn as {!stale_sa} draws them), which the
+    next tick overwrites. The one node-state corruptor of every runtime. *)
 val corrupt_state :
   hooks:('app, 'msg) hooks -> pool:Pid.t list -> rng:Rng.t -> 'app node_state -> unit
 

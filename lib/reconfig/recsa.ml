@@ -528,20 +528,8 @@ let echo_current t p echo =
   | _, None -> false
   | exception Not_found -> Option.is_none echo
 
-(* the line-29 message to [p]: our state and our echo of [p]'s view *)
-let message_for t ~trusted ~part p =
-  {
-    m_fd = trusted;
-    m_part = part;
-    m_config = t.sa_config;
-    m_prp = t.sa_prp;
-    m_all = t.sa_all;
-    m_echo = echo_of t p;
-  }
-
-(* [p]'s line-29 message, or [last] itself while all of its fields are
-   physically the current ones: an unchanged state re-sends the very same
-   message, and a steady tick allocates none *)
+(* [p]'s line-29 message, our state and our echo of [p]'s view, or [last]
+   itself while all of its fields are physically the current ones *)
 let message_to t ~trusted ?last p =
   if (not (is_participant t)) || Pid.equal p t.sa_self || not (Pid.Set.mem p trusted)
   then None
@@ -553,7 +541,16 @@ let message_to t ~trusted ?last p =
            && m.m_prp == t.sa_prp && Bool.equal m.m_all t.sa_all
            && echo_current t p m.m_echo ->
       last
-    | Some _ | None -> Some (message_for t ~trusted ~part p)
+    | Some _ | None ->
+      Some
+        {
+          m_fd = trusted;
+          m_part = part;
+          m_config = t.sa_config;
+          m_prp = t.sa_prp;
+          m_all = t.sa_all;
+          m_echo = echo_of t p;
+        }
   end
 
 (* Value equality, whichever copies carry the fields. Interned descriptors

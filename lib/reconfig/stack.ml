@@ -398,10 +398,12 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
     (* recSA: one do-forever iteration, then its line-29 message to every
        trusted peer, after which the record keeps those peers alone *)
     recsa_iteration ctx n ~trusted;
-    let targets = Pid.Set.fold List.cons trusted [] in
-    let broadcast = send_sa ctx n sent_sa ~trusted ~changed_only:false targets in
+    let broadcast =
+      send_sa ctx n sent_sa ~trusted ~changed_only:false (Pid.Set.fold List.cons trusted [])
+    in
     n.sa_out <-
-      (if broadcast then Pid.Map.filter (fun p _ -> p <> self && Pid.Set.mem p trusted) n.sa_out
+      (if broadcast then
+         Pid.Map.filter (fun p _ -> (not (Pid.equal p self)) && Pid.Set.mem p trusted) n.sa_out
        else Pid.Map.empty);
     (* recMA *)
     emit_all ctx

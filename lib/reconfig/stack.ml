@@ -549,9 +549,9 @@ let random_notification rng pool =
 (* a link stamp anywhere in the int range *)
 let random_stamp rng = Int64.to_int (Rng.bits64 rng)
 
-(* A recSA message, as left behind by an arbitrary transient fault. *)
-let random_sa_message rng pool =
-  let m_fd = random_pid_set rng pool in
+(* A recSA message, as left behind by an arbitrary transient fault, around
+   an [m_fd] drawn by the caller. *)
+let random_sa_message rng pool ~m_fd =
   let m_part = random_pid_set rng pool in
   let m_config = random_config rng pool in
   let m_prp = random_notification rng pool in
@@ -560,8 +560,9 @@ let random_sa_message rng pool =
 
 (* A stale recSA packet. *)
 let stale_sa rng pool =
+  let m_fd = random_pid_set rng pool in
   let stamp = random_stamp rng in
-  Sa (stamp, random_sa_message rng pool)
+  Sa (stamp, random_sa_message rng pool ~m_fd)
 
 let of_scenario ~hooks (sc : Scenario.t) =
   let members = sc.Scenario.sc_members in
@@ -646,7 +647,9 @@ let corrupt_state ~hooks ~pool ~rng n =
       Pid.Map.empty pool;
   n.sa_out <-
     List.fold_left
-      (fun out q -> Pid.Map.add q (random_sa_message rng pool) out)
+      (fun out q ->
+        let m_fd = random_pid_set rng pool in
+        Pid.Map.add q (random_sa_message rng pool ~m_fd) out)
       Pid.Map.empty pool
 
 let corrupt_node t p ~rng =

@@ -277,32 +277,33 @@ let emit_all ctx = function
         note_event tele ~self ~now (tag, detail))
       events
 
-(* The one recSA send rule. To each of [targets] (descending pid order),
-   its current line-29 message ([Recsa.message_to], handed the last one
-   sent it, which it returns while current): every one on a tick
-   ([~changed_only:false]), otherwise those that differ by value from the
-   last one sent. They go out under one fresh link stamp and are recorded
-   in [sa_out]; true iff one went out. *)
-let send_sa ctx n sent ~trusted ~changed_only targets =
+(* The one recSA send rule. To [peer] if given, otherwise to every trusted
+   peer in descending pid order, its current line-29 message
+   ([Recsa.message_to], handed the last one sent it, which it returns
+   while current): every one on a tick ([~changed_only:false]), otherwise
+   those that differ by value from the last one sent. They go out under
+   one fresh link stamp and are recorded in [sa_out]; the result is how
+   many went out. *)
+let send_sa ?peer ctx n sent ~trusted ~changed_only =
   let stamp = n.sa_stamp + 1 in
-  let rec go = function
-    | [] -> false
-    | dst :: rest -> (
-      let last = Pid.Map.find_opt dst n.sa_out in
-      match Recsa.message_to n.sa ~trusted ?last dst with
-      | Some m as current
-        when not
-               (changed_only
-               && match last with Some l -> Recsa.equal_message m l | None -> false) ->
-        send_gated ctx n sent dst (Sa (stamp, m));
-        if current != last then n.sa_out <- Pid.Map.add dst m n.sa_out;
-        ignore (go rest);
-        true
-      | Some _ | None -> go rest)
+  let count = ref 0 in
+  let send dst =
+    let last = Pid.Map.find_opt dst n.sa_out in
+    match Recsa.message_to n.sa ~trusted ?last dst with
+    | Some m as current
+      when not
+             (changed_only
+             && match last with Some l -> Recsa.equal_message m l | None -> false) ->
+      send_gated ctx n sent dst (Sa (stamp, m));
+      if current != last then n.sa_out <- Pid.Map.add dst m n.sa_out;
+      incr count
+    | Some _ | None -> ()
   in
-  let sent_any = go targets in
-  if sent_any then n.sa_stamp <- stamp;
-  sent_any
+  (match peer with
+  | Some p -> send p
+  | None -> Pid.iter_desc send trusted);
+  if !count > 0 then n.sa_stamp <- stamp;
+  !count
 
 (* Time the delicate-replacement automaton: a span opens when this node's
    notification leaves phase 0 and closes when it returns (Figure 2's
@@ -398,13 +399,14 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
     (* recSA: one do-forever iteration, then its line-29 message to every
        trusted peer, after which the record keeps those peers alone *)
     recsa_iteration ctx n ~trusted;
-    let broadcast =
-      send_sa ctx n sent_sa ~trusted ~changed_only:false (Pid.Set.fold List.cons trusted [])
-    in
-    n.sa_out <-
-      (if broadcast then
-         Pid.Map.filter (fun p _ -> (not (Pid.equal p self)) && Pid.Set.mem p trusted) n.sa_out
-       else Pid.Map.empty);
+    let sent = send_sa ctx n sent_sa ~trusted ~changed_only:false in
+    let broadcast = sent > 0 in
+    (* every peer it holds was just sent to unless it holds more *)
+    if Pid.Map.cardinal n.sa_out > sent then
+      n.sa_out <-
+        (if broadcast then
+           Pid.Map.filter (fun p _ -> (not (Pid.equal p self)) && Pid.Set.mem p trusted) n.sa_out
+         else Pid.Map.empty);
     (* recMA *)
     emit_all ctx
       (Recma.tick n.ma ~trusted ~recsa:n.sa
@@ -464,14 +466,12 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
         if Recsa.iterate_on_receipt n.sa m then begin
           let trusted = trusted_set n in
           recsa_iteration ctx n ~trusted;
-          ignore
-            (send_sa ctx n sent_sa ~trusted ~changed_only:true
-               (Pid.Set.fold List.cons trusted []))
+          ignore (send_sa ctx n sent_sa ~trusted ~changed_only:true)
         end
         else
           match stored with
           | `Changed ->
-            ignore (send_sa ctx n sent_sa ~trusted:(trusted_set n) ~changed_only:true [ from ])
+            ignore (send_sa ~peer:from ctx n sent_sa ~trusted:(trusted_set n) ~changed_only:true)
           | `First | `Same -> ()
       end
       else Telemetry.incr (stale_dropped_sa (Step.telemetry ctx))

@@ -28,8 +28,9 @@
     The caller keeps the last message it sent each peer and hands it back
     to [message_to]. One rule covers every send: a tick sends every trusted
     peer its message; a receipt that runs an iteration
-    ({!iterate_on_receipt}) or changed a known peer's view ({!receive})
-    sends those that differ ({!equal_message}) from the last ones sent. *)
+    ({!iterate_on_receipt}), changed a known peer's view ({!receive}) or
+    is a joiner's first contact sends those that differ ({!equal_message})
+    from the last ones sent. *)
 
 open Sim
 

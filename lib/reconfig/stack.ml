@@ -277,13 +277,11 @@ let emit_all ctx = function
         note_event tele ~self ~now (tag, detail))
       events
 
-(* The one recSA send rule. To [peer] if given, otherwise to every trusted
-   peer in descending pid order, its current line-29 message
-   ([Recsa.message_to], handed the last one sent it, which it returns
-   while current): every one on a tick ([~changed_only:false]), otherwise
-   those that differ by value from the last one sent. They go out under
-   one fresh link stamp and are recorded in [sa_out]; the result is how
-   many went out. *)
+(* The one recSA send rule. To [peer], or to every trusted peer in
+   descending pid order, its line-29 message ([Recsa.message_to], handed
+   the last one sent it): all of them, or with [~changed_only] those that
+   differ by value from the last ones sent, under one fresh link stamp,
+   each recorded in [sa_out]. Returns how many went out. *)
 let send_sa ?peer ctx n sent ~trusted ~changed_only =
   let stamp = n.sa_stamp + 1 in
   let count = ref 0 in
@@ -397,16 +395,15 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
        interface memo *)
     let trusted = trusted_set n in
     (* recSA: one do-forever iteration, then its line-29 message to every
-       trusted peer, after which the record keeps those peers alone *)
+       trusted peer, after which the record keeps the peers sent to alone
+       (all it holds unless it holds more) *)
     recsa_iteration ctx n ~trusted;
     let sent = send_sa ctx n sent_sa ~trusted ~changed_only:false in
-    let broadcast = sent > 0 in
-    (* every peer it holds was just sent to unless it holds more *)
     if Pid.Map.cardinal n.sa_out > sent then
       n.sa_out <-
-        (if broadcast then
-           Pid.Map.filter (fun p _ -> (not (Pid.equal p self)) && Pid.Set.mem p trusted) n.sa_out
-         else Pid.Map.empty);
+        Pid.Map.filter
+          (fun p _ -> sent > 0 && Pid.Set.mem p trusted && not (Pid.equal p self))
+          n.sa_out;
     (* recMA *)
     emit_all ctx
       (Recma.tick n.ma ~trusted ~recsa:n.sa
@@ -426,7 +423,7 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
        make this node a participant); in steady state it covers them
        all, so look for an uncovered one before building the union *)
     let uncovered dst =
-      (not (Pid.equal dst self)) && not (broadcast && Pid.Set.mem dst trusted)
+      (not (Pid.equal dst self)) && not (sent > 0 && Pid.Set.mem dst trusted)
     in
     let known = Detector.Theta_fd.known n.fd in
     if Pid.Set.exists uncovered n.seeds || Pid.Set.exists uncovered known then
@@ -460,9 +457,10 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
            in this step and its changed messages go out at once. Otherwise
            a receipt that changed the view of a peer already heard from
            answers that peer alone, so the echoes [noReco()] waits for move
-           on receipts too. A first contact (at a cold start every pair
-           meets at once) and an unchanged view answer nothing, so a steady
-           cluster sends only on ticks. *)
+           on receipts too. A joiner's first contact (a participant outside
+           the configuration) changes every peer's message, which all go
+           out at once too. Any other first contact (at a cold start every
+           pair meets at once) and an unchanged view send nothing. *)
         if Recsa.iterate_on_receipt n.sa m then begin
           let trusted = trusted_set n in
           recsa_iteration ctx n ~trusted;
@@ -472,6 +470,12 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
           match stored with
           | `Changed ->
             ignore (send_sa ~peer:from ctx n sent_sa ~trusted:(trusted_set n) ~changed_only:true)
+          | `First
+            when (not (Config_value.is_not_participant m.m_config))
+                 && (match Config_value.to_set (Recsa.config n.sa) with
+                    | Some members -> not (Pid.Set.mem from members)
+                    | None -> false) ->
+            ignore (send_sa ctx n sent_sa ~trusted:(trusted_set n) ~changed_only:true)
           | `First | `Same -> ()
       end
       else Telemetry.incr (stale_dropped_sa (Step.telemetry ctx))
@@ -647,9 +651,7 @@ let corrupt_state ~hooks ~pool ~rng n =
       Pid.Map.empty pool;
   n.sa_out <-
     List.fold_left
-      (fun out q ->
-        let m_fd = random_pid_set rng pool in
-        Pid.Map.add q (random_sa_message rng pool ~m_fd) out)
+      (fun out q -> Pid.Map.add q (random_sa_message rng pool ~m_fd:(random_pid_set rng pool)) out)
       Pid.Map.empty pool
 
 let corrupt_node t p ~rng =

@@ -190,8 +190,10 @@ val declare_metrics : Telemetry.t -> unit
     differ by value from the recorded ones: one that
     {!Recsa.iterate_on_receipt} accepts runs an iteration and targets
     every trusted peer; any other that changes the stored view of a peer
-    already heard from targets that peer. A first or unchanged packet
-    targets none, so a steady cluster sends recSA messages only on ticks. *)
+    already heard from targets that peer; a first packet from a
+    participant outside this node's configuration (a joiner) targets every
+    trusted peer. Any other first packet and an unchanged one target none,
+    so a steady cluster sends recSA messages only on ticks. *)
 val driver :
   capacity:int ->
   n_bound:int ->

@@ -1224,6 +1224,19 @@ let test_answer_is_recorded () =
   Alcotest.(check (list int)) "the iteration sends nothing more to 3" [ 2 ]
     (List.map fst (deliver 2 2 (view ~prp:installed ())))
 
+let test_joiner_first_contact_sends () =
+  let _, deliver, view, tick_stamp = answering_node () in
+  (* processor 5 joined: a participant outside the configuration, whose
+     first packet puts it into this node's participant set and so changes
+     the message to every peer *)
+  let all = set [ 1; 2; 3; 4; 5 ] in
+  Alcotest.(check (list (pair int int)))
+    "every trusted peer, under one fresh stamp"
+    [ (5, tick_stamp + 1); (4, tick_stamp + 1); (3, tick_stamp + 1); (2, tick_stamp + 1) ]
+    (deliver 5 1 (view ~fd:all ~part:all ()));
+  Alcotest.(check (list (pair int int))) "the same packet again sends nothing" []
+    (deliver 5 2 (view ~fd:all ~part:all ()))
+
 let test_tick_resends_corrupted_record () =
   (* the outbound record is part of the arbitrary start: whatever
      [corrupt_state] writes there, the next tick sends every trusted peer
@@ -1325,21 +1338,20 @@ let outage_after_join ~seed =
 
 let test_join_outage () =
   (* The new participant's part and echoes must reach every pair. Seeds
-     1-3 take 7.41 / 7.62 / 7.64 sim-s (mean 7.56) when the echoes travel
-     on ticks only, and 6.80 / 6.07 / 7.93 (mean 6.93) when a changed view
-     is answered in its receipt step. One seed's figure is one draw of the
-     schedule, which any change to the warm-up's traffic redraws (before
-     answers were recorded as sent they read 6.36 / 7.03 / 7.05), so the
-     bound holds the mean of the three. Whole rounds (7 / 7 / 7 against
-     6 / 7 / 6, a timer period being U[0.8, 1.2] sim-s) are too coarse to
-     tell them apart. *)
-  let outages = List.map (fun seed -> outage_after_join ~seed) [ 1; 2; 3 ] in
-  let mean = List.fold_left ( +. ) 0.0 outages /. 3.0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "noReco %s sim-s after the join: mean %.2f, under 7.2"
-       (String.concat " / " (List.map (Printf.sprintf "%.2f") outages))
-       mean)
-    true (mean < 7.2)
+     1-3 take 7.41 / 7.62 / 7.64 sim-s when the echoes travel on ticks
+     only, 6.80 / 6.07 / 7.93 when a changed view is answered in its
+     receipt step, and 6.15 / 5.80 / 5.21 when a joiner's first contact
+     also sends every member's changed message at once (over seeds
+     1-1000, 20 % of the joins take 7.2 sim-s or more without that and
+     3 % with it). Whole rounds (7 / 7 / 7 against 6 / 7 / 6, a timer
+     period being U[0.8, 1.2] sim-s) are too coarse to tell them apart. *)
+  List.iter
+    (fun seed ->
+      let outage = outage_after_join ~seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: noReco %.2f sim-s after the join, under 7.2" seed outage)
+        true (outage < 7.2))
+    [ 1; 2; 3 ]
 
 let test_message_equality_by_value () =
   let asc = set [ 1; 2; 3; 4; 5; 6; 7 ] in
@@ -1445,6 +1457,8 @@ let suites =
         Alcotest.test_case "an answer is recorded as sent" `Quick test_answer_is_recorded;
         Alcotest.test_case "a tick resends a corrupted record" `Quick
           test_tick_resends_corrupted_record;
+        Alcotest.test_case "a joiner's first contact sends every peer" `Quick
+          test_joiner_first_contact_sends;
         Alcotest.test_case "a join's outage" `Quick test_join_outage;
         Alcotest.test_case "message equality by value" `Quick test_message_equality_by_value;
       ] );

@@ -542,8 +542,15 @@ let message_to t ~trusted ?last p =
            && echo_current t p m.m_echo ->
       last
     | Some _ | None ->
-      let m_config = t.sa_config and m_prp = t.sa_prp and m_all = t.sa_all in
-      Some { m_fd = trusted; m_part = part; m_config; m_prp; m_all; m_echo = echo_of t p }
+      Some
+        {
+          m_fd = trusted;
+          m_part = part;
+          m_config = t.sa_config;
+          m_prp = t.sa_prp;
+          m_all = t.sa_all;
+          m_echo = echo_of t p;
+        }
   end
 
 (* Value equality, whichever copies carry the fields. Interned descriptors

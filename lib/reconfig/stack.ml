@@ -395,15 +395,9 @@ let driver ~capacity ~n_bound ~theta ~hooks ~members_set ~directory =
        interface memo *)
     let trusted = trusted_set n in
     (* recSA: one do-forever iteration, then its line-29 message to every
-       trusted peer, after which the record keeps the peers sent to alone
-       (all it holds unless it holds more) *)
+       trusted peer *)
     recsa_iteration ctx n ~trusted;
     let sent = send_sa ctx n sent_sa ~trusted ~changed_only:false in
-    if Pid.Map.cardinal n.sa_out > sent then
-      n.sa_out <-
-        Pid.Map.filter
-          (fun p _ -> sent > 0 && Pid.Set.mem p trusted && not (Pid.equal p self))
-          n.sa_out;
     (* recMA *)
     emit_all ctx
       (Recma.tick n.ma ~trusted ~recsa:n.sa

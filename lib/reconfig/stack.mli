@@ -69,8 +69,7 @@ type 'app node_state = {
   mutable sa_in : sa_link Pid.Map.t;
       (** per peer, the newest-state record of its recSA packets *)
   mutable sa_out : Recsa.message Pid.Map.t;
-      (** per peer, the last recSA message sent it; a tick keeps the
-          trusted peers alone *)
+      (** per peer, the last recSA message sent it *)
 }
 
 (** The scheme as the application plugin sees it — the [getConfig()] /
@@ -272,8 +271,9 @@ val estab : ('app, 'msg) t -> Pid.t -> Pid.Set.t -> bool
     (heartbeat counts in [0, 1024) for a random subset of [pool]), recSA,
     recMA and join state, (through [hooks.plugin.p_corrupt]) its application state,
     its link stamp and newest-state records (arbitrary ints), and its
-    [sa_out] record (messages drawn as {!stale_sa} draws them), which the
-    next tick overwrites. The one node-state corruptor of every runtime. *)
+    [sa_out] record (messages drawn as {!stale_sa} draws them), whose
+    entries of trusted peers the next tick overwrites. The one node-state
+    corruptor of every runtime. *)
 val corrupt_state :
   hooks:('app, 'msg) hooks -> pool:Pid.t list -> rng:Rng.t -> 'app node_state -> unit
 

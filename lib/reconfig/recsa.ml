@@ -529,10 +529,10 @@ let echo_current t p echo =
   | exception Not_found -> Option.is_none echo
 
 (* [p]'s line-29 message, our state and our echo of [p]'s view, or [last]
-   itself while all of its fields are physically the current ones *)
+   itself while all of its fields are physically the current ones; the
+   caller picks [p] from [trusted] *)
 let message_to t ~trusted ?last p =
-  if (not (is_participant t)) || Pid.equal p t.sa_self || not (Pid.Set.mem p trusted)
-  then None
+  if (not (is_participant t)) || Pid.equal p t.sa_self then None
   else begin
     let part = participants t ~trusted in
     match last with

@@ -71,10 +71,10 @@ val self : t -> Pid.t
     Returns trace events emitted during the step. *)
 val tick : t -> trusted:Pid.Set.t -> (string * string) list
 
-(** [message_to t ~trusted ?last p] is the line-29 message to [p]: this
-    processor's (FD, part, config, prp, all) and its echo of [p]'s stored
-    view; [None] when this processor is not a participant, [p] is itself or
-    [p] is not trusted. While every field of [last] is physically current
+(** [message_to t ~trusted ?last p] is the line-29 message to [p], one of
+    [trusted]: this processor's (FD, part, config, prp, all) and its echo
+    of [p]'s stored view; [None] when this processor is not a participant
+    or [p] is itself. While every field of [last] is physically current
     it returns [last] itself, so an unchanged state re-sends the same
     physical message and allocates none. *)
 val message_to : t -> trusted:Pid.Set.t -> ?last:message -> Pid.t -> message option

@@ -298,7 +298,7 @@ let send_sa ?peer ctx n sent ~trusted ~changed_only =
     | Some _ | None -> ()
   in
   (match peer with
-  | Some p -> send p
+  | Some p -> if Pid.Set.mem p trusted then send p
   | None -> Pid.iter_desc send trusted);
   if !count > 0 then n.sa_stamp <- stamp;
   !count

@@ -1028,8 +1028,10 @@ let e16_register_comparison ?(jobs = 1) p =
        counter's majRead for the tag, then the update, which also stores \
        the tag as the counter's majWrite and starts in the step that \
        delivers the tag) and one per read \
-       when every replier already holds the newest value (two otherwise: \
-       query, then write-back), each operation leaving in its node's first \
+       when a majority is known to hold the newest value once the query \
+       completes (two otherwise: query, then a write-back that counts the \
+       repliers and late replies carrying that value as acknowledgments), \
+       each operation leaving in its node's first \
        receipt or tick after it was queued, while the SMR route pays a \
        multicast round and suspends during reconfigurations"
     ~header:[ "N"; "emulation"; "rounds per op (mean)" ]

@@ -20,6 +20,7 @@ module Phase = struct
   let start ~id ~conf ?(targets = conf) req =
     { id; conf; targets = Pid.Set.union conf targets; req; replies = Pid.Map.empty }
 
+  let id t = t.id
   let request t = t.req
   let conf t = t.conf
   let replies t = t.replies

@@ -34,6 +34,7 @@ module Phase : sig
       and completing on a majority of [conf]. *)
   val start : id:int -> conf:Pid.Set.t -> ?targets:Pid.Set.t -> 'req -> ('req, 'rep) t
 
+  val id : ('req, 'rep) t -> int
   val request : ('req, 'rep) t -> 'req
   val conf : ('req, 'rep) t -> Pid.Set.t
 

@@ -24,7 +24,8 @@ type round = (req, tagged option) Phase.t
 
 (* A client operation: a write first waits for its tag, then runs its
    update round; a read runs its query round, then, unless every replier
-   already holds the newest entry, its write-back. *)
+   already holds the newest entry, its write-back, which returns once a
+   majority is known to hold that entry. *)
 type op =
   | Idle
   | Get_tag of { rid : int; reg : reg; value : value }
@@ -47,6 +48,10 @@ type state = {
   reads_done : (int, value option) Hashtbl.t;
   mutable abort_count : int;
   mutable next_id : int;
+  (* the last finished query's id and the entry its read writes back: a
+     late reply to that query carrying exactly that entry counts as an
+     acknowledgment of the write-back *)
+  mutable finished : (int * tagged) option;
 }
 
 type msg =
@@ -114,27 +119,30 @@ let newest replies =
       | Some e, Some b -> if Counter.precedes b.tag e.tag then Some e else Some b)
     replies None
 
-let held_by_all replies (e : tagged) =
-  Pid.Map.for_all
-    (fun _ entry ->
-      match entry with Some r -> Counter.equal r.tag e.tag | None -> false)
-    replies
+let same_entry (a : tagged) (b : tagged) = Counter.equal a.tag b.tag && a.tv = b.tv
 
-(* Start a round: a member initiator answers itself, and the requests
-   leave in this step unless that answer already completed the round. *)
-let rec run_round view st ~rid ~reg ~goal ~conf ?targets req self_reply =
+(* Start a round: a member initiator answers itself, and [holders], the
+   query repliers known to hold a write-back's entry, count as its
+   acknowledgments. The requests leave in this step unless those answers
+   already completed the round; a write-back's always leave, so every
+   target not known to hold the entry gets it. *)
+let rec run_round view st ~rid ~reg ~goal ~conf ?targets ~holders req self_reply =
   let id = st.next_id in
   st.next_id <- id + 1;
   let round = Phase.start ~id ~conf ?targets req in
   st.op <- Running { rid; reg; goal; round };
   if Pid.Set.mem view.Stack.v_self conf then
     Phase.record round ~from:view.Stack.v_self self_reply;
-  if Phase.complete round then maybe_finish view st else send_requests view round
+  Pid.Map.iter (fun p _ -> Phase.record round ~from:p None) holders;
+  (match goal with
+  | `Read_back _ -> send_requests view round
+  | `Query | `Write _ -> if not (Phase.complete round) then send_requests view round);
+  maybe_finish view st
 
 (* The update goes to the members and also refreshes every trusted
    participant's copy, so prospective members carry the state into the
    next configuration; only the members' acknowledgments count. *)
-and start_update (view : msg Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal =
+and start_update (view : msg Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal ~holders =
   view.Stack.v_emit "register.update" reg;
   merge_entry st reg entry;
   let req =
@@ -143,7 +151,7 @@ and start_update (view : msg Stack.scheme_view) st ~rid ~reg ~entry ~conf ~goal 
     | `Query | `Read_back _ -> Update (reg, entry)
   in
   run_round view st ~rid ~reg ~goal ~conf ~targets:(Stack.View.participants view)
-    req None
+    ~holders req None
 
 and maybe_finish (view : msg Stack.scheme_view) st =
   match st.op with
@@ -151,17 +159,25 @@ and maybe_finish (view : msg Stack.scheme_view) st =
     match goal with
     | `Query -> (
       view.Stack.v_emit "register.query" reg;
-      let replies = Phase.replies round in
-      match newest replies with
+      match newest (Phase.replies round) with
       | None -> finish_read view st ~rid ~reg None
-      | Some e when held_by_all replies e ->
-        (* a majority already stores the newest entry, and every later
-           query's majority meets this one: no write-back needed *)
-        finish_read view st ~rid ~reg (Some e.tv)
       | Some e ->
-        (* write-back before returning (atomicity) *)
-        start_update view st ~rid ~reg ~entry:e ~conf:(Phase.conf round)
-          ~goal:(`Read_back (Some e.tv)))
+        let holders, stale =
+          Pid.Map.partition
+            (fun _ r -> match r with Some r -> same_entry r e | None -> false)
+            (Phase.replies round)
+        in
+        if Pid.Map.is_empty stale then
+          (* a majority already stores the newest entry, and every later
+             query's majority meets this one: no write-back needed *)
+          finish_read view st ~rid ~reg (Some e.tv)
+        else begin
+          (* write-back before returning (atomicity), until a majority is
+             known to hold the entry *)
+          st.finished <- Some (Phase.id round, e);
+          start_update view st ~rid ~reg ~entry:e ~conf:(Phase.conf round)
+            ~goal:(`Read_back (Some e.tv)) ~holders
+        end)
     | `Write _ ->
       view.Stack.v_emit "register.write" reg;
       st.op <- Idle;
@@ -177,7 +193,7 @@ let take_tag view st =
     match Stack.View.current_members view with
     | Some conf ->
       start_update view st ~rid ~reg ~entry:{ tag; tv = value } ~conf
-        ~goal:(`Write value)
+        ~goal:(`Write value) ~holders:Pid.Map.empty
     | None -> ())
   | _ -> ()
 
@@ -196,7 +212,7 @@ let start_next view st conf =
     st.op <- Get_tag { rid; reg; value };
     Counter_service.request_next st.cnt
   | Some (Rreq (rid, reg)) ->
-    run_round view st ~rid ~reg ~goal:`Query ~conf (Query reg)
+    run_round view st ~rid ~reg ~goal:`Query ~conf ~holders:Pid.Map.empty (Query reg)
       (Reg_map.find_opt reg st.store)
   | None -> ()
 
@@ -263,11 +279,16 @@ let handle (view : msg Stack.scheme_view) ~from m st =
     else reply (Phase.Refuse { id })
   | Op r -> (
     match st.op with
-    | Running { round; _ } -> (
-      match Phase.receive round ~from r with
-      | `Replied -> maybe_finish view st
-      | `Refused -> abort_op st
-      | `Ignored -> ())
+    | Running { round; goal; _ } -> (
+      match (Phase.receive round ~from r, goal, r, st.finished) with
+      | `Replied, _, _, _ -> maybe_finish view st
+      | `Refused, _, _, _ -> abort_op st
+      | `Ignored, `Read_back _, Phase.Reply { id; rep = Some e }, Some (q, held)
+        when id = q && same_entry e held ->
+        (* a late reply to the finished query: its sender holds the entry *)
+        Phase.record round ~from None;
+        maybe_finish view st
+      | `Ignored, _, _, _ -> ())
     | Idle | Get_tag _ -> ())
 
 let recv view ~from m st =
@@ -292,7 +313,14 @@ let corrupt rng st =
     (fun k -> if Rng.bool rng then st.store <- Reg_map.remove k st.store)
     keys;
   abort_op st;
-  st.next_id <- Rng.int rng 1024
+  st.next_id <- Rng.int rng 1024;
+  (* a garbage record naming the id the next query takes *)
+  let lbl =
+    Labels.Label.make ~creator:(Rng.int rng 16) ~sting:(Rng.int rng 1024)
+      ~antistings:[ Rng.int rng 1024 ]
+  in
+  let tag = Counter.make ~lbl ~seqn:(Rng.int rng 8) ~wid:(Rng.int rng 16) in
+  st.finished <- Some (st.next_id, { tag; tv = Rng.int rng 1024 })
 
 let plugin () =
   {
@@ -308,6 +336,7 @@ let plugin () =
           reads_done = Hashtbl.create 8;
           abort_count = 0;
           next_id = 0;
+          finished = None;
         });
     p_tick = tick;
     p_recv = recv;

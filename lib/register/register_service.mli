@@ -19,12 +19,19 @@
       configuration (the update names it) that no longer serves the
       counter. So when the write returns, its tag is stored as a counter at
       a majority of members, as a separate majWrite would have left it.
-    - {b read} (one round trip when every replier holds the newest entry,
-      two otherwise): query a majority for the maximal ⟨tag, value⟩. If
-      every reply carries that tag, a majority already stores it and every
-      later query's majority meets this one, so the read returns at once;
-      otherwise it writes the entry back to a majority (so later reads
-      cannot see older values), then returns it.
+    - {b read} (one round trip when a majority is known to hold the newest
+      entry, two otherwise): query a majority for the maximal ⟨tag, value⟩.
+      If every reply carries that entry (same tag, same value), a majority
+      already stores it and every later query's majority meets this one,
+      so the read returns at once. Otherwise it writes the entry back (so
+      later reads cannot see older values) and returns once a majority of
+      the query's configuration is known to hold it. The write-back round
+      starts with the query repliers that carry the entry counted as
+      acknowledgments, and a late reply to the finished query carrying
+      exactly that entry counts too. The write-back still goes, in the
+      step that starts it, to every target not known to hold the entry,
+      even when the counted holders already complete the round, so a
+      stale member is repaired; ticks retransmit it while the round runs.
 
     An operation starts in its node's first step after it was queued (or
     re-queued by an abort): the receipt of a service message or the tick,
@@ -58,12 +65,27 @@ type tagged = {
 }
 
 type state
-type msg
+
+(** A round's request: a query asks a member for its copy of a register;
+    an update stores an entry; a write's update also carries the
+    counter's majWrite and names the writer's configuration. *)
+type req =
+  | Query of reg
+  | Update of reg * tagged
+  | Write of reg * tagged * Sim.Pid.Set.t
+
+(** The wire messages: the embedded counter's, and the register's rounds.
+    A query's reply carries the member's copy, an update's is [None]. *)
+type msg =
+  | Cnt of Counter_service.msg
+  | Op of (req, tagged option) Quorum.Phase.msg
 
 (** [plugin ()] — the Stack plugin: the register layer over an embedded
     counter service ([in_transit_bound = 8], [exhaust_bound = 2{^30}]).
-    Its [p_corrupt] corrupts the counter, then forgets stored entries and
-    aborts the in-flight operation. *)
+    Its [p_corrupt] corrupts the counter, then forgets stored entries,
+    aborts the in-flight operation and plants a garbage record of a
+    finished query (naming the id the next query takes), which can only
+    ever count a reply carrying exactly its entry. *)
 val plugin : unit -> (state, msg) Reconfig.Stack.plugin
 
 val hooks : unit -> (state, msg) Reconfig.Stack.hooks

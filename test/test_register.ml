@@ -297,14 +297,19 @@ let test_fast_read () =
    The service layers of 4 and 5 drop every message from node 1 (a
    dropped receipt runs no start pass either): the write never reaches
    them, yet every link carries the scheme layers' traffic, so no detector
-   suspects anyone and the read is never held by a reconfiguration. *)
-let write_back_system seed =
+   suspects anyone and the read is never held by a reconfiguration.
+   [observe] sees every service message node 5 handles, with whether its
+   read has returned after it. *)
+let write_back_system ?(observe = fun ~from:_ _ ~read:_ -> ()) seed =
   let hooks =
     let base = Register_service.hooks () in
     let recv view ~from m st =
       let self = view.Reconfig.Stack.v_self in
-      if not (Pid.equal from 1 && (Pid.equal self 4 || Pid.equal self 5)) then
-        base.Reconfig.Stack.plugin.Reconfig.Stack.p_recv view ~from m st
+      if not (Pid.equal from 1 && (Pid.equal self 4 || Pid.equal self 5)) then begin
+        base.Reconfig.Stack.plugin.Reconfig.Stack.p_recv view ~from m st;
+        if Pid.equal self 5 then
+          observe ~from m ~read:(Register_service.find_read st ~rid:1 <> None)
+      end
     in
     { base with plugin = { base.plugin with p_recv = recv } }
   in
@@ -357,9 +362,18 @@ let test_pipelined_rounds () =
     (event_times sys ~since 1 "register.update");
   List.iter
     (fun seed ->
-      let sys, since = write_back_system seed in
-      Alcotest.(check int) "the write-back goes to the 4 other members at once" 4
-        (step_to_event sys 5 "register.update");
+      (* the members whose query reply carrying the write reached 5 *)
+      let holders = ref Pid.Set.empty in
+      let observe ~from m ~read:_ =
+        match m with
+        | Register_service.Op (Quorum.Phase.Reply { rep = Some e; _ }) when e.tv = 77 ->
+          holders := Pid.Set.add from !holders
+        | _ -> ()
+      in
+      let sys, since = write_back_system ~observe seed in
+      let sent = step_to_event sys 5 "register.update" in
+      Alcotest.(check int) "the write-back goes to the members not known to hold the write"
+        (4 - Pid.Set.cardinal !holders) sent;
       ignore (await_read sys 5 ~rid:1);
       let query = event_times sys ~since 5 "register.query" in
       Alcotest.(check int) "one query round" 1 (List.length query);
@@ -368,6 +382,50 @@ let test_pipelined_rounds () =
         (event_times sys ~since 5 "register.update");
       await_written_back sys)
     write_back_seeds
+
+(* Node 5's first query majority is mixed, since 5 itself missed the
+   write: on these seeds it is {5, 4, and 2 or 3}, and the other holder's
+   reply arrives after the query completed. That late reply completes the
+   read, before any acknowledgment of the write-back; the write-back still
+   reaches the stale member 4. *)
+let late_reply_seeds = [ 1; 2; 4; 6; 8 ]
+
+let test_late_reply_completes_read () =
+  List.iter
+    (fun seed ->
+      let log = ref [] in
+      let observe ~from:_ m ~read = log := (m, read) :: !log in
+      let sys, since = write_back_system ~observe seed in
+      Alcotest.(check (option (option int))) "read returns the write" (Some (Some 77))
+        (await_read sys 5 ~rid:1);
+      let reply = function
+        | Register_service.Op (Quorum.Phase.Reply { id; rep }) -> Some (id, rep)
+        | _ -> None
+      in
+      let log = List.rev !log in
+      let query =
+        List.find_map
+          (fun (m, _) ->
+            match reply m with Some (id, Some _) -> Some id | _ -> None)
+          log
+      in
+      let rec before_read acks = function
+        | [] -> Alcotest.failf "seed %d: the read never returned" seed
+        | (m, false) :: rest ->
+          let ack = match reply m with Some (id, _) -> Some id <> query | None -> false in
+          before_read (acks || ack) rest
+        | (m, true) :: _ -> (acks, reply m)
+      in
+      let acks, completing = before_read false log in
+      Alcotest.(check bool) "no write-back acknowledgment before the read returns" false acks;
+      (match (completing, query) with
+      | Some (id, Some e), Some q when id = q && e.Register_service.tv = 77 -> ()
+      | _ -> Alcotest.failf "seed %d: the read did not return on a late query reply" seed);
+      let at tag = event_times sys ~since 5 tag in
+      Alcotest.(check bool) "the query completed before the read returned" true
+        (List.for_all2 ( < ) (at "register.query") (at "register.read"));
+      await_written_back sys)
+    late_reply_seeds
 
 (* An operation starts in the first receipt step after it was queued:
    submitted right after its node's tick, a write's majRead (twice to the
@@ -451,6 +509,136 @@ let test_monotonic_reads_concurrent_writer () =
       Alcotest.(check int) "last read sees the last write" writes !returned)
     [ 1; 2; 3; 4 ]
 
+(* perfbench's traffic on a fault-free cluster of [n] members: writer 1
+   writes pair k's value k and reader 3 reads it. In the alternation a read
+   starts when its pair's write returned and the next write when the read
+   returned, so every read must return its own pair's write. With
+   [~overlap] the writer and the reader each run back to back, so reads
+   overlap writes: a read must return a value no older than the last
+   write returned before it started, or than any earlier read returned,
+   and reads go on until one returns the last write. *)
+let alternation ?(overlap = false) ~n ~pairs seed =
+  let sys = make ~seed ~n () in
+  Reconfig.Stack.run_rounds sys 25;
+  let w = app sys 1 and r = app sys 3 in
+  let write k = Register_service.write w ~rid:k "a" k in
+  (* the newest write returned, the write and the read in flight, and the
+     least value that read may return *)
+  let written = ref 0 and writing = ref 1 and reading = ref 1 and floor = ref 0 in
+  let read () =
+    floor := max !floor !written;
+    Register_service.read r ~rid:!reading "a"
+  in
+  write 1;
+  if overlap then read ();
+  let rec go steps =
+    if steps = 0 then Alcotest.failf "N = %d, seed %d: operations stalled" n seed;
+    ignore (Engine.step (Reconfig.Stack.engine sys));
+    if !written < !writing && Register_service.write_done w ~rid:!writing then begin
+      written := !writing;
+      if not overlap then read ()
+      else if !writing < pairs then begin
+        incr writing;
+        write !writing
+      end
+    end;
+    match Register_service.find_read r ~rid:!reading with
+    | None -> go (steps - 1)
+    | Some result ->
+      let v = Option.value result ~default:0 in
+      if if overlap then v < !floor else v <> !reading then
+        Alcotest.failf "N = %d, seed %d: read %d returned %d" n seed !reading v;
+      floor := v;
+      if v < pairs || !reading < pairs then begin
+        incr reading;
+        if overlap then read ()
+        else begin
+          incr writing;
+          write !writing
+        end;
+        go (steps - 1)
+      end
+  in
+  go 3_000_000
+
+let test_alternation_atomic () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun seed ->
+          alternation ~n ~pairs:10 seed;
+          alternation ~overlap:true ~n ~pairs:10 seed)
+        [ 1; 2; 3; 4; 5 ])
+    [ 5; 8; 12 ]
+
+(* Register hooks whose service layer drops each message [drop] selects at
+   its receiver; a dropped receipt runs no start pass either. *)
+let dropping drop =
+  let base = Register_service.hooks () in
+  let recv view ~from m st =
+    if not (drop ~self:view.Reconfig.Stack.v_self ~from m) then
+      base.Reconfig.Stack.plugin.Reconfig.Stack.p_recv view ~from m st
+  in
+  { base with plugin = { base.plugin with p_recv = recv } }
+
+(* A read that returns a write still in flight leaves it at a majority:
+   the members drop writer 1's update for value 2, so only 1 stores it. A
+   first read at 3 ignores the query replies of 4 and 5, so its majority
+   is {3, 1, 2} and it returns 2; a second read at 3 ignores 1's replies,
+   so only the first read's write-back can show it 2. Counting every
+   replier that holds some entry as holding the newest one would return
+   the first read at once, and the second would return 1. *)
+let test_read_of_write_in_flight () =
+  List.iter
+    (fun seed ->
+      let phase = ref `Write in
+      let drop ~self ~from m =
+        match (m, !phase) with
+        | Register_service.Op (Quorum.Phase.Request { req = Write (_, e, _); _ }), _ ->
+          from = 1 && self <> 1 && e.Register_service.tv = 2
+        | Op (Quorum.Phase.Reply { rep = Some _; _ }), `First_read ->
+          self = 3 && (from = 4 || from = 5)
+        | Op (Quorum.Phase.Reply _), `Second_read -> self = 3 && from = 1
+        | _ -> false
+      in
+      let sys = make ~seed ~n:5 ~hooks:(dropping drop) () in
+      Reconfig.Stack.run_rounds sys 20;
+      Register_service.write (app sys 1) ~rid:1 "w" 1;
+      await_write sys 1 ~rid:1;
+      Register_service.write (app sys 1) ~rid:2 "w" 2;
+      Alcotest.(check bool) "1 stores its write in flight" true
+        (Reconfig.Stack.run_until sys ~max_steps:600_000 (fun t -> holds t 1 "w" 2));
+      phase := `First_read;
+      Register_service.read (app sys 3) ~rid:1 "w";
+      Alcotest.(check (option (option int))) "the first read returns the write in flight"
+        (Some (Some 2)) (await_read sys 3 ~rid:1);
+      phase := `Second_read;
+      Register_service.read (app sys 3) ~rid:2 "w";
+      Alcotest.(check (option (option int))) "the second read returns it too" (Some (Some 2))
+        (await_read sys 3 ~rid:2);
+      Alcotest.(check bool) "the write is still in flight" false
+        (Register_service.write_done (app sys 1) ~rid:2))
+    [ 1; 2; 3; 4; 5 ]
+
+(* A garbage record of a finished query, planted by corrupting the reader
+   before its read, counts no reply: the read returns its pair's write and
+   a majority stores it when the read returns. *)
+let test_garbage_record () =
+  let corrupt = (Register_service.plugin ()).Reconfig.Stack.p_corrupt in
+  List.iter
+    (fun seed ->
+      let sys = make ~seed ~n:5 () in
+      Reconfig.Stack.run_rounds sys 20;
+      Register_service.write (app sys 1) ~rid:1 "g" 9;
+      await_write sys 1 ~rid:1;
+      corrupt (Rng.create seed) (app sys 3);
+      Register_service.read (app sys 3) ~rid:1 "g";
+      Alcotest.(check (option (option int))) "read returns its pair's write" (Some (Some 9))
+        (await_read sys 3 ~rid:1);
+      Alcotest.(check bool) "a majority stores it" true
+        (List.length (List.filter (fun p -> holds sys p "g" 9) [ 1; 2; 3; 4; 5 ]) >= 3))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 (* The register ticks before its embedded counter, so a write queued
    before a tick asks for its tag in that tick, and the counter's majRead
    leaves in that same tick: two copies to each other member (a freshly
@@ -502,6 +690,8 @@ let suites =
           test_write_reaches_member_majority;
         Alcotest.test_case "fast read skips the write-back" `Quick test_fast_read;
         Alcotest.test_case "read writes back a missing value" `Quick test_write_back;
+        Alcotest.test_case "a late query reply completes the read" `Quick
+          test_late_reply_completes_read;
         Alcotest.test_case "rounds start in the completing step" `Quick
           test_pipelined_rounds;
         Alcotest.test_case "operations start on a receipt" `Quick test_ops_start_on_receipt;
@@ -509,6 +699,11 @@ let suites =
           test_idle_receipts_send_nothing;
         Alcotest.test_case "monotonic reads, concurrent writer" `Quick
           test_monotonic_reads_concurrent_writer;
+        Alcotest.test_case "alternating pairs read their own write" `Quick
+          test_alternation_atomic;
+        Alcotest.test_case "a read of a write in flight leaves it at a majority" `Quick
+          test_read_of_write_in_flight;
+        Alcotest.test_case "a garbage query record counts no reply" `Quick test_garbage_record;
         Alcotest.test_case "a member's write after a non-member's write wins" `Quick
           test_member_write_after_non_member_write;
         Alcotest.test_case "corruption aborts only a running operation" `Quick
